@@ -29,6 +29,7 @@ _TOKEN_RE = re.compile(
 )
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 _REVERSE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
 
@@ -43,19 +44,15 @@ class Token:
 def unescape_string(text: str, line: int, column: int) -> str:
     """Decode the payload of a double-quoted literal (quotes included)."""
     body = text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in _ESCAPES:
-                raise ParseError(f"unknown escape in string literal {text}", line, column)
-            out.append(_ESCAPES[body[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if "\\" not in body:
+        return body
+
+    def decode(m: re.Match[str]) -> str:
+        if m.group(1) not in _ESCAPES:
+            raise ParseError(f"unknown escape in string literal {text}", line, column)
+        return _ESCAPES[m.group(1)]
+
+    return _ESCAPE_RE.sub(decode, body)
 
 
 def escape_string(value: str) -> str:
@@ -100,15 +97,14 @@ def tokenize(source: str, *, start_line: int = 1) -> list[Token]:
 
 
 class TokenStream:
-    """Cursor over a token list with one/two-token lookahead."""
+    """Cursor over a token list ending in EOF, with one-token lookahead."""
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        idx = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[idx]
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -255,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print(f"io error: input is not UTF-8 text: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ letting a default-initialized object into the system.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -179,6 +180,7 @@ def deserialize(text: str) -> ObjectGraph:
     if not lines or lines[0].strip() != _HEADER:
         raise FormatError(1, f"missing {_HEADER!r} header")
     records: list[ObjectRecord] = []
+    refs: list[tuple[int, str, str, int]] = []  # (line, field, annotation, target id)
     lineno = 1
     total = len(lines)
     while lineno < total:
@@ -202,7 +204,10 @@ def deserialize(text: str) -> ObjectGraph:
             if field_line == "end":
                 closed = True
                 break
-            fields.append(_parse_field(field_line, lineno))
+            name, annotation, value = _parse_field(field_line, lineno)
+            if value.__class__ is RefVal:
+                refs.append((lineno, name, annotation, value.object_id))
+            fields.append((name, value))
         if not closed:
             raise FormatError(lineno, f"record {object_id} is missing its 'end'")
         try:
@@ -211,13 +216,63 @@ def deserialize(text: str) -> ObjectGraph:
             raise FormatError(lineno, str(err)) from err
     if not records:
         raise FormatError(lineno, "object file holds no records")
-    return ObjectGraph(tuple(records))
+    graph = ObjectGraph(tuple(records))
+    for ref_line, name, annotation, target in refs:
+        target_class = records[target].class_name
+        if annotation != target_class:
+            raise FormatError(
+                ref_line,
+                f"field {name!r} is annotated {annotation}, "
+                f"but record {target} is of class {target_class}",
+            )
+    return graph
 
 
-_PRIMITIVE_ANNOTATIONS = {"INTEGER", "REAL", "BOOLEAN", "STRING", "NONE"}
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# The line ``serialize`` writes for one field, built from the tokenizer's own
+# character classes, so every line it matches tokenizes to the same value.
+_CANONICAL_FIELD_RE = re.compile(
+    f"({_NAME}): ({_NAME}) = (?:"
+    r"(?P<int>-?\d+)"
+    r"|(?P<real>-?\d+\.\d+(?:[eE][+-]?\d+)?)"
+    r'|(?P<string>"(?:[^"\\\n]|\\["\\n])*")'
+    r"|ref (?P<ref>\d+)"
+    r"|(?P<word>Void|true|false)"
+    r")\Z"
+)
+_WORDS = {"Void": VOID, "true": BoolVal(True), "false": BoolVal(False)}
 
 
-def _parse_field(line: str, lineno: int) -> tuple[str, ObjectValue]:
+def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
+    """Parse one stripped field line into (name, annotation, value).
+
+    Canonical lines take one regex match; anything else, and any literal
+    whose value is out of range, goes through the tokenizer, which owns
+    every error message.
+    """
+    m = _CANONICAL_FIELD_RE.match(line)
+    if m is None:
+        return _parse_field_tokens(line, lineno)
+    kind = m.lastgroup
+    name, annotation, text = m.group(1, 2, kind)
+    try:
+        if kind == "int":
+            value = IntVal(int(text))
+        elif kind == "real":
+            value = RealVal(_finite(float(text)))
+        elif kind == "string":
+            value = StringVal(unescape_string(text, lineno, 0))
+        elif kind == "ref":
+            value = RefVal(int(text))
+        else:
+            value = _WORDS[text]
+    except ValueError:
+        return _parse_field_tokens(line, lineno)
+    _check_annotation(annotation, value, lineno, name)
+    return name, annotation, value
+
+
+def _parse_field_tokens(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
     try:
         stream = TokenStream(tokenize(line, start_line=lineno))
         name = stream.expect_ident().text
@@ -231,25 +286,28 @@ def _parse_field(line: str, lineno: int) -> tuple[str, ObjectValue]:
     except ParseError as err:
         raise FormatError(err.line, str(err)) from err
     _check_annotation(annotation, value, lineno, name)
-    return name, value
+    return name, annotation, value
+
+
+# Value kinds each annotation admits; any other annotation names a class.
+_ANNOTATION_KINDS = {
+    "INTEGER": IntVal,
+    "REAL": RealVal,
+    "BOOLEAN": BoolVal,
+    "STRING": (StringVal, VoidVal),
+    "NONE": VoidVal,
+}
 
 
 def _check_annotation(annotation: str, value: ObjectValue, lineno: int, name: str) -> None:
-    ok = True
-    if annotation == "INTEGER":
-        ok = isinstance(value, IntVal)
-    elif annotation == "REAL":
-        ok = isinstance(value, RealVal)
-    elif annotation == "BOOLEAN":
-        ok = isinstance(value, BoolVal)
-    elif annotation == "STRING":
-        ok = isinstance(value, (StringVal, VoidVal))
-    elif annotation == "NONE":
-        ok = isinstance(value, VoidVal)
-    else:  # object type: a reference or void
-        ok = isinstance(value, (RefVal, VoidVal))
-    if not ok:
+    if not isinstance(value, _ANNOTATION_KINDS.get(annotation, (RefVal, VoidVal))):
         raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
+
+
+def _finite(number: float) -> float:
+    if not math.isfinite(number):
+        raise ValueError(f"real literal out of range: {number}")
+    return number
 
 
 def parse_value(stream: TokenStream) -> ObjectValue:
@@ -260,16 +318,15 @@ def parse_value(stream: TokenStream) -> ObjectValue:
         stream.next()
         negative = True
         tok = stream.peek()
-    if tok.kind == "INT":
-        stream.next()
-        number = -int(tok.text) if negative else int(tok.text)
-        try:
-            return IntVal(number)
-        except ValueError as err:
-            raise FormatError(tok.line, str(err)) from err
-    if tok.kind == "REAL":
-        stream.next()
-        return RealVal(-float(tok.text) if negative else float(tok.text))
+    try:
+        if tok.kind == "INT":
+            stream.next()
+            return IntVal(-int(tok.text) if negative else int(tok.text))
+        if tok.kind == "REAL":
+            stream.next()
+            return RealVal(_finite(-float(tok.text) if negative else float(tok.text)))
+    except ValueError as err:
+        raise FormatError(tok.line, str(err)) from err
     if negative:
         raise FormatError(tok.line, "'-' must prefix a numeric literal")
     if tok.kind == "STRING":
@@ -288,7 +345,10 @@ def parse_value(stream: TokenStream) -> ObjectValue:
             if ref_tok.kind != "INT":
                 raise FormatError(ref_tok.line, "ref needs a nonnegative integer id")
             stream.next()
-            return RefVal(int(ref_tok.text))
+            try:
+                return RefVal(int(ref_tok.text))
+            except ValueError as err:  # more digits than int() converts
+                raise FormatError(ref_tok.line, str(err)) from err
     raise FormatError(tok.line, f"not a value literal: {tok.text!r}")
 
 

@@ -293,3 +293,24 @@ def test_machine_format_matches_text():
     _, text_out, _ = run_cli("diff", V1, V2, "--format", "text")
     _, machine_out, _ = run_cli("diff", V1, V2, "--format", "machine")
     assert text_out == machine_out == DIFF_GOLDEN
+
+
+def test_migrate_non_finite_real_is_a_format_error(tmp_path, bank_project):
+    obj = tmp_path / "inf.eso"
+    obj.write_text(
+        BANK_OBJECT_TEXT + "obj 1 PERSON version 1\n  height: REAL = 1.0e999\nend\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == "FormatError 8 real literal out of range: inf"
+    assert "Traceback" not in out + err
+
+
+def test_migrate_non_utf8_file_exits_2(tmp_path, bank_project):
+    obj = tmp_path / "latin1.eso"
+    obj.write_bytes(BANK_OBJECT_TEXT.replace('"42"', '"\xff"').encode("latin-1"))
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert code == 2
+    assert out == ""
+    assert "io error: input is not UTF-8 text" in err

@@ -108,11 +108,31 @@ def test_dangling_reference_rejected():
         ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  x: INTEGER = 1\n  x: INTEGER = 2\nend\n", "duplicate"),
         ("ESCHER-OBJECTS 1\n", "no records"),
         ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  x: REAL = 2\nend\n", "mandatory dot"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  r: REAL = 1.0e999\nend\n", "non-finite"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  r: REAL = - 1.0e999\nend\n", "non-finite"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  p: NODE = ref " + "1" * 5000 + "\nend\n", "digits"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  x: INTEGER = " + "1" * 5000 + "\nend\n", "digits"),
     ],
 )
 def test_format_errors(text, complain):
     with pytest.raises(FormatError):
         deserialize(text)
+
+
+def test_ref_annotation_must_name_the_referenced_class():
+    text = (
+        "ESCHER-OBJECTS 1\n"
+        "obj 0 HOLDER version 1\n"
+        "  p: PERSON = ref 1\n"
+        "end\n"
+        "obj 1 ITEM version 1\n"
+        "end\n"
+    )
+    with pytest.raises(FormatError) as exc:
+        deserialize(text)
+    assert exc.value.line == 3
+    assert exc.value.reason == "field 'p' is annotated PERSON, but record 1 is of class ITEM"
+    assert deserialize(text.replace("PERSON", "ITEM")).record(0).get("p") == RefVal(1)
 
 
 def test_value_literals():
@@ -125,6 +145,8 @@ def test_value_literals():
     assert parse_value_text("ref 3") == RefVal(3)
     with pytest.raises(FormatError):
         parse_value_text("nope!")
+    with pytest.raises(FormatError):
+        parse_value_text("1.0e999")
 
 
 def test_int64_range_is_enforced():
