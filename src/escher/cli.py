@@ -37,7 +37,6 @@ class CliConfig:
     project_dir: Path
     assertion_checking: bool = True
     strict_direct_migration: bool = False
-    output_format: str = "text"  # the line formats double as the text reports
 
 
 class _Usage(Exception):
@@ -47,7 +46,8 @@ class _Usage(Exception):
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--project", default=".", metavar="DIR", help="project directory")
-    common.add_argument("--format", choices=["text", "machine"], default="text")
+    common.add_argument("--format", choices=["text", "machine"], default="text",
+                        help="both formats print the same lines for now")
     common.add_argument("--no-assert", action="store_true", dest="no_assert",
                         help="skip invariant gates and attachment checks (unsafe)")
     common.add_argument("--strict-direct", action="store_true", dest="strict_direct",
@@ -101,7 +101,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
         project_dir=Path(args.project),
         assertion_checking=not args.no_assert,
         strict_direct_migration=args.strict_direct,
-        output_format=args.format,
     )
 
 

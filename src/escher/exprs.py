@@ -7,16 +7,21 @@ Two sub-languages draw from one node pool:
 * transformer assignment sources: arithmetic only, with ``OldField``,
   ``InputRef`` and ``Convert`` atoms.
 
-Rendering inserts parentheses exactly where reparsing would otherwise
-associate differently, so render/parse is structurally lossless.
+Both parse arithmetic and literals with ``parse_arith`` and supply only
+their own primaries. Rendering inserts parentheses exactly where reparsing
+would otherwise associate differently, so render/parse is structurally
+lossless.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from ._lex import escape_string
+from ._lex import TokenStream, escape_string, unescape_string
+from .errors import ParseError
+from .values import INT64_MAX, INT64_MIN
 
 ARITH_OPS = ("+", "-", "*", "//")
 COMPARE_OPS = ("=", "/=", "<", "<=", ">", ">=")
@@ -121,6 +126,10 @@ Expr = Union[
     BinOp, Compare, And, Or, Not,
 ]
 
+#: Nodes only an invariant clause may hold, and only a transformer source.
+INVARIANT_ONLY = (AttrRef, Compare, And, Or, Not)
+TRANSFORMER_ONLY = (OldField, InputRef, Convert)
+
 _ATOM = 10
 _PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "//": 6}
 
@@ -140,9 +149,7 @@ def _prec(expr: Expr) -> int:
 
 
 def children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, (BinOp, And, Or)):
-        return (expr.left, expr.right)
-    if isinstance(expr, Compare):
+    if isinstance(expr, (BinOp, Compare, And, Or)):
         return (expr.left, expr.right)
     if isinstance(expr, Not):
         return (expr.operand,)
@@ -156,6 +163,65 @@ def walk(expr: Expr):
     yield expr
     for child in children(expr):
         yield from walk(child)
+
+
+_WORD_LITERALS = {"Void": VoidLit(), "true": BoolLit(True), "false": BoolLit(False)}
+
+
+def parse_arith(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
+    """``+ -`` over ``* //``, both left-associative, over literals and the
+    primaries ``atom`` parses (each language passes its own)."""
+    left = _parse_term(stream, atom)
+    while stream.at_op("+") or stream.at_op("-"):
+        op = stream.next().text
+        left = BinOp(op, left, _parse_term(stream, atom))
+    return left
+
+
+def _parse_term(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
+    left = parse_literal(stream) or atom(stream)
+    while stream.at_op("*") or stream.at_op("//"):
+        op = stream.next().text
+        left = BinOp(op, left, parse_literal(stream) or atom(stream))
+    return left
+
+
+def parse_literal(stream: TokenStream) -> Expr | None:
+    """An INT or REAL (optionally negative), STRING, ``Void``, ``true`` or
+    ``false``; None when the next token starts none of these.
+
+    Integers must fit 64 bits and reals must be finite, so evaluation never
+    meets a literal that no value can hold.
+    """
+    start = tok = stream.peek()
+    negative = tok.kind == "OP" and tok.text == "-"
+    if negative:  # a negative literal, not general unary minus
+        stream.next()
+        tok = stream.peek()
+    if tok.kind == "INT":
+        stream.next()
+        digits = tok.text.lstrip("0")
+        # int() refuses over 4300 digits; no 64-bit integer needs 20
+        if len(digits) < 20:
+            value = -int(digits or "0") if negative else int(digits or "0")
+            if INT64_MIN <= value <= INT64_MAX:
+                return IntLit(value)
+        raise ParseError("integer literal outside the 64-bit range", start.line, start.column)
+    if tok.kind == "REAL":
+        stream.next()
+        real = -float(tok.text) if negative else float(tok.text)
+        if not math.isfinite(real):
+            raise ParseError("real literal out of range", start.line, start.column)
+        return RealLit(real)
+    if negative:
+        raise stream.error("'-' must prefix a numeric literal", expected="a number")
+    if tok.kind == "STRING":
+        stream.next()
+        return StrLit(unescape_string(tok.text, tok.line, tok.column))
+    if tok.kind == "IDENT" and tok.text in _WORD_LITERALS:
+        stream.next()
+        return _WORD_LITERALS[tok.text]
+    return None
 
 
 def render_real(value: float) -> str:

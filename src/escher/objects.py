@@ -289,18 +289,19 @@ def _parse_field_tokens(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
     return name, annotation, value
 
 
-# Value kinds each annotation admits; any other annotation names a class.
+# The one value kind each annotation admits, as ``serialize`` writes it: a
+# void is always ``NONE``, and any other annotation names a class of a ``ref``.
 _ANNOTATION_KINDS = {
     "INTEGER": IntVal,
     "REAL": RealVal,
     "BOOLEAN": BoolVal,
-    "STRING": (StringVal, VoidVal),
+    "STRING": StringVal,
     "NONE": VoidVal,
 }
 
 
 def _check_annotation(annotation: str, value: ObjectValue, lineno: int, name: str) -> None:
-    if not isinstance(value, _ANNOTATION_KINDS.get(annotation, (RefVal, VoidVal))):
+    if not isinstance(value, _ANNOTATION_KINDS.get(annotation, RefVal)):
         raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
 
 
@@ -376,6 +377,7 @@ class InvariantResult:
 
 
 INVARIANT_PASS = InvariantResult(True)
+_NO_INPUTS: Mapping[str, ObjectValue] = {}
 
 
 class _EvalProblem(Exception):
@@ -396,7 +398,7 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
     fields = record.as_dict()
     for clause in schema.invariant.clauses:
         try:
-            outcome = _eval_clause(clause.body, fields)
+            outcome = _eval(clause.body, fields, _NO_INPUTS, DEFAULT_REGISTRY)
         except _EvalProblem as err:
             raise TypeMismatchInInvariant(clause.tag, str(err)) from err
         if not isinstance(outcome, BoolVal):
@@ -406,47 +408,54 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
     return INVARIANT_PASS
 
 
-def _eval_clause(expr: exprs.Expr, fields: Mapping[str, ObjectValue]) -> ObjectValue:
-    if isinstance(expr, exprs.AttrRef):
+def _eval(
+    expr: exprs.Expr,
+    fields: Mapping[str, ObjectValue],
+    inputs: Mapping[str, ObjectValue],
+    registry: ConverterRegistry,
+) -> ObjectValue:
+    """Evaluate an invariant body or a transformer source over ``fields``,
+    the record in hand (its attributes, or the old record's fields).
+
+    Node classes are tested by identity, commonest leaves first: this runs
+    once per node per migrated record.
+    """
+    cls = expr.__class__
+    if cls is exprs.AttrRef or cls is exprs.OldField:
         value = fields.get(expr.name)
         if value is None:
             raise MissingAttribute(expr.name)
         return value
-    if isinstance(expr, exprs.And):
-        left = _require_bool(_eval_clause(expr.left, fields))
-        if not left.value:
-            return BoolVal(False)
-        return _require_bool(_eval_clause(expr.right, fields))
-    if isinstance(expr, exprs.Or):
-        left = _require_bool(_eval_clause(expr.left, fields))
-        if left.value:
-            return BoolVal(True)
-        return _require_bool(_eval_clause(expr.right, fields))
-    if isinstance(expr, exprs.Not):
-        return BoolVal(not _require_bool(_eval_clause(expr.operand, fields)).value)
-    if isinstance(expr, exprs.Compare):
-        left = _eval_clause(expr.left, fields)
-        right = _eval_clause(expr.right, fields)
-        return BoolVal(_compare(expr.op, left, right))
-    if isinstance(expr, exprs.BinOp):
-        left = _eval_clause(expr.left, fields)
-        right = _eval_clause(expr.right, fields)
-        return _arith(expr.op, left, right)
-    return _literal_value(expr)
-
-
-def _literal_value(expr: exprs.Expr) -> ObjectValue:
-    if isinstance(expr, exprs.IntLit):
+    if cls is exprs.IntLit:
         return IntVal(expr.value)
-    if isinstance(expr, exprs.RealLit):
+    if cls is exprs.BinOp:
+        left = _eval(expr.left, fields, inputs, registry)
+        return _arith(expr.op, left, _eval(expr.right, fields, inputs, registry))
+    if cls is exprs.Compare:
+        left = _eval(expr.left, fields, inputs, registry)
+        return BoolVal(_compare(expr.op, left, _eval(expr.right, fields, inputs, registry)))
+    if cls is exprs.And or cls is exprs.Or:
+        # short-circuit: ``and`` stops at false, ``or`` at true
+        left = _require_bool(_eval(expr.left, fields, inputs, registry))
+        if left.value == (cls is exprs.Or):
+            return left
+        return _require_bool(_eval(expr.right, fields, inputs, registry))
+    if cls is exprs.Not:
+        return BoolVal(not _require_bool(_eval(expr.operand, fields, inputs, registry)).value)
+    if cls is exprs.RealLit:
         return RealVal(expr.value)
-    if isinstance(expr, exprs.BoolLit):
-        return BoolVal(expr.value)
-    if isinstance(expr, exprs.StrLit):
+    if cls is exprs.StrLit:
         return StringVal(expr.value)
-    if isinstance(expr, exprs.VoidLit):
+    if cls is exprs.BoolLit:
+        return BoolVal(expr.value)
+    if cls is exprs.VoidLit:
         return VOID
-    raise _EvalProblem(f"expression not allowed here: {expr!r}")
+    if cls is exprs.InputRef:
+        return _input_value(inputs, expr.key)
+    if cls is exprs.Convert:
+        arg = _eval(expr.arg, fields, inputs, registry)
+        return registry.get(expr.converter_id).fn(arg)
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _require_bool(value: ObjectValue) -> BoolVal:
@@ -578,17 +587,22 @@ def interpret_transformer(
         target = instr.target_name
         if target not in schema_names:
             raise EvaluationError(index, f"target {target!r} is not an attribute of {new_schema.name}")
-        if isinstance(instr, CopyField):
-            value = _old_value(old_fields, instr.source_name, index)
-        elif isinstance(instr, AssignInput):
-            value = _input_value(inputs, instr.target_name)
-        elif isinstance(instr, AssignConverted):
-            source = _old_value(old_fields, instr.source_name, index)
-            value = registry.get(instr.converter_id).fn(source)
-        elif isinstance(instr, AssignExpr):
-            value = _eval_source(instr.expr, old_fields, inputs, registry, index)
-        else:
-            raise TypeError(f"not a transformer instruction: {instr!r}")
+        try:
+            if isinstance(instr, CopyField):
+                value = _old_value(old_fields, instr.source_name)
+            elif isinstance(instr, AssignInput):
+                value = _input_value(inputs, instr.target_name)
+            elif isinstance(instr, AssignConverted):
+                source = _old_value(old_fields, instr.source_name)
+                value = registry.get(instr.converter_id).fn(source)
+            elif isinstance(instr, AssignExpr):
+                value = _eval(instr.expr, old_fields, inputs, registry)
+            else:
+                raise TypeError(f"not a transformer instruction: {instr!r}")
+        except _EvalProblem as err:
+            raise EvaluationError(index, str(err)) from err
+        except MissingAttribute as err:
+            raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
         result[target] = value
     fields: list[tuple[str, ObjectValue]] = []
     for attr in new_schema.attributes:
@@ -604,10 +618,10 @@ def interpret_transformer(
     return ObjectRecord(old.id, t.class_name, t.to_version, tuple(fields))
 
 
-def _old_value(old_fields: Mapping[str, ObjectValue], name: str, index: int) -> ObjectValue:
+def _old_value(old_fields: Mapping[str, ObjectValue], name: str) -> ObjectValue:
     value = old_fields.get(name)
     if value is None:
-        raise EvaluationError(index, f"old record has no attribute {name!r}")
+        raise MissingAttribute(name)
     return value
 
 
@@ -616,33 +630,6 @@ def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
     if value is None:
         raise MissingInput(key)
     return value
-
-
-def _eval_source(
-    expr: exprs.Expr,
-    old_fields: Mapping[str, ObjectValue],
-    inputs: Mapping[str, ObjectValue],
-    registry: ConverterRegistry,
-    index: int,
-) -> ObjectValue:
-    if isinstance(expr, exprs.OldField):
-        return _old_value(old_fields, expr.name, index)
-    if isinstance(expr, exprs.InputRef):
-        return _input_value(inputs, expr.key)
-    if isinstance(expr, exprs.Convert):
-        arg = _eval_source(expr.arg, old_fields, inputs, registry, index)
-        return registry.get(expr.converter_id).fn(arg)
-    if isinstance(expr, exprs.BinOp):
-        left = _eval_source(expr.left, old_fields, inputs, registry, index)
-        right = _eval_source(expr.right, old_fields, inputs, registry, index)
-        try:
-            return _arith(expr.op, left, right)
-        except _EvalProblem as err:
-            raise EvaluationError(index, str(err)) from err
-    try:
-        return _literal_value(expr)
-    except _EvalProblem as err:
-        raise EvaluationError(index, str(err)) from err
 
 
 # ---------------------------------------------------------------------------

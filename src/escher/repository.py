@@ -319,25 +319,26 @@ def load_repository(project_dir: str | Path) -> Repository:
     project_dir = Path(project_dir)
     manifest_path = project_dir / _MANIFEST
     manifest_digests: dict[tuple[str, int, int], str] = {}
-    releases: list[Release] = []
+    releases: list[tuple[int, dict[str, ClassSchema]]] = []  # (number, schemas)
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("--"):
             continue
         if m := _RELEASE_RE.match(line):
-            releases.append(Release(int(m.group(1)), {}))
+            releases.append((int(m.group(1)), {}))
             continue
         if m := _CLASS_RE.match(line):
             if not releases:
                 raise FormatError(lineno, "class line before any release line")
             name, version = m.group(1), int(m.group(2))
-            path = project_dir / "releases" / str(releases[-1].number) / f"{name}.esc"
+            number, schemas = releases[-1]
+            path = project_dir / "releases" / str(number) / f"{name}.esc"
             schema = parse_schema(path.read_text(encoding="utf-8"))
             if schema.name != name or schema.version != version:
                 raise FormatError(
                     lineno, f"{path} does not match manifest entry {name} version {version}"
                 )
-            releases[-1].schemas[name] = schema
+            schemas[name] = schema
             continue
         if m := _TRANSFORMER_RE.match(line):
             manifest_digests[(m.group(1), int(m.group(2)), int(m.group(3)))] = m.group(4)
@@ -363,7 +364,9 @@ def load_repository(project_dir: str | Path) -> Repository:
                 handlers[class_dir.name][pair] = RegisteredTransformer(
                     t, text, digest, user_modified=recorded is not None and recorded != digest
                 )
-    return Repository(project_dir.name, tuple(releases), handlers)
+    return Repository(
+        project_dir.name, tuple(Release(number, schemas) for number, schemas in releases), handlers
+    )
 
 
 def save_repository(repo: Repository, project_dir: str | Path) -> None:

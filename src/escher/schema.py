@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 from . import exprs
-from ._lex import IDENT_RE, TokenStream, tokenize, unescape_string
+from ._lex import IDENT_RE, TokenStream, tokenize
 from .errors import (
     DuplicateAttribute,
     InvariantRefersUnknownAttribute,
@@ -194,14 +194,6 @@ class InvariantExpr:
     def __bool__(self) -> bool:
         return bool(self.clauses)
 
-    def referenced_attributes(self) -> set[str]:
-        names: set[str] = set()
-        for clause in self.clauses:
-            for node in exprs.walk(clause.body):
-                if isinstance(node, exprs.AttrRef):
-                    names.add(node.name)
-        return names
-
 
 EMPTY_INVARIANT = InvariantExpr()
 
@@ -242,6 +234,8 @@ class ClassSchema:
             for node in exprs.walk(clause.body):
                 if isinstance(node, exprs.AttrRef) and node.name not in seen_attrs:
                     raise InvariantRefersUnknownAttribute(clause.tag, node.name)
+                if isinstance(node, exprs.TRANSFORMER_ONLY):
+                    raise ValueError(f"invariant {clause.tag!r} holds a transformer-only {node!r}")
 
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
@@ -383,7 +377,7 @@ def parse_type(text: str, generic_params: tuple[str, ...] = ()) -> TypeExpr:
 
 
 # Invariant expression grammar, lowest precedence first:
-#   or -> and -> not -> comparison -> additive -> multiplicative -> atom
+#   or -> and -> not -> comparison -> exprs.parse_arith -> atom
 
 
 def _parse_or(stream: TokenStream) -> exprs.Expr:
@@ -410,64 +404,24 @@ def _parse_not(stream: TokenStream) -> exprs.Expr:
 
 
 def _parse_comparison(stream: TokenStream) -> exprs.Expr:
-    left = _parse_additive(stream)
+    left = exprs.parse_arith(stream, _parse_atom)
     tok = stream.peek()
     if tok.kind == "OP" and tok.text in exprs.COMPARE_OPS:
         stream.next()
-        right = _parse_additive(stream)
+        right = exprs.parse_arith(stream, _parse_atom)
         return exprs.Compare(tok.text, left, right)
     return left
 
 
-def _parse_additive(stream: TokenStream) -> exprs.Expr:
-    left = _parse_multiplicative(stream)
-    while stream.at_op("+") or stream.at_op("-"):
-        op = stream.next().text
-        left = exprs.BinOp(op, left, _parse_multiplicative(stream))
-    return left
-
-
-def _parse_multiplicative(stream: TokenStream) -> exprs.Expr:
-    left = _parse_invariant_atom(stream)
-    while stream.at_op("*") or stream.at_op("//"):
-        op = stream.next().text
-        left = exprs.BinOp(op, left, _parse_invariant_atom(stream))
-    return left
-
-
-def _parse_invariant_atom(stream: TokenStream) -> exprs.Expr:
+def _parse_atom(stream: TokenStream) -> exprs.Expr:
+    """The invariant's own primaries: a parenthesized clause or an attribute."""
     tok = stream.peek()
     if stream.at_op("("):
         stream.next()
         inner = _parse_or(stream)
         stream.expect_op(")")
         return inner
-    if stream.at_op("-"):  # negative literal, not general unary minus
-        stream.next()
-        num = stream.peek()
-        if num.kind == "INT":
-            stream.next()
-            return exprs.IntLit(-int(num.text))
-        if num.kind == "REAL":
-            stream.next()
-            return exprs.RealLit(-float(num.text))
-        raise stream.error("'-' must prefix a numeric literal", expected="a number")
-    if tok.kind == "INT":
-        stream.next()
-        return exprs.IntLit(int(tok.text))
-    if tok.kind == "REAL":
-        stream.next()
-        return exprs.RealLit(float(tok.text))
-    if tok.kind == "STRING":
-        stream.next()
-        return exprs.StrLit(unescape_string(tok.text, tok.line, tok.column))
     if tok.kind == "IDENT":
-        if tok.text == "Void":
-            stream.next()
-            return exprs.VoidLit()
-        if tok.text in ("true", "false"):
-            stream.next()
-            return exprs.BoolLit(tok.text == "true")
         if tok.text in KEYWORDS:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.column)
         stream.next()

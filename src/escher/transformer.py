@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from . import exprs
-from ._lex import IDENT_RE, TokenStream, tokenize, unescape_string
+from ._lex import IDENT_RE, TokenStream, tokenize
 from .errors import ConversionFailure, DuplicateTarget, ParseError, UnknownConverter
 from .schema import (
     Attached,
@@ -85,6 +85,9 @@ class AssignExpr:
             raise ValueError("use AssignInput for a bare input <target> source")
         if isinstance(e, exprs.Convert) and isinstance(e.arg, exprs.OldField):
             raise ValueError("use AssignConverted for convert <ID> (oldc.<name>)")
+        for node in exprs.walk(e):
+            if isinstance(node, exprs.INVARIANT_ONLY):
+                raise ValueError(f"a transformer source cannot hold {node!r}")
 
 
 @dataclass(frozen=True)
@@ -449,8 +452,12 @@ def _parse_statement(
     stream.expect_op(".")
     target = stream.expect_ident().text
     stream.expect_op(":=")
-    expr = _parse_expr(stream, registry)
+    expr = exprs.parse_arith(stream, _parse_atom)
     _expect_eol(stream)
+    if registry is not None:
+        for node in exprs.walk(expr):
+            if isinstance(node, exprs.Convert) and node.converter_id not in registry:
+                raise UnknownConverter(node.converter_id)
     if isinstance(expr, exprs.OldField):
         return CopyField(target, expr.name)
     if isinstance(expr, exprs.InputRef) and expr.key == target:
@@ -466,53 +473,15 @@ def _expect_eol(stream: TokenStream) -> None:
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column, expected="end of line")
 
 
-def _parse_expr(stream: TokenStream, registry: ConverterRegistry | None) -> exprs.Expr:
-    left = _parse_term(stream, registry)
-    while stream.at_op("+") or stream.at_op("-"):
-        op = stream.next().text
-        left = exprs.BinOp(op, left, _parse_term(stream, registry))
-    return left
-
-
-def _parse_term(stream: TokenStream, registry: ConverterRegistry | None) -> exprs.Expr:
-    left = _parse_factor(stream, registry)
-    while stream.at_op("*") or stream.at_op("//"):
-        op = stream.next().text
-        left = exprs.BinOp(op, left, _parse_factor(stream, registry))
-    return left
-
-
-def _parse_factor(stream: TokenStream, registry: ConverterRegistry | None) -> exprs.Expr:
+def _parse_atom(stream: TokenStream) -> exprs.Expr:
+    """The transformer's own primaries: ``(...)``, ``oldc.<name>``,
+    ``input <key>`` and ``convert <ID> (...)``."""
     tok = stream.peek()
     if stream.at_op("("):
         stream.next()
-        inner = _parse_expr(stream, registry)
+        inner = exprs.parse_arith(stream, _parse_atom)
         stream.expect_op(")")
         return inner
-    if stream.at_op("-"):  # negative literal, not general unary minus
-        stream.next()
-        num = stream.peek()
-        if num.kind == "INT":
-            stream.next()
-            return exprs.IntLit(-int(num.text))
-        if num.kind == "REAL":
-            stream.next()
-            return exprs.RealLit(-float(num.text))
-        raise stream.error("'-' must prefix a numeric literal", expected="a number")
-    if tok.kind == "INT":
-        stream.next()
-        return exprs.IntLit(int(tok.text))
-    if tok.kind == "REAL":
-        stream.next()
-        return exprs.RealLit(float(tok.text))
-    if tok.kind == "STRING":
-        stream.next()
-        return exprs.StrLit(unescape_string(tok.text, tok.line, tok.column))
-    if stream.at_ident("Void"):
-        stream.next()
-        return exprs.VoidLit()
-    if stream.at_ident("true") or stream.at_ident("false"):
-        return exprs.BoolLit(stream.next().text == "true")
     if stream.at_ident("oldc"):
         stream.next()
         stream.expect_op(".")
@@ -522,11 +491,9 @@ def _parse_factor(stream: TokenStream, registry: ConverterRegistry | None) -> ex
         return exprs.InputRef(stream.expect_ident().text)
     if stream.at_ident("convert"):
         stream.next()
-        conv_tok = stream.expect_ident()
-        if registry is not None and conv_tok.text not in registry:
-            raise UnknownConverter(conv_tok.text)
+        converter_id = stream.expect_ident().text
         stream.expect_op("(")
-        arg = _parse_expr(stream, registry)
+        arg = exprs.parse_arith(stream, _parse_atom)
         stream.expect_op(")")
-        return exprs.Convert(conv_tok.text, arg)
+        return exprs.Convert(converter_id, arg)
     raise stream.error(f"found {tok.text!r}", expected="an expression")

@@ -36,6 +36,19 @@ def test_parse_duplicate_attribute(tmp_path):
     assert out.splitlines()[0] == "DuplicateAttribute x"
 
 
+def test_parse_oversized_literal_is_a_parse_error(tmp_path):
+    big = tmp_path / "big.esc"
+    big.write_text(
+        "class C feature a: INTEGER invariant big: a > " + "1" * 5000 + " end", encoding="utf-8"
+    )
+    code, out, err = run_cli("parse", str(big))
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "ParseError line 1 column 47: integer literal outside the 64-bit range"
+    )
+    assert "Traceback" not in out + err
+
+
 def test_parse_missing_file():
     code, _, err = run_cli("parse", "no_such_file.esc")
     assert code == 2

@@ -112,6 +112,8 @@ def test_dangling_reference_rejected():
         ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  r: REAL = - 1.0e999\nend\n", "non-finite"),
         ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  p: NODE = ref " + "1" * 5000 + "\nend\n", "digits"),
         ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  x: INTEGER = " + "1" * 5000 + "\nend\n", "digits"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  p: PERSON = Void\nend\n", "void is NONE"),
+        ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  s: STRING = Void\nend\n", "void is NONE"),
     ],
 )
 def test_format_errors(text, complain):
@@ -330,6 +332,16 @@ def test_interpret_arithmetic_errors(bank_v2):
     record2 = ObjectRecord(0, "BANK_ACCOUNT", 1, (("info", StringVal("x")),))
     with pytest.raises(EvaluationError):
         interpret_transformer(t2, record2, {}, new_schema=bank_v2)
+
+
+def test_interpret_names_a_missing_old_field(bank_v2):
+    t = parse_transformer(
+        "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits + 1\nend\n"
+    )
+    record = ObjectRecord(0, "BANK_ACCOUNT", 1, (("info", StringVal("x")),))
+    with pytest.raises(EvaluationError) as exc:
+        interpret_transformer(t, record, {}, new_schema=bank_v2)
+    assert (exc.value.index, exc.value.reason) == (0, "old record has no attribute 'tot_deposits'")
 
 
 def test_interpret_rejects_unknown_target(bank_record, bank_v2):

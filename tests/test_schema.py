@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from escher import exprs
 from escher.errors import (
     DuplicateAttribute,
     InvariantRefersUnknownAttribute,
@@ -18,6 +19,8 @@ from escher.schema import (
     Detachable,
     GenericDerivation,
     GenericParamRef,
+    InvariantClause,
+    InvariantExpr,
     parse_schema,
     parse_type,
     render_schema,
@@ -108,6 +111,20 @@ def test_parse_errors(source):
 def test_unknown_generic_param_on_construction():
     with pytest.raises(UnknownGenericParam):
         ClassSchema("C", (), (Attribute("x", GenericParamRef("G")),))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [exprs.OldField("x"), exprs.InputRef("x"), exprs.Convert("INTEGER_TO_REAL", exprs.AttrRef("x"))],
+)
+def test_invariant_refuses_transformer_nodes_on_construction(node):
+    body = exprs.Compare("=", exprs.BinOp("+", exprs.AttrRef("x"), node), exprs.IntLit(0))
+    with pytest.raises(ValueError):
+        ClassSchema(
+            "C",
+            attributes=(Attribute("x", ClassType("INTEGER")),),
+            invariant=InvariantExpr((InvariantClause("c", body),)),
+        )
 
 
 def test_generic_param_attribute_clash_rejected():

@@ -257,6 +257,18 @@ def test_assign_expr_refuses_canonical_shapes():
     with pytest.raises(ValueError):
         AssignExpr("x", exprs.Convert("STRING_TO_INTEGER", exprs.OldField("y")))
     AssignExpr("x", exprs.InputRef("y"))  # different key is a plain expression
+    true = exprs.BoolLit(True)
+    for invariant_only in (
+        exprs.AttrRef("x"),
+        exprs.Compare(">", exprs.OldField("x"), exprs.IntLit(0)),
+        exprs.And(true, true),
+        exprs.Or(true, true),
+        exprs.Not(true),
+    ):
+        with pytest.raises(ValueError):
+            AssignExpr("x", invariant_only)
+        with pytest.raises(ValueError):  # nested too
+            AssignExpr("x", exprs.BinOp("+", exprs.IntLit(1), exprs.Convert("C", invariant_only)))
 
 
 def test_transformer_invariants():
