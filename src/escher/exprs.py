@@ -224,6 +224,21 @@ def parse_literal(stream: TokenStream) -> Expr | None:
     return None
 
 
+def parse_version(stream: TokenStream) -> int:
+    """A version tag in a ``.esc`` or ``.est`` header: a positive integer."""
+    tok = stream.peek()
+    if tok.kind != "INT":
+        raise stream.error("version must be an integer", expected="an integer")
+    stream.next()
+    try:
+        version = int(tok.text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("version tag too large", tok.line, tok.column) from None
+    if version < 1:
+        raise ParseError("version tag must be positive", tok.line, tok.column)
+    return version
+
+
 def render_real(value: float) -> str:
     """Shortest round-tripping decimal form with a mandatory dot."""
     text = repr(value)

@@ -507,26 +507,40 @@ def _promote(a: IntVal | RealVal, b: IntVal | RealVal):
     return float(a.value), float(b.value)
 
 
+_NUMERIC = (IntVal, RealVal)
+
+
 def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
-    if not isinstance(a, (IntVal, RealVal)) or not isinstance(b, (IntVal, RealVal)):
-        raise _EvalProblem(f"arithmetic {op} over non-numeric operands")
-    if op == "//":
-        if not isinstance(a, IntVal) or not isinstance(b, IntVal):
-            raise _EvalProblem("integer division needs integer operands")
-        if b.value == 0:
-            raise _EvalProblem("integer division by zero")
-        # truncation toward zero, matching REAL_TO_INTEGER
-        quotient = abs(a.value) // abs(b.value)
-        if (a.value < 0) != (b.value < 0):
-            quotient = -quotient
-        return IntVal(quotient)
-    if isinstance(a, IntVal) and isinstance(b, IntVal):
-        result = {"+": a.value + b.value, "-": a.value - b.value, "*": a.value * b.value}[op]
+    """Integer results, quotients included, must fit 64 bits."""
+    a_cls, b_cls = a.__class__, b.__class__
+    if a_cls is IntVal and b_cls is IntVal:
+        x, y = a.value, b.value
+        if op == "+":
+            result = x + y
+        elif op == "-":
+            result = x - y
+        elif op == "*":
+            result = x * y
+        else:
+            if y == 0:
+                raise _EvalProblem("integer division by zero")
+            # truncation toward zero, matching REAL_TO_INTEGER
+            result = abs(x) // abs(y)
+            if (x < 0) != (y < 0):
+                result = -result
         if not (INT64_MIN <= result <= INT64_MAX):
             raise _EvalProblem("integer overflow")
         return IntVal(result)
-    left, right = float(a.value), float(b.value)
-    return RealVal({"+": left + right, "-": left - right, "*": left * right}[op])
+    if a_cls not in _NUMERIC or b_cls not in _NUMERIC:
+        raise _EvalProblem(f"arithmetic {op} over non-numeric operands")
+    if op == "//":
+        raise _EvalProblem("integer division needs integer operands")
+    x, y = float(a.value), float(b.value)
+    if op == "+":
+        return RealVal(x + y)
+    if op == "-":
+        return RealVal(x - y)
+    return RealVal(x * y)
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +590,29 @@ def interpret_transformer(
         )
     old_fields = old.as_dict()
     result: dict[str, ObjectValue] = {}
-    schema_names = set(new_schema.attribute_names())
+    target_names = new_schema.attribute_set
+    # instruction classes tested by identity, value-producing ones commonest first
     for index, instr in enumerate(t.instructions):
-        if isinstance(instr, Noop):
+        cls = instr.__class__
+        if cls is Noop:
             continue
-        if isinstance(instr, CheckAttached):
-            if check_attached and isinstance(result.get(instr.target_name, VOID), VoidVal):
+        if cls is CheckAttached:
+            if check_attached and result.get(instr.target_name, VOID).__class__ is VoidVal:
                 raise AttachmentViolation(instr.target_name)
             continue
         target = instr.target_name
-        if target not in schema_names:
+        if target not in target_names:
             raise EvaluationError(index, f"target {target!r} is not an attribute of {new_schema.name}")
         try:
-            if isinstance(instr, CopyField):
+            if cls is CopyField:
                 value = _old_value(old_fields, instr.source_name)
-            elif isinstance(instr, AssignInput):
-                value = _input_value(inputs, instr.target_name)
-            elif isinstance(instr, AssignConverted):
+            elif cls is AssignExpr:
+                value = _eval(instr.expr, old_fields, inputs, registry)
+            elif cls is AssignConverted:
                 source = _old_value(old_fields, instr.source_name)
                 value = registry.get(instr.converter_id).fn(source)
-            elif isinstance(instr, AssignExpr):
-                value = _eval(instr.expr, old_fields, inputs, registry)
+            elif cls is AssignInput:
+                value = _input_value(inputs, instr.target_name)
             else:
                 raise TypeError(f"not a transformer instruction: {instr!r}")
         except _EvalProblem as err:
@@ -637,6 +653,11 @@ def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
 # ---------------------------------------------------------------------------
 
 
+# The hops [(to_version, transformer), ...] from one stored version to the
+# target, and the class's inputs. Hop schemas are looked up per record.
+_Plan = tuple[list[tuple[int, ObjectTransformer]], dict[str, ObjectValue]]
+
+
 def retrieve(
     graph: ObjectGraph,
     repo: "Repository",
@@ -658,40 +679,56 @@ def retrieve(
     reproduces the tolerant retrieval the invariant gate exists to prevent.
     """
     inputs = inputs or {}
+    plans: dict[tuple[str, int], _Plan] = {}  # keyed by (class, stored version)
     migrated: list[ObjectRecord] = []
     for record in graph.records:
-        target = target_versions.get(record.class_name, record.version)
+        class_name = record.class_name
+        target = target_versions.get(class_name, record.version)
         current = record
         if record.version != target:
-            handlers = repo.handlers_for(record.class_name)
-            if handlers is None:
-                raise HandlerMissing(record.class_name)
-            path = _shortest_path(handlers.keys(), record.version, target, allow_composition)
-            if path is None:
-                raise TransformationMissing(record.class_name, record.version, target)
-            class_inputs = {
-                attr: value
-                for (cls, attr), value in inputs.items()
-                if cls == record.class_name
-            }
-            for hop_from, hop_to in zip(path, path[1:]):
-                hop_schema = repo.schema_for(record.class_name, hop_to)
+            key = (class_name, record.version)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _plan(
+                    repo, class_name, record.version, target, inputs, allow_composition
+                )
+            hops, class_inputs = plan
+            for hop_to, transformer in hops:
                 current = interpret_transformer(
-                    handlers[(hop_from, hop_to)],
+                    transformer,
                     current,
                     class_inputs,
                     registry,
-                    hop_schema,
+                    repo.schema_for(class_name, hop_to),
                     check_attached=assertions,
                     warnings=warnings,
                 )
         if assertions:
-            schema = repo.schema_for(record.class_name, target)
+            schema = repo.schema_for(class_name, target)
             outcome = eval_invariant(current, schema)
             if not outcome.passed:
-                raise InvariantViolation(record.class_name, record.id, outcome.failed_clause)
+                raise InvariantViolation(class_name, record.id, outcome.failed_clause)
         migrated.append(current)
     return ObjectGraph(tuple(migrated), root_id=graph.root_id)
+
+
+def _plan(
+    repo: "Repository",
+    class_name: str,
+    start: int,
+    goal: int,
+    inputs: Mapping[tuple[str, str], ObjectValue],
+    allow_composition: bool,
+) -> _Plan:
+    handlers = repo.handlers_for(class_name)
+    if handlers is None:
+        raise HandlerMissing(class_name)
+    path = _shortest_path(handlers.keys(), start, goal, allow_composition)
+    if path is None:
+        raise TransformationMissing(class_name, start, goal)
+    hops = [(hop_to, handlers[(hop_from, hop_to)]) for hop_from, hop_to in zip(path, path[1:])]
+    class_inputs = {attr: value for (cls, attr), value in inputs.items() if cls == class_name}
+    return hops, class_inputs
 
 
 def _shortest_path(

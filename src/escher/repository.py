@@ -23,6 +23,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from . import exprs
 from .errors import (
@@ -72,6 +74,9 @@ class RegisteredTransformer:
     user_modified: bool = False  # on-disk content drifted from the manifest digest
 
 
+_NO_HISTORY: Mapping[int, ClassSchema] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class Repository:
     project_name: str
@@ -84,15 +89,22 @@ class Repository:
                 raise ValueError(
                     f"release numbers must increase by 1: expected {position}, got {release.number}"
                 )
-        histories: dict[str, int] = {}
+        # {class: {version: schema}}, built once: ``releases`` is a tuple, so
+        # the index cannot go stale. Tags only stay or rise by one, so the
+        # last key of a history is the class's latest tag.
+        histories: dict[str, dict[int, ClassSchema]] = {}
         for release in self.releases:
             for name, schema in release.schemas.items():
-                last = histories.get(name)
+                history = histories.setdefault(name, {})
+                last = next(reversed(history), None)
                 if last is not None and schema.version not in (last, last + 1):
                     raise ValueError(
                         f"version tag of {name} jumps from {last} to {schema.version}"
                     )
-                histories[name] = schema.version
+                history[schema.version] = schema
+        object.__setattr__(
+            self, "_histories", {name: MappingProxyType(h) for name, h in histories.items()}
+        )
         for class_name, entries in self.handlers.items():
             history = self.class_history(class_name)
             for from_version, to_version in entries:
@@ -103,17 +115,13 @@ class Repository:
     def latest_release(self) -> Release | None:
         return self.releases[-1] if self.releases else None
 
-    def class_history(self, class_name: str) -> dict[int, ClassSchema]:
-        history: dict[int, ClassSchema] = {}
-        for release in self.releases:
-            schema = release.schemas.get(class_name)
-            if schema is not None:
-                history[schema.version] = schema
-        return history
+    def class_history(self, class_name: str) -> Mapping[int, ClassSchema]:
+        """Read-only {version: schema} of one class; a version tagged in
+        several releases maps to the schema of the latest one."""
+        return self._histories.get(class_name, _NO_HISTORY)
 
     def latest_version(self, class_name: str) -> int | None:
-        history = self.class_history(class_name)
-        return max(history) if history else None
+        return next(reversed(self.class_history(class_name)), None)
 
     def schema_for(self, class_name: str, version: int) -> ClassSchema:
         history = self.class_history(class_name)
@@ -364,9 +372,14 @@ def load_repository(project_dir: str | Path) -> Repository:
                 handlers[class_dir.name][pair] = RegisteredTransformer(
                     t, text, digest, user_modified=recorded is not None and recorded != digest
                 )
-    return Repository(
-        project_dir.name, tuple(Release(number, schemas) for number, schemas in releases), handlers
-    )
+    try:
+        return Repository(
+            project_dir.name,
+            tuple(Release(number, schemas) for number, schemas in releases),
+            handlers,
+        )
+    except ValueError as err:  # release numbering or version tags
+        raise FormatError(0, f"{manifest_path}: {err}") from err
 
 
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
@@ -395,7 +408,11 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
 
 @contextmanager
 def project_lock(project_dir: str | Path, timeout: float = 10.0):
-    """Advisory exclusive lock; concurrent invocations wait then give up."""
+    """Advisory exclusive lock; concurrent invocations wait then give up.
+
+    A lock whose PID names no running process was left by a killed
+    invocation and is removed at once.
+    """
     path = Path(project_dir) / "escher.lock"
     deadline = time.monotonic() + timeout
     while True:
@@ -403,6 +420,9 @@ def project_lock(project_dir: str | Path, timeout: float = 10.0):
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             break
         except FileExistsError:
+            if _holder_is_gone(path):
+                path.unlink(missing_ok=True)
+                continue
             if time.monotonic() > deadline:
                 raise OSError(f"project is locked by another process ({path})")
             time.sleep(0.05)
@@ -412,3 +432,21 @@ def project_lock(project_dir: str | Path, timeout: float = 10.0):
         yield
     finally:
         path.unlink(missing_ok=True)
+
+
+def _holder_is_gone(lock: Path) -> bool:
+    """True when the lock holds the PID of a process that no longer exists.
+    An unreadable or not yet written lock counts as held."""
+    try:
+        text = lock.read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError):
+        return False
+    if not re.fullmatch(r"[1-9][0-9]{0,8}", text):
+        return False
+    try:
+        os.kill(int(text), 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, under another user
+        pass
+    return False

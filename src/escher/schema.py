@@ -223,6 +223,8 @@ class ClassSchema:
             if attr.name in seen_attrs:
                 raise DuplicateAttribute(attr.name)
             seen_attrs.add(attr.name)
+        # not a field, so ``==``, ``repr`` and ``replace`` ignore it
+        object.__setattr__(self, "attribute_set", frozenset(seen_attrs))
         if seen_params & seen_attrs:
             clash = sorted(seen_params & seen_attrs)[0]
             raise ValueError(f"name {clash!r} is both a generic parameter and an attribute")
@@ -264,12 +266,7 @@ def parse_schema(source: str) -> ClassSchema:
     version = 1
     if stream.at_ident("version"):
         stream.next()
-        tok = stream.peek()
-        if tok.kind != "INT":
-            raise stream.error("version header needs an integer", expected="an integer")
-        version = int(stream.next().text)
-        if version < 1:
-            raise ParseError("version tag must be positive", tok.line, tok.column)
+        version = exprs.parse_version(stream)
     stream.expect_ident("class")
     name = _class_ident(stream)
     generic_params: list[str] = []

@@ -424,15 +424,12 @@ def _parse_header(line: str, lineno: int) -> tuple[str, int, int]:
     stream.expect_ident("transform")
     name = stream.expect_ident().text
     stream.expect_ident("from")
-    from_tok = stream.peek()
-    if from_tok.kind != "INT":
-        raise stream.error("version must be an integer", expected="an integer")
-    from_version = int(stream.next().text)
+    from_version = exprs.parse_version(stream)
     stream.expect_ident("to")
     to_tok = stream.peek()
-    if to_tok.kind != "INT":
-        raise stream.error("version must be an integer", expected="an integer")
-    to_version = int(stream.next().text)
+    to_version = exprs.parse_version(stream)
+    if to_version == from_version:
+        raise ParseError("a transformer must change the version", to_tok.line, to_tok.column)
     _expect_eol(stream)
     return name, from_version, to_version
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 
 from escher.objects import ObjectGraph, ObjectRecord
+from escher.repository import Release, Repository
 from escher.schema import (
     Attached,
     Attribute,
@@ -132,3 +133,29 @@ def random_graph(rng: random.Random, max_records: int = 6) -> ObjectGraph:
             ObjectRecord(object_id, rng.choice(["NODE", "ITEM", "CELL"]), rng.randint(1, 4), fields)
         )
     return ObjectGraph(tuple(records))
+
+
+def random_repository(rng: random.Random, max_releases: int = 8) -> Repository:
+    """Releases of up to three classes: each release drops a class, keeps its
+    tag (usually with the same schema, sometimes a different one), or bumps
+    it by one; a dropped class may come back at its last tag."""
+    last: dict[str, ClassSchema] = {}
+    releases = []
+    for number in range(1, rng.randint(1, max_releases) + 1):
+        schemas: dict[str, ClassSchema] = {}
+        for name in ("NODE", "ITEM", "CELL"):
+            roll = rng.random()
+            previous = last.get(name)
+            if roll < 0.2:
+                continue
+            if previous is None:
+                schema = random_schema(rng, name, max_attributes=3, version=rng.randint(1, 3))
+            elif roll < 0.5:
+                schema = previous
+            elif roll < 0.6:
+                schema = random_schema(rng, name, max_attributes=3, version=previous.version)
+            else:
+                schema = random_schema(rng, name, max_attributes=3, version=previous.version + 1)
+            schemas[name] = last[name] = schema
+        releases.append(Release(number, schemas))
+    return Repository("random", tuple(releases))

@@ -49,6 +49,35 @@ def test_parse_oversized_literal_is_a_parse_error(tmp_path):
     assert "Traceback" not in out + err
 
 
+def test_parse_oversized_version_header_is_a_parse_error(tmp_path):
+    big = tmp_path / "big.esc"
+    big.write_text("version " + "9" * 5000 + "\nclass C feature end", encoding="utf-8")
+    code, out, err = run_cli("parse", str(big))
+    assert code == 1
+    assert out.splitlines()[0] == "ParseError line 1 column 9: version tag too large"
+    assert "Traceback" not in out + err
+
+
+def test_migrate_with_oversized_transformer_version_is_a_parse_error(bank_project):
+    handler = bank_project / "handlers" / "BANK_ACCOUNT" / "1_to_2.est"
+    text = handler.read_text(encoding="utf-8")
+    handler.write_text(text.replace("from 1 to 2", "from " + "9" * 5000 + " to 2"), encoding="utf-8")
+    code, out, err = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == "ParseError line 1 column 29: version tag too large"
+    assert "Traceback" not in out + err
+
+
+def test_migrate_with_release_zero_in_the_manifest_is_a_format_error(bank_project):
+    (bank_project / "escher.manifest").write_text("release 0\n", encoding="utf-8")
+    code, out, err = run_cli("migrate", OBJ, "--to-release", "1", "--project", str(bank_project))
+    assert code == 1
+    first = out.splitlines()[0]
+    assert first.startswith("FormatError 0 ") and "escher.manifest" in first
+    assert first.endswith("release numbers start at 1, got 0")
+    assert "Traceback" not in out + err
+
+
 def test_parse_missing_file():
     code, _, err = run_cli("parse", "no_such_file.esc")
     assert code == 2

@@ -28,7 +28,7 @@ from escher.objects import (
     serialize,
     type_default,
 )
-from escher.repository import empty_repository, register_transformer, release
+from escher.repository import Repository, empty_repository, register_transformer, release
 from escher.schema import parse_schema, parse_type
 from escher.transformer import generate_transformer, parse_transformer
 from escher.smo import diff_schemas
@@ -505,3 +505,114 @@ def test_retrieve_composes_lexicographically_smallest_shortest_path():
     assert _shortest_path(edges, 1, 4, False) is None
     assert _shortest_path({(1, 2)}, 1, 2, False) == [1, 2]
     assert _shortest_path({(2, 1), (1, 3)}, 2, 3, True) == [2, 1, 3]
+
+
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
+    calls: list[tuple] = []
+    original = getattr(Repository, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Repository, name, counted)
+    return calls
+
+
+def test_retrieve_plans_each_class_and_stored_version_once_per_call(monkeypatch):
+    repo, _ = make_chain_repo(4)
+    stored = [1, 1, 2, 1, 4, 2, 3]
+    graph = ObjectGraph(tuple(
+        ObjectRecord(i, "CHAIN", v, tuple((f"f{k}", IntVal(k)) for k in range(1, v + 1)))
+        for i, v in enumerate(stored)
+    ))
+    inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
+    planned = _count_calls(monkeypatch, "handlers_for")
+    schemas = _count_calls(monkeypatch, "schema_for")
+    out = retrieve(graph, repo, {"CHAIN": 4}, inputs)
+    assert planned == [("CHAIN",)] * 3  # stored versions 1, 2 and 3
+    assert len(schemas) == sum((4 - v) + 1 for v in stored)  # each hop, then the gate
+    expected = tuple((f"f{k}", IntVal(k)) for k in range(1, 5))
+    assert all(r.version == 4 and r.fields == expected for r in out.records)
+    # a plan lives for one call: the next call sees a handler removed since
+    assert retrieve(graph, repo, {"CHAIN": 4}, inputs) == out
+    assert len(planned) == 6
+    repo.handlers["CHAIN"].pop((3, 4))
+    with pytest.raises(TransformationMissing):
+        retrieve(graph, repo, {"CHAIN": 4}, inputs)
+
+
+@pytest.fixture
+def mixed_repo():
+    """A 1 -> 2 adds ``y`` (left to its default) and an invariant; B 1 -> 2
+    has a forward transformer only; C never changes."""
+    repo = empty_repository("mixed")
+    repo, _ = release(repo, {
+        "A": parse_schema("class A feature x: INTEGER end"),
+        "B": parse_schema("class B feature n: INTEGER end"),
+        "C": parse_schema("class C feature a: A end"),
+    })
+    repo, _ = release(repo, {
+        "A": parse_schema("class A feature x: INTEGER y: INTEGER invariant pos: x >= 0 end"),
+        "B": parse_schema("class B feature n: INTEGER m: INTEGER end"),
+        "C": parse_schema("class C feature a: A end"),
+    })
+    a_hop = parse_transformer("transform A from 1 to 2\n  Result.x := oldc.x - 10\nend\n")
+    b_hop = parse_transformer("transform B from 1 to 2\n  Result.n := oldc.n\n  Result.m := 0\nend\n")
+    repo = register_transformer(repo, a_hop, overwrite=True)
+    return register_transformer(repo, b_hop, overwrite=True)
+
+
+def _mixed_graph(*specs: tuple[str, int, int]) -> ObjectGraph:
+    records = []
+    for i, (cls, version, value) in enumerate(specs):
+        if cls == "A":
+            fields = (("x", IntVal(value)),)
+        elif cls == "B":
+            fields = (("n", IntVal(value)),) + ((("m", IntVal(0)),) if version == 2 else ())
+        else:
+            fields = (("a", VOID),)
+        records.append(ObjectRecord(i, cls, version, fields))
+    return ObjectGraph(tuple(records))
+
+
+def test_retrieve_on_a_mixed_graph_names_the_failing_record(mixed_repo):
+    targets = {"A": 2, "B": 2, "C": 1}
+    graph = _mixed_graph(("A", 1, 20), ("C", 1, 0), ("B", 1, 1), ("A", 1, 30), ("A", 1, 5), ("B", 1, 2))
+    warnings: list[str] = []
+    with pytest.raises(InvariantViolation) as exc:
+        retrieve(graph, mixed_repo, targets, warnings=warnings)
+    assert (exc.value.class_name, exc.value.record_id, exc.value.clause_tag) == ("A", 4, "pos")
+    assert len(warnings) == 3  # y defaulted in records 0, 3 and 4
+
+    # the first record of a key with no path raises, after others of its class passed
+    back = _mixed_graph(("B", 1, 1), ("A", 1, 20), ("B", 2, 3))
+    with pytest.raises(TransformationMissing) as missing:
+        retrieve(back, mixed_repo, {"A": 2, "B": 1})
+    assert (missing.value.class_name, missing.value.from_version, missing.value.to_version) == ("B", 2, 1)
+
+    mixed_repo.handlers.pop("B")
+    warnings.clear()
+    with pytest.raises(HandlerMissing) as no_handlers:
+        retrieve(graph, mixed_repo, targets, warnings=warnings)
+    assert no_handlers.value.class_name == "B"
+    assert len(warnings) == 1  # only record 0 was migrated before record 2
+
+
+def test_retrieve_warns_once_per_defaulted_attribute_per_record(mixed_repo):
+    graph = _mixed_graph(*[("A", 1, v) for v in (10, 11, 12, 13)], ("B", 1, 1), ("C", 1, 0))
+    warnings: list[str] = []
+    out = retrieve(graph, mixed_repo, {"A": 2, "B": 2}, warnings=warnings)
+    assert len(warnings) == 4
+    assert [r.get("x") for r in out.records[:4]] == [IntVal(v) for v in (0, 1, 2, 3)]
+    assert out.records[4].fields == (("n", IntVal(1)), ("m", IntVal(0)))
+
+
+def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
+    t = parse_transformer("transform C from 1 to 2\n  Result.q := oldc.x // -1\nend\n")
+    new = parse_schema("version 2 class C feature q: INTEGER end")
+    record = ObjectRecord(0, "C", 1, (("x", IntVal(-(2**63))),))
+    with pytest.raises(EvaluationError, match="integer overflow"):
+        interpret_transformer(t, record, {}, new_schema=new)
+    with pytest.raises(TypeMismatchInInvariant):
+        eval_clause("class C feature x: INTEGER invariant q: x // -1 > 0 end", x=IntVal(-(2**63)))

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import random
+import subprocess
+import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from escher.errors import (
+    FormatError,
     InvariantNeedsFilteredAttribute,
     OverwriteRefused,
     UnknownAttribute,
@@ -20,6 +27,7 @@ from escher.repository import (
     content_digest,
     empty_repository,
     load_repository,
+    project_lock,
     register_transformer,
     release,
     render_manifest,
@@ -28,6 +36,7 @@ from escher.repository import (
 )
 from escher.schema import parse_schema, render_schema
 from escher.transformer import parse_transformer, render_transformer
+from helpers import random_repository
 
 
 def test_first_release_assigns_tag_one(bank_v1):
@@ -275,6 +284,79 @@ def test_repository_invariants():
             "p",
             (Release(1, {"C": good}), Release(2, {"C": good.with_version(3)})),
         )  # tag jumps by 2
+
+
+def test_class_history_matches_a_scan_of_the_releases():
+    for seed in range(300):
+        repo = random_repository(random.Random(seed))
+        for name in ("NODE", "ITEM", "CELL", "ABSENT"):
+            scanned = {}
+            for rel in repo.releases:
+                if name in rel.schemas:
+                    scanned[rel.schemas[name].version] = rel.schemas[name]
+            history = repo.class_history(name)
+            assert dict(history) == scanned, (seed, name)
+            assert repo.latest_version(name) == (max(scanned) if scanned else None)
+            with pytest.raises(TypeError):
+                history[1] = parse_schema(f"class {name} feature end")  # type: ignore[index]
+
+
+def test_history_index_is_not_a_field(bank_repo):
+    assert replace(bank_repo) == bank_repo
+    assert "_histories" not in repr(bank_repo)
+    schema = bank_repo.schema_for("BANK_ACCOUNT", 2)
+    assert schema.attribute_set == frozenset(schema.attribute_names())
+    assert replace(schema) == schema
+    assert "attribute_set" not in repr(schema)
+
+
+def _write_project(project: Path, manifest: str, schemas: dict[str, str]) -> None:
+    for relative, text in schemas.items():
+        path = project / "releases" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    (project / "escher.manifest").write_text(manifest, encoding="utf-8")
+
+
+def test_manifest_release_zero_is_a_format_error(tmp_path):
+    _write_project(tmp_path, "release 0\n", {})
+    with pytest.raises(FormatError, match="escher.manifest: release numbers start at 1, got 0"):
+        load_repository(tmp_path)
+
+
+def test_manifest_out_of_order_releases_are_a_format_error(tmp_path):
+    _write_project(tmp_path, "release 1\nrelease 3\n", {})
+    with pytest.raises(FormatError, match="escher.manifest: release numbers must increase by 1"):
+        load_repository(tmp_path)
+
+
+def test_manifest_version_tag_jump_is_a_format_error(tmp_path):
+    _write_project(
+        tmp_path,
+        "release 1\nclass C version 1\nrelease 2\nclass C version 3\n",
+        {"1/C.esc": "class C feature end", "2/C.esc": "version 3 class C feature end"},
+    )
+    with pytest.raises(FormatError, match="escher.manifest: version tag of C jumps from 1 to 3"):
+        load_repository(tmp_path)
+
+
+def test_project_lock_clears_a_lock_left_by_a_dead_process(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID names no process now
+    (tmp_path / "escher.lock").write_text(str(child.pid), encoding="ascii")
+    started = time.monotonic()
+    with project_lock(tmp_path, timeout=5.0):
+        assert (tmp_path / "escher.lock").read_text(encoding="ascii") == str(os.getpid())
+    assert time.monotonic() - started < 1.0
+    assert not (tmp_path / "escher.lock").exists()
+
+
+def test_project_lock_waits_for_a_live_holder(tmp_path):
+    (tmp_path / "escher.lock").write_text(str(os.getpid()), encoding="ascii")
+    with pytest.raises(OSError, match="locked by another process"):
+        with project_lock(tmp_path, timeout=0.2):
+            pass
+    assert (tmp_path / "escher.lock").exists()
 
 
 def test_render_schema_files_round_trip(bank_repo_hand_fixed, tmp_path):

@@ -108,6 +108,12 @@ def test_parse_errors(source):
         parse_schema(source)
 
 
+def test_oversized_version_header_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_schema("version " + "9" * 5000 + "\nclass C feature end")
+    assert (exc.value.line, exc.value.column, exc.value.args[0]) == (1, 9, "version tag too large")
+
+
 def test_unknown_generic_param_on_construction():
     with pytest.raises(UnknownGenericParam):
         ClassSchema("C", (), (Attribute("x", GenericParamRef("G")),))

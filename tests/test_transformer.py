@@ -230,6 +230,21 @@ def test_parse_errors(source):
         parse_transformer(source)
 
 
+@pytest.mark.parametrize(
+    "header, column, message",
+    [
+        ("transform X from " + "9" * 5000 + " to 2", 18, "version tag too large"),
+        ("transform X from 1 to " + "9" * 5000, 23, "version tag too large"),
+        ("transform X from 0 to 2", 18, "version tag must be positive"),
+        ("transform X from 2 to 2", 23, "a transformer must change the version"),
+    ],
+)
+def test_header_versions_are_parse_errors_at_their_token(header, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_transformer(header + "\nend\n")
+    assert (exc.value.line, exc.value.column, exc.value.args[0]) == (1, column, message)
+
+
 def test_negative_literals_round_trip():
     text = "transform C from 1 to 2\n  Result.x := oldc.a - -3\nend\n"
     t = parse_transformer(text)
