@@ -73,13 +73,10 @@ from .smo import (
     render_smo_report,
 )
 from .transformer import (
-    AssignConverted,
-    AssignExpr,
-    AssignInput,
+    Assign,
     CheckAttached,
     Converter,
     ConverterRegistry,
-    CopyField,
     Noop,
     ObjectTransformer,
     assignable,
@@ -102,9 +99,8 @@ __all__ = [
     "ClassTransformation", "apply_smo", "apply_transformation", "diff_schemas",
     "completeness_witness", "render_smo_report",
     # transformer
-    "ObjectTransformer", "CopyField", "AssignInput", "AssignConverted", "AssignExpr",
-    "Noop", "CheckAttached", "Converter", "ConverterRegistry", "assignable",
-    "generate_transformer", "parse_transformer", "render_transformer",
+    "ObjectTransformer", "Assign", "Noop", "CheckAttached", "Converter", "ConverterRegistry",
+    "assignable", "generate_transformer", "parse_transformer", "render_transformer",
     # objects
     "ObjectGraph", "ObjectRecord", "ObjectValue", "IntVal", "RealVal", "BoolVal",
     "StringVal", "VoidVal", "RefVal", "serialize", "deserialize", "eval_invariant",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import FormatError, ParseError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -59,6 +59,15 @@ def escape_string(value: str) -> str:
     return '"' + "".join(_REVERSE_ESCAPES.get(ch, ch) for ch in value) + '"'
 
 
+def line_int(digits: str, line: int) -> int:
+    """The value of a digit run a line-format regex captured; a run longer
+    than ``int()`` converts is a FormatError at ``line``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError(line, f"number too large: {len(digits)} digits") from None
+
+
 def tokenize(source: str, *, start_line: int = 1) -> list[Token]:
     """Lex ``source`` into tokens, dropping comments and whitespace.
 
@@ -102,6 +111,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.depth = 0  # parentheses the expression parsers have open
 
     def peek(self) -> Token:
         return self._tokens[self._pos]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EscherError, FormatError, InvariantViolation
@@ -30,13 +29,6 @@ from .schema import parse_schema, render_schema
 from .smo import diff_schemas, render_smo_report
 from .transformer import generate_transformer, render_transformer
 from .values import ObjectValue
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    project_dir: Path
-    assertion_checking: bool = True
-    strict_direct_migration: bool = False
 
 
 class _Usage(Exception):
@@ -96,14 +88,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        project_dir=Path(args.project),
-        assertion_checking=not args.no_assert,
-        strict_direct_migration=args.strict_direct,
-    )
-
-
 def cmd_parse(args: argparse.Namespace) -> int:
     schema = parse_schema(_read(args.file))
     print(render_schema(schema), end="")
@@ -127,8 +111,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_release(args: argparse.Namespace) -> int:
-    config = _config(args)
-    project = config.project_dir
+    project = Path(args.project)
     if not project.is_dir():
         raise _Usage(f"project directory {project} does not exist")
     working_dir = Path(args.working_dir)
@@ -179,8 +162,7 @@ def _parse_inputs(entries: list[str]) -> dict[tuple[str, str], ObjectValue]:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    repo = load_repository(config.project_dir)
+    repo = load_repository(args.project)
     graph = deserialize(_read(args.object_file))
     targets = _parse_targets(args, repo)
     inputs = _parse_inputs(args.inputs)
@@ -190,8 +172,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         repo,
         targets,
         inputs,
-        assertions=config.assertion_checking,
-        allow_composition=not config.strict_direct_migration,
+        assertions=not args.no_assert,
+        allow_composition=not args.strict_direct,
         warnings=warnings,
     )
     for warning in warnings:
@@ -207,7 +189,7 @@ def cmd_per(args: argparse.Namespace) -> int:
     if args.hist_file:
         histories = parse_history_file(_read(args.hist_file))
     else:
-        repo = load_repository(_config(args).project_dir)
+        repo = load_repository(args.project)
         latest = repo.latest_release()
         names = sorted(latest.schemas) if latest else []
         histories = [history_from_repository(repo, name) for name in names]

@@ -11,6 +11,12 @@ Both parse arithmetic and literals with ``parse_arith`` and supply only
 their own primaries. Rendering inserts parentheses exactly where reparsing
 would otherwise associate differently, so render/parse is structurally
 lossless.
+
+No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
+deeper than that. Evaluation, rendering and ``walk`` recurse once per tree
+level and the invariant parser eight frames per parenthesis, so at the bound
+all of them stay inside Python's default limit of 1000 frames. Going deeper
+is a ``ParseError`` at the token that did it.
 """
 
 from __future__ import annotations
@@ -19,12 +25,25 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from ._lex import TokenStream, escape_string, unescape_string
+from ._lex import Token, TokenStream, escape_string, unescape_string
 from .errors import ParseError
 from .values import INT64_MAX, INT64_MIN
 
 ARITH_OPS = ("+", "-", "*", "//")
 COMPARE_OPS = ("=", "/=", "<", "<=", ">", ">=")
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+class _Branch:
+    """A node with children: records its tree depth (not a field, so ``==``,
+    ``repr`` and ``replace`` ignore it) and refuses to exceed MAX_DEPTH."""
+
+    def __post_init__(self) -> None:
+        depth = 1 + max(getattr(child, "depth", 1) for child in children(self))
+        if depth > MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        object.__setattr__(self, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -74,7 +93,7 @@ class InputRef:
 
 
 @dataclass(frozen=True)
-class Convert:
+class Convert(_Branch):
     """``convert <ID> (<arg>)``: converter application."""
 
     converter_id: str
@@ -82,7 +101,7 @@ class Convert:
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Branch):
     op: str  # one of ARITH_OPS
     left: "Expr"
     right: "Expr"
@@ -90,10 +109,11 @@ class BinOp:
     def __post_init__(self) -> None:
         if self.op not in ARITH_OPS:
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class Compare:
+class Compare(_Branch):
     op: str  # one of COMPARE_OPS
     left: "Expr"
     right: "Expr"
@@ -101,22 +121,23 @@ class Compare:
     def __post_init__(self) -> None:
         if self.op not in COMPARE_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Branch):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Branch):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Branch):
     operand: "Expr"
 
 
@@ -168,21 +189,43 @@ def walk(expr: Expr):
 _WORD_LITERALS = {"Void": VoidLit(), "true": BoolLit(True), "false": BoolLit(False)}
 
 
+def build(tok: Token, node: type, *args) -> Expr:
+    """``node(*args)`` for a parser, whose arguments are otherwise valid: a
+    tree deeper than MAX_DEPTH is a ParseError at ``tok``, the operator or
+    keyword that builds it."""
+    try:
+        return node(*args)
+    except ValueError as err:
+        raise ParseError(str(err), tok.line, tok.column) from None
+
+
+def parse_parenthesized(stream: TokenStream, inner: Callable[[TokenStream], Expr]) -> Expr:
+    """``( <inner> )``; the parenthesis opening past MAX_DEPTH is a ParseError."""
+    tok = stream.expect_op("(")
+    stream.depth += 1
+    if stream.depth > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, tok.line, tok.column)
+    expr = inner(stream)
+    stream.depth -= 1
+    stream.expect_op(")")
+    return expr
+
+
 def parse_arith(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
     """``+ -`` over ``* //``, both left-associative, over literals and the
     primaries ``atom`` parses (each language passes its own)."""
     left = _parse_term(stream, atom)
     while stream.at_op("+") or stream.at_op("-"):
-        op = stream.next().text
-        left = BinOp(op, left, _parse_term(stream, atom))
+        op = stream.next()
+        left = build(op, BinOp, op.text, left, _parse_term(stream, atom))
     return left
 
 
 def _parse_term(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
     left = parse_literal(stream) or atom(stream)
     while stream.at_op("*") or stream.at_op("//"):
-        op = stream.next().text
-        left = BinOp(op, left, parse_literal(stream) or atom(stream))
+        op = stream.next()
+        left = build(op, BinOp, op.text, left, parse_literal(stream) or atom(stream))
     return left
 
 

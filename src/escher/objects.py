@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import exprs
-from ._lex import TokenStream, escape_string, tokenize, unescape_string
+from ._lex import TokenStream, escape_string, line_int, tokenize, unescape_string
 from .errors import (
     AttachmentViolation,
     DanglingReference,
@@ -42,12 +42,8 @@ from .errors import (
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import (
     DEFAULT_REGISTRY,
-    AssignConverted,
-    AssignExpr,
-    AssignInput,
     CheckAttached,
     ConverterRegistry,
-    CopyField,
     Noop,
     ObjectTransformer,
 )
@@ -191,7 +187,8 @@ def deserialize(text: str) -> ObjectGraph:
         m = _OBJ_RE.match(line)
         if m is None:
             raise FormatError(lineno, f"expected 'obj <id> <CLASS> version <v>', got {line!r}")
-        object_id, class_name, version = int(m.group(1)), m.group(2), int(m.group(3))
+        object_id, class_name = line_int(m.group(1), lineno), m.group(2)
+        version = line_int(m.group(3), lineno)
         if object_id != len(records):
             raise FormatError(lineno, f"expected object id {len(records)}, got {object_id}")
         fields: list[tuple[str, ObjectValue]] = []
@@ -567,8 +564,8 @@ def interpret_transformer(
     old: ObjectRecord,
     inputs: Mapping[str, ObjectValue],
     registry: ConverterRegistry = DEFAULT_REGISTRY,
-    new_schema: ClassSchema | None = None,
     *,
+    new_schema: ClassSchema,
     check_attached: bool = True,
     warnings: list[str] | None = None,
 ) -> ObjectRecord:
@@ -578,8 +575,6 @@ def interpret_transformer(
     Attributes no instruction assigns (possible only in hand-edited
     transformers) default by declared type, with a warning recorded.
     """
-    if new_schema is None:
-        raise ValueError("interpretation needs the target schema")
     if old.class_name != t.class_name or new_schema.name != t.class_name:
         raise ValueError(
             f"transformer for {t.class_name} applied to {old.class_name}/{new_schema.name}"
@@ -591,7 +586,6 @@ def interpret_transformer(
     old_fields = old.as_dict()
     result: dict[str, ObjectValue] = {}
     target_names = new_schema.attribute_set
-    # instruction classes tested by identity, value-producing ones commonest first
     for index, instr in enumerate(t.instructions):
         cls = instr.__class__
         if cls is Noop:
@@ -604,17 +598,7 @@ def interpret_transformer(
         if target not in target_names:
             raise EvaluationError(index, f"target {target!r} is not an attribute of {new_schema.name}")
         try:
-            if cls is CopyField:
-                value = _old_value(old_fields, instr.source_name)
-            elif cls is AssignExpr:
-                value = _eval(instr.expr, old_fields, inputs, registry)
-            elif cls is AssignConverted:
-                source = _old_value(old_fields, instr.source_name)
-                value = registry.get(instr.converter_id).fn(source)
-            elif cls is AssignInput:
-                value = _input_value(inputs, instr.target_name)
-            else:
-                raise TypeError(f"not a transformer instruction: {instr!r}")
+            value = _eval(instr.expr, old_fields, inputs, registry)
         except _EvalProblem as err:
             raise EvaluationError(index, str(err)) from err
         except MissingAttribute as err:
@@ -632,13 +616,6 @@ def interpret_transformer(
                 )
             fields.append((attr.name, type_default(attr.declared_type)))
     return ObjectRecord(old.id, t.class_name, t.to_version, tuple(fields))
-
-
-def _old_value(old_fields: Mapping[str, ObjectValue], name: str) -> ObjectValue:
-    value = old_fields.get(name)
-    if value is None:
-        raise MissingAttribute(name)
-    return value
 
 
 def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
@@ -699,7 +676,7 @@ def retrieve(
                     current,
                     class_inputs,
                     registry,
-                    repo.schema_for(class_name, hop_to),
+                    new_schema=repo.schema_for(class_name, hop_to),
                     check_attached=assertions,
                     warnings=warnings,
                 )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
+from ._lex import line_int
 from .errors import DegenerateHistory, EmptyRelease, FormatError, UnknownClass
 from .repository import Repository
 
@@ -130,10 +131,10 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
         if name is None:
             raise FormatError(lineno, f"expected a class line, got {line!r}")
         if m := _VERSIONS_RE.match(line):
-            count = int(m.group(1))
+            count = line_int(m.group(1), lineno)
             continue
         if m := _TF_RE.match(line):
-            edges.add((int(m.group(1)), int(m.group(2))))
+            edges.add((line_int(m.group(1), lineno), line_int(m.group(2), lineno)))
             continue
         raise FormatError(lineno, f"unrecognized history line {line!r}")
     flush(lineno)

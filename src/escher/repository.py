@@ -27,6 +27,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import exprs
+from ._lex import line_int
 from .errors import (
     FormatError,
     InvariantNeedsFilteredAttribute,
@@ -333,12 +334,12 @@ def load_repository(project_dir: str | Path) -> Repository:
         if not line or line.startswith("--"):
             continue
         if m := _RELEASE_RE.match(line):
-            releases.append((int(m.group(1)), {}))
+            releases.append((line_int(m.group(1), lineno), {}))
             continue
         if m := _CLASS_RE.match(line):
             if not releases:
                 raise FormatError(lineno, "class line before any release line")
-            name, version = m.group(1), int(m.group(2))
+            name, version = m.group(1), line_int(m.group(2), lineno)
             number, schemas = releases[-1]
             path = project_dir / "releases" / str(number) / f"{name}.esc"
             schema = parse_schema(path.read_text(encoding="utf-8"))
@@ -349,7 +350,8 @@ def load_repository(project_dir: str | Path) -> Repository:
             schemas[name] = schema
             continue
         if m := _TRANSFORMER_RE.match(line):
-            manifest_digests[(m.group(1), int(m.group(2)), int(m.group(3)))] = m.group(4)
+            key = (m.group(1), line_int(m.group(2), lineno), line_int(m.group(3), lineno))
+            manifest_digests[key] = m.group(4)
             continue
         raise FormatError(lineno, f"unrecognized manifest line {line!r}")
 
@@ -364,7 +366,7 @@ def load_repository(project_dir: str | Path) -> Repository:
                     raise FormatError(0, f"handler file {est} is not named <from>_to_<to>.est")
                 text = est.read_text(encoding="utf-8")
                 t = parse_transformer(text)
-                pair = (int(m.group(1)), int(m.group(2)))
+                pair = (line_int(m.group(1), 0), line_int(m.group(2), 0))
                 if t.class_name != class_dir.name or (t.from_version, t.to_version) != pair:
                     raise FormatError(0, f"handler file {est} disagrees with its header")
                 digest = content_digest(text)

@@ -134,6 +134,16 @@ def type_equal(a: TypeExpr, b: TypeExpr) -> bool:
     return normalize_type(a) == normalize_type(b)
 
 
+def weakens_attachment(old: TypeExpr, new: TypeExpr) -> bool:
+    """True when ``new`` only drops ``old``'s ``attached`` marker: every value
+    ``old`` holds still fits ``new``, so the change is harmless."""
+    return (
+        isinstance(old, Attached)
+        and not isinstance(new, Attached)
+        and type_equal(old.inner, strip_marker(new))
+    )
+
+
 def walk_type(t: TypeExpr) -> Iterator[TypeExpr]:
     yield t
     if isinstance(t, (Attached, Detachable)):
@@ -380,24 +390,25 @@ def parse_type(text: str, generic_params: tuple[str, ...] = ()) -> TypeExpr:
 def _parse_or(stream: TokenStream) -> exprs.Expr:
     left = _parse_and(stream)
     while stream.at_ident("or"):
-        stream.next()
-        left = exprs.Or(left, _parse_and(stream))
+        left = exprs.build(stream.next(), exprs.Or, left, _parse_and(stream))
     return left
 
 
 def _parse_and(stream: TokenStream) -> exprs.Expr:
     left = _parse_not(stream)
     while stream.at_ident("and"):
-        stream.next()
-        left = exprs.And(left, _parse_not(stream))
+        left = exprs.build(stream.next(), exprs.And, left, _parse_not(stream))
     return left
 
 
 def _parse_not(stream: TokenStream) -> exprs.Expr:
-    if stream.at_ident("not"):
-        stream.next()
-        return exprs.Not(_parse_not(stream))
-    return _parse_comparison(stream)
+    nots = []
+    while stream.at_ident("not"):
+        nots.append(stream.next())
+    expr = _parse_comparison(stream)
+    for tok in reversed(nots):
+        expr = exprs.build(tok, exprs.Not, expr)
+    return expr
 
 
 def _parse_comparison(stream: TokenStream) -> exprs.Expr:
@@ -406,7 +417,7 @@ def _parse_comparison(stream: TokenStream) -> exprs.Expr:
     if tok.kind == "OP" and tok.text in exprs.COMPARE_OPS:
         stream.next()
         right = exprs.parse_arith(stream, _parse_atom)
-        return exprs.Compare(tok.text, left, right)
+        return exprs.build(tok, exprs.Compare, tok.text, left, right)
     return left
 
 
@@ -414,10 +425,7 @@ def _parse_atom(stream: TokenStream) -> exprs.Expr:
     """The invariant's own primaries: a parenthesized clause or an attribute."""
     tok = stream.peek()
     if stream.at_op("("):
-        stream.next()
-        inner = _parse_or(stream)
-        stream.expect_op(")")
-        return inner
+        return exprs.parse_parenthesized(stream, _parse_or)
     if tok.kind == "IDENT":
         if tok.text in KEYWORDS:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.column)

@@ -27,6 +27,7 @@ from .schema import (
     render_type,
     strip_marker,
     type_equal,
+    weakens_attachment,
 )
 from . import exprs
 
@@ -244,18 +245,10 @@ def attribute_sets_match(applied: ClassSchema, target: ClassSchema) -> bool:
     target_types = {a.name: a.declared_type for a in target.attributes}
     if applied_types.keys() != target_types.keys():
         return False
-    for name, got in applied_types.items():
-        want = target_types[name]
-        if type_equal(got, want):
-            continue
-        if (
-            isinstance(got, Attached)
-            and not isinstance(want, Attached)
-            and type_equal(got.inner, strip_marker(want))
-        ):
-            continue
-        return False
-    return True
+    return all(
+        type_equal(got, target_types[name]) or weakens_attachment(got, target_types[name])
+        for name, got in applied_types.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -307,13 +300,9 @@ def diff_schemas(old: ClassSchema, new: ClassSchema) -> ClassTransformation:
         old_t, new_t = old_attr.declared_type, attr.declared_type
         if type_equal(old_t, new_t):
             unchanged.append(NoChange(old_attr))
-        elif isinstance(new_t, Attached) and not isinstance(old_t, Attached) and type_equal(
-            strip_marker(old_t), new_t.inner
-        ):
+        elif weakens_attachment(new_t, old_t):  # the reverse change: attachment added
             retyped.append(AttachAdded(attr.name, new_t.inner))
-        elif isinstance(old_t, Attached) and not isinstance(new_t, Attached) and type_equal(
-            old_t.inner, strip_marker(new_t)
-        ):
+        elif weakens_attachment(old_t, new_t):
             unchanged.append(NoChange(old_attr))
             notes.append(
                 f"attribute {attr.name}: attachment weakened "

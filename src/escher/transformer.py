@@ -11,8 +11,11 @@ new class version from a record of the old one:
       Result.balance := input balance
     end
 
-Generated transformers use only the canonical instruction shapes; hand-edited
-ones may assign arbitrary arithmetic over ``oldc`` fields and literals.
+Every ``Result.x := <source>`` line is one ``Assign``, its source an
+expression over ``oldc`` fields, ``input`` keys, ``convert`` applications and
+literals (see :mod:`escher.exprs`). The generator emits only three sources,
+``oldc.<name>``, ``input <target>`` and ``convert <ID> (oldc.<target>)``;
+hand-edited transformers may assign any such expression.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from . import exprs
 from ._lex import IDENT_RE, TokenStream, tokenize
 from .errors import ConversionFailure, DuplicateTarget, ParseError, UnknownConverter
 from .schema import (
-    Attached,
     ClassType,
     TypeExpr,
     normalize_type,
     render_type,
     strip_marker,
     type_equal,
+    weakens_attachment,
 )
 from .smo import (
     Added,
@@ -51,41 +54,15 @@ from .values import INT64_MAX, INT64_MIN, IntVal, ObjectValue, RealVal, StringVa
 
 
 @dataclass(frozen=True)
-class CopyField:
-    target_name: str
-    source_name: str
-
-
-@dataclass(frozen=True)
-class AssignInput:
-    target_name: str
-
-
-@dataclass(frozen=True)
-class AssignConverted:
-    target_name: str
-    converter_id: str
-    source_name: str
-
-
-@dataclass(frozen=True)
-class AssignExpr:
-    """Hand-written assignment with an arbitrary arithmetic source."""
+class Assign:
+    """``Result.<target_name> := <expr>``, the source in the transformer's
+    expression language."""
 
     target_name: str
     expr: exprs.Expr
 
     def __post_init__(self) -> None:
-        # canonical shapes must use their dedicated instruction variants,
-        # otherwise render/parse would not be the identity
-        e = self.expr
-        if isinstance(e, exprs.OldField):
-            raise ValueError("use CopyField for a bare oldc.<name> source")
-        if isinstance(e, exprs.InputRef) and e.key == self.target_name:
-            raise ValueError("use AssignInput for a bare input <target> source")
-        if isinstance(e, exprs.Convert) and isinstance(e.arg, exprs.OldField):
-            raise ValueError("use AssignConverted for convert <ID> (oldc.<name>)")
-        for node in exprs.walk(e):
+        for node in exprs.walk(self.expr):
             if isinstance(node, exprs.INVARIANT_ONLY):
                 raise ValueError(f"a transformer source cannot hold {node!r}")
 
@@ -102,15 +79,7 @@ class CheckAttached:
     target_name: str
 
 
-TransformerInstr = Union[CopyField, AssignInput, AssignConverted, AssignExpr, Noop, CheckAttached]
-
-_ASSIGNING = (CopyField, AssignInput, AssignConverted, AssignExpr)
-
-
-def instruction_target(instr: TransformerInstr) -> str | None:
-    if isinstance(instr, _ASSIGNING):
-        return instr.target_name
-    return None
+TransformerInstr = Union[Assign, Noop, CheckAttached]
 
 
 @dataclass(frozen=True)
@@ -127,29 +96,21 @@ class ObjectTransformer:
             raise ValueError("a transformer must change the version")
         seen: set[str] = set()
         for instr in self.instructions:
-            target = instruction_target(instr)
-            if target is None:
-                continue
-            if target in seen:
-                raise DuplicateTarget(target)
-            seen.add(target)
+            if isinstance(instr, Assign):
+                if instr.target_name in seen:
+                    raise DuplicateTarget(instr.target_name)
+                seen.add(instr.target_name)
 
     @property
     def required_inputs(self) -> frozenset[str]:
-        keys: set[str] = set()
-        for instr in self.instructions:
-            if isinstance(instr, AssignInput):
-                keys.add(instr.target_name)
-            elif isinstance(instr, AssignExpr):
-                for node in exprs.walk(instr.expr):
-                    if isinstance(node, exprs.InputRef):
-                        keys.add(node.key)
-        return frozenset(keys)
+        return frozenset(
+            node.key
+            for instr in self.instructions if isinstance(instr, Assign)
+            for node in exprs.walk(instr.expr) if isinstance(node, exprs.InputRef)
+        )
 
     def assigned_targets(self) -> frozenset[str]:
-        return frozenset(
-            t for t in (instruction_target(i) for i in self.instructions) if t is not None
-        )
+        return frozenset(i.target_name for i in self.instructions if isinstance(i, Assign))
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +245,7 @@ _WIDENINGS = {(_INTEGER, _REAL)}
 
 def assignable(from_type: TypeExpr, to_type: TypeExpr) -> bool:
     """True when a value of ``from_type`` can be stored as ``to_type`` as-is."""
-    if type_equal(from_type, to_type):
-        return True
-    if (
-        isinstance(from_type, Attached)
-        and not isinstance(to_type, Attached)
-        and type_equal(from_type.inner, strip_marker(to_type))
-    ):
+    if type_equal(from_type, to_type) or weakens_attachment(from_type, to_type):
         return True
     return (strip_marker(from_type), strip_marker(to_type)) in _WIDENINGS
 
@@ -305,24 +260,23 @@ def generate_transformer(
     instructions: list[TransformerInstr] = []
     for smo in transformation.smos:
         if isinstance(smo, NoChange):
-            instructions.append(CopyField(smo.attribute.name, smo.attribute.name))
+            instructions.append(Assign(smo.attribute.name, exprs.OldField(smo.attribute.name)))
         elif isinstance(smo, Added):
-            instructions.append(AssignInput(smo.attribute.name))
+            instructions.append(Assign(smo.attribute.name, exprs.InputRef(smo.attribute.name)))
         elif isinstance(smo, Renamed):
             if smo.candidate:
                 instructions.append(
                     Noop(f"possible rename of {smo.old_name} to {smo.new_name}; verify semantics")
                 )
-            instructions.append(CopyField(smo.new_name, smo.old_name))
+            instructions.append(Assign(smo.new_name, exprs.OldField(smo.old_name)))
         elif isinstance(smo, TypeChanged):
             if assignable(smo.old_type, smo.new_type):
-                instructions.append(CopyField(smo.name, smo.name))
+                instructions.append(Assign(smo.name, exprs.OldField(smo.name)))
             else:
                 converter = registry.find(smo.old_type, smo.new_type)
                 if converter is not None:
-                    instructions.append(
-                        AssignConverted(smo.name, converter.converter_id, smo.name)
-                    )
+                    converted = exprs.Convert(converter.converter_id, exprs.OldField(smo.name))
+                    instructions.append(Assign(smo.name, converted))
                 else:
                     instructions.append(
                         Noop(
@@ -330,11 +284,11 @@ def generate_transformer(
                             f"{render_type(smo.new_type)} for {smo.name}"
                         )
                     )
-                    instructions.append(AssignInput(smo.name))
+                    instructions.append(Assign(smo.name, exprs.InputRef(smo.name)))
         elif isinstance(smo, Removed):
             instructions.append(Noop(f"attribute {smo.name} removed; value will be dropped"))
         elif isinstance(smo, AttachAdded):
-            instructions.append(CopyField(smo.name, smo.name))
+            instructions.append(Assign(smo.name, exprs.OldField(smo.name)))
             instructions.append(CheckAttached(smo.name))
         else:
             raise TypeError(f"not an SMO: {smo!r}")
@@ -361,21 +315,9 @@ def render_transformer(t: ObjectTransformer) -> str:
         elif isinstance(instr, CheckAttached):
             lines.append(f"  require_attached Result.{instr.target_name}")
         else:
-            lines.append(f"  Result.{instruction_target(instr)} := {_render_source(instr)}")
+            lines.append(f"  Result.{instr.target_name} := {exprs.render_expr(instr.expr)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def _render_source(instr: TransformerInstr) -> str:
-    if isinstance(instr, CopyField):
-        return f"oldc.{instr.source_name}"
-    if isinstance(instr, AssignInput):
-        return f"input {instr.target_name}"
-    if isinstance(instr, AssignConverted):
-        return f"convert {instr.converter_id} (oldc.{instr.source_name})"
-    if isinstance(instr, AssignExpr):
-        return exprs.render_expr(instr.expr)
-    raise TypeError(f"not an assigning instruction: {instr!r}")
 
 
 _WARNING_PREFIX = "-- warning:"
@@ -449,19 +391,13 @@ def _parse_statement(
     stream.expect_op(".")
     target = stream.expect_ident().text
     stream.expect_op(":=")
-    expr = exprs.parse_arith(stream, _parse_atom)
+    expr = _parse_source(stream)
     _expect_eol(stream)
     if registry is not None:
         for node in exprs.walk(expr):
             if isinstance(node, exprs.Convert) and node.converter_id not in registry:
                 raise UnknownConverter(node.converter_id)
-    if isinstance(expr, exprs.OldField):
-        return CopyField(target, expr.name)
-    if isinstance(expr, exprs.InputRef) and expr.key == target:
-        return AssignInput(target)
-    if isinstance(expr, exprs.Convert) and isinstance(expr.arg, exprs.OldField):
-        return AssignConverted(target, expr.converter_id, expr.arg.name)
-    return AssignExpr(target, expr)
+    return Assign(target, expr)
 
 
 def _expect_eol(stream: TokenStream) -> None:
@@ -470,15 +406,16 @@ def _expect_eol(stream: TokenStream) -> None:
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column, expected="end of line")
 
 
+def _parse_source(stream: TokenStream) -> exprs.Expr:
+    return exprs.parse_arith(stream, _parse_atom)
+
+
 def _parse_atom(stream: TokenStream) -> exprs.Expr:
     """The transformer's own primaries: ``(...)``, ``oldc.<name>``,
     ``input <key>`` and ``convert <ID> (...)``."""
     tok = stream.peek()
     if stream.at_op("("):
-        stream.next()
-        inner = exprs.parse_arith(stream, _parse_atom)
-        stream.expect_op(")")
-        return inner
+        return exprs.parse_parenthesized(stream, _parse_source)
     if stream.at_ident("oldc"):
         stream.next()
         stream.expect_op(".")
@@ -489,8 +426,6 @@ def _parse_atom(stream: TokenStream) -> exprs.Expr:
     if stream.at_ident("convert"):
         stream.next()
         converter_id = stream.expect_ident().text
-        stream.expect_op("(")
-        arg = exprs.parse_arith(stream, _parse_atom)
-        stream.expect_op(")")
-        return exprs.Convert(converter_id, arg)
+        arg = exprs.parse_parenthesized(stream, _parse_source)
+        return exprs.build(tok, exprs.Convert, converter_id, arg)
     raise stream.error(f"found {tok.text!r}", expected="an expression")

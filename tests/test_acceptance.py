@@ -15,6 +15,7 @@ from functools import wraps
 from pathlib import Path
 
 from conftest import BANK_OBJECT_TEXT, FIXTURES, run_cli
+from escher import exprs
 from escher.errors import InvariantViolation, TransformationMissing
 from escher.objects import (
     ObjectGraph,
@@ -38,8 +39,7 @@ from escher.smo import (
     diff_schemas,
 )
 from escher.transformer import (
-    AssignConverted,
-    AssignInput,
+    Assign,
     generate_transformer,
     parse_transformer,
     render_transformer,
@@ -85,8 +85,9 @@ def test_criterion_1_bank_account_scenario():
         Added(BANK_V2.get_attribute("balance")),
     )
     generated = generate_transformer(ct)
-    assert AssignConverted("info", "STRING_TO_INTEGER", "info") in generated.instructions
-    assert AssignInput("balance") in generated.instructions
+    converted = exprs.Convert("STRING_TO_INTEGER", exprs.OldField("info"))
+    assert Assign("info", converted) in generated.instructions
+    assert Assign("balance", exprs.InputRef("balance")) in generated.instructions
 
     stored = ObjectRecord(
         0, "BANK_ACCOUNT", 1,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from conftest import (
     BANK_OBJECT_TEXT,
     BANK_V1_TEXT,
@@ -58,6 +59,22 @@ def test_parse_oversized_version_header_is_a_parse_error(tmp_path):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize(
+    "body, column",
+    [(" + ".join(["a"] * 5000) + " > 0", 439), ("(" * 3000 + "a > 0" + ")" * 3000, 141)],
+    ids=["5000-terms", "3000-parentheses"],
+)
+def test_parse_too_deep_an_invariant_is_a_parse_error(tmp_path, body, column):
+    deep = tmp_path / "deep.esc"
+    deep.write_text(f"class C feature a: INTEGER invariant c: {body} end", encoding="utf-8")
+    code, out, err = run_cli("parse", str(deep))
+    assert code == 1
+    assert out.splitlines()[0] == (
+        f"ParseError line 1 column {column}: expression nested deeper than 100 levels"
+    )
+    assert "Traceback" not in out + err
+
+
 def test_migrate_with_oversized_transformer_version_is_a_parse_error(bank_project):
     handler = bank_project / "handlers" / "BANK_ACCOUNT" / "1_to_2.est"
     text = handler.read_text(encoding="utf-8")
@@ -75,6 +92,54 @@ def test_migrate_with_release_zero_in_the_manifest_is_a_format_error(bank_projec
     first = out.splitlines()[0]
     assert first.startswith("FormatError 0 ") and "escher.manifest" in first
     assert first.endswith("release numbers start at 1, got 0")
+    assert "Traceback" not in out + err
+
+
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "header",
+    [f"obj {BIG} BANK_ACCOUNT version 1", f"obj 0 BANK_ACCOUNT version {BIG}"],
+    ids=["id", "version"],
+)
+def test_migrate_oversized_number_in_an_object_header_is_a_format_error(bank_project, header):
+    text = BANK_OBJECT_TEXT.replace("obj 0 BANK_ACCOUNT version 1", header)
+    obj = bank_project / "big.eso"
+    obj.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == "FormatError 2 number too large: 5000 digits"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("release 1", f"release {BIG}"),
+        ("class BANK_ACCOUNT version 1", f"class BANK_ACCOUNT version {BIG}"),
+        ("transformer BANK_ACCOUNT 1 2", f"transformer BANK_ACCOUNT {BIG} 2"),
+    ],
+    ids=["release", "class", "transformer"],
+)
+def test_migrate_oversized_number_in_the_manifest_is_a_format_error(bank_project, old, new):
+    manifest = bank_project / "escher.manifest"
+    lines = manifest.read_text(encoding="utf-8").split("\n")
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(old))
+    manifest.write_text("\n".join(lines).replace(old, new, 1), encoding="utf-8")
+    code, out, err = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == f"FormatError {lineno} number too large: 5000 digits"
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("line", [f"versions {BIG}", f"tf {BIG} 1"], ids=["versions", "tf"])
+def test_per_oversized_number_in_a_history_file_is_a_format_error(tmp_path, line):
+    hist = tmp_path / "big.hist"
+    hist.write_text(f"class C\nversions 2\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli("per", str(hist))
+    assert code == 1
+    assert out.splitlines()[0] == "FormatError 3 number too large: 5000 digits"
     assert "Traceback" not in out + err
 
 

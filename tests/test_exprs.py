@@ -3,7 +3,8 @@ transformer sources share (``exprs.parse_arith``/``exprs.parse_literal``).
 
 Random trees over each language's node pool must come back from their
 rendered text unchanged, and a literal no value can hold must be a
-``ParseError`` at parse time in both languages.
+``ParseError`` at parse time in both languages, as must a tree or
+parenthesis nested deeper than ``exprs.MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from escher import exprs  # noqa: E402
 from escher.errors import ParseError  # noqa: E402
+from escher.objects import ObjectRecord, eval_invariant, interpret_transformer  # noqa: E402
 from escher.schema import (  # noqa: E402
     Attribute,
     ClassSchema,
@@ -27,15 +29,12 @@ from escher.schema import (  # noqa: E402
     render_schema,
 )
 from escher.transformer import (  # noqa: E402
-    AssignConverted,
-    AssignExpr,
-    AssignInput,
-    CopyField,
+    Assign,
     ObjectTransformer,
     parse_transformer,
     render_transformer,
 )
-from escher.values import INT64_MAX, INT64_MIN  # noqa: E402
+from escher.values import INT64_MAX, INT64_MIN, IntVal  # noqa: E402
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
@@ -88,17 +87,6 @@ sources = st.recursive(
 )
 
 
-def assignment(target: str, expr: exprs.Expr):
-    """The instruction ``parse_transformer`` builds for ``Result.<target> := expr``."""
-    if isinstance(expr, exprs.OldField):
-        return CopyField(target, expr.name)
-    if isinstance(expr, exprs.InputRef) and expr.key == target:
-        return AssignInput(target)
-    if isinstance(expr, exprs.Convert) and isinstance(expr.arg, exprs.OldField):
-        return AssignConverted(target, expr.converter_id, expr.arg.name)
-    return AssignExpr(target, expr)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(clauses(), min_size=1, max_size=2))
 def test_invariants_round_trip(bodies):
@@ -116,7 +104,7 @@ def test_invariants_round_trip(bodies):
 @given(st.lists(sources, min_size=1, max_size=2))
 def test_transformer_sources_round_trip(bodies):
     t = ObjectTransformer(
-        "C", 1, 2, tuple(assignment(f"t{i}", body) for i, body in enumerate(bodies))
+        "C", 1, 2, tuple(Assign(f"t{i}", body) for i, body in enumerate(bodies))
     )
     assert parse_transformer(render_transformer(t)) == t
 
@@ -161,3 +149,103 @@ def test_literal_range_is_checked_at_parse_time(parse, wrap, literal, reason):
     line = text[: text.index(literal)].count("\n") + 1
     column = text.index(literal) - text.rfind("\n", 0, text.index(literal))
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# ---------------------------------------------------------------------------
+# depth bound
+# ---------------------------------------------------------------------------
+
+N = exprs.MAX_DEPTH
+TOO_DEEP = f"expression nested deeper than {N} levels"
+
+
+def _esc(body: str) -> str:
+    return f"class C feature a: INTEGER invariant c: {body} end"
+
+
+def _est(body: str) -> str:
+    return f"transform C from 1 to 2\nResult.a := {body}\nend\n"
+
+
+def _chain(atom: str, terms: int) -> str:
+    return " + ".join([atom] * terms)
+
+
+def _parens(atom: str, depth: int) -> str:
+    return "(" * depth + atom + ")" * depth
+
+
+def _at(text: str, token: str, nth: int) -> tuple[int, int]:
+    """Line and column of the ``nth`` (1-based) occurrence of ``token``."""
+    offset = -1
+    for _ in range(nth):
+        offset = text.index(token, offset + 1)
+    return text[:offset].count("\n") + 1, offset - text.rfind("\n", 0, offset)
+
+
+LANGUAGES = pytest.mark.parametrize(
+    "parse,wrap,atom",
+    [(parse_schema, _esc, "a"), (parse_transformer, _est, "oldc.a")],
+    ids=["esc", "est"],
+)
+
+
+@LANGUAGES
+def test_a_chain_at_the_bound_parses_and_one_more_term_is_refused_at_its_operator(parse, wrap, atom):
+    parse(wrap(_chain(atom, N)))  # N - 1 operators over a leaf: depth N
+    text = wrap(_chain(atom, 5000))
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.args[0] == TOO_DEEP
+    assert (exc.value.line, exc.value.column) == _at(text, "+", N)
+
+
+@LANGUAGES
+def test_parentheses_at_the_bound_parse_and_one_more_is_refused_where_it_opens(parse, wrap, atom):
+    parse(wrap(_parens(atom, N)))
+    text = wrap(_parens(atom, 3000))
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.args[0] == TOO_DEEP
+    assert (exc.value.line, exc.value.column) == _at(text, "(", N + 1)
+
+
+@pytest.mark.parametrize(
+    "parse,text,token",
+    [
+        (parse_schema, _esc("not " * 3000 + "a"), "not"),
+        (parse_schema, _esc(" and ".join(["a"] * 3000)), "and"),
+        (parse_transformer, _est("convert X (" * 3000 + "oldc.a" + ")" * 3000), "("),
+    ],
+    ids=["not", "and", "convert"],
+)
+def test_other_nesting_is_refused_as_a_parse_error(parse, text, token):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.args[0] == TOO_DEEP
+    line = text.split("\n")[exc.value.line - 1]
+    assert line[exc.value.column - 1:].startswith(token)
+
+
+def test_a_tree_over_the_bound_cannot_be_built():
+    tree = exprs.OldField("a")
+    for _ in range(N - 1):
+        tree = exprs.BinOp("+", tree, exprs.IntLit(1))
+    assert tree.depth == N
+    with pytest.raises(ValueError, match=TOO_DEEP):
+        exprs.BinOp("+", tree, exprs.IntLit(1))
+    with pytest.raises(ValueError, match=TOO_DEEP):
+        exprs.Not(exprs.Not(tree))
+    assert "depth" not in repr(exprs.Not(exprs.IntLit(1)))  # not a field
+
+
+def test_trees_at_the_bound_render_walk_and_evaluate():
+    t = parse_transformer(_est(_chain("oldc.a", N)))
+    assert parse_transformer(render_transformer(t)) == t
+    assert sum(1 for _ in exprs.walk(t.instructions[0].expr)) == 2 * N - 1
+    schema = ClassSchema("C", attributes=(Attribute("a", ClassType("INTEGER")),), version=2)
+    old = ObjectRecord(0, "C", 1, (("a", IntVal(1)),))
+    assert interpret_transformer(t, old, {}, new_schema=schema).fields == (("a", IntVal(N)),)
+    parsed = parse_schema(_esc(_chain("a", N - 1) + " > 0"))
+    assert parse_schema(render_schema(parsed)) == parsed
+    assert eval_invariant(ObjectRecord(0, "C", 1, (("a", IntVal(1)),)), parsed).passed

@@ -26,6 +26,7 @@ from escher.schema import (
     render_schema,
     render_type,
     type_equal,
+    weakens_attachment,
 )
 from helpers import random_schema, random_type
 
@@ -162,6 +163,22 @@ def test_type_equal_default_attachment_is_detachable():
     assert type_equal(ClassType("PERSON"), Detachable(ClassType("PERSON")))
     assert not type_equal(ClassType("PERSON"), Attached(ClassType("PERSON")))
     assert type_equal(parse_type("ARRAY[INTEGER]"), parse_type("ARRAY[detachable INTEGER]"))
+
+
+@pytest.mark.parametrize(
+    "old,new,expected",
+    [
+        ("attached STRING", "STRING", True),
+        ("attached STRING", "detachable STRING", True),
+        ("attached ARRAY[INTEGER]", "ARRAY[detachable INTEGER]", True),
+        ("attached STRING", "attached STRING", False),
+        ("STRING", "attached STRING", False),
+        ("detachable STRING", "STRING", False),
+        ("attached STRING", "INTEGER", False),
+    ],
+)
+def test_weakens_attachment(old, new, expected):
+    assert weakens_attachment(parse_type(old), parse_type(new)) is expected
 
 
 def test_type_equal_is_an_equivalence_relation():

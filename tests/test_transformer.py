@@ -6,17 +6,15 @@ import pytest
 
 from escher import exprs
 from escher.errors import ConversionFailure, DuplicateTarget, ParseError, UnknownConverter
+from escher.repository import content_digest
 from escher.schema import Attached, ClassType, Detachable, parse_schema, parse_type
 from escher.smo import diff_schemas
 from escher.transformer import (
     DEFAULT_REGISTRY,
-    AssignConverted,
-    AssignExpr,
-    AssignInput,
+    Assign,
     CheckAttached,
     Converter,
     ConverterRegistry,
-    CopyField,
     Noop,
     ObjectTransformer,
     assignable,
@@ -37,10 +35,10 @@ def test_generate_bank_account(bank_v1, bank_v2):
     assert t.class_name == "BANK_ACCOUNT"
     assert (t.from_version, t.to_version) == (1, 2)
     assert t.instructions == (
-        AssignConverted("info", "STRING_TO_INTEGER", "info"),
+        Assign("info", exprs.Convert("STRING_TO_INTEGER", exprs.OldField("info"))),
         Noop("attribute tot_deposits removed; value will be dropped"),
         Noop("attribute tot_withdrawals removed; value will be dropped"),
-        AssignInput("balance"),
+        Assign("balance", exprs.InputRef("balance")),
     )
     assert t.required_inputs == {"balance"}
 
@@ -48,7 +46,7 @@ def test_generate_bank_account(bank_v1, bank_v2):
 def test_generate_identity_transformer(bank_v1):
     ct = diff_schemas(bank_v1, bank_v1.with_version(2))
     t = generate_transformer(ct)
-    assert all(isinstance(i, CopyField) for i in t.instructions)
+    assert all(i == Assign(i.target_name, exprs.OldField(i.target_name)) for i in t.instructions)
     assert len(t.instructions) == 3
 
 
@@ -56,14 +54,14 @@ def test_generate_widening_copies():
     old = parse_schema("class C feature x: INTEGER end")
     new = parse_schema("version 2 class C feature x: REAL end")
     t = generate_transformer(diff_schemas(old, new))
-    assert t.instructions == (CopyField("x", "x"),)
+    assert t.instructions == (Assign("x", exprs.OldField("x")),)
 
 
 def test_generate_narrowing_uses_converter():
     old = parse_schema("class C feature x: REAL end")
     new = parse_schema("version 2 class C feature x: INTEGER end")
     t = generate_transformer(diff_schemas(old, new))
-    assert t.instructions == (AssignConverted("x", "REAL_TO_INTEGER", "x"),)
+    assert t.instructions == (Assign("x", exprs.Convert("REAL_TO_INTEGER", exprs.OldField("x"))),)
 
 
 def test_generate_no_converter_warns_and_demands_input():
@@ -72,7 +70,7 @@ def test_generate_no_converter_warns_and_demands_input():
     t = generate_transformer(diff_schemas(old, new))
     assert t.instructions == (
         Noop("no conversion from PERSON to WIDGET for x"),
-        AssignInput("x"),
+        Assign("x", exprs.InputRef("x")),
     )
     assert t.required_inputs == {"x"}
 
@@ -83,7 +81,7 @@ def test_generate_rename_copies_with_warning():
     t = generate_transformer(diff_schemas(old, new))
     assert t.instructions == (
         Noop("possible rename of a to b; verify semantics"),
-        CopyField("b", "a"),
+        Assign("b", exprs.OldField("a")),
     )
 
 
@@ -91,7 +89,7 @@ def test_generate_attach_added_checks():
     old = parse_schema("class C feature owner: PERSON end")
     new = parse_schema("version 2 class C feature owner: attached PERSON end")
     t = generate_transformer(diff_schemas(old, new))
-    assert t.instructions == (CopyField("owner", "owner"), CheckAttached("owner"))
+    assert t.instructions == (Assign("owner", exprs.OldField("owner")), CheckAttached("owner"))
 
 
 def test_generate_needs_distinct_versions(bank_v1):
@@ -156,6 +154,60 @@ def test_render_matches_file_format(bank_v1, bank_v2):
     )
 
 
+GOLDEN_OLD = """class C feature
+  keep: INTEGER
+  conv: STRING
+  wide: INTEGER
+  gone: BOOLEAN
+  old_name: REAL
+  p: PERSON
+  owner: PERSON
+end
+"""
+GOLDEN_NEW = """version 2 class C feature
+  keep: INTEGER
+  conv: INTEGER
+  wide: REAL
+  new_name: REAL
+  p: WIDGET
+  owner: attached PERSON
+  added: STRING
+end
+"""
+# One line per SMO kind; handler files saved by earlier versions hold exactly
+# this text, so a change here changes their digests and user_modified flags.
+GOLDEN_EST = (
+    "transform C from 1 to 2\n"
+    "  Result.keep := oldc.keep\n"
+    "  Result.conv := convert STRING_TO_INTEGER (oldc.conv)\n"
+    "  Result.wide := oldc.wide\n"
+    "  -- warning: no conversion from PERSON to WIDGET for p\n"
+    "  noop\n"
+    "  Result.p := input p\n"
+    "  Result.owner := oldc.owner\n"
+    "  require_attached Result.owner\n"
+    "  -- warning: possible rename of old_name to new_name; verify semantics\n"
+    "  noop\n"
+    "  Result.new_name := oldc.old_name\n"
+    "  -- warning: attribute gone removed; value will be dropped\n"
+    "  noop\n"
+    "  Result.added := input added\n"
+    "end\n"
+)
+
+
+def test_generated_text_and_digest_are_pinned_for_every_smo_kind():
+    ct = diff_schemas(parse_schema(GOLDEN_OLD), parse_schema(GOLDEN_NEW))
+    t = generate_transformer(ct)
+    text = render_transformer(t)
+    assert text == GOLDEN_EST
+    assert content_digest(text) == (
+        "581cdfc57c5d54e54cc3e856b1785fc4c3a1af385eba6a82f68e3a931b17c407"
+    )
+    assert parse_transformer(text) == t
+    assert t.required_inputs == {"p", "added"}
+
+
 def test_parse_render_round_trip_generated(bank_v1, bank_v2):
     t = generate_transformer(diff_schemas(bank_v1, bank_v2))
     text = render_transformer(t)
@@ -165,9 +217,9 @@ def test_parse_render_round_trip_generated(bank_v1, bank_v2):
 
 def test_parse_hand_written_arithmetic(hand_fixed_transformer):
     t = hand_fixed_transformer
-    assert t.instructions[0] == AssignConverted("info", "STRING_TO_INTEGER", "info")
+    assert t.instructions[0] == Assign("info", exprs.Convert("STRING_TO_INTEGER", exprs.OldField("info")))
     balance = t.instructions[1]
-    assert isinstance(balance, AssignExpr)
+    assert isinstance(balance, Assign)
     assert balance.expr == exprs.BinOp(
         "-", exprs.OldField("tot_deposits"), exprs.OldField("tot_withdrawals")
     )
@@ -184,14 +236,14 @@ def test_parse_expression_grammar():
         "end\n"
     )
     x = t.instructions[0]
-    assert isinstance(x, AssignExpr)
+    assert isinstance(x, Assign)
     # precedence: ((a+2)*b) - (4//2)
     assert x.expr == exprs.BinOp(
         "-",
         exprs.BinOp("*", exprs.BinOp("+", exprs.OldField("a"), exprs.IntLit(2)), exprs.OldField("b")),
         exprs.BinOp("//", exprs.IntLit(4), exprs.IntLit(2)),
     )
-    assert t.instructions[2] == AssignExpr("z", exprs.InputRef("other"))
+    assert t.instructions[2] == Assign("z", exprs.InputRef("other"))
     assert t.required_inputs == {"other"}
     text = render_transformer(t)
     assert parse_transformer(text) == t
@@ -264,14 +316,7 @@ def test_warning_comment_attaches_to_noop():
     assert t.instructions == (Noop("something dropped"), Noop(""))
 
 
-def test_assign_expr_refuses_canonical_shapes():
-    with pytest.raises(ValueError):
-        AssignExpr("x", exprs.OldField("x"))
-    with pytest.raises(ValueError):
-        AssignExpr("x", exprs.InputRef("x"))
-    with pytest.raises(ValueError):
-        AssignExpr("x", exprs.Convert("STRING_TO_INTEGER", exprs.OldField("y")))
-    AssignExpr("x", exprs.InputRef("y"))  # different key is a plain expression
+def test_assign_refuses_invariant_only_nodes():
     true = exprs.BoolLit(True)
     for invariant_only in (
         exprs.AttrRef("x"),
@@ -281,16 +326,16 @@ def test_assign_expr_refuses_canonical_shapes():
         exprs.Not(true),
     ):
         with pytest.raises(ValueError):
-            AssignExpr("x", invariant_only)
+            Assign("x", invariant_only)
         with pytest.raises(ValueError):  # nested too
-            AssignExpr("x", exprs.BinOp("+", exprs.IntLit(1), exprs.Convert("C", invariant_only)))
+            Assign("x", exprs.BinOp("+", exprs.IntLit(1), exprs.Convert("C", invariant_only)))
 
 
 def test_transformer_invariants():
     with pytest.raises(ValueError):
         ObjectTransformer("C", 1, 1, ())
     with pytest.raises(DuplicateTarget):
-        ObjectTransformer("C", 1, 2, (AssignInput("x"), CopyField("x", "y")))
+        ObjectTransformer("C", 1, 2, (Assign("x", exprs.InputRef("x")), Assign("x", exprs.OldField("y"))))
 
 
 # ---------------------------------------------------------------------------
@@ -350,4 +395,4 @@ def test_registry_extension():
     old = parse_schema("class C feature x: PERSON end")
     new = parse_schema("version 2 class C feature x: WIDGET end")
     t = generate_transformer(diff_schemas(old, new), registry)
-    assert t.instructions == (AssignConverted("x", "PERSON_TO_WIDGET", "x"),)
+    assert t.instructions == (Assign("x", exprs.Convert("PERSON_TO_WIDGET", exprs.OldField("x"))),)
