@@ -111,7 +111,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
-        self.depth = 0  # parentheses the expression parsers have open
+        self.depth = 0  # levels open: expression parentheses, a type's [ and ,
 
     def peek(self) -> Token:
         return self._tokens[self._pos]

@@ -144,9 +144,14 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
         targets = {name: schema.version for name, schema in rel.schemas.items()}
     for entry in args.to:
         name, sep, version = entry.partition("=")
-        if not sep or not version.isdigit():
-            raise _Usage(f"--to wants CLASS=V, got {entry!r}")
-        targets[name] = int(version)
+        usage = _Usage(f"--to wants CLASS=V, got {entry!r}")
+        # str.isdigit() alone admits digits such as "²" that int() refuses
+        if not sep or not (version.isascii() and version.isdigit()):
+            raise usage
+        try:
+            targets[name] = int(version)
+        except ValueError:  # more digits than int() converts
+            raise usage from None
     return targets
 
 

@@ -12,22 +12,27 @@ their own primaries. Rendering inserts parentheses exactly where reparsing
 would otherwise associate differently, so render/parse is structurally
 lossless.
 
+``compile_expr`` evaluates both, as closures built once per tree: each
+transformer and schema compiles its trees on first use and keeps them.
+
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
-deeper than that. Evaluation, rendering and ``walk`` recurse once per tree
-level and the invariant parser eight frames per parenthesis, so at the bound
-all of them stay inside Python's default limit of 1000 frames. Going deeper
-is a ``ParseError`` at the token that did it.
+deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
+per tree level and the invariant parser eight frames per parenthesis, so at
+the bound all of them stay inside Python's default limit of 1000 frames.
+Going deeper is a ``ParseError`` at the token that did it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
 from ._lex import Token, TokenStream, escape_string, unescape_string
-from .errors import ParseError
-from .values import INT64_MAX, INT64_MIN
+from .errors import MissingAttribute, MissingInput, ParseError
+from .values import (
+    INT64_MAX, INT64_MIN, VOID, BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal, VoidVal,
+)
 
 ARITH_OPS = ("+", "-", "*", "//")
 COMPARE_OPS = ("=", "/=", "<", "<=", ">", ">=")
@@ -341,3 +346,156 @@ def _render(expr: Expr, context: int) -> str:
         text = f"{_render(expr.left, p)} {op} {_render(expr.right, p + 1)}"
         return _wrap(text, p, context)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+class EvalProblem(Exception):
+    """Arithmetic, a comparison or a connective cannot proceed; callers re-wrap."""
+
+
+Compiled = Callable[..., ObjectValue]  # f(fields, inputs, registry) -> value
+_LITERALS = {IntLit: IntVal, RealLit: RealVal, StrLit: StringVal, BoolLit: BoolVal}
+
+
+def compile_expr(expr: Expr) -> Compiled:
+    """Closures, one per node, that evaluate ``expr`` over fields ``f``,
+    inputs ``i`` and registry ``r``. Literal values are built here, once, so a
+    hand-built ``IntLit`` outside 64 bits fails here: inside the first
+    ``interpret_transformer`` or ``eval_invariant`` call, which compiles."""
+    cls = expr.__class__
+    if cls is AttrRef or cls is OldField:
+        name = expr.name
+
+        def field(f, i, r):
+            value = f.get(name)
+            if value is None:
+                raise MissingAttribute(name)
+            return value
+
+        return field
+    if cls is InputRef:
+        return lambda f, i, r: _input_value(i, expr.key)
+    if cls is Convert:
+        converter_id, arg = expr.converter_id, compile_expr(expr.arg)
+
+        def convert(f, i, r):
+            value = arg(f, i, r)  # before the lookup, which may fail too
+            return r.get(converter_id).fn(value)
+
+        return convert
+    if cls is Not:
+        operand = compile_expr(expr.operand)
+        return lambda f, i, r: BoolVal(not _require_bool(operand(f, i, r)).value)
+    if cls is BinOp or cls is Compare:
+        op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
+        if cls is BinOp:
+            return lambda f, i, r: _arith(op, left(f, i, r), right(f, i, r))
+        return lambda f, i, r: BoolVal(_compare(op, left(f, i, r), right(f, i, r)))
+    if cls is And or cls is Or:
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
+
+        def connective(f, i, r):
+            value = _require_bool(left(f, i, r))
+            if value.value == stop:
+                return value
+            return _require_bool(right(f, i, r))
+
+        return connective
+    if cls is VoidLit:
+        return lambda f, i, r: VOID
+    if cls not in _LITERALS:
+        raise TypeError(f"not an expression node: {expr!r}")
+    value = _LITERALS[cls](expr.value)
+    return lambda f, i, r: value
+
+
+def _require_bool(value: ObjectValue) -> BoolVal:
+    if not isinstance(value, BoolVal):
+        raise EvalProblem("boolean connective over a non-boolean operand")
+    return value
+
+
+def _compare(op: str, a: ObjectValue, b: ObjectValue) -> bool:
+    if op in ("=", "/="):
+        equal = _values_equal(a, b)
+        return equal if op == "=" else not equal
+    # ordering: numbers or strings
+    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
+        left, right = _promote(a, b)
+    elif isinstance(a, StringVal) and isinstance(b, StringVal):
+        left, right = a.value, b.value
+    else:
+        raise EvalProblem(f"operands of {op} are not comparable")
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    return left >= right
+
+
+def _values_equal(a: ObjectValue, b: ObjectValue) -> bool:
+    if isinstance(a, VoidVal) or isinstance(b, VoidVal):
+        return isinstance(a, VoidVal) and isinstance(b, VoidVal)
+    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
+        if isinstance(a, IntVal) and isinstance(b, IntVal):
+            return a.value == b.value
+        left, right = _promote(a, b)
+        return left == right
+    if isinstance(a, BoolVal) and isinstance(b, BoolVal):
+        return a.value == b.value
+    if isinstance(a, StringVal) and isinstance(b, StringVal):
+        return a.value == b.value
+    if isinstance(a, RefVal) and isinstance(b, RefVal):
+        return a.object_id == b.object_id
+    raise EvalProblem("equality between incomparable types")
+
+
+def _promote(a: IntVal | RealVal, b: IntVal | RealVal):
+    if isinstance(a, IntVal) and isinstance(b, IntVal):
+        return a.value, b.value
+    return float(a.value), float(b.value)
+
+
+_NUMERIC = (IntVal, RealVal)
+
+
+def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
+    """Integer results, quotients included, must fit 64 bits."""
+    a_cls, b_cls = a.__class__, b.__class__
+    if a_cls is IntVal and b_cls is IntVal:
+        x, y = a.value, b.value
+        if op == "+":
+            result = x + y
+        elif op == "-":
+            result = x - y
+        elif op == "*":
+            result = x * y
+        else:
+            if y == 0:
+                raise EvalProblem("integer division by zero")
+            # truncation toward zero, matching REAL_TO_INTEGER
+            result = abs(x) // abs(y)
+            if (x < 0) != (y < 0):
+                result = -result
+        if not (INT64_MIN <= result <= INT64_MAX):
+            raise EvalProblem("integer overflow")
+        return IntVal(result)
+    if a_cls not in _NUMERIC or b_cls not in _NUMERIC:
+        raise EvalProblem(f"arithmetic {op} over non-numeric operands")
+    if op == "//":
+        raise EvalProblem("integer division needs integer operands")
+    x, y = float(a.value), float(b.value)
+    if op == "+":
+        return RealVal(x + y)
+    if op == "-":
+        return RealVal(x - y)
+    return RealVal(x * y)
+
+
+def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
+    value = inputs.get(key)
+    if value is None:
+        raise MissingInput(key)
+    return value

@@ -12,6 +12,7 @@ represents shared substructure and cycles without nesting:
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
+Transformer sources and invariant clauses run compiled on first use.
 Migration failures are loud by design: a missing handler, a missing
 transformation, or a violated invariant each raises its own error instead of
 letting a default-initialized object into the system.
@@ -34,7 +35,6 @@ from .errors import (
     HandlerMissing,
     InvariantViolation,
     MissingAttribute,
-    MissingInput,
     ParseError,
     TransformationMissing,
     TypeMismatchInInvariant,
@@ -42,14 +42,12 @@ from .errors import (
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import (
     DEFAULT_REGISTRY,
+    Assign,
     CheckAttached,
     ConverterRegistry,
-    Noop,
     ObjectTransformer,
 )
 from .values import (
-    INT64_MAX,
-    INT64_MIN,
     VOID,
     BoolVal,
     IntVal,
@@ -377,10 +375,6 @@ INVARIANT_PASS = InvariantResult(True)
 _NO_INPUTS: Mapping[str, ObjectValue] = {}
 
 
-class _EvalProblem(Exception):
-    """Internal: arithmetic/comparison cannot proceed; callers re-wrap."""
-
-
 def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult:
     """Evaluate clauses in order; report the first false one.
 
@@ -393,151 +387,16 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
             f"record of class {record.class_name} checked against schema {schema.name}"
         )
     fields = record.as_dict()
-    for clause in schema.invariant.clauses:
+    for tag, clause in schema.invariant_steps:
         try:
-            outcome = _eval(clause.body, fields, _NO_INPUTS, DEFAULT_REGISTRY)
-        except _EvalProblem as err:
-            raise TypeMismatchInInvariant(clause.tag, str(err)) from err
+            outcome = clause(fields, _NO_INPUTS, DEFAULT_REGISTRY)
+        except exprs.EvalProblem as err:
+            raise TypeMismatchInInvariant(tag, str(err)) from err
         if not isinstance(outcome, BoolVal):
-            raise TypeMismatchInInvariant(clause.tag, "clause body is not boolean")
+            raise TypeMismatchInInvariant(tag, "clause body is not boolean")
         if not outcome.value:
-            return InvariantResult(False, clause.tag)
+            return InvariantResult(False, tag)
     return INVARIANT_PASS
-
-
-def _eval(
-    expr: exprs.Expr,
-    fields: Mapping[str, ObjectValue],
-    inputs: Mapping[str, ObjectValue],
-    registry: ConverterRegistry,
-) -> ObjectValue:
-    """Evaluate an invariant body or a transformer source over ``fields``,
-    the record in hand (its attributes, or the old record's fields).
-
-    Node classes are tested by identity, commonest leaves first: this runs
-    once per node per migrated record.
-    """
-    cls = expr.__class__
-    if cls is exprs.AttrRef or cls is exprs.OldField:
-        value = fields.get(expr.name)
-        if value is None:
-            raise MissingAttribute(expr.name)
-        return value
-    if cls is exprs.IntLit:
-        return IntVal(expr.value)
-    if cls is exprs.BinOp:
-        left = _eval(expr.left, fields, inputs, registry)
-        return _arith(expr.op, left, _eval(expr.right, fields, inputs, registry))
-    if cls is exprs.Compare:
-        left = _eval(expr.left, fields, inputs, registry)
-        return BoolVal(_compare(expr.op, left, _eval(expr.right, fields, inputs, registry)))
-    if cls is exprs.And or cls is exprs.Or:
-        # short-circuit: ``and`` stops at false, ``or`` at true
-        left = _require_bool(_eval(expr.left, fields, inputs, registry))
-        if left.value == (cls is exprs.Or):
-            return left
-        return _require_bool(_eval(expr.right, fields, inputs, registry))
-    if cls is exprs.Not:
-        return BoolVal(not _require_bool(_eval(expr.operand, fields, inputs, registry)).value)
-    if cls is exprs.RealLit:
-        return RealVal(expr.value)
-    if cls is exprs.StrLit:
-        return StringVal(expr.value)
-    if cls is exprs.BoolLit:
-        return BoolVal(expr.value)
-    if cls is exprs.VoidLit:
-        return VOID
-    if cls is exprs.InputRef:
-        return _input_value(inputs, expr.key)
-    if cls is exprs.Convert:
-        arg = _eval(expr.arg, fields, inputs, registry)
-        return registry.get(expr.converter_id).fn(arg)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _require_bool(value: ObjectValue) -> BoolVal:
-    if not isinstance(value, BoolVal):
-        raise _EvalProblem("boolean connective over a non-boolean operand")
-    return value
-
-
-def _compare(op: str, a: ObjectValue, b: ObjectValue) -> bool:
-    if op in ("=", "/="):
-        equal = _values_equal(a, b)
-        return equal if op == "=" else not equal
-    # ordering: numbers or strings
-    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
-        left, right = _promote(a, b)
-    elif isinstance(a, StringVal) and isinstance(b, StringVal):
-        left, right = a.value, b.value
-    else:
-        raise _EvalProblem(f"operands of {op} are not comparable")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
-def _values_equal(a: ObjectValue, b: ObjectValue) -> bool:
-    if isinstance(a, VoidVal) or isinstance(b, VoidVal):
-        return isinstance(a, VoidVal) and isinstance(b, VoidVal)
-    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
-        if isinstance(a, IntVal) and isinstance(b, IntVal):
-            return a.value == b.value
-        left, right = _promote(a, b)
-        return left == right
-    if isinstance(a, BoolVal) and isinstance(b, BoolVal):
-        return a.value == b.value
-    if isinstance(a, StringVal) and isinstance(b, StringVal):
-        return a.value == b.value
-    if isinstance(a, RefVal) and isinstance(b, RefVal):
-        return a.object_id == b.object_id
-    raise _EvalProblem("equality between incomparable types")
-
-
-def _promote(a: IntVal | RealVal, b: IntVal | RealVal):
-    if isinstance(a, IntVal) and isinstance(b, IntVal):
-        return a.value, b.value
-    return float(a.value), float(b.value)
-
-
-_NUMERIC = (IntVal, RealVal)
-
-
-def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
-    """Integer results, quotients included, must fit 64 bits."""
-    a_cls, b_cls = a.__class__, b.__class__
-    if a_cls is IntVal and b_cls is IntVal:
-        x, y = a.value, b.value
-        if op == "+":
-            result = x + y
-        elif op == "-":
-            result = x - y
-        elif op == "*":
-            result = x * y
-        else:
-            if y == 0:
-                raise _EvalProblem("integer division by zero")
-            # truncation toward zero, matching REAL_TO_INTEGER
-            result = abs(x) // abs(y)
-            if (x < 0) != (y < 0):
-                result = -result
-        if not (INT64_MIN <= result <= INT64_MAX):
-            raise _EvalProblem("integer overflow")
-        return IntVal(result)
-    if a_cls not in _NUMERIC or b_cls not in _NUMERIC:
-        raise _EvalProblem(f"arithmetic {op} over non-numeric operands")
-    if op == "//":
-        raise _EvalProblem("integer division needs integer operands")
-    x, y = float(a.value), float(b.value)
-    if op == "+":
-        return RealVal(x + y)
-    if op == "-":
-        return RealVal(x - y)
-    return RealVal(x * y)
 
 
 # ---------------------------------------------------------------------------
@@ -586,24 +445,21 @@ def interpret_transformer(
     old_fields = old.as_dict()
     result: dict[str, ObjectValue] = {}
     target_names = new_schema.attribute_set
-    for index, instr in enumerate(t.instructions):
-        cls = instr.__class__
-        if cls is Noop:
-            continue
-        if cls is CheckAttached:
-            if check_attached and result.get(instr.target_name, VOID).__class__ is VoidVal:
-                raise AttachmentViolation(instr.target_name)
-            continue
-        target = instr.target_name
-        if target not in target_names:
-            raise EvaluationError(index, f"target {target!r} is not an attribute of {new_schema.name}")
-        try:
-            value = _eval(instr.expr, old_fields, inputs, registry)
-        except _EvalProblem as err:
-            raise EvaluationError(index, str(err)) from err
-        except MissingAttribute as err:
-            raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
-        result[target] = value
+    for index, (kind, target, source) in enumerate(t.steps):
+        if kind is Assign:
+            if target not in target_names:
+                raise EvaluationError(
+                    index, f"target {target!r} is not an attribute of {new_schema.name}"
+                )
+            try:
+                result[target] = source(old_fields, inputs, registry)
+            except exprs.EvalProblem as err:
+                raise EvaluationError(index, str(err)) from err
+            except MissingAttribute as err:
+                raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
+        elif kind is CheckAttached:
+            if check_attached and result.get(target, VOID).__class__ is VoidVal:
+                raise AttachmentViolation(target)
     fields: list[tuple[str, ObjectValue]] = []
     for attr in new_schema.attributes:
         if attr.name in result:
@@ -616,13 +472,6 @@ def interpret_transformer(
                 )
             fields.append((attr.name, type_default(attr.declared_type)))
     return ObjectRecord(old.id, t.class_name, t.to_version, tuple(fields))
-
-
-def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
-    value = inputs.get(key)
-    if value is None:
-        raise MissingInput(key)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Union
 
 from . import exprs
@@ -249,6 +250,11 @@ class ClassSchema:
                 if isinstance(node, exprs.TRANSFORMER_ONLY):
                     raise ValueError(f"invariant {clause.tag!r} holds a transformer-only {node!r}")
 
+    @cached_property
+    def invariant_steps(self) -> tuple[tuple[str, exprs.Compiled], ...]:
+        """``(tag, closure)`` per invariant clause, compiled on first use."""
+        return tuple((c.tag, exprs.compile_expr(c.body)) for c in self.invariant.clauses)
+
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
@@ -330,6 +336,9 @@ def parse_schema(source: str) -> ClassSchema:
     )
 
 
+_TYPE_TOO_DEEP = f"type expression nested deeper than {exprs.MAX_DEPTH} levels"
+
+
 def _class_ident(stream: TokenStream) -> str:
     tok = stream.peek()
     if tok.kind != "IDENT":
@@ -340,6 +349,18 @@ def _class_ident(stream: TokenStream) -> str:
 
 
 def _parse_type(stream: TokenStream, params: frozenset[str]) -> TypeExpr:
+    """A type expression. Each ``[`` and ``,`` in it nests the derivation one
+    level deeper (``X[A, B]`` derives ``X[A]`` by ``B``); the one that takes
+    it past ``exprs.MAX_DEPTH`` levels is a ParseError, which keeps this
+    parser, ``normalize_type``, ``render_type`` and ``walk_type`` inside the
+    stack."""
+    outer = stream.depth
+    declared = _parse_derived(stream, params)
+    stream.depth = outer
+    return declared
+
+
+def _parse_derived(stream: TokenStream, params: frozenset[str]) -> TypeExpr:
     marker: str | None = None
     if stream.at_ident("attached") or stream.at_ident("detachable"):
         marker = stream.next().text
@@ -357,14 +378,14 @@ def _parse_type(stream: TokenStream, params: frozenset[str]) -> TypeExpr:
             raise ParseError(
                 f"generic parameter {base_name!r} cannot take type arguments", tok.line, tok.column
             )
-        stream.next()
         while True:
-            argument = _parse_type(stream, params)
-            base = GenericDerivation(base, argument)
-            if stream.at_op(","):
-                stream.next()
-                continue
-            break
+            nest = stream.next()  # "[" or ","
+            stream.depth += 1
+            if stream.depth > exprs.MAX_DEPTH:
+                raise ParseError(_TYPE_TOO_DEEP, nest.line, nest.column)
+            base = GenericDerivation(base, _parse_derived(stream, params))
+            if not stream.at_op(","):
+                break
         stream.expect_op("]")
     if marker == "attached":
         return Attached(base)

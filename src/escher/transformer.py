@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from . import exprs
@@ -111,6 +112,13 @@ class ObjectTransformer:
 
     def assigned_targets(self) -> frozenset[str]:
         return frozenset(i.target_name for i in self.instructions if isinstance(i, Assign))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[type, str, exprs.Compiled | None], ...]:
+        """``(kind, target, closure)`` per instruction, compiled on first use."""
+        return tuple((i.__class__, getattr(i, "target_name", ""),
+                      exprs.compile_expr(i.expr) if i.__class__ is Assign else None)
+                     for i in self.instructions)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,31 @@ def test_usage_errors_exit_2(bank_project):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "version", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-two"]
+)
+def test_migrate_to_an_unconvertible_version_is_a_usage_error(bank_project, version):
+    code, out, err = run_cli(
+        "migrate", OBJ, "--to", f"BANK_ACCOUNT={version}", "--project", str(bank_project)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --to wants CLASS=V, got ")
+    assert "Traceback" not in err
+
+
+def test_parse_too_deep_a_type_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.esc"
+    deep.write_text("class DEEP feature a: " + "LIST[" * 500 + "INTEGER" + "]" * 500 + " end", encoding="utf-8")
+    code, out, err = run_cli("parse", str(deep))
+    assert code == 1
+    # the 101st "[" opens at column 23 + 5 * 100 + 4
+    assert out.splitlines()[0] == (
+        "ParseError line 1 column 527: type expression nested deeper than 100 levels"
+    )
+    assert "Traceback" not in out + err
+
+
 def test_machine_format_matches_text():
     _, text_out, _ = run_cli("diff", V1, V2, "--format", "text")
     _, machine_out, _ = run_cli("diff", V1, V2, "--format", "machine")

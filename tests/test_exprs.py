@@ -4,7 +4,8 @@ transformer sources share (``exprs.parse_arith``/``exprs.parse_literal``).
 Random trees over each language's node pool must come back from their
 rendered text unchanged, and a literal no value can hold must be a
 ``ParseError`` at parse time in both languages, as must a tree or
-parenthesis nested deeper than ``exprs.MAX_DEPTH``.
+parenthesis nested deeper than ``exprs.MAX_DEPTH``. Compiled, the same trees
+must evaluate as a plain tree walk does, value for value and error for error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from unittest import mock  # noqa: E402
+
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from escher import exprs  # noqa: E402
-from escher.errors import ParseError  # noqa: E402
+from escher.errors import MissingAttribute, ParseError  # noqa: E402
 from escher.objects import ObjectRecord, eval_invariant, interpret_transformer  # noqa: E402
 from escher.schema import (  # noqa: E402
     Attribute,
@@ -29,12 +32,23 @@ from escher.schema import (  # noqa: E402
     render_schema,
 )
 from escher.transformer import (  # noqa: E402
+    DEFAULT_REGISTRY,
     Assign,
+    Converter,
     ObjectTransformer,
     parse_transformer,
     render_transformer,
 )
-from escher.values import INT64_MAX, INT64_MIN, IntVal  # noqa: E402
+from escher.values import (  # noqa: E402
+    INT64_MAX,
+    INT64_MIN,
+    VOID,
+    BoolVal,
+    IntVal,
+    RealVal,
+    RefVal,
+    StringVal,
+)
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
@@ -249,3 +263,184 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
     parsed = parse_schema(_esc(_chain("a", N - 1) + " > 0"))
     assert parse_schema(render_schema(parsed)) == parsed
     assert eval_invariant(ObjectRecord(0, "C", 1, (("a", IntVal(1)),)), parsed).passed
+
+
+# ---------------------------------------------------------------------------
+# the compiler against a tree walk
+# ---------------------------------------------------------------------------
+
+
+def _walk_eval(expr, fields, inputs, registry):
+    """Reference semantics: the tree-walking evaluator the compiler replaced."""
+    cls = expr.__class__
+    if cls is exprs.AttrRef or cls is exprs.OldField:
+        value = fields.get(expr.name)
+        if value is None:
+            raise MissingAttribute(expr.name)
+        return value
+    if cls is exprs.IntLit:
+        return IntVal(expr.value)
+    if cls is exprs.BinOp:
+        left = _walk_eval(expr.left, fields, inputs, registry)
+        return exprs._arith(expr.op, left, _walk_eval(expr.right, fields, inputs, registry))
+    if cls is exprs.Compare:
+        left = _walk_eval(expr.left, fields, inputs, registry)
+        right = _walk_eval(expr.right, fields, inputs, registry)
+        return BoolVal(exprs._compare(expr.op, left, right))
+    if cls is exprs.And or cls is exprs.Or:
+        left = exprs._require_bool(_walk_eval(expr.left, fields, inputs, registry))
+        if left.value == (cls is exprs.Or):
+            return left
+        return exprs._require_bool(_walk_eval(expr.right, fields, inputs, registry))
+    if cls is exprs.Not:
+        operand = _walk_eval(expr.operand, fields, inputs, registry)
+        return BoolVal(not exprs._require_bool(operand).value)
+    if cls is exprs.RealLit:
+        return RealVal(expr.value)
+    if cls is exprs.StrLit:
+        return StringVal(expr.value)
+    if cls is exprs.BoolLit:
+        return BoolVal(expr.value)
+    if cls is exprs.VoidLit:
+        return VOID
+    if cls is exprs.InputRef:
+        return exprs._input_value(inputs, expr.key)
+    if cls is exprs.Convert:
+        arg = _walk_eval(expr.arg, fields, inputs, registry)
+        return registry.get(expr.converter_id).fn(arg)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _walking(expr):
+    return lambda f, i, r: _walk_eval(expr, f, i, r)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the class, text and attributes of what it
+    raises; by ``repr``, so that a NaN or a -0.0 must match exactly too."""
+    try:
+        return repr(call())
+    except Exception as err:  # whatever it is, both sides must raise it
+        return type(err), str(err), repr(vars(err))
+
+
+def _each_subtree_agrees(expr, fields, inputs, registry):
+    """Every subtree, compiled alone, against the walk: a difference inside
+    a tree shows even where an error elsewhere hides it from the whole."""
+    for node in exprs.walk(expr):
+        compiled = _outcome(lambda: exprs.compile_expr(node)(fields, inputs, registry))
+        assert compiled == _outcome(lambda: _walk_eval(node, fields, inputs, registry))
+
+
+def _compiled_and_walked(build, run):
+    """``run`` over an object ``build`` makes, once compiled and once with
+    every tree walked instead; each object compiles on its first use."""
+    compiled = _outcome(lambda: run(build()))
+    with mock.patch.object(exprs, "compile_expr", _walking):
+        walked = _outcome(lambda: run(build()))
+    return compiled, walked
+
+
+edge_ints = st.one_of(
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, 2, INT64_MAX - 1, INT64_MAX]),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+)
+values = st.one_of(
+    edge_ints.map(IntVal),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5e300, 1e-07, 1.0e16]).map(RealVal),
+    st.sampled_from(["", "7", "-12", "x", "99999999999999999999"]).map(StringVal),
+    st.booleans().map(BoolVal),
+    st.just(VOID),
+    st.integers(min_value=0, max_value=3).map(RefVal),
+)
+
+
+def _field_map(names):
+    """Some of ``names`` (the rest missing) bound to values of any kind, or
+    all of them to integers."""
+    return st.one_of(
+        st.dictionaries(st.sampled_from(names), values, max_size=len(names)),
+        st.fixed_dictionaries({name: edge_ints.map(IntVal) for name in names}),
+    )
+
+
+def connectives():
+    """Invariant bodies that mostly type-check: connectives over boolean
+    literals and integer comparisons, where a bare integer is the error that
+    only short-circuiting skips."""
+    numbers = st.one_of(
+        st.sampled_from(ATTRIBUTES).map(exprs.AttrRef), edge_ints.map(exprs.IntLit)
+    )
+    return st.recursive(
+        st.one_of(
+            st.booleans().map(exprs.BoolLit),
+            st.builds(exprs.Compare, st.sampled_from(exprs.COMPARE_OPS), numbers, numbers),
+            numbers,
+        ),
+        lambda inner: st.one_of(
+            st.builds(exprs.And, inner, inner),
+            st.builds(exprs.Or, inner, inner),
+            st.builds(exprs.Not, inner),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(clauses(), connectives()), min_size=1, max_size=3),
+    _field_map(ATTRIBUTES),
+)
+def test_compiled_invariants_evaluate_as_the_tree_walk_does(bodies, fields):
+    def schema():
+        return ClassSchema(
+            "C",
+            attributes=tuple(Attribute(name, ClassType("INTEGER")) for name in ATTRIBUTES),
+            invariant=InvariantExpr(
+                tuple(InvariantClause(f"c{i}", body) for i, body in enumerate(bodies))
+            ),
+        )
+
+    record = ObjectRecord(0, "C", 1, tuple(fields.items()))
+    compiled, walked = _compiled_and_walked(schema, lambda s: eval_invariant(record, s))
+    assert compiled == walked
+    for body in bodies:
+        _each_subtree_agrees(body, fields, {}, DEFAULT_REGISTRY)
+
+
+# MY_CONV doubles a number and refuses anything else; the default registry
+# does not know it, so there it is an unknown converter.
+REGISTRY = DEFAULT_REGISTRY.extended(
+    Converter(
+        "MY_CONV", ClassType("COUNT"), ClassType("INTEGER"),
+        lambda v: exprs._arith("*", v, IntVal(2)),
+    )
+)
+SOURCE_NAMES = ["x", "tot_deposits", "input", "Void", "oldc"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(sources, min_size=1, max_size=3),
+    _field_map(SOURCE_NAMES),
+    _field_map(SOURCE_NAMES),
+    st.sampled_from([DEFAULT_REGISTRY, REGISTRY]),
+)
+def test_compiled_sources_evaluate_as_the_tree_walk_does(bodies, fields, inputs, registry):
+    def transformer():
+        return ObjectTransformer(
+            "C", 1, 2, tuple(Assign(f"t{i}", body) for i, body in enumerate(bodies))
+        )
+
+    new_schema = ClassSchema(
+        "C", attributes=tuple(Attribute(f"t{i}", ClassType("INTEGER")) for i in range(3)),
+        version=2,
+    )
+    old = ObjectRecord(0, "C", 1, tuple(fields.items()))
+    compiled, walked = _compiled_and_walked(
+        transformer,
+        lambda t: interpret_transformer(t, old, inputs, registry, new_schema=new_schema),
+    )
+    assert compiled == walked
+    for body in bodies:
+        _each_subtree_agrees(body, fields, inputs, registry)

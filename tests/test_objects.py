@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from escher import exprs
 from escher.errors import (
     AttachmentViolation,
     ConversionFailure,
@@ -28,9 +30,23 @@ from escher.objects import (
     serialize,
     type_default,
 )
-from escher.repository import Repository, empty_repository, register_transformer, release
-from escher.schema import parse_schema, parse_type
-from escher.transformer import generate_transformer, parse_transformer
+from escher.repository import (
+    Repository,
+    empty_repository,
+    load_repository,
+    register_transformer,
+    release,
+)
+from escher.schema import (
+    Attribute,
+    ClassSchema,
+    ClassType,
+    InvariantClause,
+    InvariantExpr,
+    parse_schema,
+    parse_type,
+)
+from escher.transformer import Assign, ObjectTransformer, generate_transformer, parse_transformer
 from escher.smo import diff_schemas
 from escher.values import (
     VOID,
@@ -616,3 +632,106 @@ def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
         interpret_transformer(t, record, {}, new_schema=new)
     with pytest.raises(TypeMismatchInInvariant):
         eval_clause("class C feature x: INTEGER invariant q: x // -1 > 0 end", x=IntVal(-(2**63)))
+
+
+# ---------------------------------------------------------------------------
+# compiled sources and invariants: once per object, on first use, unseen
+# ---------------------------------------------------------------------------
+
+
+def _count_compiles(monkeypatch) -> list:
+    """The trees the compiler is called on from outside: transformer sources
+    and invariant bodies, not their subtrees."""
+    compiled: list = []
+    original = exprs.compile_expr
+    nesting = 0
+
+    def counted(expr):
+        nonlocal nesting
+        if nesting == 0:
+            compiled.append(expr)
+        nesting += 1
+        try:
+            return original(expr)
+        finally:
+            nesting -= 1
+
+    monkeypatch.setattr(exprs, "compile_expr", counted)
+    return compiled
+
+
+def test_loading_a_project_compiles_nothing(bank_project, bank_graph, monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    repo = load_repository(bank_project)
+    assert compiled == []
+    retrieve(bank_graph, repo, {"BANK_ACCOUNT": 2})
+    assert compiled
+
+
+def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    graph = _mixed_graph(("A", 1, 10), ("A", 1, 11), ("B", 1, 1), ("B", 2, 2), ("C", 1, 0))
+    first = retrieve(graph, mixed_repo, {"A": 2, "B": 2})
+    assert retrieve(graph, mixed_repo, {"A": 2, "B": 2}) == first
+    a_hop = mixed_repo.handlers_for("A")[(1, 2)]
+    b_hop = mixed_repo.handlers_for("B")[(1, 2)]
+    expected = [
+        a_hop.instructions[0].expr,  # record 0's hop, then its gate
+        mixed_repo.schema_for("A", 2).invariant.clauses[0].body,
+        b_hop.instructions[0].expr,  # record 2's hop; B and C gate no clause
+        b_hop.instructions[1].expr,
+    ]
+    assert [id(e) for e in compiled] == [id(e) for e in expected]
+
+
+def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
+    repo, _ = make_chain_repo(4)
+    compiled = _count_compiles(monkeypatch)
+    graph = ObjectGraph(tuple(
+        ObjectRecord(i, "CHAIN", v, tuple((f"f{k}", IntVal(k)) for k in range(1, v + 1)))
+        for i, v in enumerate([1, 2, 1, 3])
+    ))
+    inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
+    for _ in range(2):
+        retrieve(graph, repo, {"CHAIN": 4}, inputs)
+    sources = [
+        instr.expr
+        for v in (1, 2, 3)
+        for instr in repo.handlers_for("CHAIN")[(v, v + 1)].instructions
+        if isinstance(instr, Assign)
+    ]
+    assert sorted(map(id, compiled)) == sorted(map(id, sources))
+
+
+def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    text = "transform A from 1 to 2\n  Result.x := oldc.x - 10\nend\n"
+    schema_text = "version 2 class A feature x: INTEGER invariant pos: x >= 0 end"
+    t, schema = parse_transformer(text), parse_schema(schema_text)
+    seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
+    old = ObjectRecord(0, "A", 1, (("x", IntVal(15)),))
+    assert eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema).passed
+    assert len(compiled) == 2
+    for obj, text_form, digest in seen:
+        assert (repr(obj), hash(obj)) == (text_form, digest)
+        assert replace(obj) == obj
+    assert (t, schema) == (parse_transformer(text), parse_schema(schema_text))
+    again = interpret_transformer(replace(t), old, {}, new_schema=replace(schema))
+    eval_invariant(again, replace(schema))
+    assert len(compiled) == 4  # a replaced object compiles afresh
+    interpret_transformer(t, old, {}, new_schema=schema)
+    assert len(compiled) == 4
+
+
+def test_a_hand_built_literal_outside_64_bits_fails_where_it_is_first_used():
+    big = exprs.IntLit(2**63)  # no parser builds this
+    t = ObjectTransformer("A", 1, 2, (Assign("x", big),))
+    clause = InvariantClause("big", exprs.Compare("<", exprs.AttrRef("x"), big))
+    schema = ClassSchema(
+        "A", attributes=(Attribute("x", ClassType("INTEGER")),),
+        invariant=InvariantExpr((clause,)), version=2,
+    )
+    with pytest.raises(ValueError, match="integer out of 64-bit range"):
+        interpret_transformer(t, ObjectRecord(0, "A", 1, ()), {}, new_schema=schema)
+    with pytest.raises(ValueError, match="integer out of 64-bit range"):
+        eval_invariant(ObjectRecord(0, "A", 2, (("x", IntVal(0)),)), schema)

@@ -217,3 +217,61 @@ def test_attachment_marker_rejected_on_marker():
 def test_derivation_base_cannot_be_generic_param():
     with pytest.raises(ValueError):
         GenericDerivation(GenericParamRef("G"), ClassType("INTEGER"))
+
+
+# ---------------------------------------------------------------------------
+# type depth bound: each "[" and "," nests the derivation one level
+# ---------------------------------------------------------------------------
+
+N = exprs.MAX_DEPTH
+TYPE_TOO_DEEP = f"type expression nested deeper than {N} levels"
+
+
+def _nested(levels: int, marker: str = "") -> str:
+    return f"{marker}LIST[" * levels + "INTEGER" + "]" * levels
+
+
+def _wide(arguments: int) -> str:
+    return "TABLE[" + ", ".join(["INTEGER"] * arguments) + "]"
+
+
+def _nth(text: str, token: str, nth: int) -> int:
+    """1-based column of the ``nth`` occurrence of ``token`` in one line."""
+    offset = -1
+    for _ in range(nth):
+        offset = text.index(token, offset + 1)
+    return offset + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_nested(N), _nested(N, "attached "), _wide(N), "TABLE[" + _nested(N - 2) + ", INTEGER]"],
+    ids=["brackets", "marked-brackets", "arguments", "both"],
+)
+def test_a_type_at_the_bound_parses_renders_and_normalizes(text):
+    t = parse_type(text)
+    assert parse_type(render_type(t)) == t
+    assert type_equal(t, t)
+    schema = parse_schema(
+        f"class C feature a: {text} b: INTEGER invariant c: {'(' * N}b > 0{')' * N} end"
+    )
+    assert parse_schema(render_schema(schema)) == schema
+
+
+@pytest.mark.parametrize(
+    "text,token,nth",
+    [
+        (_nested(N + 1), "[", N + 1),
+        (_nested(500), "[", N + 1),
+        (_nested(500, "attached "), "[", N + 1),
+        (_wide(N + 1), ",", N),
+        (_wide(2000), ",", N),
+        ("TABLE[" + _nested(N - 1) + ", INTEGER]", ",", 1),
+    ],
+    ids=["101-brackets", "500-brackets", "500-marked", "101-arguments", "2000-arguments", "both"],
+)
+def test_a_type_past_the_bound_is_refused_at_its_token(text, token, nth):
+    with pytest.raises(ParseError) as exc:
+        parse_type(text)
+    assert exc.value.args[0] == TYPE_TOO_DEEP
+    assert (exc.value.line, exc.value.column) == (1, _nth(text, token, nth))
