@@ -35,7 +35,6 @@ from .per import (
 from .repository import (
     Release,
     Repository,
-    apply_filter,
     empty_repository,
     load_repository,
     register_transformer,
@@ -107,7 +106,7 @@ __all__ = [
     "InvariantResult", "interpret_transformer", "retrieve",
     # repository
     "Repository", "Release", "empty_repository", "release", "register_transformer",
-    "apply_filter", "load_repository", "save_repository",
+    "load_repository", "save_repository",
     # per
     "EvolutionHistory", "transitive_closure", "per_class", "per_version",
     "per_release", "history_from_repository",

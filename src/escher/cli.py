@@ -12,10 +12,11 @@ line), 2 usage or IO problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .errors import EscherError, FormatError, InvariantViolation
+from .errors import EscherError, FormatError, InvariantViolation, UnknownClass
 from .objects import deserialize, eval_invariant, parse_value_text, retrieve, serialize
 from .per import history_from_repository, parse_history_file, render_per_report
 from .repository import (
@@ -146,8 +147,10 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
         name, sep, version = entry.partition("=")
         usage = _Usage(f"--to wants CLASS=V, got {entry!r}")
         # str.isdigit() alone admits digits such as "²" that int() refuses
-        if not sep or not (version.isascii() and version.isdigit()):
+        if not name or not sep or not (version.isascii() and version.isdigit()):
             raise usage
+        if not repo.class_history(name):
+            raise UnknownClass(name)
         try:
             targets[name] = int(version)
         except ValueError:  # more digits than int() converts
@@ -185,9 +188,25 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     text = serialize(migrated)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
+        _replace_file(Path(args.out), text)
+    else:
+        print(text, end="")
     return 0
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` beside ``path``, flush it to disk, then rename it over
+    ``path``: a reader sees the old file or the whole new one, never a part."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_per(args: argparse.Namespace) -> int:

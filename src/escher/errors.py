@@ -194,19 +194,6 @@ class OverwriteRefused(EscherError):
         self.to_version = to_version
 
 
-class InvariantNeedsFilteredAttribute(EscherError):
-    def __init__(self, clause_tag: str, name: str):
-        super().__init__(clause_tag, name)
-        self.clause_tag = clause_tag
-        self.name = name
-
-
-class UnknownAttribute(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
-
 class DegenerateHistory(EscherError):
     def __init__(self, class_name: str):
         super().__init__(class_name)

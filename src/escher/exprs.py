@@ -8,9 +8,11 @@ Two sub-languages draw from one node pool:
   ``InputRef`` and ``Convert`` atoms.
 
 Both parse arithmetic and literals with ``parse_arith`` and supply only
-their own primaries. Rendering inserts parentheses exactly where reparsing
-would otherwise associate differently, so render/parse is structurally
-lossless.
+their own primaries. A literal is a ``Lit`` holding the runtime value itself.
+``parse_literal`` is the one literal grammar and ``render_value`` the one
+literal renderer, for expressions, ``.eso`` fields and ``--inputs`` alike.
+Rendering inserts parentheses exactly where reparsing would otherwise
+associate differently, so render/parse is structurally lossless.
 
 ``compile_expr`` evaluates both, as closures built once per tree: each
 transformer and schema compiles its trees on first use and keeps them.
@@ -52,28 +54,10 @@ class _Branch:
 
 
 @dataclass(frozen=True)
-class IntLit:
-    value: int
+class Lit:
+    """A literal: the runtime value it denotes (no parser builds a ``RefVal`` one)."""
 
-
-@dataclass(frozen=True)
-class RealLit:
-    value: float
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-
-
-@dataclass(frozen=True)
-class VoidLit:
-    pass
+    value: ObjectValue
 
 
 @dataclass(frozen=True)
@@ -146,11 +130,7 @@ class Not(_Branch):
     operand: "Expr"
 
 
-Expr = Union[
-    IntLit, RealLit, BoolLit, StrLit, VoidLit,
-    AttrRef, OldField, InputRef, Convert,
-    BinOp, Compare, And, Or, Not,
-]
+Expr = Union[Lit, AttrRef, OldField, InputRef, Convert, BinOp, Compare, And, Or, Not]
 
 #: Nodes only an invariant clause may hold, and only a transformer source.
 INVARIANT_ONLY = (AttrRef, Compare, And, Or, Not)
@@ -191,7 +171,7 @@ def walk(expr: Expr):
         yield from walk(child)
 
 
-_WORD_LITERALS = {"Void": VoidLit(), "true": BoolLit(True), "false": BoolLit(False)}
+WORD_VALUES = {"Void": VOID, "true": BoolVal(True), "false": BoolVal(False)}
 
 
 def build(tok: Token, node: type, *args) -> Expr:
@@ -227,16 +207,23 @@ def parse_arith(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Exp
 
 
 def _parse_term(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
-    left = parse_literal(stream) or atom(stream)
+    left = _parse_operand(stream, atom)
     while stream.at_op("*") or stream.at_op("//"):
         op = stream.next()
-        left = build(op, BinOp, op.text, left, parse_literal(stream) or atom(stream))
+        left = build(op, BinOp, op.text, left, _parse_operand(stream, atom))
     return left
 
 
-def parse_literal(stream: TokenStream) -> Expr | None:
-    """An INT or REAL (optionally negative), STRING, ``Void``, ``true`` or
-    ``false``; None when the next token starts none of these.
+def _parse_operand(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
+    value = parse_literal(stream)
+    return atom(stream) if value is None else Lit(value)
+
+
+def parse_literal(stream: TokenStream) -> ObjectValue | None:
+    """The value of an INT or REAL (optionally negative), STRING, ``Void``,
+    ``true`` or ``false``; None when the next token starts none of these.
+    ``.esc``, ``.est`` and ``.eso`` files and ``--inputs`` all read literals
+    here.
 
     Integers must fit 64 bits and reals must be finite, so evaluation never
     meets a literal that no value can hold.
@@ -253,22 +240,22 @@ def parse_literal(stream: TokenStream) -> Expr | None:
         if len(digits) < 20:
             value = -int(digits or "0") if negative else int(digits or "0")
             if INT64_MIN <= value <= INT64_MAX:
-                return IntLit(value)
+                return IntVal(value)
         raise ParseError("integer literal outside the 64-bit range", start.line, start.column)
     if tok.kind == "REAL":
         stream.next()
         real = -float(tok.text) if negative else float(tok.text)
         if not math.isfinite(real):
             raise ParseError("real literal out of range", start.line, start.column)
-        return RealLit(real)
+        return RealVal(real)
     if negative:
-        raise stream.error("'-' must prefix a numeric literal", expected="a number")
+        raise stream.error("'-' must prefix a numeric literal")
     if tok.kind == "STRING":
         stream.next()
-        return StrLit(unescape_string(tok.text, tok.line, tok.column))
-    if tok.kind == "IDENT" and tok.text in _WORD_LITERALS:
+        return StringVal(unescape_string(tok.text, tok.line, tok.column))
+    if tok.kind == "IDENT" and tok.text in WORD_VALUES:
         stream.next()
-        return _WORD_LITERALS[tok.text]
+        return WORD_VALUES[tok.text]
     return None
 
 
@@ -300,6 +287,26 @@ def render_real(value: float) -> str:
     return text
 
 
+def render_value(value: ObjectValue) -> str:
+    """The literal text of ``value``: an ``.eso`` field's value, or a ``Lit``."""
+    cls = value.__class__
+    if cls is IntVal:
+        return str(value.value)
+    if cls is StringVal:
+        return escape_string(value.value)
+    if cls is RefVal:
+        return f"ref {value.object_id}"
+    if cls is RealVal:
+        if not math.isfinite(value.value):
+            raise ValueError("non-finite reals are not serializable")
+        return render_real(value.value)
+    if cls is BoolVal:
+        return "true" if value.value else "false"
+    if cls is VoidVal:
+        return "Void"
+    raise TypeError(f"not an object value: {value!r}")
+
+
 def render_expr(expr: Expr) -> str:
     return _render(expr, 0)
 
@@ -309,16 +316,8 @@ def _wrap(text: str, prec: int, context: int) -> str:
 
 
 def _render(expr: Expr, context: int) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, RealLit):
-        return render_real(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, StrLit):
-        return escape_string(expr.value)
-    if isinstance(expr, VoidLit):
-        return "Void"
+    if isinstance(expr, Lit):
+        return render_value(expr.value)
     if isinstance(expr, AttrRef):
         return expr.name
     if isinstance(expr, OldField):
@@ -353,15 +352,15 @@ class EvalProblem(Exception):
 
 
 Compiled = Callable[..., ObjectValue]  # f(fields, inputs, registry) -> value
-_LITERALS = {IntLit: IntVal, RealLit: RealVal, StrLit: StringVal, BoolLit: BoolVal}
 
 
 def compile_expr(expr: Expr) -> Compiled:
     """Closures, one per node, that evaluate ``expr`` over fields ``f``,
-    inputs ``i`` and registry ``r``. Literal values are built here, once, so a
-    hand-built ``IntLit`` outside 64 bits fails here: inside the first
-    ``interpret_transformer`` or ``eval_invariant`` call, which compiles."""
+    inputs ``i`` and registry ``r``."""
     cls = expr.__class__
+    if cls is Lit:
+        value = expr.value
+        return lambda f, i, r: value
     if cls is AttrRef or cls is OldField:
         name = expr.name
 
@@ -401,12 +400,7 @@ def compile_expr(expr: Expr) -> Compiled:
             return _require_bool(right(f, i, r))
 
         return connective
-    if cls is VoidLit:
-        return lambda f, i, r: VOID
-    if cls not in _LITERALS:
-        raise TypeError(f"not an expression node: {expr!r}")
-    value = _LITERALS[cls](expr.value)
-    return lambda f, i, r: value
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _require_bool(value: ObjectValue) -> BoolVal:

@@ -10,6 +10,11 @@ represents shared substructure and cycles without nesting:
       info: STRING = "42"
     end
 
+A field's value is written in the literal grammar of the expression
+languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
+its annotation is a primitive kind's name (``values.PRIMITIVE_KINDS``) or, for
+a ``ref``, the class of the record it names.
+
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
 Transformer sources and invariant clauses run compiled on first use.
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import exprs
-from ._lex import TokenStream, escape_string, line_int, tokenize, unescape_string
+from ._lex import TokenStream, line_int, tokenize, unescape_string
 from .errors import (
     AttachmentViolation,
     DanglingReference,
@@ -48,6 +53,7 @@ from .transformer import (
     ObjectTransformer,
 )
 from .values import (
+    PRIMITIVE_KINDS,
     VOID,
     BoolVal,
     IntVal,
@@ -123,36 +129,14 @@ class ObjectGraph:
 _HEADER = "ESCHER-OBJECTS 1"
 
 
-def render_value(value: ObjectValue) -> str:
-    if isinstance(value, IntVal):
-        return str(value.value)
-    if isinstance(value, RealVal):
-        if value.value != value.value or value.value in (float("inf"), float("-inf")):
-            raise ValueError("non-finite reals are not serializable")
-        return exprs.render_real(value.value)
-    if isinstance(value, BoolVal):
-        return "true" if value.value else "false"
-    if isinstance(value, StringVal):
-        return escape_string(value.value)
-    if isinstance(value, VoidVal):
-        return "Void"
-    if isinstance(value, RefVal):
-        return f"ref {value.object_id}"
-    raise TypeError(f"not an object value: {value!r}")
+# The one value class each annotation admits, and back, as ``serialize``
+# writes them: a name no primitive kind has is the class of a ``ref``'s target.
+_KIND_CLASS = {name: cls for name, (cls, _) in PRIMITIVE_KINDS.items()}
+_KIND_NAME = {cls: name for name, cls in _KIND_CLASS.items()}
 
 
 def _annotation(value: ObjectValue, graph: ObjectGraph) -> str:
-    if isinstance(value, IntVal):
-        return "INTEGER"
-    if isinstance(value, RealVal):
-        return "REAL"
-    if isinstance(value, BoolVal):
-        return "BOOLEAN"
-    if isinstance(value, StringVal):
-        return "STRING"
-    if isinstance(value, VoidVal):
-        return "NONE"
-    return graph.record(value.object_id).class_name
+    return _KIND_NAME.get(value.__class__) or graph.record(value.object_id).class_name
 
 
 def serialize(graph: ObjectGraph) -> str:
@@ -161,7 +145,7 @@ def serialize(graph: ObjectGraph) -> str:
     for record in graph.records:
         lines.append(f"obj {record.id} {record.class_name} version {record.version}")
         for name, value in record.fields:
-            lines.append(f"  {name}: {_annotation(value, graph)} = {render_value(value)}")
+            lines.append(f"  {name}: {_annotation(value, graph)} = {exprs.render_value(value)}")
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -235,7 +219,6 @@ _CANONICAL_FIELD_RE = re.compile(
     r"|(?P<word>Void|true|false)"
     r")\Z"
 )
-_WORDS = {"Void": VOID, "true": BoolVal(True), "false": BoolVal(False)}
 
 
 def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
@@ -254,13 +237,15 @@ def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
         if kind == "int":
             value = IntVal(int(text))
         elif kind == "real":
-            value = RealVal(_finite(float(text)))
+            value = RealVal(float(text))
+            if not math.isfinite(value.value):
+                return _parse_field_tokens(line, lineno)
         elif kind == "string":
             value = StringVal(unescape_string(text, lineno, 0))
         elif kind == "ref":
             value = RefVal(int(text))
         else:
-            value = _WORDS[text]
+            value = exprs.WORD_VALUES[text]
     except ValueError:
         return _parse_field_tokens(line, lineno)
     _check_annotation(annotation, value, lineno, name)
@@ -284,68 +269,25 @@ def _parse_field_tokens(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
     return name, annotation, value
 
 
-# The one value kind each annotation admits, as ``serialize`` writes it: a
-# void is always ``NONE``, and any other annotation names a class of a ``ref``.
-_ANNOTATION_KINDS = {
-    "INTEGER": IntVal,
-    "REAL": RealVal,
-    "BOOLEAN": BoolVal,
-    "STRING": StringVal,
-    "NONE": VoidVal,
-}
-
-
 def _check_annotation(annotation: str, value: ObjectValue, lineno: int, name: str) -> None:
-    if not isinstance(value, _ANNOTATION_KINDS.get(annotation, RefVal)):
+    if value.__class__ is not _KIND_CLASS.get(annotation, RefVal):
         raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
 
 
-def _finite(number: float) -> float:
-    if not math.isfinite(number):
-        raise ValueError(f"real literal out of range: {number}")
-    return number
-
-
 def parse_value(stream: TokenStream) -> ObjectValue:
-    """Parse one object-file value literal from a token stream."""
+    """One object-file value: ``ref N``, or a literal of the expression
+    languages, with their range checks and reasons."""
     tok = stream.peek()
-    negative = False
-    if stream.at_op("-"):
+    if tok.kind == "IDENT" and tok.text == "ref":
         stream.next()
-        negative = True
-        tok = stream.peek()
-    try:
-        if tok.kind == "INT":
-            stream.next()
-            return IntVal(-int(tok.text) if negative else int(tok.text))
-        if tok.kind == "REAL":
-            stream.next()
-            return RealVal(_finite(-float(tok.text) if negative else float(tok.text)))
-    except ValueError as err:
-        raise FormatError(tok.line, str(err)) from err
-    if negative:
-        raise FormatError(tok.line, "'-' must prefix a numeric literal")
-    if tok.kind == "STRING":
-        stream.next()
-        return StringVal(unescape_string(tok.text, tok.line, tok.column))
-    if tok.kind == "IDENT":
-        if tok.text == "Void":
-            stream.next()
-            return VOID
-        if tok.text in ("true", "false"):
-            stream.next()
-            return BoolVal(tok.text == "true")
-        if tok.text == "ref":
-            stream.next()
-            ref_tok = stream.peek()
-            if ref_tok.kind != "INT":
-                raise FormatError(ref_tok.line, "ref needs a nonnegative integer id")
-            stream.next()
-            try:
-                return RefVal(int(ref_tok.text))
-            except ValueError as err:  # more digits than int() converts
-                raise FormatError(ref_tok.line, str(err)) from err
-    raise FormatError(tok.line, f"not a value literal: {tok.text!r}")
+        ref_tok = stream.next()
+        if ref_tok.kind != "INT":
+            raise FormatError(ref_tok.line, "ref needs a nonnegative integer id")
+        return RefVal(line_int(ref_tok.text, ref_tok.line))
+    value = exprs.parse_literal(stream)
+    if value is None:
+        raise FormatError(tok.line, f"not a value literal: {tok.text!r}")
+    return value
 
 
 def parse_value_text(text: str) -> ObjectValue:
@@ -406,15 +348,8 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
 
 def type_default(declared: TypeExpr) -> ObjectValue:
     base = strip_marker(declared)
-    if isinstance(base, ClassType):
-        if base.name == "INTEGER":
-            return IntVal(0)
-        if base.name == "REAL":
-            return RealVal(0.0)
-        if base.name == "BOOLEAN":
-            return BoolVal(False)
-        if base.name == "STRING":
-            return StringVal("")
+    if isinstance(base, ClassType) and base.name in PRIMITIVE_KINDS:
+        return PRIMITIVE_KINDS[base.name][1]
     return VOID
 
 

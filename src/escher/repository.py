@@ -26,13 +26,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from . import exprs
 from ._lex import line_int
 from .errors import (
     FormatError,
-    InvariantNeedsFilteredAttribute,
     OverwriteRefused,
-    UnknownAttribute,
     UnknownClass,
     UnknownVersion,
     VersionTagTamper,
@@ -276,20 +273,6 @@ def register_transformer(
     handlers = {name: dict(e) for name, e in repo.handlers.items()}
     handlers[t.class_name] = entries
     return Repository(repo.project_name, repo.releases, handlers)
-
-
-def apply_filter(schema: ClassSchema, keep: set[str]) -> ClassSchema:
-    """Restrict a schema to the attributes chosen for the serialized form."""
-    names = set(schema.attribute_names())
-    for name in sorted(keep):
-        if name not in names:
-            raise UnknownAttribute(name)
-    for clause in schema.invariant.clauses:
-        for node in exprs.walk(clause.body):
-            if isinstance(node, exprs.AttrRef) and node.name not in keep:
-                raise InvariantNeedsFilteredAttribute(clause.tag, node.name)
-    kept = tuple(a for a in schema.attributes if a.name in keep)
-    return schema.with_attributes(kept)
 
 
 # ---------------------------------------------------------------------------

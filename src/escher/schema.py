@@ -35,10 +35,6 @@ KEYWORDS = frozenset(
        and or not Void true false""".split()
 )
 
-#: Type names with built-in value semantics; all other names are object types.
-PRIMITIVE_TYPES = frozenset({"INTEGER", "REAL", "BOOLEAN", "STRING"})
-
-
 def is_identifier(name: str) -> bool:
     return bool(IDENT_RE.match(name)) and name not in KEYWORDS
 

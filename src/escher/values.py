@@ -1,7 +1,9 @@
-"""Runtime values carried by serialized object fields.
+"""Runtime values carried by serialized object fields and expression literals.
 
 Integers are 64-bit signed; reals are IEEE doubles; references name another
-record in the owning object graph by id.
+record in the owning object graph by id. ``PRIMITIVE_KINDS`` is the one table
+of the primitive kinds: the name a ``.esc`` type and an ``.eso`` annotation
+give each, its value class and its default.
 """
 
 from __future__ import annotations
@@ -54,3 +56,13 @@ class RefVal:
 ObjectValue = Union[IntVal, RealVal, BoolVal, StringVal, VoidVal, RefVal]
 
 VOID = VoidVal()
+
+#: name -> (value class, default). A void is annotated ``NONE``; every other
+#: name is a class, whose values are ``RefVal``s and whose default is void.
+PRIMITIVE_KINDS: dict[str, tuple[type, ObjectValue]] = {
+    "INTEGER": (IntVal, IntVal(0)),
+    "REAL": (RealVal, RealVal(0.0)),
+    "BOOLEAN": (BoolVal, BoolVal(False)),
+    "STRING": (StringVal, StringVal("")),
+    "NONE": (VoidVal, VOID),
+}

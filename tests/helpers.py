@@ -73,7 +73,7 @@ def random_schema(
                 clauses.append(
                     InvariantClause(
                         f"nonneg_{attr.name}",
-                        exprs.Compare(">=", exprs.AttrRef(attr.name), exprs.IntLit(0)),
+                        exprs.Compare(">=", exprs.AttrRef(attr.name), exprs.Lit(IntVal(0))),
                     )
                 )
         invariant = InvariantExpr(tuple(clauses))

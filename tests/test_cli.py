@@ -114,6 +114,26 @@ def test_migrate_oversized_number_in_an_object_header_is_a_format_error(bank_pro
 
 
 @pytest.mark.parametrize(
+    "field, first_line",
+    [
+        (f"tot_deposits: INTEGER = {BIG}",
+         "FormatError 3 line 3, column 25: integer literal outside the 64-bit range"),
+        (f"owner: PERSON = ref {BIG}", "FormatError 3 number too large: 5000 digits"),
+    ],
+    ids=["integer", "ref"],
+)
+def test_migrate_oversized_number_in_an_object_field_is_a_format_error(bank_project, field, first_line):
+    text = BANK_OBJECT_TEXT.replace("tot_deposits: INTEGER = 100", field)
+    obj = bank_project / "big.eso"
+    obj.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == first_line
+    assert "Exceeds the limit" not in out + err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
     "old, new",
     [
         ("release 1", f"release {BIG}"),
@@ -324,13 +344,31 @@ def test_migrate_multi_hop_and_strict_direct(tmp_path):
 
 
 def test_migrate_out_file(bank_project, tmp_path):
-    out_path = tmp_path / "migrated.eso"
+    (tmp_path / "out").mkdir()
+    out_path = tmp_path / "out" / "migrated.eso"
     code, out, _ = run_cli(
         "migrate", OBJ, "--to-release", "2", "--project", str(bank_project),
         "--out", str(out_path),
     )
     assert code == 0
-    assert out_path.read_text(encoding="utf-8") == out
+    assert out == ""  # the file holds the output, written once
+    _, stdout_only, _ = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
+    assert out_path.read_text(encoding="utf-8") == stdout_only
+    assert [p.name for p in out_path.parent.iterdir()] == [out_path.name]  # no temp file left
+
+
+def test_a_failing_migrate_leaves_the_out_file_as_it_was(bank_project_stub, tmp_path):
+    (tmp_path / "out").mkdir()
+    out_path = tmp_path / "out" / "migrated.eso"
+    out_path.write_bytes(b"earlier output\r\n\xff")
+    code, out, _ = run_cli(
+        "migrate", OBJ, "--to-release", "2", "--project", str(bank_project_stub),
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert out.splitlines()[0] == "MissingInput balance"
+    assert out_path.read_bytes() == b"earlier output\r\n\xff"
+    assert [p.name for p in out_path.parent.iterdir()] == [out_path.name]
 
 
 def test_per_arraylist_fixture():
@@ -409,6 +447,19 @@ def test_migrate_to_an_unconvertible_version_is_a_usage_error(bank_project, vers
     assert "Traceback" not in err
 
 
+def test_migrate_to_an_empty_class_name_is_a_usage_error(bank_project):
+    code, out, err = run_cli("migrate", OBJ, "--to", "=2", "--project", str(bank_project))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --to wants CLASS=V, got '=2'\n"
+
+
+def test_migrate_to_a_class_the_project_lacks_is_unknown(bank_project):
+    code, out, _ = run_cli("migrate", OBJ, "--to", "NOPE=2", "--project", str(bank_project))
+    assert code == 1
+    assert out == "UnknownClass NOPE\n"
+
+
 def test_parse_too_deep_a_type_is_a_parse_error(tmp_path):
     deep = tmp_path / "deep.esc"
     deep.write_text("class DEEP feature a: " + "LIST[" * 500 + "INTEGER" + "]" * 500 + " end", encoding="utf-8")
@@ -435,7 +486,7 @@ def test_migrate_non_finite_real_is_a_format_error(tmp_path, bank_project):
     )
     code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
     assert code == 1
-    assert out.splitlines()[0] == "FormatError 8 real literal out of range: inf"
+    assert out.splitlines()[0] == "FormatError 8 line 8, column 16: real literal out of range"
     assert "Traceback" not in out + err
 
 

@@ -1,11 +1,13 @@
 """The arithmetic and literal grammar ``.esc`` invariants and ``.est``
-transformer sources share (``exprs.parse_arith``/``exprs.parse_literal``).
+transformer sources share (``exprs.parse_arith``/``exprs.parse_literal``),
+whose literals ``.eso`` fields and ``--inputs`` values read too.
 
 Random trees over each language's node pool must come back from their
-rendered text unchanged, and a literal no value can hold must be a
-``ParseError`` at parse time in both languages, as must a tree or
-parenthesis nested deeper than ``exprs.MAX_DEPTH``. Compiled, the same trees
-must evaluate as a plain tree walk does, value for value and error for error.
+rendered text unchanged, as must every value from ``exprs.render_value``. A
+literal no value can hold must be refused at parse time with one reason in
+all four inputs, and a tree or parenthesis nested deeper than
+``exprs.MAX_DEPTH`` must be a ``ParseError``. Compiled, the same trees must
+evaluate as a plain tree walk does, value for value and error for error.
 """
 
 from __future__ import annotations
@@ -20,8 +22,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from escher import exprs  # noqa: E402
-from escher.errors import MissingAttribute, ParseError  # noqa: E402
-from escher.objects import ObjectRecord, eval_invariant, interpret_transformer  # noqa: E402
+from escher.errors import FormatError, MissingAttribute, ParseError  # noqa: E402
+from escher.objects import (  # noqa: E402
+    ObjectRecord,
+    deserialize,
+    eval_invariant,
+    interpret_transformer,
+    parse_value_text,
+)
 from escher.schema import (  # noqa: E402
     Attribute,
     ClassSchema,
@@ -52,15 +60,16 @@ from escher.values import (  # noqa: E402
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
-literals = st.one_of(
-    st.integers(min_value=INT64_MIN, max_value=INT64_MAX).map(exprs.IntLit),
-    st.sampled_from([-1, -3, 0, 7]).map(exprs.IntLit),
-    st.floats(allow_nan=False, allow_infinity=False).map(exprs.RealLit),
-    st.sampled_from([-0.5, -2.0, 1e-300, -1e300]).map(exprs.RealLit),
-    st.text(st.sampled_from(['a', ' ', '"', '\\', '\n', '\t', '-', 'é']), max_size=6).map(exprs.StrLit),
-    st.booleans().map(exprs.BoolLit),
-    st.just(exprs.VoidLit()),
+literal_values = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX).map(IntVal),
+    st.sampled_from([-1, -3, 0, 7]).map(IntVal),
+    st.floats(allow_nan=False, allow_infinity=False).map(RealVal),
+    st.sampled_from([-0.5, -2.0, 1e-300, -1e300]).map(RealVal),
+    st.text(st.sampled_from(['a', ' ', '"', '\\', '\n', '\t', '-', 'é']), max_size=6).map(StringVal),
+    st.booleans().map(BoolVal),
+    st.just(VOID),
 )
+literals = literal_values.map(exprs.Lit)
 
 
 def arithmetic(leaves):
@@ -131,11 +140,43 @@ def _in_transformer(literal: str) -> str:
     return f"transform C from 1 to 2\nResult.a := {literal}\nend\n"
 
 
-@pytest.mark.parametrize(
+def _in_object_file(literal: str) -> str:
+    kind = "REAL" if "." in literal else "INTEGER"
+    return f"ESCHER-OBJECTS 1\nobj 0 C version 1\na: {kind} = {literal}\nend\n"
+
+
+def _as_input(literal: str) -> str:
+    return literal
+
+
+LANGUAGES = pytest.mark.parametrize(
     "parse,wrap",
-    [(parse_schema, _in_invariant), (parse_transformer, _in_transformer)],
-    ids=["esc", "est"],
+    [
+        (parse_schema, _in_invariant),
+        (parse_transformer, _in_transformer),
+        (deserialize, _in_object_file),
+        (parse_value_text, _as_input),
+    ],
+    ids=["esc", "est", "eso", "inputs"],
 )
+
+
+def _refused(parse, text: str, reason: str, at: str) -> None:
+    """``parse(text)`` fails for ``reason`` at the first ``at`` in ``text``:
+    a ParseError in ``.esc``/``.est``, and in ``.eso``/``--inputs`` a
+    FormatError on that line that carries the ParseError's text."""
+    index = text.index(at)
+    line = text.count("\n", 0, index) + 1
+    column = index - text.rfind("\n", 0, index)
+    with pytest.raises((ParseError, FormatError)) as exc:
+        parse(text)
+    if isinstance(exc.value, FormatError):
+        assert (exc.value.line, exc.value.reason) == (line, f"line {line}, column {column}: {reason}")
+    else:
+        assert (exc.value.line, exc.value.column, exc.value.args[0]) == (line, column, reason)
+
+
+@LANGUAGES
 @pytest.mark.parametrize(
     "literal,reason",
     [
@@ -156,13 +197,13 @@ def test_literal_range_is_checked_at_parse_time(parse, wrap, literal, reason):
     if reason is None:
         parse(wrap(literal))
         return
-    with pytest.raises(ParseError) as exc:
-        parse(wrap(literal))
-    assert exc.value.args[0] == reason
-    text = wrap(literal)
-    line = text[: text.index(literal)].count("\n") + 1
-    column = text.index(literal) - text.rfind("\n", 0, text.index(literal))
-    assert (exc.value.line, exc.value.column) == (line, column)
+    _refused(parse, wrap(literal), reason, literal)
+
+
+@LANGUAGES
+@pytest.mark.parametrize("after", ["x", "Void", '"7"', "(1)"])
+def test_minus_prefixes_only_a_number(parse, wrap, after):
+    _refused(parse, wrap("-" + after), "'-' must prefix a numeric literal", after)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +285,13 @@ def test_other_nesting_is_refused_as_a_parse_error(parse, text, token):
 def test_a_tree_over_the_bound_cannot_be_built():
     tree = exprs.OldField("a")
     for _ in range(N - 1):
-        tree = exprs.BinOp("+", tree, exprs.IntLit(1))
+        tree = exprs.BinOp("+", tree, exprs.Lit(IntVal(1)))
     assert tree.depth == N
     with pytest.raises(ValueError, match=TOO_DEEP):
-        exprs.BinOp("+", tree, exprs.IntLit(1))
+        exprs.BinOp("+", tree, exprs.Lit(IntVal(1)))
     with pytest.raises(ValueError, match=TOO_DEEP):
         exprs.Not(exprs.Not(tree))
-    assert "depth" not in repr(exprs.Not(exprs.IntLit(1)))  # not a field
+    assert "depth" not in repr(exprs.Not(exprs.Lit(IntVal(1))))  # not a field
 
 
 def test_trees_at_the_bound_render_walk_and_evaluate():
@@ -278,8 +319,8 @@ def _walk_eval(expr, fields, inputs, registry):
         if value is None:
             raise MissingAttribute(expr.name)
         return value
-    if cls is exprs.IntLit:
-        return IntVal(expr.value)
+    if cls is exprs.Lit:
+        return expr.value
     if cls is exprs.BinOp:
         left = _walk_eval(expr.left, fields, inputs, registry)
         return exprs._arith(expr.op, left, _walk_eval(expr.right, fields, inputs, registry))
@@ -295,14 +336,6 @@ def _walk_eval(expr, fields, inputs, registry):
     if cls is exprs.Not:
         operand = _walk_eval(expr.operand, fields, inputs, registry)
         return BoolVal(not exprs._require_bool(operand).value)
-    if cls is exprs.RealLit:
-        return RealVal(expr.value)
-    if cls is exprs.StrLit:
-        return StringVal(expr.value)
-    if cls is exprs.BoolLit:
-        return BoolVal(expr.value)
-    if cls is exprs.VoidLit:
-        return VOID
     if cls is exprs.InputRef:
         return exprs._input_value(inputs, expr.key)
     if cls is exprs.Convert:
@@ -355,6 +388,26 @@ values = st.one_of(
 )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        literal_values,
+        edge_ints.map(IntVal),
+        st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e22, 1e300,
+             1.7976931348623157e308, -1.7976931348623157e308]
+        ).map(RealVal),
+        st.text(st.sampled_from(['"', '\\', '\n', 'n', ' ', '\t', 'é']), max_size=8).map(StringVal),
+    )
+)
+def test_every_literal_value_renders_and_reads_back(value):
+    """One renderer and one grammar: every value but a ``ref`` comes back
+    exactly (``-0.0`` included), from ``--inputs`` and in an expression."""
+    text = exprs.render_value(value)
+    assert repr(parse_value_text(text)) == repr(value)
+    assert repr(parse_transformer(_in_transformer(text)).instructions[0].expr) == repr(exprs.Lit(value))
+
+
 def _field_map(names):
     """Some of ``names`` (the rest missing) bound to values of any kind, or
     all of them to integers."""
@@ -369,11 +422,11 @@ def connectives():
     literals and integer comparisons, where a bare integer is the error that
     only short-circuiting skips."""
     numbers = st.one_of(
-        st.sampled_from(ATTRIBUTES).map(exprs.AttrRef), edge_ints.map(exprs.IntLit)
+        st.sampled_from(ATTRIBUTES).map(exprs.AttrRef), edge_ints.map(IntVal).map(exprs.Lit)
     )
     return st.recursive(
         st.one_of(
-            st.booleans().map(exprs.BoolLit),
+            st.booleans().map(BoolVal).map(exprs.Lit),
             st.builds(exprs.Compare, st.sampled_from(exprs.COMPARE_OPS), numbers, numbers),
             numbers,
         ),

@@ -13,9 +13,7 @@ import pytest
 
 from escher.errors import (
     FormatError,
-    InvariantNeedsFilteredAttribute,
     OverwriteRefused,
-    UnknownAttribute,
     UnknownClass,
     UnknownVersion,
     VersionTagTamper,
@@ -23,7 +21,6 @@ from escher.errors import (
 from escher.repository import (
     Release,
     Repository,
-    apply_filter,
     content_digest,
     empty_repository,
     load_repository,
@@ -168,32 +165,6 @@ def test_schema_lookups(bank_repo):
         bank_repo.schema_for("BANK_ACCOUNT", 3)
     with pytest.raises(UnknownClass):
         bank_repo.schema_for("NOPE", 1)
-
-
-# ---------------------------------------------------------------------------
-# filter
-# ---------------------------------------------------------------------------
-
-
-def test_filter_keep_all_is_identity(bank_v2):
-    assert apply_filter(bank_v2, {"balance", "info"}) == bank_v2
-
-
-def test_filter_blocks_invariant_references(bank_v2):
-    with pytest.raises(InvariantNeedsFilteredAttribute) as exc:
-        apply_filter(bank_v2, {"info"})
-    assert (exc.value.clause_tag, exc.value.name) == ("valid_account", "balance")
-
-
-def test_filter_unknown_attribute(bank_v2):
-    with pytest.raises(UnknownAttribute):
-        apply_filter(bank_v2, {"ghost"})
-
-
-def test_filter_empty_keep_without_invariant():
-    schema = parse_schema("class C feature a: INTEGER b: STRING end")
-    filtered = apply_filter(schema, set())
-    assert filtered.attributes == ()
 
 
 # ---------------------------------------------------------------------------

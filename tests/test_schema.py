@@ -28,6 +28,7 @@ from escher.schema import (
     type_equal,
     weakens_attachment,
 )
+from escher.values import IntVal
 from helpers import random_schema, random_type
 
 
@@ -125,7 +126,7 @@ def test_unknown_generic_param_on_construction():
     [exprs.OldField("x"), exprs.InputRef("x"), exprs.Convert("INTEGER_TO_REAL", exprs.AttrRef("x"))],
 )
 def test_invariant_refuses_transformer_nodes_on_construction(node):
-    body = exprs.Compare("=", exprs.BinOp("+", exprs.AttrRef("x"), node), exprs.IntLit(0))
+    body = exprs.Compare("=", exprs.BinOp("+", exprs.AttrRef("x"), node), exprs.Lit(IntVal(0)))
     with pytest.raises(ValueError):
         ClassSchema(
             "C",
@@ -205,7 +206,7 @@ def test_round_trip_property_random_schemas():
 def test_negative_literals_in_invariants():
     schema = parse_schema("class C feature x: INTEGER invariant c: x > -1 end")
     clause = schema.invariant.clauses[0]
-    assert clause.body.right.value == -1
+    assert clause.body.right.value == IntVal(-1)
     assert parse_schema(render_schema(schema)) == schema
 
 

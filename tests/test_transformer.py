@@ -22,7 +22,7 @@ from escher.transformer import (
     parse_transformer,
     render_transformer,
 )
-from escher.values import IntVal, RealVal, StringVal
+from escher.values import BoolVal, IntVal, RealVal, StringVal
 from helpers import random_schema_pair
 
 INT = ClassType("INTEGER")
@@ -240,8 +240,8 @@ def test_parse_expression_grammar():
     # precedence: ((a+2)*b) - (4//2)
     assert x.expr == exprs.BinOp(
         "-",
-        exprs.BinOp("*", exprs.BinOp("+", exprs.OldField("a"), exprs.IntLit(2)), exprs.OldField("b")),
-        exprs.BinOp("//", exprs.IntLit(4), exprs.IntLit(2)),
+        exprs.BinOp("*", exprs.BinOp("+", exprs.OldField("a"), exprs.Lit(IntVal(2))), exprs.OldField("b")),
+        exprs.BinOp("//", exprs.Lit(IntVal(4)), exprs.Lit(IntVal(2))),
     )
     assert t.instructions[2] == Assign("z", exprs.InputRef("other"))
     assert t.required_inputs == {"other"}
@@ -300,7 +300,7 @@ def test_header_versions_are_parse_errors_at_their_token(header, column, message
 def test_negative_literals_round_trip():
     text = "transform C from 1 to 2\n  Result.x := oldc.a - -3\nend\n"
     t = parse_transformer(text)
-    assert t.instructions[0].expr == exprs.BinOp("-", exprs.OldField("a"), exprs.IntLit(-3))
+    assert t.instructions[0].expr == exprs.BinOp("-", exprs.OldField("a"), exprs.Lit(IntVal(-3)))
     assert render_transformer(t) == text
 
 
@@ -317,10 +317,10 @@ def test_warning_comment_attaches_to_noop():
 
 
 def test_assign_refuses_invariant_only_nodes():
-    true = exprs.BoolLit(True)
+    true = exprs.Lit(BoolVal(True))
     for invariant_only in (
         exprs.AttrRef("x"),
-        exprs.Compare(">", exprs.OldField("x"), exprs.IntLit(0)),
+        exprs.Compare(">", exprs.OldField("x"), exprs.Lit(IntVal(0))),
         exprs.And(true, true),
         exprs.Or(true, true),
         exprs.Not(true),
@@ -328,7 +328,7 @@ def test_assign_refuses_invariant_only_nodes():
         with pytest.raises(ValueError):
             Assign("x", invariant_only)
         with pytest.raises(ValueError):  # nested too
-            Assign("x", exprs.BinOp("+", exprs.IntLit(1), exprs.Convert("C", invariant_only)))
+            Assign("x", exprs.BinOp("+", exprs.Lit(IntVal(1)), exprs.Convert("C", invariant_only)))
 
 
 def test_transformer_invariants():
