@@ -80,11 +80,11 @@ print("inputs the developer still owes:", sorted(template.required_inputs), "\n"
 
 # --- a stored version-1 object ----------------------------------------------
 
-stored = ObjectRecord(0, "BANK_ACCOUNT", 1, (
-    ("tot_deposits", IntVal(100)),
-    ("tot_withdrawals", IntVal(30)),
-    ("info", StringVal("42")),
-))
+stored = ObjectRecord(0, "BANK_ACCOUNT", 1, {
+    "tot_deposits": IntVal(100),
+    "tot_withdrawals": IntVal(30),
+    "info": StringVal("42"),
+})
 graph = ObjectGraph((stored,))
 print("stored object:")
 print(serialize(graph))
@@ -116,12 +116,12 @@ repo = register_transformer(repo, hand_fixed, overwrite=True)
 migrated = retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {})
 print("retrieved at version 2:")
 print(serialize(migrated))
-assert migrated.records[0].as_dict() == {"balance": IntVal(70), "info": IntVal(42)}
+assert migrated.records[0].fields == {"balance": IntVal(70), "info": IntVal(42)}
 assert eval_invariant(migrated.records[0], V2).passed
 
 # Interpreting the fix directly shows the arithmetic at work:
 record = interpret_transformer(hand_fixed, stored, {}, new_schema=V2)
-print("balance =", record.get("balance").value, "(= 100 - 30)")
+print("balance =", record.fields["balance"].value, "(= 100 - 30)")
 
 # --- everything lives in a plain project directory ---------------------------
 

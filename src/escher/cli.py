@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    escher <command> [args] [--project DIR] [--format text|machine]
-                     [--no-assert] [--strict-direct]
+    escher <command> [args] [--project DIR] [--no-assert] [--strict-direct]
 
 Commands: parse, diff, gen, release, migrate, per, check.
 
@@ -16,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import EscherError, FormatError, InvariantViolation, UnknownClass
+from .errors import EscherError, FormatError, InvariantViolation, UnknownClass, UnknownVersion
 from .objects import deserialize, eval_invariant, parse_value_text, retrieve, serialize
 from .per import history_from_repository, parse_history_file, render_per_report
 from .repository import (
@@ -39,8 +38,6 @@ class _Usage(Exception):
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--project", default=".", metavar="DIR", help="project directory")
-    common.add_argument("--format", choices=["text", "machine"], default="text",
-                        help="both formats print the same lines for now")
     common.add_argument("--no-assert", action="store_true", dest="no_assert",
                         help="skip invariant gates and attachment checks (unsafe)")
     common.add_argument("--strict-direct", action="store_true", dest="strict_direct",
@@ -149,12 +146,16 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
         # str.isdigit() alone admits digits such as "²" that int() refuses
         if not name or not sep or not (version.isascii() and version.isdigit()):
             raise usage
-        if not repo.class_history(name):
+        history = repo.class_history(name)
+        if not history:
             raise UnknownClass(name)
         try:
-            targets[name] = int(version)
+            target = int(version)
         except ValueError:  # more digits than int() converts
             raise usage from None
+        if target not in history:
+            raise UnknownVersion(name, target)
+        targets[name] = target
     return targets
 
 
@@ -165,7 +166,10 @@ def _parse_inputs(entries: list[str]) -> dict[tuple[str, str], ObjectValue]:
         cls, dot, attr = key.partition(".")
         if not sep or not dot or not cls or not attr:
             raise _Usage(f"--inputs wants CLASS.attr=value, got {entry!r}")
-        inputs[(cls, attr)] = parse_value_text(literal)
+        try:
+            inputs[(cls, attr)] = parse_value_text(literal)
+        except FormatError as err:
+            raise FormatError(err.line, f"--inputs {key}: {err.reason}") from err
     return inputs
 
 

@@ -13,7 +13,8 @@ represents shared substructure and cycles without nesting:
 A field's value is written in the literal grammar of the expression
 languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
 its annotation is a primitive kind's name (``values.PRIMITIVE_KINDS``) or, for
-a ``ref``, the class of the record it names.
+a ``ref``, the class of the record it names. A record's fields are one
+read-only mapping in field order, from parse through migration to render.
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import exprs
@@ -75,51 +77,38 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ObjectRecord:
+    """One stored object; ``fields`` is a read-only view, in field order, of
+    the dict it is built from. Field order fixes the ``.eso`` text, but
+    equality ignores it, as dict equality does; records are unhashable."""
+
     id: int
     class_name: str
     version: int
-    fields: tuple[tuple[str, ObjectValue], ...]
+    fields: Mapping[str, ObjectValue]
 
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"object id must be nonnegative: {self.id}")
         if self.version < 1:
             raise ValueError(f"version must be positive: {self.version}")
-        names = [name for name, _ in self.fields]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate field name in record {self.id}")
-
-    def get(self, name: str) -> ObjectValue | None:
-        for field_name, value in self.fields:
-            if field_name == name:
-                return value
-        return None
-
-    def as_dict(self) -> dict[str, ObjectValue]:
-        return dict(self.fields)
+        object.__setattr__(self, "fields", MappingProxyType(self.fields))
 
 
 @dataclass(frozen=True)
 class ObjectGraph:
     records: tuple[ObjectRecord, ...]
-    root_id: int = 0
 
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("an object graph holds at least its root record")
-        if self.root_id != 0:
-            raise ValueError("the root record has id 0")
         for position, record in enumerate(self.records):
             if record.id != position:
                 raise ValueError(f"record ids must be dense: expected {position}, got {record.id}")
         count = len(self.records)
         for record in self.records:
-            for _, value in record.fields:
+            for value in record.fields.values():
                 if isinstance(value, RefVal) and value.object_id >= count:
                     raise DanglingReference(value.object_id)
-
-    def record(self, object_id: int) -> ObjectRecord:
-        return self.records[object_id]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +125,7 @@ _KIND_NAME = {cls: name for name, cls in _KIND_CLASS.items()}
 
 
 def _annotation(value: ObjectValue, graph: ObjectGraph) -> str:
-    return _KIND_NAME.get(value.__class__) or graph.record(value.object_id).class_name
+    return _KIND_NAME.get(value.__class__) or graph.records[value.object_id].class_name
 
 
 def serialize(graph: ObjectGraph) -> str:
@@ -144,7 +133,7 @@ def serialize(graph: ObjectGraph) -> str:
     lines = [_HEADER]
     for record in graph.records:
         lines.append(f"obj {record.id} {record.class_name} version {record.version}")
-        for name, value in record.fields:
+        for name, value in record.fields.items():
             lines.append(f"  {name}: {_annotation(value, graph)} = {exprs.render_value(value)}")
         lines.append("end")
     return "\n".join(lines) + "\n"
@@ -173,24 +162,27 @@ def deserialize(text: str) -> ObjectGraph:
         version = line_int(m.group(3), lineno)
         if object_id != len(records):
             raise FormatError(lineno, f"expected object id {len(records)}, got {object_id}")
-        fields: list[tuple[str, ObjectValue]] = []
+        fields: dict[str, ObjectValue] = {}
         closed = False
         while lineno < total:
-            field_line = lines[lineno].strip()
+            field_line = lines[lineno]
             lineno += 1
-            if not field_line:
+            word = field_line.strip()
+            if not word:
                 continue
-            if field_line == "end":
+            if word == "end":
                 closed = True
                 break
             name, annotation, value = _parse_field(field_line, lineno)
+            if name in fields:
+                raise FormatError(lineno, f"duplicate field name {name!r} in record {object_id}")
             if value.__class__ is RefVal:
                 refs.append((lineno, name, annotation, value.object_id))
-            fields.append((name, value))
+            fields[name] = value
         if not closed:
             raise FormatError(lineno, f"record {object_id} is missing its 'end'")
         try:
-            records.append(ObjectRecord(object_id, class_name, version, tuple(fields)))
+            records.append(ObjectRecord(object_id, class_name, version, fields))
         except ValueError as err:
             raise FormatError(lineno, str(err)) from err
     if not records:
@@ -208,21 +200,22 @@ def deserialize(text: str) -> ObjectGraph:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# The line ``serialize`` writes for one field, built from the tokenizer's own
-# character classes, so every line it matches tokenizes to the same value.
+# The line ``serialize`` writes for one field, give or take the tokenizer's
+# whitespace around it, built from the tokenizer's own character classes, so
+# every line it matches tokenizes to the same value.
 _CANONICAL_FIELD_RE = re.compile(
-    f"({_NAME}): ({_NAME}) = (?:"
+    r"[ \t\r]*" f"({_NAME}): ({_NAME}) = (?:"
     r"(?P<int>-?\d+)"
     r"|(?P<real>-?\d+\.\d+(?:[eE][+-]?\d+)?)"
     r'|(?P<string>"(?:[^"\\\n]|\\["\\n])*")'
     r"|ref (?P<ref>\d+)"
     r"|(?P<word>Void|true|false)"
-    r")\Z"
+    r")[ \t\r]*\Z"
 )
 
 
 def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
-    """Parse one stripped field line into (name, annotation, value).
+    """Parse one field line, as the file holds it, into (name, annotation, value).
 
     Canonical lines take one regex match; anything else, and any literal
     whose value is out of range, goes through the tokenizer, which owns
@@ -328,10 +321,9 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
         raise ValueError(
             f"record of class {record.class_name} checked against schema {schema.name}"
         )
-    fields = record.as_dict()
     for tag, clause in schema.invariant_steps:
         try:
-            outcome = clause(fields, _NO_INPUTS, DEFAULT_REGISTRY)
+            outcome = clause(record.fields, _NO_INPUTS, DEFAULT_REGISTRY)
         except exprs.EvalProblem as err:
             raise TypeMismatchInInvariant(tag, str(err)) from err
         if not isinstance(outcome, BoolVal):
@@ -377,7 +369,6 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    old_fields = old.as_dict()
     result: dict[str, ObjectValue] = {}
     target_names = new_schema.attribute_set
     for index, (kind, target, source) in enumerate(t.steps):
@@ -387,7 +378,7 @@ def interpret_transformer(
                     index, f"target {target!r} is not an attribute of {new_schema.name}"
                 )
             try:
-                result[target] = source(old_fields, inputs, registry)
+                result[target] = source(old.fields, inputs, registry)
             except exprs.EvalProblem as err:
                 raise EvaluationError(index, str(err)) from err
             except MissingAttribute as err:
@@ -395,18 +386,18 @@ def interpret_transformer(
         elif kind is CheckAttached:
             if check_attached and result.get(target, VOID).__class__ is VoidVal:
                 raise AttachmentViolation(target)
-    fields: list[tuple[str, ObjectValue]] = []
+    fields: dict[str, ObjectValue] = {}
     for attr in new_schema.attributes:
         if attr.name in result:
-            fields.append((attr.name, result[attr.name]))
+            fields[attr.name] = result[attr.name]
         else:
             if warnings is not None:
                 warnings.append(
                     f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
                     f"{t.from_version}->{t.to_version} transformer; default used"
                 )
-            fields.append((attr.name, type_default(attr.declared_type)))
-    return ObjectRecord(old.id, t.class_name, t.to_version, tuple(fields))
+            fields[attr.name] = type_default(attr.declared_type)
+    return ObjectRecord(old.id, t.class_name, t.to_version, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +461,7 @@ def retrieve(
             if not outcome.passed:
                 raise InvariantViolation(class_name, record.id, outcome.failed_clause)
         migrated.append(current)
-    return ObjectGraph(tuple(migrated), root_id=graph.root_id)
+    return ObjectGraph(tuple(migrated))
 
 
 def _plan(

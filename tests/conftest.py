@@ -42,11 +42,7 @@ def bank_record() -> ObjectRecord:
         0,
         "BANK_ACCOUNT",
         1,
-        (
-            ("tot_deposits", IntVal(100)),
-            ("tot_withdrawals", IntVal(30)),
-            ("info", StringVal("42")),
-        ),
+        {"tot_deposits": IntVal(100), "tot_withdrawals": IntVal(30), "info": StringVal("42")},
     )
 
 

@@ -126,9 +126,7 @@ def random_graph(rng: random.Random, max_records: int = 6) -> ObjectGraph:
     count = rng.randint(1, max_records)
     records = []
     for object_id in range(count):
-        fields = tuple(
-            (f"f{i}", random_value(rng, count)) for i in range(rng.randint(0, 5))
-        )
+        fields = {f"f{i}": random_value(rng, count) for i in range(rng.randint(0, 5))}
         records.append(
             ObjectRecord(object_id, rng.choice(["NODE", "ITEM", "CELL"]), rng.randint(1, 4), fields)
         )

@@ -91,10 +91,10 @@ def test_criterion_1_bank_account_scenario():
 
     stored = ObjectRecord(
         0, "BANK_ACCOUNT", 1,
-        (("tot_deposits", IntVal(100)), ("tot_withdrawals", IntVal(30)), ("info", StringVal("42"))),
+        {"tot_deposits": IntVal(100), "tot_withdrawals": IntVal(30), "info": StringVal("42")},
     )
     migrated = interpret_transformer(HAND_FIXED, stored, {}, new_schema=BANK_V2)
-    assert migrated.as_dict() == {"balance": IntVal(70), "info": IntVal(42)}
+    assert migrated.fields == {"balance": IntVal(70), "info": IntVal(42)}
     assert eval_invariant(migrated, BANK_V2).passed
 
     repo = empty_repository("bank")
@@ -109,7 +109,7 @@ def test_criterion_1_bank_account_scenario():
 
     repo = register_transformer(repo, HAND_FIXED, overwrite=True)
     healed = retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {})
-    assert healed.records[0].as_dict() == {"balance": IntVal(70), "info": IntVal(42)}
+    assert healed.records[0].fields == {"balance": IntVal(70), "info": IntVal(42)}
     assert time.perf_counter() - started < 1.0
 
 
@@ -222,7 +222,7 @@ def test_criterion_5_error_taxonomy(tmp_path):
     # with assertions off, the corrupt object is accepted and emitted
     code, out, _ = run_cli(*args, "--no-assert")
     assert code == 0
-    assert deserialize(out).records[0].get("balance") == IntVal(0)
+    assert deserialize(out).records[0].fields["balance"] == IntVal(0)
 
 
 @criterion(6, "serialization and text-format round-trips")
@@ -266,11 +266,11 @@ def test_criterion_7_multi_hop(tmp_path):
         repo = register_transformer(repo, generate_transformer(ct), overwrite=True)
     assert repo.transformer_pairs("CHAIN") == {(1, 2), (2, 3)}  # no direct 1->3
 
-    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, (("f1", IntVal(1)),)),))
+    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": IntVal(1)}),))
     inputs = {("CHAIN", "f2"): IntVal(2), ("CHAIN", "f3"): IntVal(3)}
     migrated = retrieve(graph, repo, {"CHAIN": 3}, inputs)
     assert migrated.records[0].version == 3
-    assert migrated.records[0].as_dict() == {"f1": IntVal(1), "f2": IntVal(2), "f3": IntVal(3)}
+    assert migrated.records[0].fields == {"f1": IntVal(1), "f2": IntVal(2), "f3": IntVal(3)}
     try:
         retrieve(graph, repo, {"CHAIN": 3}, inputs, allow_composition=False)
         raise AssertionError("strict-direct mode must refuse composition")

@@ -117,7 +117,7 @@ def test_migrate_oversized_number_in_an_object_header_is_a_format_error(bank_pro
     "field, first_line",
     [
         (f"tot_deposits: INTEGER = {BIG}",
-         "FormatError 3 line 3, column 25: integer literal outside the 64-bit range"),
+         "FormatError 3 line 3, column 27: integer literal outside the 64-bit range"),
         (f"owner: PERSON = ref {BIG}", "FormatError 3 number too large: 5000 digits"),
     ],
     ids=["integer", "ref"],
@@ -262,7 +262,7 @@ def test_migrate_no_assert_emits_corrupt_object(bank_project_stub):
     )
     assert code == 0
     graph = deserialize(out)
-    assert graph.records[0].get("balance") == IntVal(0)  # the corrupt object
+    assert graph.records[0].fields["balance"] == IntVal(0)  # the corrupt object
 
 
 def test_migrate_missing_transformer(bank_project):
@@ -472,10 +472,45 @@ def test_parse_too_deep_a_type_is_a_parse_error(tmp_path):
     assert "Traceback" not in out + err
 
 
-def test_machine_format_matches_text():
-    _, text_out, _ = run_cli("diff", V1, V2, "--format", "text")
-    _, machine_out, _ = run_cli("diff", V1, V2, "--format", "machine")
-    assert text_out == machine_out == DIFF_GOLDEN
+def test_the_format_flag_is_gone():
+    code, out, err = run_cli("diff", V1, V2, "--format", "text")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --format text" in err
+
+
+def test_migrate_to_a_version_the_class_never_had_is_unknown(bank_project):
+    code, out, err = run_cli("migrate", OBJ, "--to", "BANK_ACCOUNT=9", "--project", str(bank_project))
+    assert code == 1
+    assert out == "UnknownVersion BANK_ACCOUNT 9\n"
+    assert err == ""
+
+
+def test_migrate_bad_inputs_value_names_its_entry(bank_project_stub):
+    code, out, err = run_cli(
+        "migrate", OBJ, "--to-release", "2",
+        "--inputs", "BANK_ACCOUNT.balance=0",
+        "--inputs", "BANK_ACCOUNT.info=99999999999999999999",
+        "--project", str(bank_project_stub),
+    )
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "FormatError 1 --inputs BANK_ACCOUNT.info: "
+        "line 1, column 1: integer literal outside the 64-bit range"
+    )
+    assert "Traceback" not in out + err
+
+
+def test_migrate_duplicate_field_name_is_a_format_error_at_its_line(tmp_path, bank_project):
+    obj = tmp_path / "dup.eso"
+    obj.write_text(
+        BANK_OBJECT_TEXT.replace('  info: STRING = "42"\n', '  info: STRING = "42"\n  info: STRING = "7"\n'),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out == "FormatError 6 duplicate field name 'info' in record 0\n"
+    assert "Traceback" not in out + err
 
 
 def test_migrate_non_finite_real_is_a_format_error(tmp_path, bank_project):
@@ -486,7 +521,7 @@ def test_migrate_non_finite_real_is_a_format_error(tmp_path, bank_project):
     )
     code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
     assert code == 1
-    assert out.splitlines()[0] == "FormatError 8 line 8, column 16: real literal out of range"
+    assert out.splitlines()[0] == "FormatError 8 line 8, column 18: real literal out of range"
     assert "Traceback" not in out + err
 
 

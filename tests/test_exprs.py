@@ -299,11 +299,12 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
     assert parse_transformer(render_transformer(t)) == t
     assert sum(1 for _ in exprs.walk(t.instructions[0].expr)) == 2 * N - 1
     schema = ClassSchema("C", attributes=(Attribute("a", ClassType("INTEGER")),), version=2)
-    old = ObjectRecord(0, "C", 1, (("a", IntVal(1)),))
-    assert interpret_transformer(t, old, {}, new_schema=schema).fields == (("a", IntVal(N)),)
+    old = ObjectRecord(0, "C", 1, {"a": IntVal(1)})
+    new = interpret_transformer(t, old, {}, new_schema=schema)
+    assert list(new.fields.items()) == [("a", IntVal(N))]
     parsed = parse_schema(_esc(_chain("a", N - 1) + " > 0"))
     assert parse_schema(render_schema(parsed)) == parsed
-    assert eval_invariant(ObjectRecord(0, "C", 1, (("a", IntVal(1)),)), parsed).passed
+    assert eval_invariant(ObjectRecord(0, "C", 1, {"a": IntVal(1)}), parsed).passed
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def test_compiled_invariants_evaluate_as_the_tree_walk_does(bodies, fields):
             ),
         )
 
-    record = ObjectRecord(0, "C", 1, tuple(fields.items()))
+    record = ObjectRecord(0, "C", 1, dict(fields))
     compiled, walked = _compiled_and_walked(schema, lambda s: eval_invariant(record, s))
     assert compiled == walked
     for body in bodies:
@@ -489,7 +490,7 @@ def test_compiled_sources_evaluate_as_the_tree_walk_does(bodies, fields, inputs,
         "C", attributes=tuple(Attribute(f"t{i}", ClassType("INTEGER")) for i in range(3)),
         version=2,
     )
-    old = ObjectRecord(0, "C", 1, tuple(fields.items()))
+    old = ObjectRecord(0, "C", 1, dict(fields))
     compiled, walked = _compiled_and_walked(
         transformer,
         lambda t: interpret_transformer(t, old, inputs, registry, new_schema=new_schema),

@@ -107,4 +107,4 @@ def test_serialized_field_lines_take_the_regex_path():
     for _ in range(100):
         for line in serialize(random_graph(rng)).split("\n"):
             if line.startswith("  "):
-                assert _CANONICAL_FIELD_RE.match(line.strip()), line
+                assert _CANONICAL_FIELD_RE.match(line), line

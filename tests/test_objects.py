@@ -62,8 +62,8 @@ def test_serialize_bank_record_golden(bank_graph):
 
 
 def test_round_trip_cyclic_graph():
-    a = ObjectRecord(0, "NODE", 1, (("next", RefVal(1)),))
-    b = ObjectRecord(1, "NODE", 1, (("next", RefVal(0)),))
+    a = ObjectRecord(0, "NODE", 1, {"next": RefVal(1)})
+    b = ObjectRecord(1, "NODE", 1, {"next": RefVal(0)})
     graph = ObjectGraph((a, b))
     assert deserialize(serialize(graph)) == graph
 
@@ -73,13 +73,17 @@ def test_round_trip_property_random_graphs():
     for _ in range(200):
         graph = random_graph(rng)
         text = serialize(graph)
-        assert deserialize(text) == graph
-        assert serialize(deserialize(text)) == text
+        parsed = deserialize(text)
+        assert parsed == graph
+        assert [list(r.fields.items()) for r in parsed.records] == [
+            list(r.fields.items()) for r in graph.records
+        ]
+        assert serialize(parsed) == text
 
 
 def test_string_escapes_round_trip():
     tricky = StringVal('say "hi" \\ two\nlines')
-    graph = ObjectGraph((ObjectRecord(0, "NODE", 1, (("s", tricky),)),))
+    graph = ObjectGraph((ObjectRecord(0, "NODE", 1, {"s": tricky}),))
     text = serialize(graph)
     assert "\\n" in text
     assert deserialize(text) == graph
@@ -88,8 +92,8 @@ def test_string_escapes_round_trip():
 def test_void_and_ref_annotations():
     graph = ObjectGraph(
         (
-            ObjectRecord(0, "HOLDER", 1, (("owner", RefVal(1)), ("spare", VOID))),
-            ObjectRecord(1, "PERSON", 2, ()),
+            ObjectRecord(0, "HOLDER", 1, {"owner": RefVal(1), "spare": VOID}),
+            ObjectRecord(1, "PERSON", 2, {}),
         )
     )
     text = serialize(graph)
@@ -100,7 +104,7 @@ def test_void_and_ref_annotations():
 
 def test_dangling_reference_rejected():
     with pytest.raises(DanglingReference):
-        ObjectGraph((ObjectRecord(0, "NODE", 1, (("next", RefVal(7)),)),))
+        ObjectGraph((ObjectRecord(0, "NODE", 1, {"next": RefVal(7)}),))
     text = 'ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  next: NODE = ref 7\nend\n'
     with pytest.raises(DanglingReference):
         deserialize(text)
@@ -129,6 +133,34 @@ def test_format_errors(text, complain):
         deserialize(text)
 
 
+def test_duplicate_field_name_is_a_format_error_at_its_own_line():
+    text = (
+        "ESCHER-OBJECTS 1\n"
+        "obj 0 NODE version 1\n"
+        "end\n"
+        "obj 1 NODE version 1\n"
+        "  x: INTEGER = 1\n"
+        "  y: INTEGER = 2\n"
+        "  x: INTEGER = 3\n"
+        "end\n"
+    )
+    with pytest.raises(FormatError) as exc:
+        deserialize(text)
+    assert (exc.value.line, exc.value.reason) == (7, "duplicate field name 'x' in record 1")
+
+
+def test_record_fields_are_a_read_only_mapping_in_field_order():
+    record = deserialize(BANK_OBJECT_TEXT).records[0]
+    assert list(record.fields) == ["tot_deposits", "tot_withdrawals", "info"]
+    with pytest.raises(TypeError):
+        record.fields["info"] = StringVal("7")  # type: ignore[index]
+    with pytest.raises(TypeError):
+        hash(record)
+    reordered = ObjectRecord(0, "BANK_ACCOUNT", 1, dict(reversed(record.fields.items())))
+    assert reordered == record  # equality ignores field order ...
+    assert serialize(ObjectGraph((reordered,))) != BANK_OBJECT_TEXT  # ... the text does not
+
+
 def test_ref_annotation_must_name_the_referenced_class():
     text = (
         "ESCHER-OBJECTS 1\n"
@@ -142,7 +174,7 @@ def test_ref_annotation_must_name_the_referenced_class():
         deserialize(text)
     assert exc.value.line == 3
     assert exc.value.reason == "field 'p' is annotated PERSON, but record 1 is of class ITEM"
-    assert deserialize(text.replace("PERSON", "ITEM")).record(0).get("p") == RefVal(1)
+    assert deserialize(text.replace("PERSON", "ITEM")).records[0].fields["p"] == RefVal(1)
 
 
 def test_value_literals():
@@ -170,8 +202,8 @@ def test_int64_range_is_enforced():
 
 
 def test_invariant_pass_and_fail(bank_v2):
-    good = ObjectRecord(0, "BANK_ACCOUNT", 2, (("balance", IntVal(70)), ("info", IntVal(42))))
-    bad = ObjectRecord(0, "BANK_ACCOUNT", 2, (("balance", IntVal(0)), ("info", IntVal(42))))
+    good = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(70), "info": IntVal(42)})
+    bad = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(0), "info": IntVal(42)})
     assert eval_invariant(good, bank_v2).passed
     outcome = eval_invariant(bad, bank_v2)
     assert not outcome.passed
@@ -183,14 +215,14 @@ def test_invariant_v1_constructor_state(bank_v1):
         0,
         "BANK_ACCOUNT",
         1,
-        (("info", StringVal("")), ("tot_deposits", IntVal(1)), ("tot_withdrawals", IntVal(0))),
+        {"info": StringVal(""), "tot_deposits": IntVal(1), "tot_withdrawals": IntVal(0)},
     )
     assert eval_invariant(record, bank_v1).passed
 
 
 def eval_clause(schema_text, **fields):
     schema = parse_schema(schema_text)
-    record = ObjectRecord(0, schema.name, 1, tuple(fields.items()))
+    record = ObjectRecord(0, schema.name, 1, fields)
     return eval_invariant(record, schema)
 
 
@@ -239,7 +271,7 @@ def test_non_boolean_clause_body_raises():
 
 
 def test_missing_attribute_raises(bank_v2):
-    record = ObjectRecord(0, "BANK_ACCOUNT", 2, (("info", IntVal(1)),))
+    record = ObjectRecord(0, "BANK_ACCOUNT", 2, {"info": IntVal(1)})
     with pytest.raises(MissingAttribute):
         eval_invariant(record, bank_v2)
 
@@ -248,7 +280,7 @@ def test_clauses_checked_in_order():
     schema = parse_schema(
         "class C feature a: INTEGER invariant first: a > 10 second: a > 100 end"
     )
-    record = ObjectRecord(0, "C", 1, (("a", IntVal(5)),))
+    record = ObjectRecord(0, "C", 1, {"a": IntVal(5)})
     assert eval_invariant(record, schema).failed_clause == "first"
 
 
@@ -259,7 +291,7 @@ def test_clauses_checked_in_order():
 
 def test_interpret_hand_fixed(bank_record, hand_fixed_transformer, bank_v2):
     out = interpret_transformer(hand_fixed_transformer, bank_record, {}, new_schema=bank_v2)
-    assert out.fields == (("balance", IntVal(70)), ("info", IntVal(42)))
+    assert list(out.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
     assert out.version == 2
     assert eval_invariant(out, bank_v2).passed
 
@@ -267,15 +299,15 @@ def test_interpret_hand_fixed(bank_record, hand_fixed_transformer, bank_v2):
 def test_interpret_generated_with_inputs(bank_record, bank_v1, bank_v2):
     t = generate_transformer(diff_schemas(bank_v1, bank_v2))
     out = interpret_transformer(t, bank_record, {"balance": IntVal(0)}, new_schema=bank_v2)
-    assert out.fields == (("balance", IntVal(0)), ("info", IntVal(42)))
+    assert list(out.fields.items()) == [("balance", IntVal(0)), ("info", IntVal(42))]
     assert not eval_invariant(out, bank_v2).passed
 
 
 def test_interpret_identity_bumps_version(bank_record, bank_v1):
     t = generate_transformer(diff_schemas(bank_v1, bank_v1.with_version(2)))
     out = interpret_transformer(t, bank_record, {}, new_schema=bank_v1.with_version(2))
-    assert out.as_dict() == bank_record.as_dict()  # field order follows the schema
-    assert [name for name, _ in out.fields] == list(bank_v1.attribute_names())
+    assert out.fields == bank_record.fields
+    assert list(out.fields) == list(bank_v1.attribute_names())  # field order follows the schema
     assert out.version == 2
     assert out.id == bank_record.id
 
@@ -292,7 +324,7 @@ def test_interpret_conversion_failure(bank_v1, bank_v2):
         0,
         "BANK_ACCOUNT",
         1,
-        (("tot_deposits", IntVal(1)), ("tot_withdrawals", IntVal(0)), ("info", StringVal("abc"))),
+        {"tot_deposits": IntVal(1), "tot_withdrawals": IntVal(0), "info": StringVal("abc")},
     )
     with pytest.raises(ConversionFailure):
         interpret_transformer(t, record, {"balance": IntVal(1)}, new_schema=bank_v2)
@@ -302,11 +334,11 @@ def test_check_attached_raises_on_void():
     old = parse_schema("class C feature owner: PERSON end")
     new = parse_schema("version 2 class C feature owner: attached PERSON end")
     t = generate_transformer(diff_schemas(old, new))
-    record = ObjectRecord(0, "C", 1, (("owner", VOID),))
+    record = ObjectRecord(0, "C", 1, {"owner": VOID})
     with pytest.raises(AttachmentViolation):
         interpret_transformer(t, record, {}, new_schema=new)
     unsafe = interpret_transformer(t, record, {}, new_schema=new, check_attached=False)
-    assert unsafe.get("owner") == VOID
+    assert unsafe.fields["owner"] == VOID
 
 
 def test_unassigned_attribute_defaults_with_warning():
@@ -314,16 +346,16 @@ def test_unassigned_attribute_defaults_with_warning():
     new = parse_schema(
         "version 2 class C feature n: INTEGER r: REAL b: BOOLEAN s: STRING p: PERSON end"
     )
-    record = ObjectRecord(0, "C", 1, ())
+    record = ObjectRecord(0, "C", 1, {})
     warnings: list[str] = []
     out = interpret_transformer(t, record, {}, new_schema=new, warnings=warnings)
-    assert out.fields == (
+    assert list(out.fields.items()) == [
         ("n", IntVal(0)),
         ("r", RealVal(0.0)),
         ("b", BoolVal(False)),
         ("s", StringVal("")),
         ("p", VOID),
-    )
+    ]
     assert len(warnings) == 5
 
 
@@ -331,13 +363,13 @@ def test_interpret_arithmetic_errors(bank_v2):
     t = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits // 0\nend\n"
     )
-    record = ObjectRecord(0, "BANK_ACCOUNT", 1, (("tot_deposits", IntVal(1)),))
+    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"tot_deposits": IntVal(1)})
     with pytest.raises(EvaluationError):
         interpret_transformer(t, record, {}, new_schema=bank_v2)
     t2 = parse_transformer(
         'transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.info + 1\nend\n'
     )
-    record2 = ObjectRecord(0, "BANK_ACCOUNT", 1, (("info", StringVal("x")),))
+    record2 = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": StringVal("x")})
     with pytest.raises(EvaluationError):
         interpret_transformer(t2, record2, {}, new_schema=bank_v2)
 
@@ -346,7 +378,7 @@ def test_interpret_names_a_missing_old_field(bank_v2):
     t = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits + 1\nend\n"
     )
-    record = ObjectRecord(0, "BANK_ACCOUNT", 1, (("info", StringVal("x")),))
+    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": StringVal("x")})
     with pytest.raises(EvaluationError) as exc:
         interpret_transformer(t, record, {}, new_schema=bank_v2)
     assert (exc.value.index, exc.value.reason) == (0, "old record has no attribute 'tot_deposits'")
@@ -379,7 +411,7 @@ def test_retrieve_hand_fixed(bank_graph, bank_repo_hand_fixed):
     out = retrieve(bank_graph, bank_repo_hand_fixed, {"BANK_ACCOUNT": 2}, {})
     record = out.records[0]
     assert record.version == 2
-    assert record.fields == (("balance", IntVal(70)), ("info", IntVal(42)))
+    assert list(record.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
     # gate soundness: the retrieved record re-checks clean
     assert eval_invariant(record, bank_repo_hand_fixed.schema_for("BANK_ACCOUNT", 2)).passed
 
@@ -399,7 +431,7 @@ def test_retrieve_without_assertions_emits_corrupt_object(bank_graph, bank_repo)
         {("BANK_ACCOUNT", "balance"): IntVal(0)},
         assertions=False,
     )
-    assert out.records[0].get("balance") == IntVal(0)
+    assert out.records[0].fields["balance"] == IntVal(0)
 
 
 def test_retrieve_transformation_missing(bank_graph, bank_v1, bank_v2, hand_fixed_transformer):
@@ -430,7 +462,7 @@ def test_retrieve_at_target_checks_invariant_only(bank_repo_hand_fixed):
                 0,
                 "BANK_ACCOUNT",
                 2,
-                (("balance", IntVal(0)), ("info", IntVal(1))),
+                {"balance": IntVal(0), "info": IntVal(1)},
             ),
         )
     )
@@ -440,7 +472,7 @@ def test_retrieve_at_target_checks_invariant_only(bank_repo_hand_fixed):
 
 def test_retrieve_identity_when_everything_at_target(bank_repo_hand_fixed):
     graph = ObjectGraph(
-        (ObjectRecord(0, "BANK_ACCOUNT", 2, (("balance", IntVal(5)), ("info", IntVal(1)))),)
+        (ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(5), "info": IntVal(1)}),)
     )
     out = retrieve(graph, bank_repo_hand_fixed, {"BANK_ACCOUNT": 2}, {})
     assert out == graph
@@ -454,21 +486,21 @@ def test_retrieve_preserves_graph_shape(bank_v1, bank_v2, hand_fixed_transformer
     repo = register_transformer(repo, hand_fixed_transformer, overwrite=True)
     graph = ObjectGraph(
         (
-            ObjectRecord(0, "HOLDER", 1, (("account", RefVal(1)), ("mirror", RefVal(2)))),
+            ObjectRecord(0, "HOLDER", 1, {"account": RefVal(1), "mirror": RefVal(2)}),
             ObjectRecord(
                 1,
                 "BANK_ACCOUNT",
                 1,
-                (("tot_deposits", IntVal(10)), ("tot_withdrawals", IntVal(3)), ("info", StringVal("9"))),
+                {"tot_deposits": IntVal(10), "tot_withdrawals": IntVal(3), "info": StringVal("9")},
             ),
-            ObjectRecord(2, "HOLDER", 1, (("account", RefVal(1)), ("mirror", RefVal(0)))),
+            ObjectRecord(2, "HOLDER", 1, {"account": RefVal(1), "mirror": RefVal(0)}),
         )
     )
     out = retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {})
     assert [r.id for r in out.records] == [0, 1, 2]
     assert out.records[0].fields == graph.records[0].fields  # refs untouched
     assert out.records[2].fields == graph.records[2].fields
-    assert out.records[1].get("balance") == IntVal(7)
+    assert out.records[1].fields["balance"] == IntVal(7)
 
 
 def make_chain_repo(versions: int) -> tuple:
@@ -489,16 +521,17 @@ def make_chain_repo(versions: int) -> tuple:
 
 def test_retrieve_multi_hop_composition():
     repo, _ = make_chain_repo(3)
-    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, (("f1", IntVal(1)),)),))
+    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": IntVal(1)}),))
     inputs = {("CHAIN", "f2"): IntVal(2), ("CHAIN", "f3"): IntVal(3)}
     out = retrieve(graph, repo, {"CHAIN": 3}, inputs)
     assert out.records[0].version == 3
-    assert out.records[0].fields == (("f1", IntVal(1)), ("f2", IntVal(2)), ("f3", IntVal(3)))
+    fields = out.records[0].fields
+    assert list(fields.items()) == [("f1", IntVal(1)), ("f2", IntVal(2)), ("f3", IntVal(3))]
 
 
 def test_retrieve_strict_direct_refuses_composition():
     repo, _ = make_chain_repo(3)
-    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, (("f1", IntVal(1)),)),))
+    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": IntVal(1)}),))
     inputs = {("CHAIN", "f2"): IntVal(2), ("CHAIN", "f3"): IntVal(3)}
     with pytest.raises(TransformationMissing) as exc:
         retrieve(graph, repo, {"CHAIN": 3}, inputs, allow_composition=False)
@@ -531,7 +564,7 @@ def test_retrieve_plans_each_class_and_stored_version_once_per_call(monkeypatch)
     repo, _ = make_chain_repo(4)
     stored = [1, 1, 2, 1, 4, 2, 3]
     graph = ObjectGraph(tuple(
-        ObjectRecord(i, "CHAIN", v, tuple((f"f{k}", IntVal(k)) for k in range(1, v + 1)))
+        ObjectRecord(i, "CHAIN", v, {f"f{k}": IntVal(k) for k in range(1, v + 1)})
         for i, v in enumerate(stored)
     ))
     inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
@@ -540,8 +573,8 @@ def test_retrieve_plans_each_class_and_stored_version_once_per_call(monkeypatch)
     out = retrieve(graph, repo, {"CHAIN": 4}, inputs)
     assert planned == [("CHAIN",)] * 3  # stored versions 1, 2 and 3
     assert len(schemas) == sum((4 - v) + 1 for v in stored)  # each hop, then the gate
-    expected = tuple((f"f{k}", IntVal(k)) for k in range(1, 5))
-    assert all(r.version == 4 and r.fields == expected for r in out.records)
+    expected = [(f"f{k}", IntVal(k)) for k in range(1, 5)]
+    assert all(r.version == 4 and list(r.fields.items()) == expected for r in out.records)
     # a plan lives for one call: the next call sees a handler removed since
     assert retrieve(graph, repo, {"CHAIN": 4}, inputs) == out
     assert len(planned) == 6
@@ -575,11 +608,11 @@ def _mixed_graph(*specs: tuple[str, int, int]) -> ObjectGraph:
     records = []
     for i, (cls, version, value) in enumerate(specs):
         if cls == "A":
-            fields = (("x", IntVal(value)),)
+            fields = {"x": IntVal(value)}
         elif cls == "B":
-            fields = (("n", IntVal(value)),) + ((("m", IntVal(0)),) if version == 2 else ())
+            fields = {"n": IntVal(value), **({"m": IntVal(0)} if version == 2 else {})}
         else:
-            fields = (("a", VOID),)
+            fields = {"a": VOID}
         records.append(ObjectRecord(i, cls, version, fields))
     return ObjectGraph(tuple(records))
 
@@ -612,14 +645,14 @@ def test_retrieve_warns_once_per_defaulted_attribute_per_record(mixed_repo):
     warnings: list[str] = []
     out = retrieve(graph, mixed_repo, {"A": 2, "B": 2}, warnings=warnings)
     assert len(warnings) == 4
-    assert [r.get("x") for r in out.records[:4]] == [IntVal(v) for v in (0, 1, 2, 3)]
-    assert out.records[4].fields == (("n", IntVal(1)), ("m", IntVal(0)))
+    assert [r.fields["x"] for r in out.records[:4]] == [IntVal(v) for v in (0, 1, 2, 3)]
+    assert list(out.records[4].fields.items()) == [("n", IntVal(1)), ("m", IntVal(0))]
 
 
 def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
     t = parse_transformer("transform C from 1 to 2\n  Result.q := oldc.x // -1\nend\n")
     new = parse_schema("version 2 class C feature q: INTEGER end")
-    record = ObjectRecord(0, "C", 1, (("x", IntVal(-(2**63))),))
+    record = ObjectRecord(0, "C", 1, {"x": IntVal(-(2**63))})
     with pytest.raises(EvaluationError, match="integer overflow"):
         interpret_transformer(t, record, {}, new_schema=new)
     with pytest.raises(TypeMismatchInInvariant):
@@ -680,7 +713,7 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
     repo, _ = make_chain_repo(4)
     compiled = _count_compiles(monkeypatch)
     graph = ObjectGraph(tuple(
-        ObjectRecord(i, "CHAIN", v, tuple((f"f{k}", IntVal(k)) for k in range(1, v + 1)))
+        ObjectRecord(i, "CHAIN", v, {f"f{k}": IntVal(k) for k in range(1, v + 1)})
         for i, v in enumerate([1, 2, 1, 3])
     ))
     inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
@@ -701,7 +734,7 @@ def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
     schema_text = "version 2 class A feature x: INTEGER invariant pos: x >= 0 end"
     t, schema = parse_transformer(text), parse_schema(schema_text)
     seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
-    old = ObjectRecord(0, "A", 1, (("x", IntVal(15)),))
+    old = ObjectRecord(0, "A", 1, {"x": IntVal(15)})
     assert eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema).passed
     assert len(compiled) == 2
     for obj, text_form, digest in seen:
