@@ -117,7 +117,7 @@ migrated = retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {})
 print("retrieved at version 2:")
 print(serialize(migrated))
 assert migrated.records[0].fields == {"balance": IntVal(70), "info": IntVal(42)}
-assert eval_invariant(migrated.records[0], V2).passed
+eval_invariant(migrated.records[0], V2)  # raises InvariantViolation on a false clause
 
 # Interpreting the fix directly shows the arithmetic at work:
 record = interpret_transformer(hand_fixed, stored, {}, new_schema=V2)

@@ -2,10 +2,12 @@
 
 The pieces, bottom up:
 
+* :mod:`escher.exprs` — expression trees, their compiled evaluation, and
+  the one table of conversions;
 * :mod:`escher.schema` — the versioned class DSL (``.esc``) and type model;
 * :mod:`escher.smo` — atomic schema modification operators and the AST diff;
 * :mod:`escher.transformer` — object-transformer generation and the ``.est``
-  syntax, plus the converter registry;
+  syntax;
 * :mod:`escher.objects` — serialized object graphs (``.eso``), invariant
   evaluation, transformer interpretation, and invariant-gated retrieval;
 * :mod:`escher.repository` — releases, version tags, and handler files;
@@ -15,7 +17,6 @@ The pieces, bottom up:
 
 from .errors import EscherError
 from .objects import (
-    InvariantResult,
     ObjectGraph,
     ObjectRecord,
     deserialize,
@@ -74,8 +75,6 @@ from .smo import (
 from .transformer import (
     Assign,
     CheckAttached,
-    Converter,
-    ConverterRegistry,
     Noop,
     ObjectTransformer,
     assignable,
@@ -98,12 +97,12 @@ __all__ = [
     "ClassTransformation", "apply_smo", "apply_transformation", "diff_schemas",
     "completeness_witness", "render_smo_report",
     # transformer
-    "ObjectTransformer", "Assign", "Noop", "CheckAttached", "Converter", "ConverterRegistry",
-    "assignable", "generate_transformer", "parse_transformer", "render_transformer",
+    "ObjectTransformer", "Assign", "Noop", "CheckAttached", "assignable",
+    "generate_transformer", "parse_transformer", "render_transformer",
     # objects
     "ObjectGraph", "ObjectRecord", "ObjectValue", "IntVal", "RealVal", "BoolVal",
     "StringVal", "VoidVal", "RefVal", "serialize", "deserialize", "eval_invariant",
-    "InvariantResult", "interpret_transformer", "retrieve",
+    "interpret_transformer", "retrieve",
     # repository
     "Repository", "Release", "empty_repository", "release", "register_transformer",
     "load_repository", "save_repository",

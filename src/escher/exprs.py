@@ -16,6 +16,9 @@ associate differently, so render/parse is structurally lossless.
 
 ``compile_expr`` evaluates both, as closures built once per tree: each
 transformer and schema compiles its trees on first use and keeps them.
+``CONVERTERS`` is the one, read-only table of the conversions a ``convert``
+may name; a ``Convert`` closure fetches its function when it compiles, and an
+id the table lacks is an ``UnknownConverter`` when a record reaches it.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
 deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
@@ -27,11 +30,13 @@ Going deeper is a ``ParseError`` at the token that did it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from ._lex import Token, TokenStream, escape_string, unescape_string
-from .errors import MissingAttribute, MissingInput, ParseError
+from .errors import ConversionFailure, MissingAttribute, MissingInput, ParseError, UnknownConverter
 from .values import (
     INT64_MAX, INT64_MIN, VOID, BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal, VoidVal,
 )
@@ -351,20 +356,20 @@ class EvalProblem(Exception):
     """Arithmetic, a comparison or a connective cannot proceed; callers re-wrap."""
 
 
-Compiled = Callable[..., ObjectValue]  # f(fields, inputs, registry) -> value
+Compiled = Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], ObjectValue]
 
 
 def compile_expr(expr: Expr) -> Compiled:
-    """Closures, one per node, that evaluate ``expr`` over fields ``f``,
-    inputs ``i`` and registry ``r``."""
+    """Closures, one per node, that evaluate ``expr`` over fields ``f`` and
+    inputs ``i``."""
     cls = expr.__class__
     if cls is Lit:
         value = expr.value
-        return lambda f, i, r: value
+        return lambda f, i: value
     if cls is AttrRef or cls is OldField:
         name = expr.name
 
-        def field(f, i, r):
+        def field(f, i):
             value = f.get(name)
             if value is None:
                 raise MissingAttribute(name)
@@ -372,32 +377,35 @@ def compile_expr(expr: Expr) -> Compiled:
 
         return field
     if cls is InputRef:
-        return lambda f, i, r: _input_value(i, expr.key)
+        return lambda f, i: _input_value(i, expr.key)
     if cls is Convert:
         converter_id, arg = expr.converter_id, compile_expr(expr.arg)
+        fn = CONVERTERS.get(converter_id)
+        if fn is None:
 
-        def convert(f, i, r):
-            value = arg(f, i, r)  # before the lookup, which may fail too
-            return r.get(converter_id).fn(value)
+            def unknown(f, i):
+                arg(f, i)  # the argument's own failure comes first
+                raise UnknownConverter(converter_id)
 
-        return convert
+            return unknown
+        return lambda f, i: fn(arg(f, i))
     if cls is Not:
         operand = compile_expr(expr.operand)
-        return lambda f, i, r: BoolVal(not _require_bool(operand(f, i, r)).value)
+        return lambda f, i: BoolVal(not _require_bool(operand(f, i)).value)
     if cls is BinOp or cls is Compare:
         op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
         if cls is BinOp:
-            return lambda f, i, r: _arith(op, left(f, i, r), right(f, i, r))
-        return lambda f, i, r: BoolVal(_compare(op, left(f, i, r), right(f, i, r)))
+            return lambda f, i: _arith(op, left(f, i), right(f, i))
+        return lambda f, i: BoolVal(_compare(op, left(f, i), right(f, i)))
     if cls is And or cls is Or:
         left, right = compile_expr(expr.left), compile_expr(expr.right)
         stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
 
-        def connective(f, i, r):
-            value = _require_bool(left(f, i, r))
+        def connective(f, i):
+            value = _require_bool(left(f, i))
             if value.value == stop:
                 return value
-            return _require_bool(right(f, i, r))
+            return _require_bool(right(f, i))
 
         return connective
     raise TypeError(f"not an expression node: {expr!r}")
@@ -493,3 +501,64 @@ def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
     if value is None:
         raise MissingInput(key)
     return value
+
+
+_INT_RE = re.compile(r"-?\d+\Z")
+_REAL_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
+
+
+def _string_to_integer(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, StringVal) or not _INT_RE.match(value.value):
+        raise ConversionFailure("STRING_TO_INTEGER", value)
+    number = int(value.value)
+    if not (INT64_MIN <= number <= INT64_MAX):
+        raise ConversionFailure("STRING_TO_INTEGER", value)
+    return IntVal(number)
+
+
+def _integer_to_string(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, IntVal):
+        raise ConversionFailure("INTEGER_TO_STRING", value)
+    return StringVal(str(value.value))
+
+
+def _integer_to_real(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, IntVal):
+        raise ConversionFailure("INTEGER_TO_REAL", value)
+    return RealVal(float(value.value))
+
+
+def _real_to_integer(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, RealVal):
+        raise ConversionFailure("REAL_TO_INTEGER", value)
+    f = value.value
+    if f != f or f in (float("inf"), float("-inf")):
+        raise ConversionFailure("REAL_TO_INTEGER", value)
+    truncated = int(f)  # toward zero
+    if not (INT64_MIN <= truncated <= INT64_MAX):
+        raise ConversionFailure("REAL_TO_INTEGER", value)
+    return IntVal(truncated)
+
+
+def _string_to_real(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, StringVal) or not _REAL_RE.match(value.value):
+        raise ConversionFailure("STRING_TO_REAL", value)
+    return RealVal(float(value.value))
+
+
+def _real_to_string(value: ObjectValue) -> ObjectValue:
+    if not isinstance(value, RealVal):
+        raise ConversionFailure("REAL_TO_STRING", value)
+    return StringVal(render_real(value.value))
+
+
+#: Every conversion a ``convert`` may name. An id reads ``<SOURCE>_TO_<TARGET>``,
+#: the primitive types it converts between; generation relies on that.
+CONVERTERS: Mapping[str, Callable[[ObjectValue], ObjectValue]] = MappingProxyType({
+    "STRING_TO_INTEGER": _string_to_integer,
+    "INTEGER_TO_STRING": _integer_to_string,
+    "INTEGER_TO_REAL": _integer_to_real,
+    "REAL_TO_INTEGER": _real_to_integer,
+    "STRING_TO_REAL": _string_to_real,
+    "REAL_TO_STRING": _real_to_string,
+})

@@ -47,13 +47,7 @@ from .errors import (
     TypeMismatchInInvariant,
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
-from .transformer import (
-    DEFAULT_REGISTRY,
-    Assign,
-    CheckAttached,
-    ConverterRegistry,
-    ObjectTransformer,
-)
+from .transformer import Assign, CheckAttached, ObjectTransformer
 from .values import (
     PRIMITIVE_KINDS,
     VOID,
@@ -160,6 +154,8 @@ def deserialize(text: str) -> ObjectGraph:
             raise FormatError(lineno, f"expected 'obj <id> <CLASS> version <v>', got {line!r}")
         object_id, class_name = line_int(m.group(1), lineno), m.group(2)
         version = line_int(m.group(3), lineno)
+        if version < 1:
+            raise FormatError(lineno, f"version must be positive: {version}")
         if object_id != len(records):
             raise FormatError(lineno, f"expected object id {len(records)}, got {object_id}")
         fields: dict[str, ObjectValue] = {}
@@ -181,10 +177,7 @@ def deserialize(text: str) -> ObjectGraph:
             fields[name] = value
         if not closed:
             raise FormatError(lineno, f"record {object_id} is missing its 'end'")
-        try:
-            records.append(ObjectRecord(object_id, class_name, version, fields))
-        except ValueError as err:
-            raise FormatError(lineno, str(err)) from err
+        records.append(ObjectRecord(object_id, class_name, version, fields))
     if not records:
         raise FormatError(lineno, "object file holds no records")
     graph = ObjectGraph(tuple(records))
@@ -300,18 +293,12 @@ def parse_value_text(text: str) -> ObjectValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    passed: bool
-    failed_clause: str | None = None
-
-
-INVARIANT_PASS = InvariantResult(True)
 _NO_INPUTS: Mapping[str, ObjectValue] = {}
 
 
-def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult:
-    """Evaluate clauses in order; report the first false one.
+def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
+    """Evaluate clauses in order; the first false one is an
+    ``InvariantViolation`` naming the record and the clause's tag.
 
     Integer/integer comparisons are exact; a real operand promotes both
     sides; strings compare lexicographically by code point; ``x /= Void``
@@ -323,14 +310,13 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> InvariantResult
         )
     for tag, clause in schema.invariant_steps:
         try:
-            outcome = clause(record.fields, _NO_INPUTS, DEFAULT_REGISTRY)
+            outcome = clause(record.fields, _NO_INPUTS)
         except exprs.EvalProblem as err:
             raise TypeMismatchInInvariant(tag, str(err)) from err
         if not isinstance(outcome, BoolVal):
             raise TypeMismatchInInvariant(tag, "clause body is not boolean")
         if not outcome.value:
-            return InvariantResult(False, tag)
-    return INVARIANT_PASS
+            raise InvariantViolation(record.class_name, record.id, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,6 @@ def interpret_transformer(
     t: ObjectTransformer,
     old: ObjectRecord,
     inputs: Mapping[str, ObjectValue],
-    registry: ConverterRegistry = DEFAULT_REGISTRY,
     *,
     new_schema: ClassSchema,
     check_attached: bool = True,
@@ -378,7 +363,7 @@ def interpret_transformer(
                     index, f"target {target!r} is not an attribute of {new_schema.name}"
                 )
             try:
-                result[target] = source(old.fields, inputs, registry)
+                result[target] = source(old.fields, inputs)
             except exprs.EvalProblem as err:
                 raise EvaluationError(index, str(err)) from err
             except MissingAttribute as err:
@@ -415,7 +400,6 @@ def retrieve(
     repo: "Repository",
     target_versions: Mapping[str, int],
     inputs: Mapping[tuple[str, str], ObjectValue] | None = None,
-    registry: ConverterRegistry = DEFAULT_REGISTRY,
     *,
     assertions: bool = True,
     allow_composition: bool = True,
@@ -450,16 +434,12 @@ def retrieve(
                     transformer,
                     current,
                     class_inputs,
-                    registry,
                     new_schema=repo.schema_for(class_name, hop_to),
                     check_attached=assertions,
                     warnings=warnings,
                 )
         if assertions:
-            schema = repo.schema_for(class_name, target)
-            outcome = eval_invariant(current, schema)
-            if not outcome.passed:
-                raise InvariantViolation(class_name, record.id, outcome.failed_clause)
+            eval_invariant(current, repo.schema_for(class_name, target))
         migrated.append(current)
     return ObjectGraph(tuple(migrated))
 

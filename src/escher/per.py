@@ -143,12 +143,6 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
     return histories
 
 
-def render_history(history: EvolutionHistory) -> str:
-    lines = [f"class {history.class_name}", f"versions {history.version_count}"]
-    lines += [f"tf {a} {b}" for a, b in sorted(history.edges)]
-    return "\n".join(lines) + "\n"
-
-
 def format_ratio(x: Fraction) -> str:
     quotient = Decimal(x.numerator) / Decimal(x.denominator)
     return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))

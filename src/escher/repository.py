@@ -37,8 +37,6 @@ from .errors import (
 from .schema import ClassSchema, parse_schema, render_schema, type_equal
 from .smo import diff_schemas
 from .transformer import (
-    DEFAULT_REGISTRY,
-    ConverterRegistry,
     ObjectTransformer,
     generate_transformer,
     parse_transformer,
@@ -182,9 +180,7 @@ def schemas_equivalent(a: ClassSchema, b: ClassSchema) -> bool:
 
 
 def release(
-    repo: Repository,
-    working_set: dict[str, ClassSchema],
-    registry: ConverterRegistry = DEFAULT_REGISTRY,
+    repo: Repository, working_set: dict[str, ClassSchema]
 ) -> tuple[Repository, ReleaseReport]:
     """Compare the working set against the latest release and cut a new one.
 
@@ -235,7 +231,7 @@ def release(
         if (old_version, new_version) in entries:
             continue  # never overwrite an existing transformer
         transformation = diff_schemas(repo.schema_for(name, old_version), new_schemas[name])
-        stub = generate_transformer(transformation, registry)
+        stub = generate_transformer(transformation)
         text = render_transformer(stub)
         entries[(old_version, new_version)] = RegisteredTransformer(
             stub, text, content_digest(text), dirty=True

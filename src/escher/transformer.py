@@ -20,14 +20,13 @@ hand-edited transformers may assign any such expression.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Union
 
 from . import exprs
-from ._lex import IDENT_RE, TokenStream, tokenize
-from .errors import ConversionFailure, DuplicateTarget, ParseError, UnknownConverter
+from ._lex import TokenStream, tokenize
+from .errors import DuplicateTarget, ParseError
 from .schema import (
     ClassType,
     TypeExpr,
@@ -46,7 +45,6 @@ from .smo import (
     Renamed,
     TypeChanged,
 )
-from .values import INT64_MAX, INT64_MIN, IntVal, ObjectValue, RealVal, StringVal
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +108,6 @@ class ObjectTransformer:
             for node in exprs.walk(instr.expr) if isinstance(node, exprs.InputRef)
         )
 
-    def assigned_targets(self) -> frozenset[str]:
-        return frozenset(i.target_name for i in self.instructions if isinstance(i, Assign))
-
     @cached_property
     def steps(self) -> tuple[tuple[type, str, exprs.Compiled | None], ...]:
         """``(kind, target, closure)`` per instruction, compiled on first use."""
@@ -122,133 +117,19 @@ class ObjectTransformer:
 
 
 # ---------------------------------------------------------------------------
-# Converter registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Converter:
-    converter_id: str
-    source_type: TypeExpr
-    target_type: TypeExpr
-    fn: Callable[[ObjectValue], ObjectValue]
-
-    def __post_init__(self) -> None:
-        if not IDENT_RE.match(self.converter_id):
-            raise ValueError(f"invalid converter id {self.converter_id!r}")
-
-
-_INT_RE = re.compile(r"-?\d+\Z")
-_REAL_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
-
-
-def _string_to_integer(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, StringVal) or not _INT_RE.match(value.value):
-        raise ConversionFailure("STRING_TO_INTEGER", value)
-    number = int(value.value)
-    if not (INT64_MIN <= number <= INT64_MAX):
-        raise ConversionFailure("STRING_TO_INTEGER", value)
-    return IntVal(number)
-
-
-def _integer_to_string(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, IntVal):
-        raise ConversionFailure("INTEGER_TO_STRING", value)
-    return StringVal(str(value.value))
-
-
-def _integer_to_real(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, IntVal):
-        raise ConversionFailure("INTEGER_TO_REAL", value)
-    return RealVal(float(value.value))
-
-
-def _real_to_integer(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, RealVal):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    f = value.value
-    if f != f or f in (float("inf"), float("-inf")):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    truncated = int(f)  # toward zero
-    if not (INT64_MIN <= truncated <= INT64_MAX):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    return IntVal(truncated)
-
-
-def _string_to_real(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, StringVal) or not _REAL_RE.match(value.value):
-        raise ConversionFailure("STRING_TO_REAL", value)
-    return RealVal(float(value.value))
-
-
-def _real_to_string(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, RealVal):
-        raise ConversionFailure("REAL_TO_STRING", value)
-    return StringVal(exprs.render_real(value.value))
-
-
-_INTEGER = ClassType("INTEGER")
-_REAL = ClassType("REAL")
-_STRING = ClassType("STRING")
-
-BUILTIN_CONVERTERS = (
-    Converter("STRING_TO_INTEGER", _STRING, _INTEGER, _string_to_integer),
-    Converter("INTEGER_TO_STRING", _INTEGER, _STRING, _integer_to_string),
-    Converter("INTEGER_TO_REAL", _INTEGER, _REAL, _integer_to_real),
-    Converter("REAL_TO_INTEGER", _REAL, _INTEGER, _real_to_integer),
-    Converter("STRING_TO_REAL", _STRING, _REAL, _string_to_real),
-    Converter("REAL_TO_STRING", _REAL, _STRING, _real_to_string),
-)
-
-
-class ConverterRegistry:
-    """Deterministic converter lookup, immutable once constructed.
-
-    One converter per (source type, target type) pair; the built-in
-    primitive matrix is always present.
-    """
-
-    def __init__(self, extra: Iterable[Converter] = ()):
-        self._by_id: dict[str, Converter] = {}
-        self._by_pair: dict[tuple[TypeExpr, TypeExpr], Converter] = {}
-        for conv in (*BUILTIN_CONVERTERS, *extra):
-            if conv.converter_id in self._by_id:
-                raise ValueError(f"duplicate converter id {conv.converter_id!r}")
-            pair = (normalize_type(conv.source_type), normalize_type(conv.target_type))
-            if pair in self._by_pair:
-                raise ValueError(
-                    f"duplicate converter for {render_type(conv.source_type)} -> "
-                    f"{render_type(conv.target_type)}"
-                )
-            self._by_id[conv.converter_id] = conv
-            self._by_pair[pair] = conv
-
-    def extended(self, *extra: Converter) -> "ConverterRegistry":
-        current = [c for c in self._by_id.values() if c not in BUILTIN_CONVERTERS]
-        return ConverterRegistry((*current, *extra))
-
-    def get(self, converter_id: str) -> Converter:
-        conv = self._by_id.get(converter_id)
-        if conv is None:
-            raise UnknownConverter(converter_id)
-        return conv
-
-    def __contains__(self, converter_id: str) -> bool:
-        return converter_id in self._by_id
-
-    def find(self, source_type: TypeExpr, target_type: TypeExpr) -> Converter | None:
-        return self._by_pair.get((normalize_type(source_type), normalize_type(target_type)))
-
-
-DEFAULT_REGISTRY = ConverterRegistry()
-
-
-# ---------------------------------------------------------------------------
 # Assignability and generation
 # ---------------------------------------------------------------------------
 
 # primitive widenings that keep a plain copy sound
-_WIDENINGS = {(_INTEGER, _REAL)}
+_WIDENINGS = {(ClassType("INTEGER"), ClassType("REAL"))}
+
+# (normalized source type, normalized target type) -> the converter id that
+# the generator emits; each id in the table names its two types
+_CONVERTER_FOR = {
+    (normalize_type(ClassType(source)), normalize_type(ClassType(target))): converter_id
+    for converter_id in exprs.CONVERTERS
+    for source, _, target in [converter_id.partition("_TO_")]
+}
 
 
 def assignable(from_type: TypeExpr, to_type: TypeExpr) -> bool:
@@ -258,9 +139,7 @@ def assignable(from_type: TypeExpr, to_type: TypeExpr) -> bool:
     return (strip_marker(from_type), strip_marker(to_type)) in _WIDENINGS
 
 
-def generate_transformer(
-    transformation: ClassTransformation, registry: ConverterRegistry = DEFAULT_REGISTRY
-) -> ObjectTransformer:
+def generate_transformer(transformation: ClassTransformation) -> ObjectTransformer:
     """Map each SMO to its instruction(s); never fails, gaps become warnings."""
     source, target = transformation.source, transformation.target
     if source.version == target.version:
@@ -281,9 +160,11 @@ def generate_transformer(
             if assignable(smo.old_type, smo.new_type):
                 instructions.append(Assign(smo.name, exprs.OldField(smo.name)))
             else:
-                converter = registry.find(smo.old_type, smo.new_type)
-                if converter is not None:
-                    converted = exprs.Convert(converter.converter_id, exprs.OldField(smo.name))
+                converter_id = _CONVERTER_FOR.get(
+                    (normalize_type(smo.old_type), normalize_type(smo.new_type))
+                )
+                if converter_id is not None:
+                    converted = exprs.Convert(converter_id, exprs.OldField(smo.name))
                     instructions.append(Assign(smo.name, converted))
                 else:
                     instructions.append(
@@ -331,9 +212,9 @@ def render_transformer(t: ObjectTransformer) -> str:
 _WARNING_PREFIX = "-- warning:"
 
 
-def parse_transformer(source: str, registry: ConverterRegistry | None = None) -> ObjectTransformer:
-    """Parse a ``.est`` file; converter ids are validated against ``registry``
-    when one is given."""
+def parse_transformer(source: str) -> ObjectTransformer:
+    """Parse a ``.est`` file. A ``convert`` may name any id: one that
+    ``exprs.CONVERTERS`` lacks fails when a record reaches it."""
     header: tuple[str, int, int] | None = None
     instructions: list[TransformerInstr] = []
     pending_warning: str | None = None
@@ -360,7 +241,7 @@ def parse_transformer(source: str, registry: ConverterRegistry | None = None) ->
             pending_warning = None
             continue
         pending_warning = None
-        instructions.append(_parse_statement(line, lineno, registry))
+        instructions.append(_parse_statement(line, lineno))
     if header is None:
         raise ParseError("missing transform header", 1, 1)
     if not ended:
@@ -384,9 +265,7 @@ def _parse_header(line: str, lineno: int) -> tuple[str, int, int]:
     return name, from_version, to_version
 
 
-def _parse_statement(
-    line: str, lineno: int, registry: ConverterRegistry | None
-) -> TransformerInstr:
+def _parse_statement(line: str, lineno: int) -> TransformerInstr:
     stream = TokenStream(tokenize(line, start_line=lineno))
     if stream.at_ident("require_attached"):
         stream.next()
@@ -401,10 +280,6 @@ def _parse_statement(
     stream.expect_op(":=")
     expr = _parse_source(stream)
     _expect_eol(stream)
-    if registry is not None:
-        for node in exprs.walk(expr):
-            if isinstance(node, exprs.Convert) and node.converter_id not in registry:
-                raise UnknownConverter(node.converter_id)
     return Assign(target, expr)
 
 

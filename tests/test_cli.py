@@ -85,6 +85,16 @@ def test_migrate_with_oversized_transformer_version_is_a_parse_error(bank_projec
     assert "Traceback" not in out + err
 
 
+def test_migrate_through_an_unknown_converter_fails_when_a_record_reaches_it(bank_project):
+    handler = bank_project / "handlers" / "BANK_ACCOUNT" / "1_to_2.est"
+    text = handler.read_text(encoding="utf-8")
+    handler.write_text(text.replace("STRING_TO_INTEGER", "NO_SUCH"), encoding="utf-8")
+    code, out, err = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == "UnknownConverter NO_SUCH"
+    assert "Traceback" not in out + err
+
+
 def test_migrate_with_release_zero_in_the_manifest_is_a_format_error(bank_project):
     (bank_project / "escher.manifest").write_text("release 0\n", encoding="utf-8")
     code, out, err = run_cli("migrate", OBJ, "--to-release", "1", "--project", str(bank_project))

@@ -133,6 +133,13 @@ def test_format_errors(text, complain):
         deserialize(text)
 
 
+def test_version_zero_is_a_format_error_at_its_header():
+    text = "ESCHER-OBJECTS 1\nobj 0 NODE version 0\n  x: INTEGER = 1\n  y: INTEGER = 2\nend\n"
+    with pytest.raises(FormatError) as exc:
+        deserialize(text)
+    assert (exc.value.line, exc.value.reason) == (2, "version must be positive: 0")
+
+
 def test_duplicate_field_name_is_a_format_error_at_its_own_line():
     text = (
         "ESCHER-OBJECTS 1\n"
@@ -204,10 +211,10 @@ def test_int64_range_is_enforced():
 def test_invariant_pass_and_fail(bank_v2):
     good = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(70), "info": IntVal(42)})
     bad = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(0), "info": IntVal(42)})
-    assert eval_invariant(good, bank_v2).passed
-    outcome = eval_invariant(bad, bank_v2)
-    assert not outcome.passed
-    assert outcome.failed_clause == "valid_account"
+    eval_invariant(good, bank_v2)
+    with pytest.raises(InvariantViolation) as caught:
+        eval_invariant(bad, bank_v2)
+    assert caught.value.cli_line() == "InvariantViolation BANK_ACCOUNT 0 valid_account"
 
 
 def test_invariant_v1_constructor_state(bank_v1):
@@ -217,7 +224,7 @@ def test_invariant_v1_constructor_state(bank_v1):
         1,
         {"info": StringVal(""), "tot_deposits": IntVal(1), "tot_withdrawals": IntVal(0)},
     )
-    assert eval_invariant(record, bank_v1).passed
+    eval_invariant(record, bank_v1)
 
 
 def eval_clause(schema_text, **fields):
@@ -228,20 +235,23 @@ def eval_clause(schema_text, **fields):
 
 def test_real_promotion_in_comparisons():
     schema = "class C feature x: REAL y: INTEGER invariant c: x < y end"
-    assert eval_clause(schema, x=RealVal(1.5), y=IntVal(2)).passed
-    assert not eval_clause(schema, x=RealVal(2.5), y=IntVal(2)).passed
+    eval_clause(schema, x=RealVal(1.5), y=IntVal(2))
+    with pytest.raises(InvariantViolation):
+        eval_clause(schema, x=RealVal(2.5), y=IntVal(2))
 
 
 def test_string_comparison_is_lexicographic():
     schema = 'class C feature s: STRING invariant c: s < "b" end'
-    assert eval_clause(schema, s=StringVal("a")).passed
-    assert not eval_clause(schema, s=StringVal("c")).passed
+    eval_clause(schema, s=StringVal("a"))
+    with pytest.raises(InvariantViolation):
+        eval_clause(schema, s=StringVal("c"))
 
 
 def test_void_comparisons():
     schema = "class C feature p: detachable PERSON invariant c: p /= Void end"
-    assert eval_clause(schema, p=RefVal(0)).passed
-    assert not eval_clause(schema, p=VOID).passed
+    eval_clause(schema, p=RefVal(0))
+    with pytest.raises(InvariantViolation):
+        eval_clause(schema, p=VOID)
 
 
 def test_boolean_connectives_and_arithmetic():
@@ -249,12 +259,12 @@ def test_boolean_connectives_and_arithmetic():
         "class C feature a: INTEGER b: INTEGER invariant "
         "c: a + b * 2 = 5 and not (a > b) or false end"
     )
-    assert eval_clause(schema, a=IntVal(1), b=IntVal(2)).passed
+    eval_clause(schema, a=IntVal(1), b=IntVal(2))
 
 
 def test_integer_division_truncates_toward_zero():
     schema = "class C feature a: INTEGER invariant c: a // 2 = -3 end"
-    assert eval_clause(schema, a=IntVal(-7)).passed
+    eval_clause(schema, a=IntVal(-7))
 
 
 def test_type_mismatch_raises():
@@ -281,7 +291,9 @@ def test_clauses_checked_in_order():
         "class C feature a: INTEGER invariant first: a > 10 second: a > 100 end"
     )
     record = ObjectRecord(0, "C", 1, {"a": IntVal(5)})
-    assert eval_invariant(record, schema).failed_clause == "first"
+    with pytest.raises(InvariantViolation) as caught:
+        eval_invariant(record, schema)
+    assert caught.value.clause_tag == "first"
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +305,15 @@ def test_interpret_hand_fixed(bank_record, hand_fixed_transformer, bank_v2):
     out = interpret_transformer(hand_fixed_transformer, bank_record, {}, new_schema=bank_v2)
     assert list(out.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
     assert out.version == 2
-    assert eval_invariant(out, bank_v2).passed
+    eval_invariant(out, bank_v2)
 
 
 def test_interpret_generated_with_inputs(bank_record, bank_v1, bank_v2):
     t = generate_transformer(diff_schemas(bank_v1, bank_v2))
     out = interpret_transformer(t, bank_record, {"balance": IntVal(0)}, new_schema=bank_v2)
     assert list(out.fields.items()) == [("balance", IntVal(0)), ("info", IntVal(42))]
-    assert not eval_invariant(out, bank_v2).passed
+    with pytest.raises(InvariantViolation):
+        eval_invariant(out, bank_v2)
 
 
 def test_interpret_identity_bumps_version(bank_record, bank_v1):
@@ -413,7 +426,7 @@ def test_retrieve_hand_fixed(bank_graph, bank_repo_hand_fixed):
     assert record.version == 2
     assert list(record.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
     # gate soundness: the retrieved record re-checks clean
-    assert eval_invariant(record, bank_repo_hand_fixed.schema_for("BANK_ACCOUNT", 2)).passed
+    eval_invariant(record, bank_repo_hand_fixed.schema_for("BANK_ACCOUNT", 2))
 
 
 def test_retrieve_generated_stub_violates_invariant(bank_graph, bank_repo):
@@ -735,7 +748,7 @@ def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
     t, schema = parse_transformer(text), parse_schema(schema_text)
     seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
     old = ObjectRecord(0, "A", 1, {"x": IntVal(15)})
-    assert eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema).passed
+    eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema)
     assert len(compiled) == 2
     for obj, text_form, digest in seen:
         assert (repr(obj), hash(obj)) == (text_form, digest)

@@ -5,16 +5,19 @@ import random
 import pytest
 
 from escher import exprs
-from escher.errors import ConversionFailure, DuplicateTarget, ParseError, UnknownConverter
+from escher.errors import (
+    ConversionFailure,
+    DuplicateTarget,
+    MissingAttribute,
+    ParseError,
+    UnknownConverter,
+)
 from escher.repository import content_digest
-from escher.schema import Attached, ClassType, Detachable, parse_schema, parse_type
+from escher.schema import parse_schema, parse_type
 from escher.smo import diff_schemas
 from escher.transformer import (
-    DEFAULT_REGISTRY,
     Assign,
     CheckAttached,
-    Converter,
-    ConverterRegistry,
     Noop,
     ObjectTransformer,
     assignable,
@@ -24,10 +27,6 @@ from escher.transformer import (
 )
 from escher.values import BoolVal, IntVal, RealVal, StringVal
 from helpers import random_schema_pair
-
-INT = ClassType("INTEGER")
-REAL = ClassType("REAL")
-STR = ClassType("STRING")
 
 
 def test_generate_bank_account(bank_v1, bank_v2):
@@ -103,7 +102,8 @@ def test_generation_is_total_over_random_diffs():
         old, new = random_schema_pair(rng)
         t = generate_transformer(diff_schemas(old, new))
         # every target attribute assigned exactly once
-        assert t.assigned_targets() == set(new.attribute_names())
+        assigned = {i.target_name for i in t.instructions if isinstance(i, Assign)}
+        assert assigned == set(new.attribute_names())
 
 
 def test_generation_is_deterministic(bank_v1, bank_v2):
@@ -259,11 +259,15 @@ def test_duplicate_target_rejected():
         )
 
 
-def test_unknown_converter_with_registry():
+def test_unknown_converter_parses_and_fails_when_evaluated():
     text = "transform C from 1 to 2\n  Result.x := convert NO_SUCH (oldc.x)\nend\n"
-    assert parse_transformer(text).instructions  # lenient without a registry
-    with pytest.raises(UnknownConverter):
-        parse_transformer(text, DEFAULT_REGISTRY)
+    (instr,) = parse_transformer(text).instructions
+    source = exprs.compile_expr(instr.expr)
+    with pytest.raises(UnknownConverter) as caught:
+        source({"x": IntVal(1)}, {})
+    assert caught.value.converter_id == "NO_SUCH"
+    with pytest.raises(MissingAttribute):  # the argument is evaluated first
+        source({}, {})
 
 
 @pytest.mark.parametrize(
@@ -339,60 +343,70 @@ def test_transformer_invariants():
 
 
 # ---------------------------------------------------------------------------
-# converter registry
+# conversions
 # ---------------------------------------------------------------------------
+
+CONVERTERS = exprs.CONVERTERS
 
 
 def test_builtin_conversions():
-    registry = DEFAULT_REGISTRY
-    assert registry.get("STRING_TO_INTEGER").fn(StringVal("42")) == IntVal(42)
-    assert registry.get("STRING_TO_INTEGER").fn(StringVal("-7")) == IntVal(-7)
-    assert registry.get("INTEGER_TO_STRING").fn(IntVal(42)) == StringVal("42")
-    assert registry.get("INTEGER_TO_REAL").fn(IntVal(3)) == RealVal(3.0)
-    assert registry.get("REAL_TO_INTEGER").fn(RealVal(-2.7)) == IntVal(-2)  # toward zero
-    assert registry.get("STRING_TO_REAL").fn(StringVal("2.5")) == RealVal(2.5)
-    assert registry.get("REAL_TO_STRING").fn(RealVal(2.5)) == StringVal("2.5")
+    assert CONVERTERS["STRING_TO_INTEGER"](StringVal("42")) == IntVal(42)
+    assert CONVERTERS["STRING_TO_INTEGER"](StringVal("-7")) == IntVal(-7)
+    assert CONVERTERS["INTEGER_TO_STRING"](IntVal(42)) == StringVal("42")
+    assert CONVERTERS["INTEGER_TO_REAL"](IntVal(3)) == RealVal(3.0)
+    assert CONVERTERS["REAL_TO_INTEGER"](RealVal(-2.7)) == IntVal(-2)  # toward zero
+    assert CONVERTERS["STRING_TO_REAL"](StringVal("2.5")) == RealVal(2.5)
+    assert CONVERTERS["REAL_TO_STRING"](RealVal(2.5)) == StringVal("2.5")
 
 
 def test_conversion_failures():
     with pytest.raises(ConversionFailure):
-        DEFAULT_REGISTRY.get("STRING_TO_INTEGER").fn(StringVal("abc"))
+        CONVERTERS["STRING_TO_INTEGER"](StringVal("abc"))
     with pytest.raises(ConversionFailure):
-        DEFAULT_REGISTRY.get("STRING_TO_INTEGER").fn(IntVal(1))
+        CONVERTERS["STRING_TO_INTEGER"](IntVal(1))
     with pytest.raises(ConversionFailure):
-        DEFAULT_REGISTRY.get("REAL_TO_INTEGER").fn(RealVal(float("nan")))
+        CONVERTERS["REAL_TO_INTEGER"](RealVal(float("nan")))
 
 
 def test_string_integer_round_trip_property():
     rng = random.Random(314)
-    to_string = DEFAULT_REGISTRY.get("INTEGER_TO_STRING").fn
-    to_int = DEFAULT_REGISTRY.get("STRING_TO_INTEGER").fn
+    to_string = CONVERTERS["INTEGER_TO_STRING"]
+    to_int = CONVERTERS["STRING_TO_INTEGER"]
     for _ in range(500):
         v = IntVal(rng.randint(-(2**63), 2**63 - 1))
         assert to_int(to_string(v)) == v
 
 
-def test_registry_lookup_by_pair_uses_type_equal():
-    found = DEFAULT_REGISTRY.find(Detachable(STR), INT)
-    assert found is not None and found.converter_id == "STRING_TO_INTEGER"
-    assert DEFAULT_REGISTRY.find(Attached(STR), INT) is None
-
-
-def test_registry_rejects_duplicates():
-    dup = Converter("STRING_TO_INTEGER_2", STR, INT, lambda v: v)
-    with pytest.raises(ValueError):
-        ConverterRegistry([dup])
-    with pytest.raises(UnknownConverter):
-        DEFAULT_REGISTRY.get("MISSING")
-
-
-def test_registry_extension():
-    person_to_widget = Converter(
-        "PERSON_TO_WIDGET", ClassType("PERSON"), ClassType("WIDGET"), lambda v: v
+def test_generated_conversion_is_chosen_by_the_normalized_type_pair():
+    old = parse_schema("class C feature x: detachable STRING end")
+    new = parse_schema("version 2 class C feature x: INTEGER end")
+    t = generate_transformer(diff_schemas(old, new))
+    assert t.instructions == (Assign("x", exprs.Convert("STRING_TO_INTEGER", exprs.OldField("x"))),)
+    old = parse_schema("class C feature x: attached STRING end")
+    t = generate_transformer(diff_schemas(old, new))
+    assert t.instructions == (
+        Noop("no conversion from attached STRING to INTEGER for x"),
+        Assign("x", exprs.InputRef("x")),
     )
-    registry = DEFAULT_REGISTRY.extended(person_to_widget)
-    assert "PERSON_TO_WIDGET" in registry
-    old = parse_schema("class C feature x: PERSON end")
-    new = parse_schema("version 2 class C feature x: WIDGET end")
-    t = generate_transformer(diff_schemas(old, new), registry)
-    assert t.instructions == (Assign("x", exprs.Convert("PERSON_TO_WIDGET", exprs.OldField("x"))),)
+
+
+def test_every_conversion_the_generator_emits_is_in_the_table():
+    kinds = ("INTEGER", "REAL", "STRING", "BOOLEAN")
+    emitted = set()
+    for a in kinds:
+        for b in kinds:
+            old = parse_schema(f"class C feature x: {a} end")
+            new = parse_schema(f"version 2 class C feature x: {b} end")
+            for instr in generate_transformer(diff_schemas(old, new)).instructions:
+                if isinstance(instr, Assign) and isinstance(instr.expr, exprs.Convert):
+                    emitted.add(instr.expr.converter_id)
+    assert emitted <= set(CONVERTERS)
+    assert emitted == set(CONVERTERS) - {"INTEGER_TO_REAL"}  # a widening is copied as is
+
+
+def test_the_conversion_table_is_read_only():
+    with pytest.raises(TypeError):
+        CONVERTERS["MY_CONV"] = CONVERTERS["INTEGER_TO_REAL"]
+    with pytest.raises(TypeError):
+        del CONVERTERS["INTEGER_TO_REAL"]
+    assert "MY_CONV" not in CONVERTERS and len(CONVERTERS) == 6
