@@ -11,7 +11,6 @@ line), 2 usage or IO problems.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .repository import (
     load_repository,
     project_lock,
     release,
+    replace_file,
     save_repository,
 )
 from .schema import parse_schema, render_schema
@@ -192,25 +192,10 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     text = serialize(migrated)
     if args.out:
-        _replace_file(Path(args.out), text)
+        replace_file(Path(args.out), text)
     else:
         print(text, end="")
     return 0
-
-
-def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` beside ``path``, flush it to disk, then rename it over
-    ``path``: a reader sees the old file or the whole new one, never a part."""
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(text)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def cmd_per(args: argparse.Namespace) -> int:

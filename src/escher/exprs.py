@@ -464,7 +464,8 @@ _NUMERIC = (IntVal, RealVal)
 
 
 def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
-    """Integer results, quotients included, must fit 64 bits."""
+    """Integer results, quotients included, must fit 64 bits; real results
+    must be finite."""
     a_cls, b_cls = a.__class__, b.__class__
     if a_cls is IntVal and b_cls is IntVal:
         x, y = a.value, b.value
@@ -490,10 +491,14 @@ def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
         raise EvalProblem("integer division needs integer operands")
     x, y = float(a.value), float(b.value)
     if op == "+":
-        return RealVal(x + y)
-    if op == "-":
-        return RealVal(x - y)
-    return RealVal(x * y)
+        real = x + y
+    elif op == "-":
+        real = x - y
+    else:
+        real = x * y
+    if not math.isfinite(real):
+        raise EvalProblem("real overflow")
+    return RealVal(real)
 
 
 def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
@@ -543,7 +548,10 @@ def _real_to_integer(value: ObjectValue) -> ObjectValue:
 def _string_to_real(value: ObjectValue) -> ObjectValue:
     if not isinstance(value, StringVal) or not _REAL_RE.match(value.value):
         raise ConversionFailure("STRING_TO_REAL", value)
-    return RealVal(float(value.value))
+    real = float(value.value)
+    if not math.isfinite(real):  # an exponent past the float range
+        raise ConversionFailure("STRING_TO_REAL", value)
+    return RealVal(real)
 
 
 def _real_to_string(value: ObjectValue) -> ObjectValue:

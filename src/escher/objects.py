@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import exprs
 from ._lex import TokenStream, line_int, tokenize, unescape_string
@@ -371,6 +371,8 @@ def interpret_transformer(
         elif kind is CheckAttached:
             if check_attached and result.get(target, VOID).__class__ is VoidVal:
                 raise AttachmentViolation(target)
+    if tuple(result) == new_schema.attribute_names():  # every attribute, in schema order
+        return ObjectRecord(old.id, t.class_name, t.to_version, result)
     fields: dict[str, ObjectValue] = {}
     for attr in new_schema.attributes:
         if attr.name in result:
@@ -455,49 +457,10 @@ def _plan(
     handlers = repo.handlers_for(class_name)
     if handlers is None:
         raise HandlerMissing(class_name)
-    path = _shortest_path(handlers.keys(), start, goal, allow_composition)
+    path = repo.hop_path(class_name, start, goal, allow_composition)
     if path is None:
         raise TransformationMissing(class_name, start, goal)
     hops = [(hop_to, handlers[(hop_from, hop_to)]) for hop_from, hop_to in zip(path, path[1:])]
     class_inputs = {attr: value for (cls, attr), value in inputs.items() if cls == class_name}
     return hops, class_inputs
 
-
-def _shortest_path(
-    edges: Iterable[tuple[int, int]], start: int, goal: int, allow_composition: bool
-) -> list[int] | None:
-    """Version sequence along registered transformers, or None.
-
-    Ties between equal-length paths break toward the lexicographically
-    smallest version sequence.
-    """
-    edge_set = set(edges)
-    if (start, goal) in edge_set:
-        return [start, goal]
-    if not allow_composition:
-        return None
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for a, b in edge_set:
-        forward.setdefault(a, []).append(b)
-        backward.setdefault(b, []).append(a)
-    # distance-to-goal by reverse BFS, then greedy smallest-next-version walk
-    dist = {goal: 0}
-    frontier = [goal]
-    while frontier:
-        nxt: list[int] = []
-        for node in frontier:
-            for prev in backward.get(node, []):
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    nxt.append(prev)
-        frontier = nxt
-    if start not in dist:
-        return None
-    path = [start]
-    node = start
-    while node != goal:
-        candidates = [v for v in forward.get(node, []) if dist.get(v) == dist[node] - 1]
-        node = min(candidates)
-        path.append(node)
-    return path

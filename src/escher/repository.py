@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ._lex import line_int
 from .errors import (
@@ -77,7 +77,9 @@ _NO_HISTORY: Mapping[int, ClassSchema] = MappingProxyType({})
 class Repository:
     project_name: str
     releases: tuple[Release, ...] = ()
-    handlers: dict[str, dict[tuple[int, int], RegisteredTransformer]] = field(default_factory=dict)
+    handlers: Mapping[str, Mapping[tuple[int, int], RegisteredTransformer]] = field(
+        default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         for position, release in enumerate(self.releases, start=1):
@@ -101,12 +103,23 @@ class Repository:
         object.__setattr__(
             self, "_histories", {name: MappingProxyType(h) for name, h in histories.items()}
         )
-        for class_name, entries in self.handlers.items():
+        # Handlers are copied into read-only views, so the transformer index
+        # and the remembered hop paths below cannot go stale: a changed
+        # handler set is a new Repository.
+        handlers = {name: MappingProxyType(dict(e)) for name, e in self.handlers.items()}
+        object.__setattr__(self, "handlers", MappingProxyType(handlers))
+        for class_name, entries in handlers.items():
             history = self.class_history(class_name)
             for from_version, to_version in entries:
                 for v in (from_version, to_version):
                     if v not in history:
                         raise UnknownVersion(class_name, v)
+        object.__setattr__(self, "_transformers", {
+            name: MappingProxyType({pair: entry.transformer for pair, entry in entries.items()})
+            for name, entries in handlers.items()
+        })
+        # {(class, start, goal, allow_composition): version path or None}
+        object.__setattr__(self, "_paths", {})
 
     def latest_release(self) -> Release | None:
         return self.releases[-1] if self.releases else None
@@ -127,14 +140,67 @@ class Repository:
             raise UnknownVersion(class_name, version)
         return history[version]
 
-    def handlers_for(self, class_name: str) -> dict[tuple[int, int], ObjectTransformer] | None:
-        entries = self.handlers.get(class_name)
-        if entries is None:
-            return None
-        return {pair: entry.transformer for pair, entry in entries.items()}
+    def handlers_for(self, class_name: str) -> Mapping[tuple[int, int], ObjectTransformer] | None:
+        """Read-only {(from, to): transformer} of one class, or None when the
+        class has no handler set."""
+        return self._transformers.get(class_name)
+
+    def hop_path(
+        self, class_name: str, start: int, goal: int, allow_composition: bool
+    ) -> tuple[int, ...] | None:
+        """Version sequence from ``start`` to ``goal`` along the class's
+        transformers (see ``_shortest_path``), or None; each is found once per
+        Repository."""
+        key = (class_name, start, goal, allow_composition)
+        if key not in self._paths:
+            path = _shortest_path(
+                self._transformers.get(class_name, {}).keys(), start, goal, allow_composition
+            )
+            self._paths[key] = None if path is None else tuple(path)
+        return self._paths[key]
 
     def transformer_pairs(self, class_name: str) -> frozenset[tuple[int, int]]:
         return frozenset(self.handlers.get(class_name, {}))
+
+
+def _shortest_path(
+    edges: Iterable[tuple[int, int]], start: int, goal: int, allow_composition: bool
+) -> list[int] | None:
+    """Version sequence along registered transformers, or None.
+
+    Ties between equal-length paths break toward the lexicographically
+    smallest version sequence.
+    """
+    edge_set = set(edges)
+    if (start, goal) in edge_set:
+        return [start, goal]
+    if not allow_composition:
+        return None
+    forward: dict[int, list[int]] = {}
+    backward: dict[int, list[int]] = {}
+    for a, b in edge_set:
+        forward.setdefault(a, []).append(b)
+        backward.setdefault(b, []).append(a)
+    # distance-to-goal by reverse BFS, then greedy smallest-next-version walk
+    dist = {goal: 0}
+    frontier = [goal]
+    while frontier:
+        nxt: list[int] = []
+        for node in frontier:
+            for prev in backward.get(node, []):
+                if prev not in dist:
+                    dist[prev] = dist[node] + 1
+                    nxt.append(prev)
+        frontier = nxt
+    if start not in dist:
+        return None
+    path = [start]
+    node = start
+    while node != goal:
+        candidates = [v for v in forward.get(node, []) if dist.get(v) == dist[node] - 1]
+        node = min(candidates)
+        path.append(node)
+    return path
 
 
 def empty_repository(project_name: str) -> Repository:
@@ -266,9 +332,7 @@ def register_transformer(
         raise OverwriteRefused(t.class_name, t.from_version, t.to_version)
     text = render_transformer(t)
     entries[pair] = RegisteredTransformer(t, text, content_digest(text), dirty=True)
-    handlers = {name: dict(e) for name, e in repo.handlers.items()}
-    handlers[t.class_name] = entries
-    return Repository(repo.project_name, repo.releases, handlers)
+    return Repository(repo.project_name, repo.releases, {**repo.handlers, t.class_name: entries})
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +427,32 @@ def load_repository(project_dir: str | Path) -> Repository:
         raise FormatError(0, f"{manifest_path}: {err}") from err
 
 
+def replace_file(path: Path, text: str) -> None:
+    """Write ``text`` beside ``path``, flush it to disk, then rename it over
+    ``path``: a reader sees the old file or the whole new one, never a part."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
-    """Write manifest, release schemas, and handler files.
+    """Write release schemas, handler files, and then the manifest.
 
     Handler files produced in this session (``dirty``) are written out;
     anything else on disk is left untouched unless missing entirely, so user
-    edits survive.
+    edits survive. The manifest goes last, through ``replace_file``, so a
+    save cut short leaves the old manifest in place instead of one that
+    names files never written.
     """
     project_dir = Path(project_dir)
     project_dir.mkdir(parents=True, exist_ok=True)
-    (project_dir / _MANIFEST).write_text(render_manifest(repo), encoding="utf-8")
     for rel in repo.releases:
         rel_dir = project_dir / "releases" / str(rel.number)
         rel_dir.mkdir(parents=True, exist_ok=True)
@@ -385,6 +465,7 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
             path = class_dir / f"{a}_to_{b}.est"
             if entry.dirty or not path.exists():
                 path.write_text(entry.text, encoding="utf-8")
+    replace_file(project_dir / _MANIFEST, render_manifest(repo))
 
 
 @contextmanager

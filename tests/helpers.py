@@ -6,6 +6,7 @@ Everything takes an explicit ``random.Random`` so failures reproduce.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from escher.objects import ObjectGraph, ObjectRecord
 from escher.repository import Release, Repository
@@ -23,6 +24,18 @@ from escher.schema import (
 )
 from escher import exprs
 from escher.values import VOID, BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal
+
+
+def without_handler(repo: Repository, class_name: str, pair: tuple[int, int] | None = None) -> Repository:
+    """A new Repository without one handler of the class, or, with no
+    ``pair``, without the class's handler set."""
+    handlers = {name: dict(entries) for name, entries in repo.handlers.items()}
+    if pair is None:
+        del handlers[class_name]
+    else:
+        del handlers[class_name][pair]
+    return replace(repo, handlers=handlers)
+
 
 CLASS_NAMES = ["INTEGER", "REAL", "BOOLEAN", "STRING", "PERSON", "ADDRESS", "ACCOUNT", "WIDGET"]
 CONTAINER_NAMES = ["ARRAY", "LIST", "TABLE"]

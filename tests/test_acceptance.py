@@ -45,7 +45,7 @@ from escher.transformer import (
     render_transformer,
 )
 from escher.values import IntVal, StringVal
-from helpers import random_graph, random_schema, random_schema_pair
+from helpers import random_graph, random_schema, random_schema_pair, without_handler
 
 from test_per import JAVA_UTIL_PER, closure_oracle
 
@@ -190,9 +190,9 @@ def test_criterion_5_error_taxonomy(tmp_path):
         repo, _ = release(repo, {"BANK_ACCOUNT": BANK_V1})
         repo, _ = release(repo, {"BANK_ACCOUNT": BANK_V2.with_version(1)})
         if not transformer:
-            repo.handlers["BANK_ACCOUNT"].clear()
+            repo = without_handler(repo, "BANK_ACCOUNT", (1, 2))
         if not handler_lines:
-            repo.handlers.pop("BANK_ACCOUNT")
+            repo = without_handler(repo, "BANK_ACCOUNT")
         target = tmp_path / f"proj_{handler_lines}_{transformer}"
         save_repository(repo, target)
         if not handler_lines:

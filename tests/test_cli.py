@@ -9,6 +9,9 @@ from conftest import (
     run_cli,
 )
 from escher.objects import deserialize
+from escher.repository import empty_repository, register_transformer, release, save_repository
+from escher.schema import parse_schema
+from escher.transformer import parse_transformer
 from escher.values import IntVal
 
 V1 = str(FIXTURES / "bank_account_v1.esc")
@@ -542,3 +545,45 @@ def test_migrate_non_utf8_file_exits_2(tmp_path, bank_project):
     assert code == 2
     assert out == ""
     assert "io error: input is not UTF-8 text" in err
+
+
+def _real_project(tmp_path, new_class: str, hand_written: str | None = None):
+    """Release ``class C feature x: ...`` then ``new_class``, with the
+    generated 1 -> 2 stub or ``hand_written`` in its place."""
+    repo = empty_repository("reals")
+    old = "class C feature x: STRING end" if hand_written is None else "class C feature x: REAL end"
+    repo, _ = release(repo, {"C": parse_schema(old)})
+    repo, _ = release(repo, {"C": parse_schema(new_class)})
+    if hand_written is not None:
+        repo = register_transformer(repo, parse_transformer(hand_written), overwrite=True)
+    project = tmp_path / "reals"
+    save_repository(repo, project)
+    return str(project)
+
+
+def _migrate_one(tmp_path, project: str, record: str) -> tuple[int, str, str]:
+    obj = tmp_path / "c.eso"
+    obj.write_text(f"ESCHER-OBJECTS 1\n{record}end\n", encoding="utf-8")
+    return run_cli("migrate", str(obj), "--to-release", "2", "--project", project)
+
+
+def test_migrate_string_to_real_past_the_float_range_is_a_conversion_failure(tmp_path):
+    project = _real_project(tmp_path, "class C feature x: REAL end")
+    code, out, err = _migrate_one(tmp_path, project, 'obj 0 C version 1\n  x: STRING = "1e999"\n')
+    assert code == 1
+    assert out == "ConversionFailure STRING_TO_REAL StringVal(value='1e999')\n"
+    assert "Traceback" not in out + err
+
+
+def test_migrate_real_overflow_is_an_evaluation_error_or_an_invariant_mismatch(tmp_path):
+    project = _real_project(
+        tmp_path,
+        "class C feature x: REAL invariant big: x * 1.0e300 > 0.0 end",
+        "transform C from 1 to 2\n  Result.x := oldc.x * 1.0e300\nend\n",
+    )
+    code, out, err = _migrate_one(tmp_path, project, "obj 0 C version 1\n  x: REAL = 1.0e300\n")
+    assert (code, out) == (1, "EvaluationError 0 real overflow\n")
+    assert "Traceback" not in out + err
+    code, out, err = _migrate_one(tmp_path, project, "obj 0 C version 2\n  x: REAL = 1.0e300\n")
+    assert (code, out) == (1, "TypeMismatchInInvariant big\n")
+    assert "Traceback" not in out + err

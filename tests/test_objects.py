@@ -49,7 +49,7 @@ from escher.values import (
     StringVal,
 )
 from conftest import BANK_OBJECT_TEXT
-from helpers import random_graph
+from helpers import random_graph, without_handler
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,31 @@ def test_unassigned_attribute_defaults_with_warning():
     assert len(warnings) == 5
 
 
+def test_fields_follow_the_schema_whatever_order_the_steps_assign(
+    bank_record, hand_fixed_transformer, bank_v2
+):
+    in_order = parse_transformer(
+        "transform BANK_ACCOUNT from 1 to 2\n"
+        "  Result.balance := oldc.tot_deposits - oldc.tot_withdrawals\n"
+        "  Result.info := convert STRING_TO_INTEGER (oldc.info)\n"
+        "end\n"
+    )
+    for t in (in_order, hand_fixed_transformer):  # the fixture assigns info first
+        out = interpret_transformer(t, bank_record, {}, new_schema=bank_v2)
+        assert list(out.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
+    partial = parse_transformer(
+        "transform BANK_ACCOUNT from 1 to 2\n"
+        "  Result.info := convert STRING_TO_INTEGER (oldc.info)\n"
+        "end\n"
+    )
+    warnings: list[str] = []
+    out = interpret_transformer(partial, bank_record, {}, new_schema=bank_v2, warnings=warnings)
+    assert list(out.fields.items()) == [("balance", IntVal(0)), ("info", IntVal(42))]
+    assert warnings == [
+        "attribute 'balance' of BANK_ACCOUNT not assigned by the 1->2 transformer; default used"
+    ]
+
+
 def test_interpret_arithmetic_errors(bank_v2):
     t = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits // 0\nend\n"
@@ -456,14 +481,14 @@ def test_retrieve_transformation_missing(bank_graph, bank_v1, bank_v2, hand_fixe
         "transform BANK_ACCOUNT from 2 to 1\n  Result.info := convert INTEGER_TO_STRING (oldc.info)\nend\n"
     )
     repo = register_transformer(repo, backwards, overwrite=True)
-    repo.handlers["BANK_ACCOUNT"].pop((1, 2))
+    repo = without_handler(repo, "BANK_ACCOUNT", (1, 2))
     with pytest.raises(TransformationMissing) as exc:
         retrieve(bank_graph, repo, {"BANK_ACCOUNT": 2}, {})
     assert (exc.value.from_version, exc.value.to_version) == (1, 2)
 
 
 def test_retrieve_handler_missing(bank_graph, bank_repo):
-    bank_repo.handlers.pop("BANK_ACCOUNT")
+    bank_repo = without_handler(bank_repo, "BANK_ACCOUNT")
     with pytest.raises(HandlerMissing):
         retrieve(bank_graph, bank_repo, {"BANK_ACCOUNT": 2}, {})
 
@@ -552,7 +577,7 @@ def test_retrieve_strict_direct_refuses_composition():
 
 
 def test_retrieve_composes_lexicographically_smallest_shortest_path():
-    from escher.objects import _shortest_path
+    from escher.repository import _shortest_path
 
     edges = {(1, 2), (2, 4), (1, 3), (3, 4)}
     assert _shortest_path(edges, 1, 4, True) == [1, 2, 4]
@@ -588,10 +613,11 @@ def test_retrieve_plans_each_class_and_stored_version_once_per_call(monkeypatch)
     assert len(schemas) == sum((4 - v) + 1 for v in stored)  # each hop, then the gate
     expected = [(f"f{k}", IntVal(k)) for k in range(1, 5)]
     assert all(r.version == 4 and list(r.fields.items()) == expected for r in out.records)
-    # a plan lives for one call: the next call sees a handler removed since
+    # a plan lives for one call: the next call sees a changed handler set,
+    # which is a new Repository
     assert retrieve(graph, repo, {"CHAIN": 4}, inputs) == out
     assert len(planned) == 6
-    repo.handlers["CHAIN"].pop((3, 4))
+    repo = without_handler(repo, "CHAIN", (3, 4))
     with pytest.raises(TransformationMissing):
         retrieve(graph, repo, {"CHAIN": 4}, inputs)
 
@@ -645,7 +671,7 @@ def test_retrieve_on_a_mixed_graph_names_the_failing_record(mixed_repo):
         retrieve(back, mixed_repo, {"A": 2, "B": 1})
     assert (missing.value.class_name, missing.value.from_version, missing.value.to_version) == ("B", 2, 1)
 
-    mixed_repo.handlers.pop("B")
+    mixed_repo = without_handler(mixed_repo, "B")
     warnings.clear()
     with pytest.raises(HandlerMissing) as no_handlers:
         retrieve(graph, mixed_repo, targets, warnings=warnings)

@@ -187,6 +187,32 @@ def test_save_load_round_trip(bank_repo_hand_fixed, tmp_path):
     )
 
 
+def test_a_save_cut_short_keeps_the_old_manifest(bank_repo, bank_v2, tmp_path, monkeypatch):
+    project = tmp_path / "proj"
+    save_repository(bank_repo, project)
+    manifest = (project / "escher.manifest").read_text(encoding="utf-8")
+    v3 = parse_schema(render_schema(bank_v2).replace("info: INTEGER", "info: STRING"))
+    newer, report = release(bank_repo, {"BANK_ACCOUNT": v3})
+    assert report.stubs == (("BANK_ACCOUNT", 2, 3),)
+    write_text = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if path.name == "2_to_3.est":
+            raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_repository(newer, project)
+    monkeypatch.undo()
+    assert (project / "releases" / "3" / "BANK_ACCOUNT.esc").exists()  # written before the failure
+    assert (project / "escher.manifest").read_text(encoding="utf-8") == manifest
+    loaded = load_repository(project)
+    assert loaded.releases == bank_repo.releases
+    assert loaded.transformer_pairs("BANK_ACCOUNT") == {(1, 2)}
+    assert not list(project.glob(".*.tmp"))
+
+
 def test_manifest_golden(bank_repo, bank_v1, bank_v2):
     digest = bank_repo.handlers["BANK_ACCOUNT"][(1, 2)].digest
     assert render_manifest(bank_repo) == (
@@ -279,6 +305,23 @@ def test_history_index_is_not_a_field(bank_repo):
     assert schema.attribute_set == frozenset(schema.attribute_names())
     assert replace(schema) == schema
     assert "attribute_set" not in repr(schema)
+
+
+def test_handlers_are_read_only(bank_repo, hand_fixed_transformer):
+    entries = bank_repo.handlers["BANK_ACCOUNT"]
+    for mapping, key in ((bank_repo.handlers, "BANK_ACCOUNT"), (entries, (1, 2))):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            mapping.pop(key)  # type: ignore[attr-defined]
+    # the dicts a Repository is built from are copied, not shared
+    given = {"BANK_ACCOUNT": dict(entries)}
+    repo = Repository("bank", bank_repo.releases, given)
+    given["BANK_ACCOUNT"].clear()
+    given.clear()
+    assert repo.handlers == bank_repo.handlers
+    assert repo.handlers_for("BANK_ACCOUNT") == {(1, 2): entries[(1, 2)].transformer}
+    assert "_paths" not in repr(repo) and "_transformers" not in repr(repo)
 
 
 def _write_project(project: Path, manifest: str, schemas: dict[str, str]) -> None:
