@@ -371,8 +371,6 @@ def interpret_transformer(
         elif kind is CheckAttached:
             if check_attached and result.get(target, VOID).__class__ is VoidVal:
                 raise AttachmentViolation(target)
-    if tuple(result) == new_schema.attribute_names():  # every attribute, in schema order
-        return ObjectRecord(old.id, t.class_name, t.to_version, result)
     fields: dict[str, ObjectValue] = {}
     for attr in new_schema.attributes:
         if attr.name in result:

@@ -290,18 +290,21 @@ def release(
         return repo, ReleaseReport(noop=True, number=previous.number if previous else 0)
 
     number = (previous.number if previous else 0) + 1
-    handlers = {name: dict(entries) for name, entries in repo.handlers.items()}
+    handlers = {**repo.handlers}  # the Repository constructor copies each entry
     stubs: list[tuple[str, int, int]] = []
     for name, old_version, new_version in bumped:
-        entries = handlers.setdefault(name, {})
+        entries = handlers.get(name, {})
         if (old_version, new_version) in entries:
             continue  # never overwrite an existing transformer
         transformation = diff_schemas(repo.schema_for(name, old_version), new_schemas[name])
         stub = generate_transformer(transformation)
         text = render_transformer(stub)
-        entries[(old_version, new_version)] = RegisteredTransformer(
-            stub, text, content_digest(text), dirty=True
-        )
+        handlers[name] = {
+            **entries,
+            (old_version, new_version): RegisteredTransformer(
+                stub, text, content_digest(text), dirty=True
+            ),
+        }
         stubs.append((name, old_version, new_version))
     new_repo = Repository(
         repo.project_name, repo.releases + (Release(number, new_schemas),), handlers

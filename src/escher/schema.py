@@ -230,9 +230,8 @@ class ClassSchema:
             if attr.name in seen_attrs:
                 raise DuplicateAttribute(attr.name)
             seen_attrs.add(attr.name)
-        # not fields, so ``==``, ``repr`` and ``replace`` ignore them
+        # not a field, so ``==``, ``repr`` and ``replace`` ignore it
         object.__setattr__(self, "attribute_set", frozenset(seen_attrs))
-        object.__setattr__(self, "_attribute_names", tuple(a.name for a in self.attributes))
         if seen_params & seen_attrs:
             clash = sorted(seen_params & seen_attrs)[0]
             raise ValueError(f"name {clash!r} is both a generic parameter and an attribute")
@@ -253,7 +252,7 @@ class ClassSchema:
         return tuple((c.tag, exprs.compile_expr(c.body)) for c in self.invariant.clauses)
 
     def attribute_names(self) -> tuple[str, ...]:
-        return self._attribute_names
+        return tuple(a.name for a in self.attributes)
 
     def get_attribute(self, name: str) -> Attribute | None:
         for attr in self.attributes:
