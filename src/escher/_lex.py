@@ -8,7 +8,7 @@ win over a bare minus, so ``a--b`` lexes as ``a`` followed by a comment
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, ParseError
 
@@ -33,8 +33,7 @@ _ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 _REVERSE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | INT | REAL | STRING | OP | EOF
     text: str
     line: int

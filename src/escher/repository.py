@@ -51,11 +51,13 @@ def content_digest(text: str) -> str:
 @dataclass(frozen=True)
 class Release:
     number: int
-    schemas: dict[str, ClassSchema]  # one version per class per release
+    schemas: Mapping[str, ClassSchema]  # one version per class per release
 
     def __post_init__(self) -> None:
         if self.number < 1:
             raise ValueError(f"release numbers start at 1, got {self.number}")
+        # A read-only copy, so a Repository's history index cannot go stale.
+        object.__setattr__(self, "schemas", MappingProxyType(dict(self.schemas)))
         for name, schema in self.schemas.items():
             if schema.name != name:
                 raise ValueError(f"release entry {name!r} holds schema named {schema.name!r}")
@@ -369,12 +371,14 @@ def load_repository(project_dir: str | Path) -> Repository:
 
     The manifest is authoritative for releases; handler files are picked up
     from disk even when unlisted, so a hand-written ``.est`` dropped into
-    ``handlers/<CLASS>/`` is immediately usable.
+    ``handlers/<CLASS>/`` is immediately usable. Each distinct ``.esc`` text
+    is parsed once, and releases holding the same text share its schema.
     """
     project_dir = Path(project_dir)
     manifest_path = project_dir / _MANIFEST
     manifest_digests: dict[tuple[str, int, int], str] = {}
     releases: list[tuple[int, dict[str, ClassSchema]]] = []  # (number, schemas)
+    parsed: dict[str, ClassSchema] = {}  # {.esc text: schema}, for this call only
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("--"):
@@ -388,7 +392,10 @@ def load_repository(project_dir: str | Path) -> Repository:
             name, version = m.group(1), line_int(m.group(2), lineno)
             number, schemas = releases[-1]
             path = project_dir / "releases" / str(number) / f"{name}.esc"
-            schema = parse_schema(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+            schema = parsed.get(text)
+            if schema is None:
+                schema = parsed[text] = parse_schema(text)
             if schema.name != name or schema.version != version:
                 raise FormatError(
                     lineno, f"{path} does not match manifest entry {name} version {version}"
@@ -448,10 +455,12 @@ def replace_file(path: Path, text: str) -> None:
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
     """Write release schemas, handler files, and then the manifest.
 
-    Handler files produced in this session (``dirty``) are written out;
-    anything else on disk is left untouched unless missing entirely, so user
-    edits survive. The manifest goes last, through ``replace_file``, so a
-    save cut short leaves the old manifest in place instead of one that
+    A release schema is written only when its file is missing or holds other
+    bytes, so a file the manifest lists is never rewritten with the same
+    content. Handler files produced in this session (``dirty``) are written
+    out; anything else on disk is left untouched unless missing entirely, so
+    user edits survive. The manifest goes last, through ``replace_file``, so
+    a save cut short leaves the old manifest in place instead of one that
     names files never written.
     """
     project_dir = Path(project_dir)
@@ -460,7 +469,14 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
         rel_dir = project_dir / "releases" / str(rel.number)
         rel_dir.mkdir(parents=True, exist_ok=True)
         for name in sorted(rel.schemas):
-            (rel_dir / f"{name}.esc").write_text(render_schema(rel.schemas[name]), encoding="utf-8")
+            path = rel_dir / f"{name}.esc"
+            text = render_schema(rel.schemas[name])
+            try:
+                unchanged = path.read_bytes() == text.encode("utf-8")
+            except FileNotFoundError:
+                unchanged = False
+            if not unchanged:
+                path.write_text(text, encoding="utf-8")
     for class_name in sorted(repo.handlers):
         class_dir = project_dir / "handlers" / class_name
         class_dir.mkdir(parents=True, exist_ok=True)

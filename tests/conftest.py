@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +18,17 @@ from escher.repository import (
 from escher.schema import parse_schema
 from escher.transformer import parse_transformer
 from escher.values import IntVal, StringVal
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # CI runs derandomized, so a red run fails the same way on a local
+    # `CI=1 pytest`; local runs stay randomized.
+    settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

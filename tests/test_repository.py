@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from escher import repository
 from escher.errors import (
     FormatError,
     OverwriteRefused,
@@ -211,6 +212,139 @@ def test_a_save_cut_short_keeps_the_old_manifest(bank_repo, bank_v2, tmp_path, m
     assert loaded.releases == bank_repo.releases
     assert loaded.transformer_pairs("BANK_ACCOUNT") == {(1, 2)}
     assert not list(project.glob(".*.tmp"))
+
+
+def _four_release_repo() -> Repository:
+    """A and B each change once, C arrives last: 9 release files, 5 texts."""
+    a1 = parse_schema("class A feature\n  x: INTEGER\nend\n")
+    a2 = parse_schema("class A feature\n  x: INTEGER\n  y: REAL\nend\n")
+    b1 = parse_schema("class B feature\n  n: REAL\nend\n")
+    b2 = parse_schema("class B feature\n  n: REAL\n  m: BOOLEAN\nend\n")
+    c1 = parse_schema("class C feature\n  s: STRING\nend\n")
+    repo, _ = release(empty_repository("four"), {"A": a1, "B": b1})
+    for change in ({"A": a2}, {"B": b2}, {"C": c1}):
+        repo, _ = release(repo, {**repo.latest_release().schemas, **change})
+    return repo
+
+
+def _snapshot(project: Path) -> dict[str, tuple[bytes, int]]:
+    return {
+        str(p.relative_to(project)): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(project.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    texts: list[str] = []
+    parse = repository.parse_schema
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(repository, "parse_schema", counting)
+    return texts
+
+
+def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    project = tmp_path / "four"
+    repo = _four_release_repo()
+    save_repository(repo, project)
+    files = sorted((project / "releases").rglob("*.esc"))
+    texts = {f.read_text(encoding="utf-8") for f in files}
+    assert (len(files), len(texts)) == (9, 5)
+    parsed = _count_parses(monkeypatch)
+    loaded = load_repository(project)
+    assert sorted(parsed) == sorted(texts)
+    # the same Repository as one whose every file is parsed on its own
+    monkeypatch.undo()
+    separately = tuple(
+        Release(rel.number, {
+            name: parse_schema((project / "releases" / str(rel.number) / f"{name}.esc")
+                               .read_text(encoding="utf-8"))
+            for name in rel.schemas
+        })
+        for rel in loaded.releases
+    )
+    assert loaded == Repository(loaded.project_name, separately, loaded.handlers)
+    assert loaded.releases == repo.releases
+    # releases holding one text share one schema
+    assert loaded.releases[0].schemas["B"] is loaded.releases[1].schemas["B"]
+    assert loaded.releases[1].schemas["A"] is loaded.releases[3].schemas["A"]
+
+
+def test_load_keeps_different_texts_of_one_version_apart(tmp_path, monkeypatch):
+    first = "class C feature\n  x: INTEGER\nend\n"
+    edited = "class C feature\n  x: INTEGER\n  y: REAL\nend\n"
+    _write_project(
+        tmp_path,
+        "release 1\nclass C version 1\nrelease 2\nclass C version 1\n",
+        {"1/C.esc": first, "2/C.esc": edited},
+    )
+    parsed = _count_parses(monkeypatch)
+    loaded = load_repository(tmp_path)
+    assert parsed == [first, edited]
+    assert loaded.releases[0].schemas["C"] == parse_schema(first)
+    assert loaded.releases[1].schemas["C"] == parse_schema(edited)
+    assert loaded.class_history("C")[1] == parse_schema(edited)
+
+
+def test_saving_an_unchanged_project_writes_no_file(tmp_path, monkeypatch):
+    project = tmp_path / "four"
+    save_repository(_four_release_repo(), project)
+    for path in project.rglob("*"):
+        if path.is_file():
+            os.utime(path, ns=(10**18, 10**18))  # no rewrite can leave this mtime
+    before = _snapshot(project)
+    written: list[Path] = []
+    write_text = Path.write_text
+
+    def counting(path, *args, **kwargs):
+        written.append(path)
+        return write_text(path, *args, **kwargs)
+
+    loaded = load_repository(project)
+    monkeypatch.setattr(Path, "write_text", counting)
+    save_repository(loaded, project)
+    assert written == []
+    after = _snapshot(project)
+    manifest = "escher.manifest"  # written last on every save, with the same bytes
+    assert after.pop(manifest)[0] == before.pop(manifest)[0]
+    assert after == before
+
+
+def test_save_rewrites_a_listed_release_file_that_differs_or_is_gone(tmp_path):
+    project = tmp_path / "four"
+    save_repository(_four_release_repo(), project)
+    repo = load_repository(project)  # its handlers are not dirty, so not rewritten
+    expected = _snapshot(project)
+    releases = project / "releases"
+    altered, garbled, deleted = releases / "1" / "A.esc", releases / "2" / "B.esc", releases / "4" / "C.esc"
+    altered.write_text(altered.read_text(encoding="utf-8") + "-- edited\n", encoding="utf-8")
+    garbled.write_bytes(b"\xff\xfe not UTF-8")
+    deleted.unlink()
+    for path in project.rglob("*.es[ct]"):
+        os.utime(path, ns=(10**18, 10**18))
+    save_repository(repo, project)
+    after = _snapshot(project)
+    for path in (altered, garbled, deleted):
+        key = str(path.relative_to(project))
+        assert after[key][0] == expected[key][0]
+        assert after[key][1] != 10**18
+    untouched = [p for p in project.rglob("*.es[ct]") if p not in (altered, garbled, deleted)]
+    assert untouched and all(p.stat().st_mtime_ns == 10**18 for p in untouched)
+
+
+def test_release_schemas_are_a_read_only_copy(bank_v1, bank_v2):
+    given = {"BANK_ACCOUNT": bank_v1}
+    rel = Release(1, given)
+    given["BANK_ACCOUNT"] = bank_v2.with_version(1)
+    assert rel.schemas["BANK_ACCOUNT"] is bank_v1
+    with pytest.raises(TypeError):
+        rel.schemas["BANK_ACCOUNT"] = bank_v1  # type: ignore[index]
+    assert rel == Release(1, {"BANK_ACCOUNT": bank_v1})
+    assert rel != Release(1, {})
 
 
 def test_manifest_golden(bank_repo, bank_v1, bank_v2):
