@@ -215,10 +215,10 @@ def cmd_per(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     schema = parse_schema(_read(args.schema_file))
     graph = deserialize(_read(args.object_file))
-    for record in graph.records:
-        if record.class_name != schema.name:
-            continue
+    checked = [record for record in graph.records if record.class_name == schema.name]
+    for record in checked:  # every record first, so an error is the first line
         eval_invariant(record, schema)
+    for record in checked:
         print(f"ok {record.class_name} {record.id}")
     return 0
 

@@ -69,7 +69,7 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectRecord:
     """One stored object; ``fields`` is a read-only view, in field order, of
     the dict it is built from. Field order fixes the ``.eso`` text, but
@@ -88,7 +88,7 @@ class ObjectRecord:
         object.__setattr__(self, "fields", MappingProxyType(self.fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectGraph:
     records: tuple[ObjectRecord, ...]
 
@@ -133,10 +133,87 @@ def serialize(graph: ObjectGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OBJ_RE = re.compile(r"obj\s+(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\s+version\s+(\d+)\s*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({_NAME})\s+version\s+(\d+)\s*\Z")
 
 
 def deserialize(text: str) -> ObjectGraph:
+    """The graph an ``.eso`` text holds. A file exactly as ``serialize``
+    writes it is read a record block at a time; any other text goes through
+    the line parser, which gives the same graph and writes every error."""
+    graph = _deserialize_blocks(text)
+    return graph if graph is not None else _deserialize_lines(text)
+
+
+# One record exactly as ``serialize`` writes it: the header line, the field
+# lines (each starting with two spaces), then ``end``.
+_BLOCK_RE = re.compile(rf"obj ([0-9]+) ({_NAME}) version ([0-9]+)\n((?:  [^\n]*\n)*)end\n")
+# One field line as ``serialize`` writes it, its annotation fused with the
+# shape of the one literal kind it admits; a ``ref``'s class is any other name.
+_BLOCK_FIELD_RE = re.compile(
+    rf"^  ({_NAME}): (?:"
+    r"INTEGER = (-?[0-9]+)"
+    r'|STRING = ("(?:[^"\\\n]|\\["\\n])*")'
+    rf"|(?!(?:{'|'.join(PRIMITIVE_KINDS)}) )({_NAME}) = ref ([0-9]+)"
+    r"|NONE = (Void)"
+    r"|BOOLEAN = (true|false)"
+    r"|REAL = (-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    r")$",
+    re.M,
+)
+
+
+def _deserialize_blocks(text: str) -> ObjectGraph | None:
+    """The graph of a text exactly as ``serialize`` writes it, or None for
+    any deviation, error or not: the line parser alone reports errors."""
+    if not text.startswith(_HEADER + "\n"):
+        return None
+    records: list[ObjectRecord] = []
+    ref_classes: dict[int, str] = {}  # target id -> the class its refs annotate
+    pos, total = len(_HEADER) + 1, len(text)
+    match_block, field_rows = _BLOCK_RE.match, _BLOCK_FIELD_RE.findall
+    try:
+        while pos < total:
+            block = match_block(text, pos)
+            if block is None:
+                return None
+            pos = block.end()
+            object_id, class_name, version, body = block.groups()
+            rows = field_rows(body)
+            if int(object_id) != len(records) or len(rows) != body.count("\n"):
+                return None
+            fields: dict[str, ObjectValue] = {}
+            for name, integer, string, ref_class, ref, void, boolean, real in rows:
+                if integer:
+                    value = IntVal(int(integer))
+                elif string:
+                    value = StringVal(unescape_string(string, 0, 0))
+                elif ref:
+                    value = RefVal(int(ref))
+                    if ref_classes.setdefault(value.object_id, ref_class) != ref_class:
+                        return None
+                elif void:
+                    value = VOID
+                elif boolean:
+                    value = exprs.WORD_VALUES[boolean]
+                else:
+                    value = RealVal(float(real))
+                    if not math.isfinite(value.value):
+                        return None
+                fields[name] = value
+            if len(fields) != len(rows):  # a duplicate field name
+                return None
+            records.append(ObjectRecord(len(records), class_name, int(version), fields))
+        graph = ObjectGraph(tuple(records))
+    except (ValueError, DanglingReference):  # int64 range, version, no records
+        return None
+    for target, annotation in ref_classes.items():
+        if records[target].class_name != annotation:
+            return None
+    return graph
+
+
+def _deserialize_lines(text: str) -> ObjectGraph:
     lines = text.split("\n")
     if not lines or lines[0].strip() != _HEADER:
         raise FormatError(1, f"missing {_HEADER!r} header")
@@ -192,7 +269,6 @@ def deserialize(text: str) -> ObjectGraph:
     return graph
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # The line ``serialize`` writes for one field, give or take the tokenizer's
 # whitespace around it, built from the tokenizer's own character classes, so
 # every line it matches tokenizes to the same value.

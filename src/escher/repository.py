@@ -16,6 +16,7 @@ without ever overwriting an existing handler file.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import re
@@ -453,37 +454,43 @@ def replace_file(path: Path, text: str) -> None:
 
 
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
-    """Write release schemas, handler files, and then the manifest.
+    """Write release schemas, handler files, and then the manifest, each
+    through ``replace_file``.
 
     A release schema is written only when its file is missing or holds other
     bytes, so a file the manifest lists is never rewritten with the same
-    content. Handler files produced in this session (``dirty``) are written
-    out; anything else on disk is left untouched unless missing entirely, so
-    user edits survive. The manifest goes last, through ``replace_file``, so
-    a save cut short leaves the old manifest in place instead of one that
-    names files never written.
+    content; each distinct schema object is rendered once per call, as
+    releases share the schema of an unchanged class. Handler files produced
+    in this session (``dirty``) are written out; anything else on disk is
+    left untouched unless missing entirely, so user edits survive. The
+    manifest goes last, so a save cut short leaves the old manifest in place
+    instead of one that names files never written.
     """
     project_dir = Path(project_dir)
     project_dir.mkdir(parents=True, exist_ok=True)
+    rendered: dict[int, str] = {}  # id of a schema -> its text
     for rel in repo.releases:
         rel_dir = project_dir / "releases" / str(rel.number)
         rel_dir.mkdir(parents=True, exist_ok=True)
         for name in sorted(rel.schemas):
             path = rel_dir / f"{name}.esc"
-            text = render_schema(rel.schemas[name])
+            schema = rel.schemas[name]
+            text = rendered.get(id(schema))
+            if text is None:
+                text = rendered[id(schema)] = render_schema(schema)
             try:
                 unchanged = path.read_bytes() == text.encode("utf-8")
             except FileNotFoundError:
                 unchanged = False
             if not unchanged:
-                path.write_text(text, encoding="utf-8")
+                replace_file(path, text)
     for class_name in sorted(repo.handlers):
         class_dir = project_dir / "handlers" / class_name
         class_dir.mkdir(parents=True, exist_ok=True)
         for (a, b), entry in sorted(repo.handlers[class_name].items()):
             path = class_dir / f"{a}_to_{b}.est"
             if entry.dirty or not path.exists():
-                path.write_text(entry.text, encoding="utf-8")
+                replace_file(path, entry.text)
     replace_file(project_dir / _MANIFEST, render_manifest(repo))
 
 
@@ -491,43 +498,57 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
 def project_lock(project_dir: str | Path, timeout: float = 10.0):
     """Advisory exclusive lock; concurrent invocations wait then give up.
 
-    A lock whose PID names no running process was left by a killed
-    invocation and is removed at once.
+    The holder keeps an exclusive ``flock`` on ``escher.lock`` while it holds
+    the lock, and writes its PID there. The kernel frees the ``flock`` of a
+    holder that dies, so its file is only stale text: the next ``flock``
+    holder writes over it. Only a ``flock`` holder writes or removes the
+    file, so two waiters never both hold the lock. A file that names a live
+    process counts as held even without a ``flock``.
     """
     path = Path(project_dir) / "escher.lock"
     deadline = time.monotonic() + timeout
     while True:
+        fd = os.open(path, os.O_CREAT | os.O_RDWR)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if _holder_is_gone(path):
-                path.unlink(missing_ok=True)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            held = True
+        else:
+            if not _names_this_file(path, fd):  # the holder before removed it
+                os.close(fd)
                 continue
-            if time.monotonic() > deadline:
-                raise OSError(f"project is locked by another process ({path})")
-            time.sleep(0.05)
-    try:
-        os.write(fd, str(os.getpid()).encode())
+            held = _names_a_live_process(os.pread(fd, 64, 0))
+        if not held:
+            break
         os.close(fd)
+        if time.monotonic() > deadline:
+            raise OSError(f"project is locked by another process ({path})")
+        time.sleep(0.05)
+    try:
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, str(os.getpid()).encode(), 0)
         yield
     finally:
-        path.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)  # before the flock goes with the close
+        os.close(fd)
 
 
-def _holder_is_gone(lock: Path) -> bool:
-    """True when the lock holds the PID of a process that no longer exists.
-    An unreadable or not yet written lock counts as held."""
+def _names_this_file(path: Path, fd: int) -> bool:
     try:
-        text = lock.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError):
+        return os.stat(path).st_ino == os.fstat(fd).st_ino
+    except FileNotFoundError:
         return False
-    if not re.fullmatch(r"[1-9][0-9]{0,8}", text):
+
+
+def _names_a_live_process(text: bytes) -> bool:
+    """True when the lock holds the PID of a running process; a lock that
+    is empty or holds anything else names none."""
+    if not re.fullmatch(rb"[1-9][0-9]{0,8}", text):
         return False
     try:
         os.kill(int(text), 0)
     except ProcessLookupError:
-        return True
+        return False
     except PermissionError:  # alive, under another user
         pass
-    return False
+    return True

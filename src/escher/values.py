@@ -15,7 +15,7 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntVal:
     value: int
 
@@ -24,27 +24,27 @@ class IntVal:
             raise ValueError(f"integer out of 64-bit range: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealVal:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolVal:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringVal:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoidVal:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefVal:
     object_id: int
 

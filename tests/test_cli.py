@@ -431,6 +431,18 @@ def test_check_fails(tmp_path):
     assert out.splitlines()[0] == "InvariantViolation BANK_ACCOUNT 0 valid_account"
 
 
+def test_check_names_a_failing_record_on_its_first_line(tmp_path):
+    obj = tmp_path / "two.eso"
+    obj.write_text(
+        "ESCHER-OBJECTS 1\n"
+        "obj 0 BANK_ACCOUNT version 2\n  balance: INTEGER = 5\n  info: INTEGER = 1\nend\n"
+        "obj 1 BANK_ACCOUNT version 2\n  balance: INTEGER = 0\n  info: INTEGER = 1\nend\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli("check", str(obj), V2)
+    assert (code, out) == (1, "InvariantViolation BANK_ACCOUNT 1 valid_account\n")
+
+
 def test_check_v1_object_against_v1_schema():
     code, out, _ = run_cli("check", OBJ, V1)
     assert code == 0

@@ -1,17 +1,21 @@
-"""Fuzz the ``.esc`` and ``.est`` readers through the CLI.
+"""Fuzz the ``.esc``, ``.est``, ``.eso`` and ``.hist`` readers through the CLI.
 
 Token soup (keywords, names, numbers, strings, operators and stray
 characters of both languages), and valid files with a few pieces inserted,
 deleted or replaced, go through ``escher parse``, and the same
 text goes into a small project, once as a release's ``.esc`` and once as a
-handler's ``.est``, run through ``escher per --project``. Whatever the text,
-the CLI ends in one of its documented outcomes: exit 0, exit 1 with the name
-of an ``escher.errors`` class first, or exit 2. An exception that escapes
-``main`` fails the test with its traceback.
+handler's ``.est``, run through ``escher per --project``. Object files made
+the same way from ``.eso`` words and ``serialize`` outputs go through
+``escher check`` and ``escher migrate``, and history files through
+``escher per``. Whatever the text, the CLI ends in one of its documented
+outcomes: exit 0, exit 1 with the name of an ``escher.errors`` class first,
+or exit 2. An exception that escapes ``main`` fails the test with its
+traceback.
 """
 
 from __future__ import annotations
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -22,8 +26,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import run_cli  # noqa: E402
+from conftest import (  # noqa: E402
+    BANK_OBJECT_TEXT,
+    BANK_V1_TEXT,
+    BANK_V2_TEXT,
+    HAND_FIXED_TEXT,
+    run_cli,
+)
 from escher import errors  # noqa: E402
+from escher.objects import serialize  # noqa: E402
+from escher.repository import (  # noqa: E402
+    empty_repository,
+    register_transformer,
+    release,
+    save_repository,
+)
+from escher.schema import parse_schema  # noqa: E402
+from escher.transformer import parse_transformer  # noqa: E402
+from helpers import random_graph  # noqa: E402
 
 WORDS = [
     # .esc
@@ -43,13 +63,6 @@ SPACES = [" ", "\n", "\t", "  ", "\r\n", " -- comment\n"]
 PREFIXES = ["", "class C feature\n", "version 2\nclass C feature\n  x: INTEGER\n",
             "transform C from 1 to 2\n", "transform C from 1 to 2\n  Result.x := "]
 
-tokens = st.one_of(
-    st.sampled_from(WORDS),
-    st.sampled_from(OPS),
-    st.sampled_from(NUMBERS),
-    st.sampled_from(STRINGS),
-    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=3),
-)
 TEMPLATES = [
     "version 1\nclass C [G] feature\n  x: INTEGER\n  y: detachable LIST [G]\n  z: REAL\n"
     "  s: attached STRING\ninvariant\n  pos: x > 0 and not (z < 1.5)\n"
@@ -76,25 +89,38 @@ def mutate(template: str, edits: list[tuple[int, str, str]]) -> str:
     return " ".join(pieces)
 
 
-soups = st.one_of(
-    st.builds(
-        lambda prefix, parts: prefix + "".join(word + space for word, space in parts),
-        st.sampled_from(PREFIXES),
-        st.lists(st.tuples(tokens, st.sampled_from(SPACES)), max_size=40),
-    ),
-    st.builds(
-        mutate,
-        st.sampled_from(TEMPLATES),
-        st.lists(
-            st.tuples(
-                st.integers(0, 60),
-                st.sampled_from(["insert", "delete", "replace"]),
-                st.one_of(st.sampled_from(WORDS + OPS + NUMBERS + STRINGS), tokens),
-            ),
-            max_size=3,
+def soup_of(words: list[str], prefixes: list[str], templates: list[str]):
+    """Token soup (``words`` and the shared pieces) after one of
+    ``prefixes``, or one of ``templates`` with a few pieces edited."""
+    tokens = st.one_of(
+        st.sampled_from(words),
+        st.sampled_from(OPS),
+        st.sampled_from(NUMBERS),
+        st.sampled_from(STRINGS),
+        st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=3),
+    )
+    return st.one_of(
+        st.builds(
+            lambda prefix, parts: prefix + "".join(word + space for word, space in parts),
+            st.sampled_from(prefixes),
+            st.lists(st.tuples(tokens, st.sampled_from(SPACES)), max_size=40),
         ),
-    ),
-)
+        st.builds(
+            mutate,
+            st.sampled_from(templates),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 60),
+                    st.sampled_from(["insert", "delete", "replace"]),
+                    st.one_of(st.sampled_from(words + OPS + NUMBERS + STRINGS), tokens),
+                ),
+                max_size=3,
+            ),
+        ),
+    )
+
+
+soups = soup_of(WORDS, PREFIXES, TEMPLATES)
 
 ERROR_NAMES = {
     name for name, value in vars(errors).items()
@@ -137,3 +163,61 @@ def test_token_soup_ends_in_a_documented_outcome(text):
         write(est_project / "releases" / "2" / "C.esc", C_V2)
         write(est_project / "handlers" / "C" / "1_to_2.est", text)
         assert_documented(*run_cli("per", "--project", str(est_project))[:2])
+
+
+ESO_WORDS = [
+    "ESCHER-OBJECTS", "obj", "end", "version", "ref", "Void", "true", "false",
+    "INTEGER", "REAL", "BOOLEAN", "STRING", "NONE", "BANK_ACCOUNT", "PERSON", "NODE",
+    "tot_deposits", "tot_withdrawals", "info", "balance", "f0", "ESCHER-OBJECTS 1\n",
+    "  ", ":", "=", "\nend\n",
+]
+ESO_PREFIXES = ["", "ESCHER-OBJECTS 1\n", "ESCHER-OBJECTS 1\nobj 0 BANK_ACCOUNT version 1\n"]
+ESO_TEMPLATES = [
+    BANK_OBJECT_TEXT,
+    BANK_OBJECT_TEXT + "obj 1 BANK_ACCOUNT version 1\n  tot_deposits: INTEGER = 5\n"
+    '  tot_withdrawals: INTEGER = 9\n  info: STRING = "x"\nend\n',
+    *(serialize(random_graph(random.Random(seed))) for seed in range(3)),
+]
+HIST_WORDS = ["class", "versions", "tf", "ArrayList", "A", "B", "--"]
+HIST_PREFIXES = ["", "class A\n", "class A\nversions 3\n"]
+HIST_TEMPLATES = [
+    "class ArrayList\nversions 5\ntf 1 2\ntf 1 3\ntf 2 1\n",
+    "class A\nversions 1\nclass B\nversions 3\ntf 3 1\ntf 1 2\n",
+]
+
+
+@pytest.fixture(scope="module")
+def bank_files(tmp_path_factory) -> Path:
+    """The two BANK_ACCOUNT class files and a project of both releases with
+    the hand-fixed handler, written once for the module."""
+    root = tmp_path_factory.mktemp("bank")
+    write(root / "v1.esc", BANK_V1_TEXT)
+    write(root / "v2.esc", BANK_V2_TEXT)
+    repo = empty_repository("bank")
+    repo, _ = release(repo, {"BANK_ACCOUNT": parse_schema(BANK_V1_TEXT)})
+    repo, _ = release(repo, {"BANK_ACCOUNT": parse_schema(BANK_V2_TEXT).with_version(1)})
+    repo = register_transformer(repo, parse_transformer(HAND_FIXED_TEXT), overwrite=True)
+    save_repository(repo, root / "project")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=soup_of(ESO_WORDS, ESO_PREFIXES, ESO_TEMPLATES))
+def test_object_file_soup_ends_in_a_documented_outcome(bank_files, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        eso = Path(tmp) / "soup.eso"
+        write(eso, text)
+        for schema in ("v1.esc", "v2.esc"):
+            assert_documented(*run_cli("check", str(eso), str(bank_files / schema))[:2])
+        assert_documented(*run_cli(
+            "migrate", str(eso), "--project", str(bank_files / "project"), "--to", "BANK_ACCOUNT=2"
+        )[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(soup_of(HIST_WORDS, HIST_PREFIXES, HIST_TEMPLATES))
+def test_history_file_soup_ends_in_a_documented_outcome(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        hist = Path(tmp) / "soup.hist"
+        write(hist, text)
+        assert_documented(*run_cli("per", str(hist))[:2])

@@ -195,23 +195,24 @@ def test_a_save_cut_short_keeps_the_old_manifest(bank_repo, bank_v2, tmp_path, m
     v3 = parse_schema(render_schema(bank_v2).replace("info: INTEGER", "info: STRING"))
     newer, report = release(bank_repo, {"BANK_ACCOUNT": v3})
     assert report.stubs == (("BANK_ACCOUNT", 2, 3),)
-    write_text = Path.write_text
+    replace = os.replace
 
-    def failing(path, *args, **kwargs):
-        if path.name == "2_to_3.est":
+    def failing(src, dst):
+        if Path(dst).name == "2_to_3.est":
             raise OSError("disk full")
-        return write_text(path, *args, **kwargs)
+        return replace(src, dst)
 
-    monkeypatch.setattr(Path, "write_text", failing)
+    monkeypatch.setattr(os, "replace", failing)
     with pytest.raises(OSError, match="disk full"):
         save_repository(newer, project)
     monkeypatch.undo()
     assert (project / "releases" / "3" / "BANK_ACCOUNT.esc").exists()  # written before the failure
+    assert not (project / "handlers" / "BANK_ACCOUNT" / "2_to_3.est").exists()
     assert (project / "escher.manifest").read_text(encoding="utf-8") == manifest
     loaded = load_repository(project)
     assert loaded.releases == bank_repo.releases
     assert loaded.transformer_pairs("BANK_ACCOUNT") == {(1, 2)}
-    assert not list(project.glob(".*.tmp"))
+    assert not list(project.rglob(".*.tmp"))
 
 
 def _four_release_repo() -> Repository:
@@ -298,16 +299,16 @@ def test_saving_an_unchanged_project_writes_no_file(tmp_path, monkeypatch):
             os.utime(path, ns=(10**18, 10**18))  # no rewrite can leave this mtime
     before = _snapshot(project)
     written: list[Path] = []
-    write_text = Path.write_text
+    replace_file = repository.replace_file
 
-    def counting(path, *args, **kwargs):
+    def counting(path, text):
         written.append(path)
-        return write_text(path, *args, **kwargs)
+        return replace_file(path, text)
 
     loaded = load_repository(project)
-    monkeypatch.setattr(Path, "write_text", counting)
+    monkeypatch.setattr(repository, "replace_file", counting)
     save_repository(loaded, project)
-    assert written == []
+    assert written == [project / "escher.manifest"]
     after = _snapshot(project)
     manifest = "escher.manifest"  # written last on every save, with the same bytes
     assert after.pop(manifest)[0] == before.pop(manifest)[0]
@@ -505,6 +506,82 @@ def test_project_lock_waits_for_a_live_holder(tmp_path):
         with project_lock(tmp_path, timeout=0.2):
             pass
     assert (tmp_path / "escher.lock").exists()
+
+
+# Waits for the go file, so that the contenders meet the stale lock at once,
+# then holds the lock for a moment; a second holder meanwhile fails to create
+# the marker and exits with FileExistsError.
+LOCK_CONTENDER = """\
+import os, sys, time
+from escher.repository import project_lock
+project, marker, go = sys.argv[1:]
+deadline = time.monotonic() + 30.0
+while not os.path.exists(go):
+    if time.monotonic() > deadline:
+        sys.exit("no go file")
+    time.sleep(0.001)
+with project_lock(project, timeout=30.0):
+    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    time.sleep(0.05)
+    os.unlink(marker)
+"""
+
+
+def test_processes_that_meet_a_stale_lock_never_both_hold_it(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID names no process now
+    env = {**os.environ, "PYTHONPATH": str(Path(repository.__file__).parents[1])}
+    for round_ in range(3):
+        (tmp_path / "escher.lock").write_text(str(child.pid), encoding="ascii")
+        go = tmp_path / f"go{round_}"
+        argv = [sys.executable, "-c", LOCK_CONTENDER, str(tmp_path), str(tmp_path / "held"), str(go)]
+        contenders = [  # more than the two cores a CI runner has
+            subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True) for _ in range(3)
+        ]
+        time.sleep(0.3)  # all started and waiting
+        go.touch()
+        for contender in contenders:
+            _, err = contender.communicate(timeout=60)
+            assert contender.returncode == 0, err
+        assert not (tmp_path / "escher.lock").exists()
+
+
+def test_save_renders_each_distinct_schema_once(tmp_path, monkeypatch):
+    repo = _four_release_repo()
+    schemas = [schema for rel in repo.releases for schema in rel.schemas.values()]
+    distinct = {id(schema) for schema in schemas}
+    assert (len(schemas), len(distinct)) == (9, 5)
+    rendered: list[object] = []
+
+    def counting(schema):
+        rendered.append(schema)
+        return render_schema(schema)
+
+    monkeypatch.setattr(repository, "render_schema", counting)
+    save_repository(repo, tmp_path / "four")
+    assert sorted(id(schema) for schema in rendered) == sorted(distinct)
+    rendered.clear()
+    save_repository(load_repository(tmp_path / "four"), tmp_path / "four")
+    assert len(rendered) == 5  # a load shares one schema per distinct text
+
+
+def test_a_failing_write_of_a_listed_release_file_keeps_its_old_bytes(tmp_path, monkeypatch):
+    project = tmp_path / "four"
+    repo = _four_release_repo()
+    save_repository(repo, project)
+    listed = project / "releases" / "2" / "B.esc"
+    old = listed.read_text(encoding="utf-8") + "-- edited\n"
+    listed.write_text(old, encoding="utf-8")  # differs, so the save writes it again
+
+    def failing(fd):  # its temp file is written, but not yet renamed over it
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing)  # the first write of the save is B.esc
+    with pytest.raises(OSError, match="disk full"):
+        save_repository(repo, project)
+    monkeypatch.undo()
+    assert listed.read_text(encoding="utf-8") == old
+    assert not list(project.rglob("*.tmp"))
 
 
 def test_render_schema_files_round_trip(bank_repo_hand_fixed, tmp_path):
