@@ -102,6 +102,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     old = parse_schema(_read(args.old_file))
     new = parse_schema(_read(args.new_file))
+    if old.version == new.version:
+        raise _Usage(f"both class files carry version {old.version}; a transformer changes it")
     transformer = generate_transformer(diff_schemas(old, new))
     Path(args.out_file).write_text(render_transformer(transformer), encoding="utf-8")
     print(f"wrote {args.out_file}")

@@ -21,23 +21,26 @@ class EscherError(Exception):
 
 
 class ParseError(EscherError):
-    """Syntax error in one of the DSLs (line/column are 1-based)."""
+    """Syntax error in one of the DSLs (line/column are 1-based). ``path``
+    names the file when the reader of a project sets it."""
 
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
         super().__init__(message)
         self.line = line
         self.column = column
         self.expected = expected
+        self.path: str | None = None
 
     def __str__(self) -> str:
         msg = f"line {self.line}, column {self.column}: {self.args[0]}"
         if self.expected:
             msg += f" (expected {self.expected})"
-        return msg
+        return msg if self.path is None else f"{self.path}: {msg}"
 
     @property
     def cli_fields(self) -> tuple[object, ...]:
-        return (f"line {self.line} column {self.column}:", self.args[0])
+        where = (f"line {self.line} column {self.column}:", self.args[0])
+        return where if self.path is None else (self.path, *where)
 
 
 class DuplicateAttribute(EscherError):

@@ -31,6 +31,7 @@ from ._lex import line_int
 from .errors import (
     FormatError,
     OverwriteRefused,
+    ParseError,
     UnknownClass,
     UnknownVersion,
     VersionTagTamper,
@@ -372,14 +373,21 @@ def load_repository(project_dir: str | Path) -> Repository:
 
     The manifest is authoritative for releases; handler files are picked up
     from disk even when unlisted, so a hand-written ``.est`` dropped into
-    ``handlers/<CLASS>/`` is immediately usable. Each distinct ``.esc`` text
-    is parsed once, and releases holding the same text share its schema.
+    ``handlers/<CLASS>/`` is immediately usable. An unlisted handler file
+    naming a version the manifest lacks is skipped: it is the stub of a save
+    cut short before its manifest. Each distinct ``.esc`` text is parsed
+    once, and releases holding the same text share its schema. One memo of
+    parsed lines serves every ``.esc`` and ``.est`` parse of the call, so
+    each distinct line is parsed once. A ParseError names its file.
     """
     project_dir = Path(project_dir)
     manifest_path = project_dir / _MANIFEST
     manifest_digests: dict[tuple[str, int, int], str] = {}
     releases: list[tuple[int, dict[str, ClassSchema]]] = []  # (number, schemas)
     parsed: dict[str, ClassSchema] = {}  # {.esc text: schema}, for this call only
+    # parsed lines, for this call only: ``.est`` statements keyed by their
+    # text, ``.esc`` lines by (production, text, ...) tuples
+    memo: dict = {}
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("--"):
@@ -396,7 +404,8 @@ def load_repository(project_dir: str | Path) -> Repository:
             text = path.read_text(encoding="utf-8")
             schema = parsed.get(text)
             if schema is None:
-                schema = parsed[text] = parse_schema(text)
+                with _naming(path, project_dir):
+                    schema = parsed[text] = parse_schema(text, memo)
             if schema.name != name or schema.version != version:
                 raise FormatError(
                     lineno, f"{path} does not match manifest entry {name} version {version}"
@@ -409,25 +418,33 @@ def load_repository(project_dir: str | Path) -> Repository:
             continue
         raise FormatError(lineno, f"unrecognized manifest line {line!r}")
 
+    released = {(name, s.version) for _, schemas in releases for name, s in schemas.items()}
     handlers: dict[str, dict[tuple[int, int], RegisteredTransformer]] = {}
     handlers_dir = project_dir / "handlers"
     if handlers_dir.is_dir():
         for class_dir in sorted(p for p in handlers_dir.iterdir() if p.is_dir()):
-            entries = handlers.setdefault(class_dir.name, {})
+            entries: dict[tuple[int, int], RegisteredTransformer] = {}
+            skipped = False
             for est in sorted(class_dir.glob("*.est")):
                 m = _HANDLER_FILE_RE.match(est.name)
                 if m is None:
                     raise FormatError(0, f"handler file {est} is not named <from>_to_<to>.est")
-                text = est.read_text(encoding="utf-8")
-                t = parse_transformer(text)
                 pair = (line_int(m.group(1), 0), line_int(m.group(2), 0))
+                recorded = manifest_digests.get((class_dir.name, *pair))
+                if recorded is None and any((class_dir.name, v) not in released for v in pair):
+                    skipped = True
+                    continue
+                text = est.read_text(encoding="utf-8")
+                with _naming(est, project_dir):
+                    t = parse_transformer(text, memo)
                 if t.class_name != class_dir.name or (t.from_version, t.to_version) != pair:
                     raise FormatError(0, f"handler file {est} disagrees with its header")
                 digest = content_digest(text)
-                recorded = manifest_digests.get((class_dir.name, *pair))
-                handlers[class_dir.name][pair] = RegisteredTransformer(
+                entries[pair] = RegisteredTransformer(
                     t, text, digest, user_modified=recorded is not None and recorded != digest
                 )
+            if entries or not skipped:  # a class whose only files are skipped has no handler set
+                handlers[class_dir.name] = entries
     try:
         return Repository(
             project_dir.name,
@@ -436,6 +453,16 @@ def load_repository(project_dir: str | Path) -> Repository:
         )
     except ValueError as err:  # release numbering or version tags
         raise FormatError(0, f"{manifest_path}: {err}") from err
+
+
+@contextmanager
+def _naming(path: Path, project_dir: Path):
+    """Name ``path``, relative to the project, in a ParseError raised inside."""
+    try:
+        yield
+    except ParseError as err:
+        err.path = path.relative_to(project_dir).as_posix()
+        raise
 
 
 def replace_file(path: Path, text: str) -> None:

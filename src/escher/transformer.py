@@ -212,9 +212,17 @@ def render_transformer(t: ObjectTransformer) -> str:
 _WARNING_PREFIX = "-- warning:"
 
 
-def parse_transformer(source: str) -> ObjectTransformer:
+def parse_transformer(source: str, memo: dict | None = None) -> ObjectTransformer:
     """Parse a ``.est`` file. A ``convert`` may name any id: one that
-    ``exprs.CONVERTERS`` lacks fails when a record reaches it."""
+    ``exprs.CONVERTERS`` lacks fails when a record reaches it.
+
+    A statement's parse does not depend on its line number, so each distinct
+    statement line is parsed once and looked up in ``memo`` after that; a
+    caller that parses many files at once, such as a project load, passes
+    one dict to every parse. Only parses that succeed are stored, so a
+    failing line raises at its own line and column every time."""
+    if memo is None:
+        memo = {}
     header: tuple[str, int, int] | None = None
     instructions: list[TransformerInstr] = []
     pending_warning: str | None = None
@@ -241,7 +249,10 @@ def parse_transformer(source: str) -> ObjectTransformer:
             pending_warning = None
             continue
         pending_warning = None
-        instructions.append(_parse_statement(line, lineno))
+        instr = memo.get(line)
+        if instr is None:
+            instr = memo[line] = _parse_statement(line, lineno)
+        instructions.append(instr)
     if header is None:
         raise ParseError("missing transform header", 1, 1)
     if not ended:

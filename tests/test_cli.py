@@ -84,7 +84,9 @@ def test_migrate_with_oversized_transformer_version_is_a_parse_error(bank_projec
     handler.write_text(text.replace("from 1 to 2", "from " + "9" * 5000 + " to 2"), encoding="utf-8")
     code, out, err = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
     assert code == 1
-    assert out.splitlines()[0] == "ParseError line 1 column 29: version tag too large"
+    assert out.splitlines()[0] == (
+        "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 1 column 29: version tag too large"
+    )
     assert "Traceback" not in out + err
 
 
@@ -220,6 +222,15 @@ def test_gen_backwards_stub(tmp_path):
     code, _, _ = run_cli("gen", V2, V1, str(out_file))
     assert code == 0
     assert "transform BANK_ACCOUNT from 2 to 1" in out_file.read_text(encoding="utf-8")
+
+
+def test_gen_between_files_of_one_version_is_a_usage_error(tmp_path):
+    out_file = tmp_path / "1_to_1.est"
+    code, out, err = run_cli("gen", V1, V1, str(out_file))
+    assert code == 2
+    assert err == "error: both class files carry version 1; a transformer changes it\n"
+    assert "Traceback" not in out + err
+    assert not out_file.exists()
 
 
 def test_release_and_noop(tmp_path):
@@ -403,6 +414,26 @@ def test_per_project(bank_project):
     code, out, _ = run_cli("per", "--project", str(bank_project))
     assert code == 0
     assert out == "per BANK_ACCOUNT = 0.50\n"
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, first_line",
+    [
+        ("releases/2/BANK_ACCOUNT.esc", "balance: INTEGER", "balance INTEGER",
+         "ParseError releases/2/BANK_ACCOUNT.esc line 3 column 11: found 'INTEGER'"),
+        ("handlers/BANK_ACCOUNT/1_to_2.est", " - oldc.tot_withdrawals", " -",
+         "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 3 column 38: found ''"),
+    ],
+)
+def test_a_parse_error_in_a_project_names_its_file(bank_project, relative, old, new, first_line):
+    path = bank_project / relative
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli("per", "--project", str(bank_project))
+    assert code == 1
+    assert out.splitlines()[0] == first_line
+    assert "Traceback" not in out + err
 
 
 def test_check_pass(tmp_path, bank_project):

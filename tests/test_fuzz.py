@@ -7,15 +7,19 @@ text goes into a small project, once as a release's ``.esc`` and once as a
 handler's ``.est``, run through ``escher per --project``. Object files made
 the same way from ``.eso`` words and ``serialize`` outputs go through
 ``escher check`` and ``escher migrate``, and history files through
-``escher per``. Whatever the text, the CLI ends in one of its documented
-outcomes: exit 0, exit 1 with the name of an ``escher.errors`` class first,
-or exit 2. An exception that escapes ``main`` fails the test with its
-traceback.
+``escher per``. Argument lists made from valid invocations of every
+command, with subcommands, flags, ``--to`` and ``--inputs`` items and file
+paths inserted, deleted or replaced, go through ``main`` itself. Whatever
+the text or the arguments, the CLI ends in one of its documented outcomes:
+exit 0, exit 1 with the name of an ``escher.errors`` class first, or exit 2.
+An exception that escapes ``main`` fails the test with its traceback.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -23,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -221,3 +225,74 @@ def test_history_file_soup_ends_in_a_documented_outcome(text):
         hist = Path(tmp) / "soup.hist"
         write(hist, text)
         assert_documented(*run_cli("per", str(hist))[:2])
+
+
+# Placeholders for paths relative to one example's directory, a copy of
+# ``cli_files``; ``OUT`` and ``GONE`` are not there yet.
+PATHS = {
+    "V1": "v1.esc", "V2": "v2.esc", "ESO": "bank.eso", "HIST": "bank.hist",
+    "EST": "project/handlers/BANK_ACCOUNT/1_to_2.est", "PROJECT": "project",
+    "WORK": "work", "ROOT": ".", "OUT": "out.eso", "GONE": "gone/none.esc",
+}
+ARGV_TEMPLATES = [
+    "parse V1",
+    "diff V1 V2",
+    "gen V1 V2 OUT",
+    "release WORK --project PROJECT",
+    "migrate ESO --project PROJECT --to BANK_ACCOUNT=2",
+    "migrate ESO --project PROJECT --to-release 2 --out OUT --no-assert --strict-direct",
+    "migrate ESO --project PROJECT --to BANK_ACCOUNT=2 --inputs BANK_ACCOUNT.balance=5",
+    "per HIST",
+    "per --project PROJECT",
+    "check ESO V1",
+    "check ESO V2",
+    "parse EST",
+    "migrate ESO --project PROJECT --to NOBODY=1",
+]
+ARGV_PIECES = [
+    "parse", "diff", "gen", "release", "migrate", "per", "check", "help", "",
+    "--project", "--no-assert", "--strict-direct", "--to-release", "--to", "--inputs",
+    "--out", "--help", "-h", "--", "-", "--bogus", "--to=BANK_ACCOUNT=1",
+    "0", "1", "2", "3", "-1", "99999999999999999999", "٣",
+    "BANK_ACCOUNT=1", "BANK_ACCOUNT=3", "BANK_ACCOUNT=", "=2", "NOBODY=1", "BANK_ACCOUNT=²",
+    "BANK_ACCOUNT.balance=7", "BANK_ACCOUNT.info=\"x\"", "BANK_ACCOUNT.balance=Void",
+    "BANK_ACCOUNT.balance=1.0e999", "BANK_ACCOUNT.balance=", "BANK_ACCOUNT=5", ".x=1",
+    *PATHS,
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(bank_files, tmp_path_factory) -> Path:
+    """``bank_files`` with an object file, a history file and a working set."""
+    root = tmp_path_factory.mktemp("cli") / "files"
+    shutil.copytree(bank_files, root)
+    write(root / "bank.eso", BANK_OBJECT_TEXT)
+    write(root / "bank.hist", HIST_TEMPLATES[0])
+    write(root / "work" / "BANK_ACCOUNT.esc", BANK_V2_TEXT)
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    template=st.sampled_from(ARGV_TEMPLATES),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 20),
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.sampled_from(ARGV_PIECES),
+        ),
+        max_size=3,
+    ),
+)
+def test_argv_ends_in_a_documented_outcome(cli_files, template, edits):
+    argv = mutate(template, edits).split(" ")  # no piece holds a space
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(cli_files, Path(tmp) / "cli")
+        os.chdir(Path(tmp) / "cli")  # so that any argument read as a path names a file here
+        try:
+            code, out, _ = run_cli(*(PATHS.get(a, a) for a in argv))
+        finally:
+            os.chdir(cwd)
+    event(f"exit {code}")
+    assert_documented(code, out)

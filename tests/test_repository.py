@@ -240,9 +240,9 @@ def _count_parses(monkeypatch) -> list[str]:
     texts: list[str] = []
     parse = repository.parse_schema
 
-    def counting(text):
-        texts.append(text)
-        return parse(text)
+    def counting(source, *rest):
+        texts.append(source)
+        return parse(source, *rest)
 
     monkeypatch.setattr(repository, "parse_schema", counting)
     return texts
@@ -393,6 +393,42 @@ def test_user_modified_handler_detected_and_preserved(bank_project_stub):
     assert entry.text == hand_written
     save_repository(repo, bank_project_stub)  # must not clobber the edit
     assert handler.read_text(encoding="utf-8") == hand_written
+
+
+def test_a_save_cut_at_the_manifest_loads_as_the_project_before(
+    bank_repo, bank_v2, tmp_path, monkeypatch
+):
+    project = tmp_path / "proj"
+    other = parse_schema("class OTHER feature\n  x: INTEGER\nend\n")
+    before, _ = release(bank_repo, {"BANK_ACCOUNT": bank_v2.with_version(2), "OTHER": other})
+    save_repository(before, project)
+    v3 = parse_schema(render_schema(bank_v2).replace("info: INTEGER", "info: STRING"))
+    newer, report = release(before, {
+        "BANK_ACCOUNT": v3, "OTHER": parse_schema("class OTHER feature\n  x: REAL\nend\n"),
+    })
+    assert report.stubs == (("BANK_ACCOUNT", 2, 3), ("OTHER", 1, 2))
+    replace_file = repository.replace_file
+
+    def failing(path, text):
+        if path.name == "escher.manifest":
+            raise OSError("disk full")
+        return replace_file(path, text)
+
+    monkeypatch.setattr(repository, "replace_file", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_repository(newer, project)
+    monkeypatch.undo()
+    assert (project / "handlers" / "BANK_ACCOUNT" / "2_to_3.est").exists()
+    assert (project / "handlers" / "OTHER" / "1_to_2.est").exists()
+    loaded = load_repository(project)
+    assert loaded.releases == before.releases
+    assert {name: set(entries) for name, entries in loaded.handlers.items()} == {
+        "BANK_ACCOUNT": {(1, 2)}
+    }
+    assert loaded.handlers_for("OTHER") is None
+    save_repository(newer, project)  # the retried save completes the release
+    assert load_repository(project).releases == newer.releases
+    assert load_repository(project).transformer_pairs("OTHER") == {(1, 2)}
 
 
 def test_unlisted_handler_file_is_picked_up(bank_project_stub):
