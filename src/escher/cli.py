@@ -20,12 +20,13 @@ from .per import history_from_repository, parse_history_file, render_per_report
 from .repository import (
     empty_repository,
     load_repository,
+    naming,
     project_lock,
     release,
     replace_file,
     save_repository,
 )
-from .schema import parse_schema, render_schema
+from .schema import ClassSchema, parse_schema, render_schema
 from .smo import diff_schemas, render_smo_report
 from .transformer import generate_transformer, render_transformer
 from .values import ObjectValue
@@ -86,6 +87,13 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_schema(path: str) -> ClassSchema:
+    """The schema of the ``.esc`` file ``path``; a ParseError names the file."""
+    text = _read(path)
+    with naming(path):
+        return parse_schema(text)
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
     schema = parse_schema(_read(args.file))
     print(render_schema(schema), end="")
@@ -93,19 +101,19 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    old = parse_schema(_read(args.old_file))
-    new = parse_schema(_read(args.new_file))
+    old = _read_schema(args.old_file)
+    new = _read_schema(args.new_file)
     print(render_smo_report(diff_schemas(old, new)), end="")
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    old = parse_schema(_read(args.old_file))
-    new = parse_schema(_read(args.new_file))
+    old = _read_schema(args.old_file)
+    new = _read_schema(args.new_file)
     if old.version == new.version:
         raise _Usage(f"both class files carry version {old.version}; a transformer changes it")
     transformer = generate_transformer(diff_schemas(old, new))
-    Path(args.out_file).write_text(render_transformer(transformer), encoding="utf-8")
+    replace_file(Path(args.out_file), render_transformer(transformer))
     print(f"wrote {args.out_file}")
     return 0
 
@@ -119,7 +127,7 @@ def cmd_release(args: argparse.Namespace) -> int:
         raise _Usage(f"working directory {working_dir} does not exist")
     working_set = {}
     for path in sorted(working_dir.glob("*.esc")):
-        schema = parse_schema(path.read_text(encoding="utf-8"))
+        schema = _read_schema(str(path))
         if schema.name in working_set:
             raise FormatError(0, f"class {schema.name} defined twice in the working set")
         working_set[schema.name] = schema

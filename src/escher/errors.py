@@ -22,7 +22,7 @@ class EscherError(Exception):
 
 class ParseError(EscherError):
     """Syntax error in one of the DSLs (line/column are 1-based). ``path``
-    names the file when the reader of a project sets it."""
+    names the file when its reader sets it (``repository.naming``)."""
 
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
         super().__init__(message)

@@ -269,52 +269,8 @@ def _deserialize_lines(text: str) -> ObjectGraph:
     return graph
 
 
-# The line ``serialize`` writes for one field, give or take the tokenizer's
-# whitespace around it, built from the tokenizer's own character classes, so
-# every line it matches tokenizes to the same value.
-_CANONICAL_FIELD_RE = re.compile(
-    r"[ \t\r]*" f"({_NAME}): ({_NAME}) = (?:"
-    r"(?P<int>-?\d+)"
-    r"|(?P<real>-?\d+\.\d+(?:[eE][+-]?\d+)?)"
-    r'|(?P<string>"(?:[^"\\\n]|\\["\\n])*")'
-    r"|ref (?P<ref>\d+)"
-    r"|(?P<word>Void|true|false)"
-    r")[ \t\r]*\Z"
-)
-
-
 def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
-    """Parse one field line, as the file holds it, into (name, annotation, value).
-
-    Canonical lines take one regex match; anything else, and any literal
-    whose value is out of range, goes through the tokenizer, which owns
-    every error message.
-    """
-    m = _CANONICAL_FIELD_RE.match(line)
-    if m is None:
-        return _parse_field_tokens(line, lineno)
-    kind = m.lastgroup
-    name, annotation, text = m.group(1, 2, kind)
-    try:
-        if kind == "int":
-            value = IntVal(int(text))
-        elif kind == "real":
-            value = RealVal(float(text))
-            if not math.isfinite(value.value):
-                return _parse_field_tokens(line, lineno)
-        elif kind == "string":
-            value = StringVal(unescape_string(text, lineno, 0))
-        elif kind == "ref":
-            value = RefVal(int(text))
-        else:
-            value = exprs.WORD_VALUES[text]
-    except ValueError:
-        return _parse_field_tokens(line, lineno)
-    _check_annotation(annotation, value, lineno, name)
-    return name, annotation, value
-
-
-def _parse_field_tokens(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
+    """Parse one field line, as the file holds it, into (name, annotation, value)."""
     try:
         stream = TokenStream(tokenize(line, start_line=lineno))
         name = stream.expect_ident().text

@@ -404,7 +404,7 @@ def load_repository(project_dir: str | Path) -> Repository:
             text = path.read_text(encoding="utf-8")
             schema = parsed.get(text)
             if schema is None:
-                with _naming(path, project_dir):
+                with naming(f"releases/{number}/{name}.esc"):
                     schema = parsed[text] = parse_schema(text, memo)
             if schema.name != name or schema.version != version:
                 raise FormatError(
@@ -435,7 +435,7 @@ def load_repository(project_dir: str | Path) -> Repository:
                     skipped = True
                     continue
                 text = est.read_text(encoding="utf-8")
-                with _naming(est, project_dir):
+                with naming(f"handlers/{class_dir.name}/{est.name}"):
                     t = parse_transformer(text, memo)
                 if t.class_name != class_dir.name or (t.from_version, t.to_version) != pair:
                     raise FormatError(0, f"handler file {est} disagrees with its header")
@@ -456,12 +456,12 @@ def load_repository(project_dir: str | Path) -> Repository:
 
 
 @contextmanager
-def _naming(path: Path, project_dir: Path):
-    """Name ``path``, relative to the project, in a ParseError raised inside."""
+def naming(name: str):
+    """Name the file ``name`` in a ParseError raised inside."""
     try:
         yield
     except ParseError as err:
-        err.path = path.relative_to(project_dir).as_posix()
+        err.path = name
         raise
 
 

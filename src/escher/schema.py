@@ -386,7 +386,12 @@ def _header(stream: TokenStream) -> tuple[str, tuple[str, ...]]:
 
 
 def _attribute(stream: TokenStream, params: tuple[str, ...]) -> Attribute:
+    tok = stream.peek()
     name = _class_ident(stream)
+    if name in params:
+        raise ParseError(
+            f"name {name!r} is both a generic parameter and an attribute", tok.line, tok.column
+        )
     stream.expect_op(":")
     return Attribute(name, _parse_type(stream, params))
 

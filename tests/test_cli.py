@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 from conftest import (
     BANK_OBJECT_TEXT,
@@ -38,6 +40,17 @@ def test_parse_duplicate_attribute(tmp_path):
     code, out, _ = run_cli("parse", str(bad))
     assert code == 1
     assert out.splitlines()[0] == "DuplicateAttribute x"
+
+
+def test_parse_a_generic_parameter_named_as_an_attribute(tmp_path):
+    bad = tmp_path / "clash.esc"
+    bad.write_text("class C [G] feature\n  G: INTEGER\nend\n", encoding="utf-8")
+    code, out, err = run_cli("parse", str(bad))
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "ParseError line 2 column 3: name 'G' is both a generic parameter and an attribute"
+    )
+    assert "Traceback" not in out + err
 
 
 def test_parse_oversized_literal_is_a_parse_error(tmp_path):
@@ -233,6 +246,50 @@ def test_gen_between_files_of_one_version_is_a_usage_error(tmp_path):
     assert not out_file.exists()
 
 
+BROKEN_ESC = "class B feature\n  x:\nend\n"
+BROKEN_LINE = "line 3 column 1: keyword 'end' cannot be used as an identifier"
+
+
+@pytest.mark.parametrize("command", [["diff"], ["gen", "out.est"]])
+def test_diff_and_gen_name_the_class_file_of_a_parse_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B.esc").write_text(BROKEN_ESC, encoding="utf-8")
+    code, out, err = run_cli(command[0], V1, "B.esc", *command[1:])
+    assert code == 1
+    assert out.splitlines()[0] == f"ParseError B.esc {BROKEN_LINE}"
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out.est").exists()
+
+
+def test_release_names_the_class_file_of_a_parse_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "proj").mkdir()
+    (tmp_path / "ws").mkdir()
+    (tmp_path / "ws" / "A.esc").write_text(BANK_V1_TEXT, encoding="utf-8")
+    (tmp_path / "ws" / "B.esc").write_text(BROKEN_ESC, encoding="utf-8")
+    code, out, err = run_cli("release", "ws", "--project", "proj")
+    assert code == 1
+    assert out.splitlines()[0] == f"ParseError ws/B.esc {BROKEN_LINE}"
+    assert "Traceback" not in out + err
+    assert list((tmp_path / "proj").iterdir()) == []
+
+
+def test_a_failing_gen_write_leaves_the_old_output(tmp_path, monkeypatch):
+    out_file = tmp_path / "out" / "1_to_2.est"
+    out_file.parent.mkdir()
+    out_file.write_bytes(b"earlier stub\r\n\xff")
+
+    def failing(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", failing)
+    code, out, err = run_cli("gen", V1, V2, str(out_file))
+    assert code == 2
+    assert "io error: disk gone" in err
+    assert out_file.read_bytes() == b"earlier stub\r\n\xff"
+    assert [p.name for p in out_file.parent.iterdir()] == [out_file.name]  # no temp file left
+
+
 def test_release_and_noop(tmp_path):
     project = tmp_path / "proj"
     project.mkdir()
@@ -381,6 +438,28 @@ def test_migrate_out_file(bank_project, tmp_path):
     assert [p.name for p in out_path.parent.iterdir()] == [out_path.name]  # no temp file left
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n  ", "\n\t")],
+    ids=["crlf", "tab-indent"],
+)
+def test_migrate_reads_a_non_canonical_layout_as_the_original(bank_project, tmp_path, edit):
+    original = (FIXTURES / "bank_account_v1.eso").read_text(encoding="utf-8")
+    variant = tmp_path / "variant.eso"
+    variant.write_bytes(edit(original).encode("utf-8"))
+    assert variant.read_bytes() != original.encode("utf-8")
+    outputs = []
+    for source in (OBJ, str(variant)):
+        out_path = tmp_path / f"out{len(outputs)}.eso"
+        code, out, _ = run_cli(
+            "migrate", source, "--to-release", "2", "--project", str(bank_project),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (0, "")
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_a_failing_migrate_leaves_the_out_file_as_it_was(bank_project_stub, tmp_path):
     (tmp_path / "out").mkdir()
     out_path = tmp_path / "out" / "migrated.eso"
@@ -423,6 +502,9 @@ def test_per_project(bank_project):
          "ParseError releases/2/BANK_ACCOUNT.esc line 3 column 11: found 'INTEGER'"),
         ("handlers/BANK_ACCOUNT/1_to_2.est", " - oldc.tot_withdrawals", " -",
          "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 3 column 38: found ''"),
+        ("releases/2/BANK_ACCOUNT.esc", "BANK_ACCOUNT feature", "BANK_ACCOUNT [info] feature",
+         "ParseError releases/2/BANK_ACCOUNT.esc line 4 column 3: "
+         "name 'info' is both a generic parameter and an attribute"),
     ],
 )
 def test_a_parse_error_in_a_project_names_its_file(bank_project, relative, old, new, first_line):

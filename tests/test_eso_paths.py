@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from escher.exprs import render_real  # noqa: E402
 from escher.objects import (  # noqa: E402
     _deserialize_blocks,
     _deserialize_lines,
@@ -27,7 +28,6 @@ from escher.objects import (  # noqa: E402
     serialize,
 )
 from helpers import random_graph  # noqa: E402
-from test_field_lines import field_lines  # noqa: E402
 
 
 def outcome(parse, text: str):
@@ -119,6 +119,56 @@ edits = st.tuples(
 mutated = st.builds(mutate, serialized, st.lists(edits, min_size=1, max_size=3)) | st.builds(
     mutate, serialized, st.lists(value_edits, min_size=1, max_size=3)
 )
+
+
+# One field line of many shapes, canonical or not, valid or not.
+names = st.sampled_from(
+    ["x", "_a1", "tot_deposits", "ref", "Void", "true", "ü", "x٣", "1x", ""]
+)
+annotations = st.sampled_from(
+    ["INTEGER", "REAL", "BOOLEAN", "STRING", "NONE", "PERSON", "ITEM", "ü", "", "INTEGER INTEGER"]
+)
+colons = st.sampled_from([": ", ":", " : ", ":\t", ":  ", ":=", " "])
+equals = st.sampled_from([" = ", "=", "  = ", "\t=\t", " := ", " "])
+minus = st.sampled_from(["", "-", "- ", "--", "-\t"])
+digits = st.sampled_from(["0", "7", "٣", "１", "١"])
+
+ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.builds(lambda sign, d: sign + d, minus, st.text(digits, min_size=1, max_size=4)),
+)
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(render_real),
+    st.builds(
+        lambda sign, body: sign + body,
+        minus,
+        st.sampled_from(
+            ["1e5", "1.0e999", "2.5e-400", "1.", ".5", "1.5e", "1.5E+3", "0.0", "٣.٥"]
+        ),
+    ),
+)
+string_bodies = st.lists(
+    st.sampled_from(['a', 'é', ' ', '\t', '\\"', '\\\\', '\\n', '\\t', '\\', '"', '--', '٣']),
+    max_size=6,
+).map("".join)
+strings = string_bodies.map(lambda body: f'"{body}"')
+refs = st.builds(
+    lambda space, target: f"ref{space}{target}",
+    st.sampled_from([" ", "", "  ", "\t"]),
+    st.sampled_from(["0", "1", "12", "-1", "1.5", "x", "٣", ""]),
+)
+words = st.sampled_from(["Void", "true", "false", "True", "void", "nope", "", "ref"])
+literals = st.one_of(ints, reals, strings, refs, words)
+trailers = st.sampled_from(["", " ", "\t", " -- note", "--note", " x", " 1", ";", "\r"])
+
+
+@st.composite
+def field_lines(draw) -> str:
+    line = (
+        draw(names) + draw(colons) + draw(annotations) + draw(equals)
+        + draw(literals) + draw(trailers)
+    )
+    return line.strip()  # ``splice`` puts an indent in front
 
 
 def splice(text: str, position: int, indent: str, line: str, replace: bool) -> str:

@@ -133,6 +133,37 @@ def test_format_errors(text, complain):
         deserialize(text)
 
 
+_OUT_OF_INT64 = "line 3, column 16: integer literal outside the 64-bit range"
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ("  x: INTEGER = 9223372036854775808", _OUT_OF_INT64),
+        ("  x: INTEGER = -9223372036854775809", _OUT_OF_INT64),
+        ("  x: INTEGER = " + "1" * 5000, _OUT_OF_INT64),
+        ("  p: NODE = ref " + "1" * 5000, "number too large: 5000 digits"),
+        ("  x: REAL = 1.0e999", "line 3, column 13: real literal out of range"),
+        ('  s: STRING = "a\\qb"', 'line 3, column 15: unknown escape in string literal "a\\qb"'),
+        ("  x: REAL = -0.0", RealVal(-0.0)),
+        ('  s: STRING = "say \\"hi\\" \\\\ two\\nlines"', StringVal('say "hi" \\ two\nlines')),
+        ("  x: INTEGER = - 5", IntVal(-5)),
+        ("  x: INTEGER = 5 -- five", IntVal(5)),
+        ("  x: INTEGER = 5\r", IntVal(5)),
+        ("\tx:INTEGER=5", IntVal(5)),
+    ],
+)
+def test_a_field_line_reads_or_fails_at_its_own_line(field, expected):
+    text = f"ESCHER-OBJECTS 1\nobj 0 NODE version 1\n{field}\nend\n"
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as exc:
+            deserialize(text)
+        assert (exc.value.line, exc.value.reason) == (3, expected)
+    else:
+        [(name, value)] = deserialize(text).records[0].fields.items()
+        assert (name, repr(value)) == (field.split(":")[0].strip(), repr(expected))
+
+
 def test_version_zero_is_a_format_error_at_its_header():
     text = "ESCHER-OBJECTS 1\nobj 0 NODE version 0\n  x: INTEGER = 1\n  y: INTEGER = 2\nend\n"
     with pytest.raises(FormatError) as exc:

@@ -172,6 +172,7 @@ CANONICAL = (
         ("count >= 0", "count >= 9223372036854775808"),
         ("  count: INTEGER\n", "  count: INTEGER \x0c\n"),
         ("version 3", "version 0"),
+        ("count: INTEGER", "count: INTEGER\n  G: REAL"),  # a generic parameter's name
     ],
 )
 def test_each_deviation_leaves_the_line_path(old, new):
@@ -188,7 +189,6 @@ def test_each_deviation_leaves_the_line_path(old, new):
         ("  count: INTEGER\n", "count:INTEGER -- why\n"),
         ("  count: INTEGER\n", "  count: INTEGER\r\n"),
         ("count: INTEGER", "count: INTEGER\n  item: REAL"),  # DuplicateAttribute
-        ("count: INTEGER", "count: INTEGER\n  G: REAL"),  # a parameter's name, ValueError
         ("counted: count", "counted: missing"),  # InvariantRefersUnknownAttribute
         ("invariant\n  counted:", "invariant\n  counted: count > 1\n  counted:"),
     ],
@@ -196,6 +196,23 @@ def test_each_deviation_leaves_the_line_path(old, new):
 def test_one_production_a_line_keeps_the_line_path_and_its_checks(old, new):
     text = CANONICAL.replace(old, new, 1)
     assert outcome(lambda t: _parse_lines(t, {}), text) == outcome(parse_schema, text)
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("class C [G] feature\n  G: INTEGER\nend\n", 2, 3),
+        ("class C [G] feature G: INTEGER end\n", 1, 21),
+        ("class C [H, G] feature\n  x: G\n  G: INTEGER\n  G: REAL\nend\n", 3, 3),
+    ],
+)
+def test_a_generic_parameter_named_as_an_attribute_is_a_parse_error(text, line, column):
+    assert _parse_lines(text, {}) is None
+    message = "name 'G' is both a generic parameter and an attribute"
+    for parse in (parse_schema, lambda t: parse_schema(t, {})):
+        assert outcome(parse, text) == (
+            "error", "ParseError", line, column, f"line {line}, column {column}: {message}"
+        )
 
 
 def test_texts_sharing_lines_share_their_parse():
