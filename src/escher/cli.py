@@ -247,6 +247,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse binds a positional to [] when "--" is given twice
+        if any(value == [] for name, value in vars(args).items() if name not in ("to", "inputs")):
+            raise _Usage("'--' may be given only once")
         return _COMMANDS[args.command](args)
     except EscherError as err:
         print(err.cli_line())

@@ -30,6 +30,7 @@ Going deeper is a ``ParseError`` at the token that did it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -391,12 +392,11 @@ def compile_expr(expr: Expr) -> Compiled:
         return lambda f, i: fn(arg(f, i))
     if cls is Not:
         operand = compile_expr(expr.operand)
-        return lambda f, i: BoolVal(not _require_bool(operand(f, i)).value)
-    if cls is BinOp or cls is Compare:
-        op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
-        if cls is BinOp:
-            return lambda f, i: _arith(op, left(f, i), right(f, i))
-        return lambda f, i: BoolVal(_compare(op, left(f, i), right(f, i)))
+        return lambda f, i: _FALSE if _require_bool(operand(f, i)).value else _TRUE
+    if cls is BinOp:
+        return _compile_arith(expr)
+    if cls is Compare:
+        return _compile_compare(expr)
     if cls is And or cls is Or:
         left, right = compile_expr(expr.left), compile_expr(expr.right)
         stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
@@ -409,6 +409,62 @@ def compile_expr(expr: Expr) -> Compiled:
 
         return connective
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+_TRUE, _FALSE = WORD_VALUES["true"], WORD_VALUES["false"]
+_INLINE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_INLINE_COMPARE = {
+    "=": operator.eq, "/=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compile_arith(expr: BinOp) -> Compiled:
+    """Two ``IntVal`` operands of ``+ - *`` whose result fits 64 bits are
+    computed inline; every other case, ``//`` included, is ``_arith``'s, so
+    results and errors are its own. An integer literal on the right is read
+    when the tree compiles."""
+    op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
+    inline = _INLINE_ARITH.get(op)
+    if inline is None:
+        return lambda f, i: _arith(op, left(f, i), right(f, i))
+    if expr.right.__class__ is Lit and expr.right.value.__class__ is IntVal:
+        b = expr.right.value
+        y = b.value
+
+        def arith_literal(f, i):
+            a = left(f, i)
+            if a.__class__ is IntVal:
+                result = inline(a.value, y)
+                if INT64_MIN <= result <= INT64_MAX:
+                    return IntVal(result)
+            return _arith(op, a, b)
+
+        return arith_literal
+
+    def arith(f, i):
+        a, b = left(f, i), right(f, i)
+        if a.__class__ is IntVal and b.__class__ is IntVal:
+            result = inline(a.value, b.value)
+            if INT64_MIN <= result <= INT64_MAX:
+                return IntVal(result)
+        return _arith(op, a, b)
+
+    return arith
+
+
+def _compile_compare(expr: Compare) -> Compiled:
+    """Two ``IntVal`` operands compare inline; anything else is ``_compare``'s."""
+    op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
+    inline = _INLINE_COMPARE[op]
+
+    def compare(f, i):
+        a, b = left(f, i), right(f, i)
+        if a.__class__ is IntVal and b.__class__ is IntVal:
+            return _TRUE if inline(a.value, b.value) else _FALSE
+        return _TRUE if _compare(op, a, b) else _FALSE
+
+    return compare
 
 
 def _require_bool(value: ObjectValue) -> BoolVal:

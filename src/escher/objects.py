@@ -80,12 +80,21 @@ class ObjectRecord:
     version: int
     fields: Mapping[str, ObjectValue]
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"object id must be nonnegative: {self.id}")
-        if self.version < 1:
-            raise ValueError(f"version must be positive: {self.version}")
-        object.__setattr__(self, "fields", MappingProxyType(self.fields))
+    def __init__(self, id: int, class_name: str, version: int, fields: Mapping[str, ObjectValue]):
+        if id < 0:
+            raise ValueError(f"object id must be nonnegative: {id}")
+        if version < 1:
+            raise ValueError(f"version must be positive: {version}")
+        _set_id(self, id)
+        _set_class_name(self, class_name)
+        _set_version(self, version)
+        _set_fields(self, MappingProxyType(fields))
+
+
+# The slots' own setters, which a frozen class's ``__setattr__`` does not reach.
+_set_id, _set_class_name, _set_version, _set_fields = (
+    getattr(ObjectRecord, name).__set__ for name in ObjectRecord.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +310,13 @@ def parse_value(stream: TokenStream) -> ObjectValue:
         ref_tok = stream.next()
         if ref_tok.kind != "INT":
             raise FormatError(ref_tok.line, "ref needs a nonnegative integer id")
-        return RefVal(line_int(ref_tok.text, ref_tok.line))
+        try:
+            object_id = int(ref_tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                f"number too large: {len(ref_tok.text)} digits", ref_tok.line, ref_tok.column
+            ) from None
+        return RefVal(object_id)
     value = exprs.parse_literal(stream)
     if value is None:
         raise FormatError(tok.line, f"not a value literal: {tok.text!r}")
@@ -386,34 +401,33 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    result: dict[str, ObjectValue] = {}
-    target_names = new_schema.attribute_set
+    # None holds the place of an attribute no instruction has assigned yet
+    fields: dict[str, ObjectValue | None] = dict.fromkeys(new_schema.attribute_names())
     for index, (kind, target, source) in enumerate(t.steps):
         if kind is Assign:
-            if target not in target_names:
+            if target not in fields:
                 raise EvaluationError(
                     index, f"target {target!r} is not an attribute of {new_schema.name}"
                 )
             try:
-                result[target] = source(old.fields, inputs)
+                fields[target] = source(old.fields, inputs)
             except exprs.EvalProblem as err:
                 raise EvaluationError(index, str(err)) from err
             except MissingAttribute as err:
                 raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
-        elif kind is CheckAttached:
-            if check_attached and result.get(target, VOID).__class__ is VoidVal:
+        elif kind is CheckAttached and check_attached:
+            value = fields.get(target)
+            if value is None or value.__class__ is VoidVal:
                 raise AttachmentViolation(target)
-    fields: dict[str, ObjectValue] = {}
-    for attr in new_schema.attributes:
-        if attr.name in result:
-            fields[attr.name] = result[attr.name]
-        else:
-            if warnings is not None:
-                warnings.append(
-                    f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
-                    f"{t.from_version}->{t.to_version} transformer; default used"
-                )
-            fields[attr.name] = type_default(attr.declared_type)
+    if not new_schema.attribute_set <= t.assigned_targets:
+        for attr in new_schema.attributes:
+            if fields[attr.name] is None:
+                if warnings is not None:
+                    warnings.append(
+                        f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
+                        f"{t.from_version}->{t.to_version} transformer; default used"
+                    )
+                fields[attr.name] = type_default(attr.declared_type)
     return ObjectRecord(old.id, t.class_name, t.to_version, fields)
 
 

@@ -225,13 +225,15 @@ class ClassSchema:
             if param in seen_params:
                 raise ValueError(f"duplicate generic parameter {param!r}")
             seen_params.add(param)
+        names = tuple([attr.name for attr in self.attributes])
         seen_attrs: set[str] = set()
-        for attr in self.attributes:
-            if attr.name in seen_attrs:
-                raise DuplicateAttribute(attr.name)
-            seen_attrs.add(attr.name)
-        # not a field, so ``==``, ``repr`` and ``replace`` ignore it
+        for name in names:
+            if name in seen_attrs:
+                raise DuplicateAttribute(name)
+            seen_attrs.add(name)
+        # not fields, so ``==``, ``repr`` and ``replace`` ignore them
         object.__setattr__(self, "attribute_set", frozenset(seen_attrs))
+        object.__setattr__(self, "_attribute_names", names)
         if seen_params & seen_attrs:
             clash = sorted(seen_params & seen_attrs)[0]
             raise ValueError(f"name {clash!r} is both a generic parameter and an attribute")
@@ -252,7 +254,7 @@ class ClassSchema:
         return tuple((c.tag, exprs.compile_expr(c.body)) for c in self.invariant.clauses)
 
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
+        return self._attribute_names
 
     def get_attribute(self, name: str) -> Attribute | None:
         for attr in self.attributes:

@@ -109,6 +109,11 @@ class ObjectTransformer:
         )
 
     @cached_property
+    def assigned_targets(self) -> frozenset[str]:
+        """Every ``Assign`` target; a hop fills defaults only where these fall short."""
+        return frozenset(i.target_name for i in self.instructions if i.__class__ is Assign)
+
+    @cached_property
     def steps(self) -> tuple[tuple[type, str, exprs.Compiled | None], ...]:
         """``(kind, target, closure)`` per instruction, compiled on first use."""
         return tuple((i.__class__, getattr(i, "target_name", ""),

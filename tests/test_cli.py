@@ -146,7 +146,8 @@ def test_migrate_oversized_number_in_an_object_header_is_a_format_error(bank_pro
     [
         (f"tot_deposits: INTEGER = {BIG}",
          "FormatError 3 line 3, column 27: integer literal outside the 64-bit range"),
-        (f"owner: PERSON = ref {BIG}", "FormatError 3 number too large: 5000 digits"),
+        (f"owner: PERSON = ref {BIG}",
+         "FormatError 3 line 3, column 23: number too large: 5000 digits"),
     ],
     ids=["integer", "ref"],
 )
@@ -189,6 +190,12 @@ def test_per_oversized_number_in_a_history_file_is_a_format_error(tmp_path, line
     assert code == 1
     assert out.splitlines()[0] == "FormatError 3 number too large: 5000 digits"
     assert "Traceback" not in out + err
+
+
+def test_a_repeated_double_dash_is_a_usage_error():
+    code, out, err = run_cli("gen", "--", "a.esc", "b.esc", "--")
+    assert (code, out) == (2, "")
+    assert "'--' may be given only once" in err
 
 
 def test_parse_missing_file():
@@ -624,18 +631,23 @@ def test_migrate_to_a_version_the_class_never_had_is_unknown(bank_project):
     assert err == ""
 
 
-def test_migrate_bad_inputs_value_names_its_entry(bank_project_stub):
+@pytest.mark.parametrize(
+    "literal, reason",
+    [
+        ("99999999999999999999", "line 1, column 1: integer literal outside the 64-bit range"),
+        (f"ref {BIG}", "line 1, column 5: number too large: 5000 digits"),
+    ],
+    ids=["integer", "ref"],
+)
+def test_migrate_bad_inputs_value_names_its_entry(bank_project_stub, literal, reason):
     code, out, err = run_cli(
         "migrate", OBJ, "--to-release", "2",
         "--inputs", "BANK_ACCOUNT.balance=0",
-        "--inputs", "BANK_ACCOUNT.info=99999999999999999999",
+        "--inputs", f"BANK_ACCOUNT.info={literal}",
         "--project", str(bank_project_stub),
     )
     assert code == 1
-    assert out.splitlines()[0] == (
-        "FormatError 1 --inputs BANK_ACCOUNT.info: "
-        "line 1, column 1: integer literal outside the 64-bit range"
-    )
+    assert out.splitlines()[0] == f"FormatError 1 --inputs BANK_ACCOUNT.info: {reason}"
     assert "Traceback" not in out + err
 
 

@@ -493,3 +493,50 @@ def test_compiled_sources_evaluate_as_the_tree_walk_does(bodies, fields, inputs)
     assert compiled == walked
     for body in bodies:
         _each_subtree_agrees(body, fields, inputs)
+
+
+# ---------------------------------------------------------------------------
+# the inline integer path against _arith and _compare
+# ---------------------------------------------------------------------------
+
+INT_EDGES = [
+    ("+", IntVal(INT64_MAX), IntVal(1)),
+    ("-", IntVal(INT64_MIN), IntVal(1)),
+    ("*", IntVal(INT64_MIN), IntVal(-1)),
+    ("//", IntVal(INT64_MIN), IntVal(-1)),
+    ("//", IntVal(7), IntVal(0)),
+    ("-", IntVal(INT64_MAX), IntVal(INT64_MAX)),
+    ("*", IntVal(-3), IntVal(INT64_MAX // 3)),
+]
+NOT_INTS = [RealVal(2.5), VOID, BoolVal(True), StringVal("7")]
+INLINE_CASES = INT_EDGES + [
+    (op, a, b)
+    for op in exprs.ARITH_OPS + exprs.COMPARE_OPS
+    for a, b in [(IntVal(3), IntVal(-4)), (IntVal(-4), IntVal(3)), (IntVal(5), IntVal(5))]
+    + [pair for other in NOT_INTS for pair in [(IntVal(3), other), (other, IntVal(3))]]
+]
+
+
+def _inline_id(case):
+    op, a, b = case
+    return f"{exprs.render_value(a)} {op} {exprs.render_value(b)}"
+
+
+@pytest.mark.parametrize("case", INLINE_CASES, ids=[_inline_id(c) for c in INLINE_CASES])
+def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
+    """Each operand shape the compiler treats apart (two fields, an integer
+    literal on the right, a literal on the left) gives what ``_arith`` or
+    ``_compare`` give, value or error."""
+    op, a, b = case
+    if op in exprs.ARITH_OPS:
+        node, expected = exprs.BinOp, _outcome(lambda: exprs._arith(op, a, b))
+    else:
+        node, expected = exprs.Compare, _outcome(lambda: BoolVal(exprs._compare(op, a, b)))
+    fields = {"a": a, "b": b}
+    for left, right in [
+        (exprs.AttrRef("a"), exprs.AttrRef("b")),
+        (exprs.AttrRef("a"), exprs.Lit(b)),
+        (exprs.Lit(a), exprs.AttrRef("b")),
+    ]:
+        compiled = exprs.compile_expr(node(op, left, right))
+        assert _outcome(lambda: compiled(fields, {})) == expected, (left, right)

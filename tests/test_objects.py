@@ -142,7 +142,7 @@ _OUT_OF_INT64 = "line 3, column 16: integer literal outside the 64-bit range"
         ("  x: INTEGER = 9223372036854775808", _OUT_OF_INT64),
         ("  x: INTEGER = -9223372036854775809", _OUT_OF_INT64),
         ("  x: INTEGER = " + "1" * 5000, _OUT_OF_INT64),
-        ("  p: NODE = ref " + "1" * 5000, "number too large: 5000 digits"),
+        ("  p: NODE = ref " + "1" * 5000, "line 3, column 17: number too large: 5000 digits"),
         ("  x: REAL = 1.0e999", "line 3, column 13: real literal out of range"),
         ('  s: STRING = "a\\qb"', 'line 3, column 15: unknown escape in string literal "a\\qb"'),
         ("  x: REAL = -0.0", RealVal(-0.0)),
