@@ -16,10 +16,8 @@ import tempfile
 from pathlib import Path
 
 from escher import (
-    IntVal,
     ObjectGraph,
     ObjectRecord,
-    StringVal,
     deserialize,
     diff_schemas,
     empty_repository,
@@ -81,9 +79,9 @@ print("inputs the developer still owes:", sorted(template.required_inputs), "\n"
 # --- a stored version-1 object ----------------------------------------------
 
 stored = ObjectRecord(0, "BANK_ACCOUNT", 1, {
-    "tot_deposits": IntVal(100),
-    "tot_withdrawals": IntVal(30),
-    "info": StringVal("42"),
+    "tot_deposits": 100,
+    "tot_withdrawals": 30,
+    "info": "42",
 })
 graph = ObjectGraph((stored,))
 print("stored object:")
@@ -99,7 +97,7 @@ repo, _ = release(repo, {"BANK_ACCOUNT": V2.with_version(1)})  # tool bumps the 
 # silent corruption a tolerant retrieval would admit. The class invariant
 # refuses it:
 try:
-    retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {("BANK_ACCOUNT", "balance"): IntVal(0)})
+    retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {("BANK_ACCOUNT", "balance"): 0})
 except InvariantViolation as err:
     print(f"invariant gate fired: {err.cli_line()}\n")
 
@@ -116,12 +114,12 @@ repo = register_transformer(repo, hand_fixed, overwrite=True)
 migrated = retrieve(graph, repo, {"BANK_ACCOUNT": 2}, {})
 print("retrieved at version 2:")
 print(serialize(migrated))
-assert migrated.records[0].fields == {"balance": IntVal(70), "info": IntVal(42)}
+assert migrated.records[0].fields == {"balance": 70, "info": 42}
 eval_invariant(migrated.records[0], V2)  # raises InvariantViolation on a false clause
 
 # Interpreting the fix directly shows the arithmetic at work:
 record = interpret_transformer(hand_fixed, stored, {}, new_schema=V2)
-print("balance =", record.fields["balance"].value, "(= 100 - 30)")
+print("balance =", record.fields["balance"], "(= 100 - 30)")
 
 # --- everything lives in a plain project directory ---------------------------
 

@@ -82,7 +82,7 @@ from .transformer import (
     parse_transformer,
     render_transformer,
 )
-from .values import BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal, VoidVal
+from .values import ObjectValue, RefVal
 
 __version__ = "0.1.0"
 
@@ -100,9 +100,8 @@ __all__ = [
     "ObjectTransformer", "Assign", "Noop", "CheckAttached", "assignable",
     "generate_transformer", "parse_transformer", "render_transformer",
     # objects
-    "ObjectGraph", "ObjectRecord", "ObjectValue", "IntVal", "RealVal", "BoolVal",
-    "StringVal", "VoidVal", "RefVal", "serialize", "deserialize", "eval_invariant",
-    "interpret_transformer", "retrieve",
+    "ObjectGraph", "ObjectRecord", "ObjectValue", "RefVal", "serialize", "deserialize",
+    "eval_invariant", "interpret_transformer", "retrieve",
     # repository
     "Repository", "Release", "empty_repository", "release", "register_transformer",
     "load_repository", "save_repository",

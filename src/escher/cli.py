@@ -179,7 +179,7 @@ def _parse_inputs(entries: list[str]) -> dict[tuple[str, str], ObjectValue]:
         try:
             inputs[(cls, attr)] = parse_value_text(literal)
         except FormatError as err:
-            raise FormatError(err.line, f"--inputs {key}: {err.reason}") from err
+            raise FormatError(err.line, f"--inputs {key}: {err}") from err
     return inputs
 
 

@@ -31,10 +31,13 @@ class ParseError(EscherError):
         self.expected = expected
         self.path: str | None = None
 
+    @property
+    def reason(self) -> str:
+        """The message and what was expected, without the place."""
+        return f"{self.args[0]} (expected {self.expected})" if self.expected else self.args[0]
+
     def __str__(self) -> str:
-        msg = f"line {self.line}, column {self.column}: {self.args[0]}"
-        if self.expected:
-            msg += f" (expected {self.expected})"
+        msg = f"line {self.line}, column {self.column}: {self.reason}"
         return msg if self.path is None else f"{self.path}: {msg}"
 
     @property
@@ -98,15 +101,26 @@ class DuplicateTarget(EscherError):
 
 
 class FormatError(EscherError):
-    """Malformed object file."""
+    """Malformed object file; ``column`` is None when no one token is at fault."""
 
-    def __init__(self, line: int, reason: str):
+    def __init__(self, line: int, reason: str, column: int | None = None):
         super().__init__(line, reason)
         self.line = line
         self.reason = reason
+        self.column = column
+
+    @classmethod
+    def at(cls, err: ParseError) -> FormatError:
+        """The FormatError of a ParseError in an object file's text."""
+        return cls(err.line, err.reason, err.column)
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.reason}"
+        where = f"line {self.line}" if self.column is None else f"line {self.line}, column {self.column}"
+        return f"{where}: {self.reason}"
+
+    @property
+    def cli_fields(self) -> tuple[object, ...]:
+        return (self.line, self.reason if self.column is None else str(self))
 
 
 class DanglingReference(EscherError):
@@ -139,6 +153,12 @@ class ConversionFailure(EscherError):
         super().__init__(converter_id, value)
         self.converter_id = converter_id
         self.value = value
+
+    @property
+    def cli_fields(self) -> tuple[object, ...]:
+        from .exprs import render_value  # exprs raises this error, so it loads first
+
+        return (self.converter_id, render_value(self.value))
 
 
 class AttachmentViolation(EscherError):

@@ -38,9 +38,7 @@ from typing import Callable, Mapping, Union
 
 from ._lex import Token, TokenStream, escape_string, unescape_string
 from .errors import ConversionFailure, MissingAttribute, MissingInput, ParseError, UnknownConverter
-from .values import (
-    INT64_MAX, INT64_MIN, VOID, BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal, VoidVal,
-)
+from .values import INT64_MAX, INT64_MIN, ObjectValue, RefVal, check_value
 
 ARITH_OPS = ("+", "-", "*", "//")
 COMPARE_OPS = ("=", "/=", "<", "<=", ">", ">=")
@@ -59,11 +57,24 @@ class _Branch:
         object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lit:
-    """A literal: the runtime value it denotes (no parser builds a ``RefVal`` one)."""
+    """A literal: the runtime value it denotes (no parser builds a ``RefVal``
+    one). Literals are equal when their values are of one kind and equal, so
+    ``1``, ``1.0`` and ``true`` are three literals."""
 
     value: ObjectValue
+
+    def __post_init__(self) -> None:
+        check_value(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Lit:
+            return NotImplemented
+        return self.value.__class__ is other.value.__class__ and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value.__class__, self.value))
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,7 @@ def walk(expr: Expr):
         yield from walk(child)
 
 
-WORD_VALUES = {"Void": VOID, "true": BoolVal(True), "false": BoolVal(False)}
+_WORDS = {"Void": None, "true": True, "false": False}
 
 
 def build(tok: Token, node: type, *args) -> Expr:
@@ -221,12 +232,12 @@ def _parse_term(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Exp
 
 
 def _parse_operand(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
-    value = parse_literal(stream)
-    return atom(stream) if value is None else Lit(value)
+    literal = parse_literal(stream)
+    return atom(stream) if literal is None else literal
 
 
-def parse_literal(stream: TokenStream) -> ObjectValue | None:
-    """The value of an INT or REAL (optionally negative), STRING, ``Void``,
+def parse_literal(stream: TokenStream) -> Lit | None:
+    """The ``Lit`` of an INT or REAL (optionally negative), STRING, ``Void``,
     ``true`` or ``false``; None when the next token starts none of these.
     ``.esc``, ``.est`` and ``.eso`` files and ``--inputs`` all read literals
     here.
@@ -246,22 +257,22 @@ def parse_literal(stream: TokenStream) -> ObjectValue | None:
         if len(digits) < 20:
             value = -int(digits or "0") if negative else int(digits or "0")
             if INT64_MIN <= value <= INT64_MAX:
-                return IntVal(value)
+                return Lit(value)
         raise ParseError("integer literal outside the 64-bit range", start.line, start.column)
     if tok.kind == "REAL":
         stream.next()
         real = -float(tok.text) if negative else float(tok.text)
         if not math.isfinite(real):
             raise ParseError("real literal out of range", start.line, start.column)
-        return RealVal(real)
+        return Lit(real)
     if negative:
         raise stream.error("'-' must prefix a numeric literal")
     if tok.kind == "STRING":
         stream.next()
-        return StringVal(unescape_string(tok.text, tok.line, tok.column))
-    if tok.kind == "IDENT" and tok.text in WORD_VALUES:
+        return Lit(unescape_string(tok.text, tok.line, tok.column))
+    if tok.kind == "IDENT" and tok.text in _WORDS:
         stream.next()
-        return WORD_VALUES[tok.text]
+        return Lit(_WORDS[tok.text])
     return None
 
 
@@ -296,19 +307,19 @@ def render_real(value: float) -> str:
 def render_value(value: ObjectValue) -> str:
     """The literal text of ``value``: an ``.eso`` field's value, or a ``Lit``."""
     cls = value.__class__
-    if cls is IntVal:
-        return str(value.value)
-    if cls is StringVal:
-        return escape_string(value.value)
+    if cls is int:
+        return str(value)
+    if cls is str:
+        return escape_string(value)
     if cls is RefVal:
         return f"ref {value.object_id}"
-    if cls is RealVal:
-        if not math.isfinite(value.value):
+    if cls is float:
+        if not math.isfinite(value):
             raise ValueError("non-finite reals are not serializable")
-        return render_real(value.value)
-    if cls is BoolVal:
-        return "true" if value.value else "false"
-    if cls is VoidVal:
+        return render_real(value)
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
         return "Void"
     raise TypeError(f"not an object value: {value!r}")
 
@@ -354,7 +365,7 @@ def _render(expr: Expr, context: int) -> str:
 
 
 class EvalProblem(Exception):
-    """Arithmetic, a comparison or a connective cannot proceed; callers re-wrap."""
+    """An operator cannot apply to its operands; callers re-wrap."""
 
 
 Compiled = Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], ObjectValue]
@@ -362,7 +373,8 @@ Compiled = Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], Obje
 
 def compile_expr(expr: Expr) -> Compiled:
     """Closures, one per node, that evaluate ``expr`` over fields ``f`` and
-    inputs ``i``."""
+    inputs ``i``; an operator's closure calls the function ``OPERATORS``
+    holds for it, looked up here."""
     cls = expr.__class__
     if cls is Lit:
         value = expr.value
@@ -371,10 +383,10 @@ def compile_expr(expr: Expr) -> Compiled:
         name = expr.name
 
         def field(f, i):
-            value = f.get(name)
-            if value is None:
-                raise MissingAttribute(name)
-            return value
+            try:
+                return f[name]
+            except KeyError:
+                raise MissingAttribute(name) from None
 
         return field
     if cls is InputRef:
@@ -392,176 +404,118 @@ def compile_expr(expr: Expr) -> Compiled:
         return lambda f, i: fn(arg(f, i))
     if cls is Not:
         operand = compile_expr(expr.operand)
-        return lambda f, i: _FALSE if _require_bool(operand(f, i)).value else _TRUE
-    if cls is BinOp:
-        return _compile_arith(expr)
-    if cls is Compare:
-        return _compile_compare(expr)
+        return lambda f, i: not _truth(operand(f, i))
+    if cls is BinOp or cls is Compare:
+        op, left, right = OPERATORS[expr.op], compile_expr(expr.left), compile_expr(expr.right)
+        return lambda f, i: op(left(f, i), right(f, i))
     if cls is And or cls is Or:
         left, right = compile_expr(expr.left), compile_expr(expr.right)
         stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
 
         def connective(f, i):
-            value = _require_bool(left(f, i))
-            if value.value == stop:
+            value = _truth(left(f, i))
+            if value is stop:
                 return value
-            return _require_bool(right(f, i))
+            return _truth(right(f, i))
 
         return connective
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-_TRUE, _FALSE = WORD_VALUES["true"], WORD_VALUES["false"]
-_INLINE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_INLINE_COMPARE = {
-    "=": operator.eq, "/=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
+# The operators dispatch on ``__class__``: ``bool`` is an ``int`` subclass but
+# no number. Integer results must fit 64 bits and real results be finite.
+_NUMBERS = (int, float)
+_ORDERED = (int, float, str)
 
 
-def _compile_arith(expr: BinOp) -> Compiled:
-    """Two ``IntVal`` operands of ``+ - *`` whose result fits 64 bits are
-    computed inline; every other case, ``//`` included, is ``_arith``'s, so
-    results and errors are its own. An integer literal on the right is read
-    when the tree compiles."""
-    op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
-    inline = _INLINE_ARITH.get(op)
-    if inline is None:
-        return lambda f, i: _arith(op, left(f, i), right(f, i))
-    if expr.right.__class__ is Lit and expr.right.value.__class__ is IntVal:
-        b = expr.right.value
-        y = b.value
-
-        def arith_literal(f, i):
-            a = left(f, i)
-            if a.__class__ is IntVal:
-                result = inline(a.value, y)
-                if INT64_MIN <= result <= INT64_MAX:
-                    return IntVal(result)
-            return _arith(op, a, b)
-
-        return arith_literal
-
-    def arith(f, i):
-        a, b = left(f, i), right(f, i)
-        if a.__class__ is IntVal and b.__class__ is IntVal:
-            result = inline(a.value, b.value)
-            if INT64_MIN <= result <= INT64_MAX:
-                return IntVal(result)
-        return _arith(op, a, b)
-
-    return arith
-
-
-def _compile_compare(expr: Compare) -> Compiled:
-    """Two ``IntVal`` operands compare inline; anything else is ``_compare``'s."""
-    op, left, right = expr.op, compile_expr(expr.left), compile_expr(expr.right)
-    inline = _INLINE_COMPARE[op]
-
-    def compare(f, i):
-        a, b = left(f, i), right(f, i)
-        if a.__class__ is IntVal and b.__class__ is IntVal:
-            return _TRUE if inline(a.value, b.value) else _FALSE
-        return _TRUE if _compare(op, a, b) else _FALSE
-
-    return compare
-
-
-def _require_bool(value: ObjectValue) -> BoolVal:
-    if not isinstance(value, BoolVal):
+def _truth(value: ObjectValue) -> bool:
+    if value.__class__ is not bool:
         raise EvalProblem("boolean connective over a non-boolean operand")
     return value
 
 
-def _compare(op: str, a: ObjectValue, b: ObjectValue) -> bool:
-    if op in ("=", "/="):
-        equal = _values_equal(a, b)
-        return equal if op == "=" else not equal
-    # ordering: numbers or strings
-    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
-        left, right = _promote(a, b)
-    elif isinstance(a, StringVal) and isinstance(b, StringVal):
-        left, right = a.value, b.value
-    else:
-        raise EvalProblem(f"operands of {op} are not comparable")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+def _arithmetic(op: str, compute: Callable) -> Callable[[ObjectValue, ObjectValue], ObjectValue]:
+    """``+ - *``: two integers give an integer; a real operand makes both reals."""
+
+    def apply(a: ObjectValue, b: ObjectValue) -> ObjectValue:
+        if a.__class__ is int and b.__class__ is int:
+            result = compute(a, b)
+            if INT64_MIN <= result <= INT64_MAX:
+                return result
+            raise EvalProblem("integer overflow")
+        if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
+            raise EvalProblem(f"arithmetic {op} over non-numeric operands")
+        result = compute(float(a), float(b))
+        if math.isfinite(result):
+            return result
+        raise EvalProblem("real overflow")
+
+    return apply
 
 
-def _values_equal(a: ObjectValue, b: ObjectValue) -> bool:
-    if isinstance(a, VoidVal) or isinstance(b, VoidVal):
-        return isinstance(a, VoidVal) and isinstance(b, VoidVal)
-    if isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal)):
-        if isinstance(a, IntVal) and isinstance(b, IntVal):
-            return a.value == b.value
-        left, right = _promote(a, b)
-        return left == right
-    if isinstance(a, BoolVal) and isinstance(b, BoolVal):
-        return a.value == b.value
-    if isinstance(a, StringVal) and isinstance(b, StringVal):
-        return a.value == b.value
-    if isinstance(a, RefVal) and isinstance(b, RefVal):
-        return a.object_id == b.object_id
+def _divide(a: ObjectValue, b: ObjectValue) -> int:
+    """``//``: integers only, truncating toward zero as REAL_TO_INTEGER does."""
+    if a.__class__ is int and b.__class__ is int:
+        if b == 0:
+            raise EvalProblem("integer division by zero")
+        result = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            result = -result
+        if INT64_MIN <= result <= INT64_MAX:
+            return result
+        raise EvalProblem("integer overflow")
+    if a.__class__ not in _NUMBERS or b.__class__ not in _NUMBERS:
+        raise EvalProblem("arithmetic // over non-numeric operands")
+    raise EvalProblem("integer division needs integer operands")
+
+
+def _equal(a: ObjectValue, b: ObjectValue) -> bool:
+    """``=``: operands of one kind compare as Python does; an integer and a
+    real compare as reals; void differs from any other value."""
+    if a.__class__ is b.__class__:
+        return a == b
+    if a.__class__ in _NUMBERS and b.__class__ in _NUMBERS:
+        return float(a) == float(b)
+    if a is None or b is None:
+        return False
     raise EvalProblem("equality between incomparable types")
 
 
-def _promote(a: IntVal | RealVal, b: IntVal | RealVal):
-    if isinstance(a, IntVal) and isinstance(b, IntVal):
-        return a.value, b.value
-    return float(a.value), float(b.value)
+def _ordering(op: str, compare: Callable) -> Callable[[ObjectValue, ObjectValue], bool]:
+    """``< <= > >=``: integers compare exactly, a real operand makes both
+    reals, and strings compare by code point."""
+
+    def apply(a: ObjectValue, b: ObjectValue) -> bool:
+        if a.__class__ is b.__class__ and a.__class__ in _ORDERED:
+            return compare(a, b)
+        if a.__class__ in _NUMBERS and b.__class__ in _NUMBERS:
+            return compare(float(a), float(b))
+        raise EvalProblem(f"operands of {op} are not comparable")
+
+    return apply
 
 
-_NUMERIC = (IntVal, RealVal)
-
-
-def _arith(op: str, a: ObjectValue, b: ObjectValue) -> ObjectValue:
-    """Integer results, quotients included, must fit 64 bits; real results
-    must be finite."""
-    a_cls, b_cls = a.__class__, b.__class__
-    if a_cls is IntVal and b_cls is IntVal:
-        x, y = a.value, b.value
-        if op == "+":
-            result = x + y
-        elif op == "-":
-            result = x - y
-        elif op == "*":
-            result = x * y
-        else:
-            if y == 0:
-                raise EvalProblem("integer division by zero")
-            # truncation toward zero, matching REAL_TO_INTEGER
-            result = abs(x) // abs(y)
-            if (x < 0) != (y < 0):
-                result = -result
-        if not (INT64_MIN <= result <= INT64_MAX):
-            raise EvalProblem("integer overflow")
-        return IntVal(result)
-    if a_cls not in _NUMERIC or b_cls not in _NUMERIC:
-        raise EvalProblem(f"arithmetic {op} over non-numeric operands")
-    if op == "//":
-        raise EvalProblem("integer division needs integer operands")
-    x, y = float(a.value), float(b.value)
-    if op == "+":
-        real = x + y
-    elif op == "-":
-        real = x - y
-    else:
-        real = x * y
-    if not math.isfinite(real):
-        raise EvalProblem("real overflow")
-    return RealVal(real)
+#: The function each arithmetic and comparison operator applies to its
+#: operands' values; they alone raise the language's ``EvalProblem``s.
+OPERATORS: Mapping[str, Callable[[ObjectValue, ObjectValue], ObjectValue]] = MappingProxyType({
+    "+": _arithmetic("+", operator.add),
+    "-": _arithmetic("-", operator.sub),
+    "*": _arithmetic("*", operator.mul),
+    "//": _divide,
+    "=": _equal,
+    "/=": lambda a, b: not _equal(a, b),
+    "<": _ordering("<", operator.lt),
+    "<=": _ordering("<=", operator.le),
+    ">": _ordering(">", operator.gt),
+    ">=": _ordering(">=", operator.ge),
+})
 
 
 def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
-    value = inputs.get(key)
-    if value is None:
-        raise MissingInput(key)
-    return value
+    try:
+        return inputs[key]
+    except KeyError:
+        raise MissingInput(key) from None
 
 
 _INT_RE = re.compile(r"-?\d+\Z")
@@ -569,51 +523,51 @@ _REAL_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
 
 
 def _string_to_integer(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, StringVal) or not _INT_RE.match(value.value):
+    if value.__class__ is not str or not _INT_RE.match(value):
         raise ConversionFailure("STRING_TO_INTEGER", value)
-    number = int(value.value)
+    digits = value.lstrip("-").lstrip("0") or "0"
+    if len(digits) >= 20:  # int() refuses over 4300 digits; no 64-bit integer needs 20
+        raise ConversionFailure("STRING_TO_INTEGER", value)
+    number = -int(digits) if value[0] == "-" else int(digits)
     if not (INT64_MIN <= number <= INT64_MAX):
         raise ConversionFailure("STRING_TO_INTEGER", value)
-    return IntVal(number)
+    return number
 
 
 def _integer_to_string(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, IntVal):
+    if value.__class__ is not int:
         raise ConversionFailure("INTEGER_TO_STRING", value)
-    return StringVal(str(value.value))
+    return str(value)
 
 
 def _integer_to_real(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, IntVal):
+    if value.__class__ is not int:
         raise ConversionFailure("INTEGER_TO_REAL", value)
-    return RealVal(float(value.value))
+    return float(value)
 
 
 def _real_to_integer(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, RealVal):
+    if value.__class__ is not float or not math.isfinite(value):
         raise ConversionFailure("REAL_TO_INTEGER", value)
-    f = value.value
-    if f != f or f in (float("inf"), float("-inf")):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    truncated = int(f)  # toward zero
+    truncated = int(value)  # toward zero
     if not (INT64_MIN <= truncated <= INT64_MAX):
         raise ConversionFailure("REAL_TO_INTEGER", value)
-    return IntVal(truncated)
+    return truncated
 
 
 def _string_to_real(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, StringVal) or not _REAL_RE.match(value.value):
+    if value.__class__ is not str or not _REAL_RE.match(value):
         raise ConversionFailure("STRING_TO_REAL", value)
-    real = float(value.value)
+    real = float(value)
     if not math.isfinite(real):  # an exponent past the float range
         raise ConversionFailure("STRING_TO_REAL", value)
-    return RealVal(real)
+    return real
 
 
 def _real_to_string(value: ObjectValue) -> ObjectValue:
-    if not isinstance(value, RealVal):
+    if value.__class__ is not float:
         raise ConversionFailure("REAL_TO_STRING", value)
-    return StringVal(render_real(value.value))
+    return render_real(value)
 
 
 #: Every conversion a ``convert`` may name. An id reads ``<SOURCE>_TO_<TARGET>``,

@@ -26,7 +26,6 @@ letting a default-initialized object into the system.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -48,17 +47,7 @@ from .errors import (
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import Assign, CheckAttached, ObjectTransformer
-from .values import (
-    PRIMITIVE_KINDS,
-    VOID,
-    BoolVal,
-    IntVal,
-    ObjectValue,
-    RealVal,
-    RefVal,
-    StringVal,
-    VoidVal,
-)
+from .values import PRIMITIVE_KINDS, ObjectValue, RefVal, check_value
 
 if TYPE_CHECKING:
     from .repository import Repository
@@ -69,11 +58,13 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ObjectRecord:
     """One stored object; ``fields`` is a read-only view, in field order, of
     the dict it is built from. Field order fixes the ``.eso`` text, but
-    equality ignores it, as dict equality does; records are unhashable."""
+    equality ignores it, as dict equality does. Equal records hold values of
+    one kind in each field, so ``1``, ``1.0`` and ``true`` differ. Records
+    are unhashable."""
 
     id: int
     class_name: str
@@ -89,6 +80,17 @@ class ObjectRecord:
         _set_class_name(self, class_name)
         _set_version(self, version)
         _set_fields(self, MappingProxyType(fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ObjectRecord:
+            return NotImplemented
+        return (self.id, self.class_name, self.version, _kinds(self.fields)) == (
+            other.id, other.class_name, other.version, _kinds(other.fields)
+        )
+
+
+def _kinds(fields: Mapping[str, ObjectValue]) -> dict[str, tuple[type, ObjectValue]]:
+    return {name: (value.__class__, value) for name, value in fields.items()}
 
 
 # The slots' own setters, which a frozen class's ``__setattr__`` does not reach.
@@ -110,7 +112,9 @@ class ObjectGraph:
         count = len(self.records)
         for record in self.records:
             for value in record.fields.values():
-                if isinstance(value, RefVal) and value.object_id >= count:
+                if value.__class__ is not RefVal:
+                    check_value(value)
+                elif value.object_id >= count:
                     raise DanglingReference(value.object_id)
 
 
@@ -194,27 +198,25 @@ def _deserialize_blocks(text: str) -> ObjectGraph | None:
             fields: dict[str, ObjectValue] = {}
             for name, integer, string, ref_class, ref, void, boolean, real in rows:
                 if integer:
-                    value = IntVal(int(integer))
+                    value = int(integer)
                 elif string:
-                    value = StringVal(unescape_string(string, 0, 0))
+                    value = unescape_string(string, 0, 0)
                 elif ref:
                     value = RefVal(int(ref))
                     if ref_classes.setdefault(value.object_id, ref_class) != ref_class:
                         return None
                 elif void:
-                    value = VOID
+                    value = None
                 elif boolean:
-                    value = exprs.WORD_VALUES[boolean]
+                    value = boolean == "true"
                 else:
-                    value = RealVal(float(real))
-                    if not math.isfinite(value.value):
-                        return None
+                    value = float(real)
                 fields[name] = value
             if len(fields) != len(rows):  # a duplicate field name
                 return None
             records.append(ObjectRecord(len(records), class_name, int(version), fields))
         graph = ObjectGraph(tuple(records))
-    except (ValueError, DanglingReference):  # int64 range, version, no records
+    except (ValueError, DanglingReference):  # int64 range, finite, version, no records
         return None
     for target, annotation in ref_classes.items():
         if records[target].class_name != annotation:
@@ -286,12 +288,9 @@ def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
         stream.expect_op(":")
         annotation = stream.expect_ident().text
         stream.expect_op("=")
-        value = parse_value(stream)
-        trailing = stream.peek()
-        if trailing.kind != "EOF":
-            raise FormatError(lineno, f"trailing content {trailing.text!r}")
+        value = _parse_whole_value(stream)
     except ParseError as err:
-        raise FormatError(err.line, str(err)) from err
+        raise FormatError.at(err) from err
     _check_annotation(annotation, value, lineno, name)
     return name, annotation, value
 
@@ -303,13 +302,14 @@ def _check_annotation(annotation: str, value: ObjectValue, lineno: int, name: st
 
 def parse_value(stream: TokenStream) -> ObjectValue:
     """One object-file value: ``ref N``, or a literal of the expression
-    languages, with their range checks and reasons."""
+    languages, with their range checks and reasons. Every failure is a
+    ParseError at the token that caused it."""
     tok = stream.peek()
     if tok.kind == "IDENT" and tok.text == "ref":
         stream.next()
         ref_tok = stream.next()
         if ref_tok.kind != "INT":
-            raise FormatError(ref_tok.line, "ref needs a nonnegative integer id")
+            raise ParseError("ref needs a nonnegative integer id", ref_tok.line, ref_tok.column)
         try:
             object_id = int(ref_tok.text)
         except ValueError:  # more digits than int() converts
@@ -317,22 +317,26 @@ def parse_value(stream: TokenStream) -> ObjectValue:
                 f"number too large: {len(ref_tok.text)} digits", ref_tok.line, ref_tok.column
             ) from None
         return RefVal(object_id)
-    value = exprs.parse_literal(stream)
-    if value is None:
-        raise FormatError(tok.line, f"not a value literal: {tok.text!r}")
+    literal = exprs.parse_literal(stream)
+    if literal is None:
+        raise ParseError(f"not a value literal: {tok.text!r}", tok.line, tok.column)
+    return literal.value
+
+
+def _parse_whole_value(stream: TokenStream) -> ObjectValue:
+    """``parse_value``, where nothing may follow the value."""
+    value = parse_value(stream)
+    trailing = stream.peek()
+    if trailing.kind != "EOF":
+        raise ParseError(f"trailing content {trailing.text!r}", trailing.line, trailing.column)
     return value
 
 
 def parse_value_text(text: str) -> ObjectValue:
     try:
-        stream = TokenStream(tokenize(text))
-        value = parse_value(stream)
-        trailing = stream.peek()
-        if trailing.kind != "EOF":
-            raise FormatError(trailing.line, f"trailing content {trailing.text!r}")
+        return _parse_whole_value(TokenStream(tokenize(text)))
     except ParseError as err:
-        raise FormatError(err.line, str(err)) from err
-    return value
+        raise FormatError.at(err) from err
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +364,9 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
             outcome = clause(record.fields, _NO_INPUTS)
         except exprs.EvalProblem as err:
             raise TypeMismatchInInvariant(tag, str(err)) from err
-        if not isinstance(outcome, BoolVal):
+        if outcome.__class__ is not bool:
             raise TypeMismatchInInvariant(tag, "clause body is not boolean")
-        if not outcome.value:
+        if not outcome:
             raise InvariantViolation(record.class_name, record.id, tag)
 
 
@@ -375,7 +379,11 @@ def type_default(declared: TypeExpr) -> ObjectValue:
     base = strip_marker(declared)
     if isinstance(base, ClassType) and base.name in PRIMITIVE_KINDS:
         return PRIMITIVE_KINDS[base.name][1]
-    return VOID
+    return None
+
+
+# Holds the place of an attribute no instruction has assigned yet.
+_UNASSIGNED = object()
 
 
 def interpret_transformer(
@@ -401,8 +409,7 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    # None holds the place of an attribute no instruction has assigned yet
-    fields: dict[str, ObjectValue | None] = dict.fromkeys(new_schema.attribute_names())
+    fields: dict[str, object] = dict.fromkeys(new_schema.attribute_names(), _UNASSIGNED)
     for index, (kind, target, source) in enumerate(t.steps):
         if kind is Assign:
             if target not in fields:
@@ -416,12 +423,12 @@ def interpret_transformer(
             except MissingAttribute as err:
                 raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
         elif kind is CheckAttached and check_attached:
-            value = fields.get(target)
-            if value is None or value.__class__ is VoidVal:
+            value = fields.get(target, _UNASSIGNED)
+            if value is None or value is _UNASSIGNED:
                 raise AttachmentViolation(target)
     if not new_schema.attribute_set <= t.assigned_targets:
         for attr in new_schema.attributes:
-            if fields[attr.name] is None:
+            if fields[attr.name] is _UNASSIGNED:
                 if warnings is not None:
                     warnings.append(
                         f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
@@ -506,5 +513,7 @@ def _plan(
         raise TransformationMissing(class_name, start, goal)
     hops = [(hop_to, handlers[(hop_from, hop_to)]) for hop_from, hop_to in zip(path, path[1:])]
     class_inputs = {attr: value for (cls, attr), value in inputs.items() if cls == class_name}
+    for value in class_inputs.values():
+        check_value(value)
     return hops, class_inputs
 

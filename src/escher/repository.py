@@ -466,8 +466,9 @@ def naming(name: str):
 
 
 def replace_file(path: Path, text: str) -> None:
-    """Write ``text`` beside ``path``, flush it to disk, then rename it over
-    ``path``: a reader sees the old file or the whole new one, never a part."""
+    """Write ``text`` beside ``path``, flush it to disk, rename it over
+    ``path`` and flush the directory, so that the rename survives a power
+    loss: a reader sees the old file or the whole new one, never a part."""
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as out:
@@ -478,6 +479,11 @@ def replace_file(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
@@ -526,11 +532,11 @@ def project_lock(project_dir: str | Path, timeout: float = 10.0):
     """Advisory exclusive lock; concurrent invocations wait then give up.
 
     The holder keeps an exclusive ``flock`` on ``escher.lock`` while it holds
-    the lock, and writes its PID there. The kernel frees the ``flock`` of a
-    holder that dies, so its file is only stale text: the next ``flock``
-    holder writes over it. Only a ``flock`` holder writes or removes the
-    file, so two waiters never both hold the lock. A file that names a live
-    process counts as held even without a ``flock``.
+    the lock, and writes its PID there. The ``flock`` alone decides who holds
+    the lock: the kernel frees the ``flock`` of a holder that dies, so its
+    file is only stale text, which the next ``flock`` holder writes over.
+    Only a ``flock`` holder writes or removes the file, so two waiters never
+    both hold the lock.
     """
     path = Path(project_dir) / "escher.lock"
     deadline = time.monotonic() + timeout
@@ -539,14 +545,12 @@ def project_lock(project_dir: str | Path, timeout: float = 10.0):
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            held = True
+            pass
         else:
-            if not _names_this_file(path, fd):  # the holder before removed it
-                os.close(fd)
-                continue
-            held = _names_a_live_process(os.pread(fd, 64, 0))
-        if not held:
-            break
+            if _names_this_file(path, fd):
+                break
+            os.close(fd)  # the holder before removed it
+            continue
         os.close(fd)
         if time.monotonic() > deadline:
             raise OSError(f"project is locked by another process ({path})")
@@ -566,16 +570,3 @@ def _names_this_file(path: Path, fd: int) -> bool:
     except FileNotFoundError:
         return False
 
-
-def _names_a_live_process(text: bytes) -> bool:
-    """True when the lock holds the PID of a running process; a lock that
-    is empty or holds anything else names none."""
-    if not re.fullmatch(rb"[1-9][0-9]{0,8}", text):
-        return False
-    try:
-        os.kill(int(text), 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # alive, under another user
-        pass
-    return True

@@ -17,7 +17,6 @@ from escher.repository import (
 )
 from escher.schema import parse_schema
 from escher.transformer import parse_transformer
-from escher.values import IntVal, StringVal
 
 try:
     from hypothesis import settings
@@ -54,7 +53,7 @@ def bank_record() -> ObjectRecord:
         0,
         "BANK_ACCOUNT",
         1,
-        {"tot_deposits": IntVal(100), "tot_withdrawals": IntVal(30), "info": StringVal("42")},
+        {"tot_deposits": 100, "tot_withdrawals": 30, "info": "42"},
     )
 
 

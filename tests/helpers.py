@@ -23,7 +23,7 @@ from escher.schema import (
     TypeExpr,
 )
 from escher import exprs
-from escher.values import VOID, BoolVal, IntVal, ObjectValue, RealVal, RefVal, StringVal
+from escher.values import ObjectValue, RefVal
 
 
 def without_handler(repo: Repository, class_name: str, pair: tuple[int, int] | None = None) -> Repository:
@@ -86,7 +86,7 @@ def random_schema(
                 clauses.append(
                     InvariantClause(
                         f"nonneg_{attr.name}",
-                        exprs.Compare(">=", exprs.AttrRef(attr.name), exprs.Lit(IntVal(0))),
+                        exprs.Compare(">=", exprs.AttrRef(attr.name), exprs.Lit(0)),
                     )
                 )
         invariant = InvariantExpr(tuple(clauses))
@@ -121,16 +121,16 @@ def random_schema_pair(rng: random.Random) -> tuple[ClassSchema, ClassSchema]:
 def random_value(rng: random.Random, record_count: int) -> ObjectValue:
     roll = rng.random()
     if roll < 0.25:
-        return IntVal(rng.randint(-(2**40), 2**40))
+        return rng.randint(-(2**40), 2**40)
     if roll < 0.40:
-        return RealVal(rng.choice([0.0, 1.5, -2.25, 3.125e10, 0.1]))
+        return rng.choice([0.0, 1.5, -2.25, 3.125e10, 0.1])
     if roll < 0.50:
-        return BoolVal(rng.random() < 0.5)
+        return rng.random() < 0.5
     if roll < 0.70:
         alphabet = 'ab "\\\n xyz_09'
-        return StringVal("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
     if roll < 0.80:
-        return VOID
+        return None
     return RefVal(rng.randrange(record_count))
 
 

@@ -29,7 +29,6 @@ from escher.repository import (  # noqa: E402
 )
 from escher.schema import parse_schema  # noqa: E402
 from escher.transformer import parse_transformer  # noqa: E402
-from escher.values import IntVal  # noqa: E402
 
 VERSIONS = range(1, 9)
 SCHEMAS = {
@@ -57,12 +56,12 @@ def repository(edges) -> Repository:
 def migrate(repo: Repository, start: int, goal: int, allow_composition: bool) -> tuple[int, ...] | None:
     """The versions a record stored at ``start`` passed through, or None
     when ``retrieve`` finds no path."""
-    graph = ObjectGraph((ObjectRecord(0, "C", start, {"x": IntVal(0), f"g{start}": IntVal(0)}),))
+    graph = ObjectGraph((ObjectRecord(0, "C", start, {"x": 0, f"g{start}": 0}),))
     try:
         out = retrieve(graph, repo, {"C": goal}, allow_composition=allow_composition)
     except TransformationMissing:
         return None
-    return (start, *map(int, str(out.records[0].fields["x"].value)))
+    return (start, *map(int, str(out.records[0].fields["x"])))
 
 
 @settings(max_examples=40, deadline=None)

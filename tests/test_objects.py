@@ -40,14 +40,7 @@ from escher.repository import (
 from escher.schema import parse_schema, parse_type
 from escher.transformer import Assign, generate_transformer, parse_transformer
 from escher.smo import diff_schemas
-from escher.values import (
-    VOID,
-    BoolVal,
-    IntVal,
-    RealVal,
-    RefVal,
-    StringVal,
-)
+from escher.values import RefVal
 from conftest import BANK_OBJECT_TEXT
 from helpers import random_graph, without_handler
 
@@ -82,7 +75,7 @@ def test_round_trip_property_random_graphs():
 
 
 def test_string_escapes_round_trip():
-    tricky = StringVal('say "hi" \\ two\nlines')
+    tricky = 'say "hi" \\ two\nlines'
     graph = ObjectGraph((ObjectRecord(0, "NODE", 1, {"s": tricky}),))
     text = serialize(graph)
     assert "\\n" in text
@@ -92,7 +85,7 @@ def test_string_escapes_round_trip():
 def test_void_and_ref_annotations():
     graph = ObjectGraph(
         (
-            ObjectRecord(0, "HOLDER", 1, {"owner": RefVal(1), "spare": VOID}),
+            ObjectRecord(0, "HOLDER", 1, {"owner": RefVal(1), "spare": None}),
             ObjectRecord(1, "PERSON", 2, {}),
         )
     )
@@ -145,23 +138,32 @@ _OUT_OF_INT64 = "line 3, column 16: integer literal outside the 64-bit range"
         ("  p: NODE = ref " + "1" * 5000, "line 3, column 17: number too large: 5000 digits"),
         ("  x: REAL = 1.0e999", "line 3, column 13: real literal out of range"),
         ('  s: STRING = "a\\qb"', 'line 3, column 15: unknown escape in string literal "a\\qb"'),
-        ("  x: REAL = -0.0", RealVal(-0.0)),
-        ('  s: STRING = "say \\"hi\\" \\\\ two\\nlines"', StringVal('say "hi" \\ two\nlines')),
-        ("  x: INTEGER = - 5", IntVal(-5)),
-        ("  x: INTEGER = 5 -- five", IntVal(5)),
-        ("  x: INTEGER = 5\r", IntVal(5)),
-        ("\tx:INTEGER=5", IntVal(5)),
+        ("  x: REAL = -0.0", (float, -0.0)),
+        ('  s: STRING = "say \\"hi\\" \\\\ two\\nlines"', (str, 'say "hi" \\ two\nlines')),
+        ("  x: INTEGER = - 5", (int, -5)),
+        ("  x: INTEGER = 5 -- five", (int, 5)),
+        ("  x: INTEGER = 5\r", (int, 5)),
+        ("\tx:INTEGER=5", (int, 5)),
+        ("  p: NODE = ref x", "line 3, column 17: ref needs a nonnegative integer id"),
+        ("  p: NODE = ref -1", "line 3, column 17: ref needs a nonnegative integer id"),
+        ("  p: NODE = ref", "line 3, column 16: ref needs a nonnegative integer id"),
+        ("  p: NODE = bogus", "line 3, column 13: not a value literal: 'bogus'"),
+        ("  p: INTEGER = 1 2", "line 3, column 18: trailing content '2'"),
+        ("  p: INTEGER = 1 ref", "line 3, column 18: trailing content 'ref'"),
     ],
 )
 def test_a_field_line_reads_or_fails_at_its_own_line(field, expected):
+    """A value reads as its kind, and an error gives its line and column once."""
     text = f"ESCHER-OBJECTS 1\nobj 0 NODE version 1\n{field}\nend\n"
     if isinstance(expected, str):
         with pytest.raises(FormatError) as exc:
             deserialize(text)
-        assert (exc.value.line, exc.value.reason) == (3, expected)
+        assert (exc.value.line, str(exc.value)) == (3, expected)
+        assert exc.value.cli_line() == f"FormatError 3 {expected}"
     else:
         [(name, value)] = deserialize(text).records[0].fields.items()
-        assert (name, repr(value)) == (field.split(":")[0].strip(), repr(expected))
+        kind, read = expected
+        assert (name, value.__class__, repr(value)) == (field.split(":")[0].strip(), kind, repr(read))
 
 
 def test_version_zero_is_a_format_error_at_its_header():
@@ -191,7 +193,7 @@ def test_record_fields_are_a_read_only_mapping_in_field_order():
     record = deserialize(BANK_OBJECT_TEXT).records[0]
     assert list(record.fields) == ["tot_deposits", "tot_withdrawals", "info"]
     with pytest.raises(TypeError):
-        record.fields["info"] = StringVal("7")  # type: ignore[index]
+        record.fields["info"] = "7"  # type: ignore[index]
     with pytest.raises(TypeError):
         hash(record)
     reordered = ObjectRecord(0, "BANK_ACCOUNT", 1, dict(reversed(record.fields.items())))
@@ -216,13 +218,11 @@ def test_ref_annotation_must_name_the_referenced_class():
 
 
 def test_value_literals():
-    assert parse_value_text("42") == IntVal(42)
-    assert parse_value_text("-42") == IntVal(-42)
-    assert parse_value_text("2.5") == RealVal(2.5)
-    assert parse_value_text("true") == BoolVal(True)
-    assert parse_value_text('"x"') == StringVal("x")
-    assert parse_value_text("Void") == VOID
-    assert parse_value_text("ref 3") == RefVal(3)
+    texts = ["42", "-42", "2.5", "true", '"x"', "Void", "ref 3"]
+    assert [parse_value_text(text) for text in texts] == [42, -42, 2.5, True, "x", None, RefVal(3)]
+    assert [type(parse_value_text(text)) for text in texts] == [
+        int, int, float, bool, str, type(None), RefVal
+    ]
     with pytest.raises(FormatError):
         parse_value_text("nope!")
     with pytest.raises(FormatError):
@@ -240,8 +240,8 @@ def test_int64_range_is_enforced():
 
 
 def test_invariant_pass_and_fail(bank_v2):
-    good = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(70), "info": IntVal(42)})
-    bad = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(0), "info": IntVal(42)})
+    good = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": 70, "info": 42})
+    bad = ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": 0, "info": 42})
     eval_invariant(good, bank_v2)
     with pytest.raises(InvariantViolation) as caught:
         eval_invariant(bad, bank_v2)
@@ -253,7 +253,7 @@ def test_invariant_v1_constructor_state(bank_v1):
         0,
         "BANK_ACCOUNT",
         1,
-        {"info": StringVal(""), "tot_deposits": IntVal(1), "tot_withdrawals": IntVal(0)},
+        {"info": "", "tot_deposits": 1, "tot_withdrawals": 0},
     )
     eval_invariant(record, bank_v1)
 
@@ -266,23 +266,23 @@ def eval_clause(schema_text, **fields):
 
 def test_real_promotion_in_comparisons():
     schema = "class C feature x: REAL y: INTEGER invariant c: x < y end"
-    eval_clause(schema, x=RealVal(1.5), y=IntVal(2))
+    eval_clause(schema, x=1.5, y=2)
     with pytest.raises(InvariantViolation):
-        eval_clause(schema, x=RealVal(2.5), y=IntVal(2))
+        eval_clause(schema, x=2.5, y=2)
 
 
 def test_string_comparison_is_lexicographic():
     schema = 'class C feature s: STRING invariant c: s < "b" end'
-    eval_clause(schema, s=StringVal("a"))
+    eval_clause(schema, s="a")
     with pytest.raises(InvariantViolation):
-        eval_clause(schema, s=StringVal("c"))
+        eval_clause(schema, s="c")
 
 
 def test_void_comparisons():
     schema = "class C feature p: detachable PERSON invariant c: p /= Void end"
     eval_clause(schema, p=RefVal(0))
     with pytest.raises(InvariantViolation):
-        eval_clause(schema, p=VOID)
+        eval_clause(schema, p=None)
 
 
 def test_boolean_connectives_and_arithmetic():
@@ -290,29 +290,29 @@ def test_boolean_connectives_and_arithmetic():
         "class C feature a: INTEGER b: INTEGER invariant "
         "c: a + b * 2 = 5 and not (a > b) or false end"
     )
-    eval_clause(schema, a=IntVal(1), b=IntVal(2))
+    eval_clause(schema, a=1, b=2)
 
 
 def test_integer_division_truncates_toward_zero():
     schema = "class C feature a: INTEGER invariant c: a // 2 = -3 end"
-    eval_clause(schema, a=IntVal(-7))
+    eval_clause(schema, a=-7)
 
 
 def test_type_mismatch_raises():
     schema = "class C feature s: STRING invariant c: s > 1 end"
     with pytest.raises(TypeMismatchInInvariant) as exc:
-        eval_clause(schema, s=StringVal("x"))
+        eval_clause(schema, s="x")
     assert exc.value.clause_tag == "c"
 
 
 def test_non_boolean_clause_body_raises():
     schema = "class C feature a: INTEGER invariant c: a + 1 end"
     with pytest.raises(TypeMismatchInInvariant):
-        eval_clause(schema, a=IntVal(1))
+        eval_clause(schema, a=1)
 
 
 def test_missing_attribute_raises(bank_v2):
-    record = ObjectRecord(0, "BANK_ACCOUNT", 2, {"info": IntVal(1)})
+    record = ObjectRecord(0, "BANK_ACCOUNT", 2, {"info": 1})
     with pytest.raises(MissingAttribute):
         eval_invariant(record, bank_v2)
 
@@ -321,7 +321,7 @@ def test_clauses_checked_in_order():
     schema = parse_schema(
         "class C feature a: INTEGER invariant first: a > 10 second: a > 100 end"
     )
-    record = ObjectRecord(0, "C", 1, {"a": IntVal(5)})
+    record = ObjectRecord(0, "C", 1, {"a": 5})
     with pytest.raises(InvariantViolation) as caught:
         eval_invariant(record, schema)
     assert caught.value.clause_tag == "first"
@@ -334,15 +334,15 @@ def test_clauses_checked_in_order():
 
 def test_interpret_hand_fixed(bank_record, hand_fixed_transformer, bank_v2):
     out = interpret_transformer(hand_fixed_transformer, bank_record, {}, new_schema=bank_v2)
-    assert list(out.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
+    assert list(out.fields.items()) == [("balance", 70), ("info", 42)]
     assert out.version == 2
     eval_invariant(out, bank_v2)
 
 
 def test_interpret_generated_with_inputs(bank_record, bank_v1, bank_v2):
     t = generate_transformer(diff_schemas(bank_v1, bank_v2))
-    out = interpret_transformer(t, bank_record, {"balance": IntVal(0)}, new_schema=bank_v2)
-    assert list(out.fields.items()) == [("balance", IntVal(0)), ("info", IntVal(42))]
+    out = interpret_transformer(t, bank_record, {"balance": 0}, new_schema=bank_v2)
+    assert list(out.fields.items()) == [("balance", 0), ("info", 42)]
     with pytest.raises(InvariantViolation):
         eval_invariant(out, bank_v2)
 
@@ -368,21 +368,21 @@ def test_interpret_conversion_failure(bank_v1, bank_v2):
         0,
         "BANK_ACCOUNT",
         1,
-        {"tot_deposits": IntVal(1), "tot_withdrawals": IntVal(0), "info": StringVal("abc")},
+        {"tot_deposits": 1, "tot_withdrawals": 0, "info": "abc"},
     )
     with pytest.raises(ConversionFailure):
-        interpret_transformer(t, record, {"balance": IntVal(1)}, new_schema=bank_v2)
+        interpret_transformer(t, record, {"balance": 1}, new_schema=bank_v2)
 
 
 def test_check_attached_raises_on_void():
     old = parse_schema("class C feature owner: PERSON end")
     new = parse_schema("version 2 class C feature owner: attached PERSON end")
     t = generate_transformer(diff_schemas(old, new))
-    record = ObjectRecord(0, "C", 1, {"owner": VOID})
+    record = ObjectRecord(0, "C", 1, {"owner": None})
     with pytest.raises(AttachmentViolation):
         interpret_transformer(t, record, {}, new_schema=new)
     unsafe = interpret_transformer(t, record, {}, new_schema=new, check_attached=False)
-    assert unsafe.fields["owner"] == VOID
+    assert unsafe.fields["owner"] is None
 
 
 def test_unassigned_attribute_defaults_with_warning():
@@ -393,13 +393,13 @@ def test_unassigned_attribute_defaults_with_warning():
     record = ObjectRecord(0, "C", 1, {})
     warnings: list[str] = []
     out = interpret_transformer(t, record, {}, new_schema=new, warnings=warnings)
-    assert list(out.fields.items()) == [
-        ("n", IntVal(0)),
-        ("r", RealVal(0.0)),
-        ("b", BoolVal(False)),
-        ("s", StringVal("")),
-        ("p", VOID),
-    ]
+    assert repr(list(out.fields.items())) == repr([
+        ("n", 0),
+        ("r", 0.0),
+        ("b", False),
+        ("s", ""),
+        ("p", None),
+    ])
     assert len(warnings) == 5
 
 
@@ -414,7 +414,7 @@ def test_fields_follow_the_schema_whatever_order_the_steps_assign(
     )
     for t in (in_order, hand_fixed_transformer):  # the fixture assigns info first
         out = interpret_transformer(t, bank_record, {}, new_schema=bank_v2)
-        assert list(out.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
+        assert list(out.fields.items()) == [("balance", 70), ("info", 42)]
     partial = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n"
         "  Result.info := convert STRING_TO_INTEGER (oldc.info)\n"
@@ -422,7 +422,7 @@ def test_fields_follow_the_schema_whatever_order_the_steps_assign(
     )
     warnings: list[str] = []
     out = interpret_transformer(partial, bank_record, {}, new_schema=bank_v2, warnings=warnings)
-    assert list(out.fields.items()) == [("balance", IntVal(0)), ("info", IntVal(42))]
+    assert list(out.fields.items()) == [("balance", 0), ("info", 42)]
     assert warnings == [
         "attribute 'balance' of BANK_ACCOUNT not assigned by the 1->2 transformer; default used"
     ]
@@ -432,13 +432,13 @@ def test_interpret_arithmetic_errors(bank_v2):
     t = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits // 0\nend\n"
     )
-    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"tot_deposits": IntVal(1)})
+    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"tot_deposits": 1})
     with pytest.raises(EvaluationError):
         interpret_transformer(t, record, {}, new_schema=bank_v2)
     t2 = parse_transformer(
         'transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.info + 1\nend\n'
     )
-    record2 = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": StringVal("x")})
+    record2 = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": "x"})
     with pytest.raises(EvaluationError):
         interpret_transformer(t2, record2, {}, new_schema=bank_v2)
 
@@ -447,7 +447,7 @@ def test_interpret_names_a_missing_old_field(bank_v2):
     t = parse_transformer(
         "transform BANK_ACCOUNT from 1 to 2\n  Result.balance := oldc.tot_deposits + 1\nend\n"
     )
-    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": StringVal("x")})
+    record = ObjectRecord(0, "BANK_ACCOUNT", 1, {"info": "x"})
     with pytest.raises(EvaluationError) as exc:
         interpret_transformer(t, record, {}, new_schema=bank_v2)
     assert (exc.value.index, exc.value.reason) == (0, "old record has no attribute 'tot_deposits'")
@@ -466,9 +466,9 @@ def test_interpret_checks_preconditions(bank_record, hand_fixed_transformer, ban
 
 
 def test_type_default_strips_markers():
-    assert type_default(parse_type("attached INTEGER")) == IntVal(0)
-    assert type_default(parse_type("attached PERSON")) == VOID
-    assert type_default(parse_type("ARRAY[INTEGER]")) == VOID
+    assert repr(type_default(parse_type("attached INTEGER"))) == "0"
+    assert type_default(parse_type("attached PERSON")) is None
+    assert type_default(parse_type("ARRAY[INTEGER]")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +480,14 @@ def test_retrieve_hand_fixed(bank_graph, bank_repo_hand_fixed):
     out = retrieve(bank_graph, bank_repo_hand_fixed, {"BANK_ACCOUNT": 2}, {})
     record = out.records[0]
     assert record.version == 2
-    assert list(record.fields.items()) == [("balance", IntVal(70)), ("info", IntVal(42))]
+    assert list(record.fields.items()) == [("balance", 70), ("info", 42)]
     # gate soundness: the retrieved record re-checks clean
     eval_invariant(record, bank_repo_hand_fixed.schema_for("BANK_ACCOUNT", 2))
 
 
 def test_retrieve_generated_stub_violates_invariant(bank_graph, bank_repo):
     with pytest.raises(InvariantViolation) as exc:
-        retrieve(bank_graph, bank_repo, {"BANK_ACCOUNT": 2}, {("BANK_ACCOUNT", "balance"): IntVal(0)})
+        retrieve(bank_graph, bank_repo, {"BANK_ACCOUNT": 2}, {("BANK_ACCOUNT", "balance"): 0})
     err = exc.value
     assert (err.class_name, err.record_id, err.clause_tag) == ("BANK_ACCOUNT", 0, "valid_account")
 
@@ -497,10 +497,10 @@ def test_retrieve_without_assertions_emits_corrupt_object(bank_graph, bank_repo)
         bank_graph,
         bank_repo,
         {"BANK_ACCOUNT": 2},
-        {("BANK_ACCOUNT", "balance"): IntVal(0)},
+        {("BANK_ACCOUNT", "balance"): 0},
         assertions=False,
     )
-    assert out.records[0].fields["balance"] == IntVal(0)
+    assert out.records[0].fields["balance"] == 0
 
 
 def test_retrieve_transformation_missing(bank_graph, bank_v1, bank_v2, hand_fixed_transformer):
@@ -531,7 +531,7 @@ def test_retrieve_at_target_checks_invariant_only(bank_repo_hand_fixed):
                 0,
                 "BANK_ACCOUNT",
                 2,
-                {"balance": IntVal(0), "info": IntVal(1)},
+                {"balance": 0, "info": 1},
             ),
         )
     )
@@ -541,7 +541,7 @@ def test_retrieve_at_target_checks_invariant_only(bank_repo_hand_fixed):
 
 def test_retrieve_identity_when_everything_at_target(bank_repo_hand_fixed):
     graph = ObjectGraph(
-        (ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": IntVal(5), "info": IntVal(1)}),)
+        (ObjectRecord(0, "BANK_ACCOUNT", 2, {"balance": 5, "info": 1}),)
     )
     out = retrieve(graph, bank_repo_hand_fixed, {"BANK_ACCOUNT": 2}, {})
     assert out == graph
@@ -560,7 +560,7 @@ def test_retrieve_preserves_graph_shape(bank_v1, bank_v2, hand_fixed_transformer
                 1,
                 "BANK_ACCOUNT",
                 1,
-                {"tot_deposits": IntVal(10), "tot_withdrawals": IntVal(3), "info": StringVal("9")},
+                {"tot_deposits": 10, "tot_withdrawals": 3, "info": "9"},
             ),
             ObjectRecord(2, "HOLDER", 1, {"account": RefVal(1), "mirror": RefVal(0)}),
         )
@@ -569,7 +569,7 @@ def test_retrieve_preserves_graph_shape(bank_v1, bank_v2, hand_fixed_transformer
     assert [r.id for r in out.records] == [0, 1, 2]
     assert out.records[0].fields == graph.records[0].fields  # refs untouched
     assert out.records[2].fields == graph.records[2].fields
-    assert out.records[1].fields["balance"] == IntVal(7)
+    assert out.records[1].fields["balance"] == 7
 
 
 def make_chain_repo(versions: int) -> tuple:
@@ -590,18 +590,18 @@ def make_chain_repo(versions: int) -> tuple:
 
 def test_retrieve_multi_hop_composition():
     repo, _ = make_chain_repo(3)
-    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": IntVal(1)}),))
-    inputs = {("CHAIN", "f2"): IntVal(2), ("CHAIN", "f3"): IntVal(3)}
+    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": 1}),))
+    inputs = {("CHAIN", "f2"): 2, ("CHAIN", "f3"): 3}
     out = retrieve(graph, repo, {"CHAIN": 3}, inputs)
     assert out.records[0].version == 3
     fields = out.records[0].fields
-    assert list(fields.items()) == [("f1", IntVal(1)), ("f2", IntVal(2)), ("f3", IntVal(3))]
+    assert list(fields.items()) == [("f1", 1), ("f2", 2), ("f3", 3)]
 
 
 def test_retrieve_strict_direct_refuses_composition():
     repo, _ = make_chain_repo(3)
-    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": IntVal(1)}),))
-    inputs = {("CHAIN", "f2"): IntVal(2), ("CHAIN", "f3"): IntVal(3)}
+    graph = ObjectGraph((ObjectRecord(0, "CHAIN", 1, {"f1": 1}),))
+    inputs = {("CHAIN", "f2"): 2, ("CHAIN", "f3"): 3}
     with pytest.raises(TransformationMissing) as exc:
         retrieve(graph, repo, {"CHAIN": 3}, inputs, allow_composition=False)
     assert (exc.value.from_version, exc.value.to_version) == (1, 3)
@@ -633,16 +633,16 @@ def test_retrieve_plans_each_class_and_stored_version_once_per_call(monkeypatch)
     repo, _ = make_chain_repo(4)
     stored = [1, 1, 2, 1, 4, 2, 3]
     graph = ObjectGraph(tuple(
-        ObjectRecord(i, "CHAIN", v, {f"f{k}": IntVal(k) for k in range(1, v + 1)})
+        ObjectRecord(i, "CHAIN", v, {f"f{k}": k for k in range(1, v + 1)})
         for i, v in enumerate(stored)
     ))
-    inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
+    inputs = {("CHAIN", f"f{k}"): k for k in (2, 3, 4)}
     planned = _count_calls(monkeypatch, "handlers_for")
     schemas = _count_calls(monkeypatch, "schema_for")
     out = retrieve(graph, repo, {"CHAIN": 4}, inputs)
     assert planned == [("CHAIN",)] * 3  # stored versions 1, 2 and 3
     assert len(schemas) == sum((4 - v) + 1 for v in stored)  # each hop, then the gate
-    expected = [(f"f{k}", IntVal(k)) for k in range(1, 5)]
+    expected = [(f"f{k}", k) for k in range(1, 5)]
     assert all(r.version == 4 and list(r.fields.items()) == expected for r in out.records)
     # a plan lives for one call: the next call sees a changed handler set,
     # which is a new Repository
@@ -678,11 +678,11 @@ def _mixed_graph(*specs: tuple[str, int, int]) -> ObjectGraph:
     records = []
     for i, (cls, version, value) in enumerate(specs):
         if cls == "A":
-            fields = {"x": IntVal(value)}
+            fields = {"x": value}
         elif cls == "B":
-            fields = {"n": IntVal(value), **({"m": IntVal(0)} if version == 2 else {})}
+            fields = {"n": value, **({"m": 0} if version == 2 else {})}
         else:
-            fields = {"a": VOID}
+            fields = {"a": None}
         records.append(ObjectRecord(i, cls, version, fields))
     return ObjectGraph(tuple(records))
 
@@ -715,18 +715,18 @@ def test_retrieve_warns_once_per_defaulted_attribute_per_record(mixed_repo):
     warnings: list[str] = []
     out = retrieve(graph, mixed_repo, {"A": 2, "B": 2}, warnings=warnings)
     assert len(warnings) == 4
-    assert [r.fields["x"] for r in out.records[:4]] == [IntVal(v) for v in (0, 1, 2, 3)]
-    assert list(out.records[4].fields.items()) == [("n", IntVal(1)), ("m", IntVal(0))]
+    assert [r.fields["x"] for r in out.records[:4]] == [0, 1, 2, 3]
+    assert list(out.records[4].fields.items()) == [("n", 1), ("m", 0)]
 
 
 def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
     t = parse_transformer("transform C from 1 to 2\n  Result.q := oldc.x // -1\nend\n")
     new = parse_schema("version 2 class C feature q: INTEGER end")
-    record = ObjectRecord(0, "C", 1, {"x": IntVal(-(2**63))})
+    record = ObjectRecord(0, "C", 1, {"x": -(2**63)})
     with pytest.raises(EvaluationError, match="integer overflow"):
         interpret_transformer(t, record, {}, new_schema=new)
     with pytest.raises(TypeMismatchInInvariant):
-        eval_clause("class C feature x: INTEGER invariant q: x // -1 > 0 end", x=IntVal(-(2**63)))
+        eval_clause("class C feature x: INTEGER invariant q: x // -1 > 0 end", x=-(2**63))
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +783,10 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
     repo, _ = make_chain_repo(4)
     compiled = _count_compiles(monkeypatch)
     graph = ObjectGraph(tuple(
-        ObjectRecord(i, "CHAIN", v, {f"f{k}": IntVal(k) for k in range(1, v + 1)})
+        ObjectRecord(i, "CHAIN", v, {f"f{k}": k for k in range(1, v + 1)})
         for i, v in enumerate([1, 2, 1, 3])
     ))
-    inputs = {("CHAIN", f"f{k}"): IntVal(k) for k in (2, 3, 4)}
+    inputs = {("CHAIN", f"f{k}"): k for k in (2, 3, 4)}
     for _ in range(2):
         retrieve(graph, repo, {"CHAIN": 4}, inputs)
     sources = [
@@ -804,7 +804,7 @@ def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
     schema_text = "version 2 class A feature x: INTEGER invariant pos: x >= 0 end"
     t, schema = parse_transformer(text), parse_schema(schema_text)
     seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
-    old = ObjectRecord(0, "A", 1, {"x": IntVal(15)})
+    old = ObjectRecord(0, "A", 1, {"x": 15})
     eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema)
     assert len(compiled) == 2
     for obj, text_form, digest in seen:
@@ -819,7 +819,9 @@ def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
 
 
 def test_a_hand_built_literal_outside_64_bits_fails_where_it_is_first_used():
-    # a literal holds its value, so the value's own check refuses it: no
-    # ``exprs.Lit`` can hold an integer outside 64 bits
-    with pytest.raises(ValueError, match="integer out of 64-bit range"):
-        IntVal(2**63)
+    # no ``exprs.Lit`` can hold what no value can: an integer outside 64
+    # bits, a real that is not finite, or anything but a value
+    for bad, reason in [(2**63, "integer out of 64-bit range"), (float("inf"), "non-finite real"),
+                        (object(), "not an object value")]:
+        with pytest.raises(ValueError, match=reason):
+            exprs.Lit(bad)

@@ -536,12 +536,62 @@ def test_project_lock_clears_a_lock_left_by_a_dead_process(tmp_path):
     assert not (tmp_path / "escher.lock").exists()
 
 
+# Holds the lock until its stdin closes.
+LOCK_HOLDER = """\
+import sys
+from escher.repository import project_lock
+with project_lock(sys.argv[1], timeout=30.0):
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
 def test_project_lock_waits_for_a_live_holder(tmp_path):
-    (tmp_path / "escher.lock").write_text(str(os.getpid()), encoding="ascii")
-    with pytest.raises(OSError, match="locked by another process"):
-        with project_lock(tmp_path, timeout=0.2):
-            pass
-    assert (tmp_path / "escher.lock").exists()
+    env = {**os.environ, "PYTHONPATH": str(Path(repository.__file__).parents[1])}
+    holder = subprocess.Popen(
+        [sys.executable, "-c", LOCK_HOLDER, str(tmp_path)],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(OSError, match="locked by another process"):
+            with project_lock(tmp_path, timeout=0.2):
+                pass
+        assert (tmp_path / "escher.lock").read_text(encoding="ascii") == str(holder.pid)
+    finally:
+        holder.communicate(timeout=60)
+    assert holder.returncode == 0
+    with project_lock(tmp_path, timeout=5.0):  # free once the holder is gone
+        pass
+
+
+def test_project_lock_takes_a_lock_naming_a_live_process_without_its_flock(tmp_path):
+    (tmp_path / "escher.lock").write_text(str(os.getppid()), encoding="ascii")  # a reused PID
+    started = time.monotonic()
+    with project_lock(tmp_path, timeout=5.0):
+        assert (tmp_path / "escher.lock").read_text(encoding="ascii") == str(os.getpid())
+    assert time.monotonic() - started < 1.0
+
+
+def test_replace_file_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    target = tmp_path / "f.txt"
+    target.write_text("old", encoding="utf-8")
+    events: list[tuple[str, int | None]] = []
+    fsync, replace = os.fsync, os.replace
+
+    def syncing(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        return fsync(fd)
+
+    def replacing(src, dst):
+        events.append(("replace", None))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", syncing)
+    monkeypatch.setattr(os, "replace", replacing)
+    repository.replace_file(target, "new")
+    assert target.read_text(encoding="utf-8") == "new"
+    assert events[-2:] == [("replace", None), ("fsync", tmp_path.stat().st_ino)]
 
 
 # Waits for the go file, so that the contenders meet the stale lock at once,

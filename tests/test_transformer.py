@@ -25,7 +25,6 @@ from escher.transformer import (
     parse_transformer,
     render_transformer,
 )
-from escher.values import BoolVal, IntVal, RealVal, StringVal
 from helpers import random_schema_pair
 
 
@@ -240,8 +239,8 @@ def test_parse_expression_grammar():
     # precedence: ((a+2)*b) - (4//2)
     assert x.expr == exprs.BinOp(
         "-",
-        exprs.BinOp("*", exprs.BinOp("+", exprs.OldField("a"), exprs.Lit(IntVal(2))), exprs.OldField("b")),
-        exprs.BinOp("//", exprs.Lit(IntVal(4)), exprs.Lit(IntVal(2))),
+        exprs.BinOp("*", exprs.BinOp("+", exprs.OldField("a"), exprs.Lit(2)), exprs.OldField("b")),
+        exprs.BinOp("//", exprs.Lit(4), exprs.Lit(2)),
     )
     assert t.instructions[2] == Assign("z", exprs.InputRef("other"))
     assert t.required_inputs == {"other"}
@@ -264,7 +263,7 @@ def test_unknown_converter_parses_and_fails_when_evaluated():
     (instr,) = parse_transformer(text).instructions
     source = exprs.compile_expr(instr.expr)
     with pytest.raises(UnknownConverter) as caught:
-        source({"x": IntVal(1)}, {})
+        source({"x": 1}, {})
     assert caught.value.converter_id == "NO_SUCH"
     with pytest.raises(MissingAttribute):  # the argument is evaluated first
         source({}, {})
@@ -304,7 +303,7 @@ def test_header_versions_are_parse_errors_at_their_token(header, column, message
 def test_negative_literals_round_trip():
     text = "transform C from 1 to 2\n  Result.x := oldc.a - -3\nend\n"
     t = parse_transformer(text)
-    assert t.instructions[0].expr == exprs.BinOp("-", exprs.OldField("a"), exprs.Lit(IntVal(-3)))
+    assert t.instructions[0].expr == exprs.BinOp("-", exprs.OldField("a"), exprs.Lit(-3))
     assert render_transformer(t) == text
 
 
@@ -321,10 +320,10 @@ def test_warning_comment_attaches_to_noop():
 
 
 def test_assign_refuses_invariant_only_nodes():
-    true = exprs.Lit(BoolVal(True))
+    true = exprs.Lit(True)
     for invariant_only in (
         exprs.AttrRef("x"),
-        exprs.Compare(">", exprs.OldField("x"), exprs.Lit(IntVal(0))),
+        exprs.Compare(">", exprs.OldField("x"), exprs.Lit(0)),
         exprs.And(true, true),
         exprs.Or(true, true),
         exprs.Not(true),
@@ -332,7 +331,7 @@ def test_assign_refuses_invariant_only_nodes():
         with pytest.raises(ValueError):
             Assign("x", invariant_only)
         with pytest.raises(ValueError):  # nested too
-            Assign("x", exprs.BinOp("+", exprs.Lit(IntVal(1)), exprs.Convert("C", invariant_only)))
+            Assign("x", exprs.BinOp("+", exprs.Lit(1), exprs.Convert("C", invariant_only)))
 
 
 def test_transformer_invariants():
@@ -350,22 +349,30 @@ CONVERTERS = exprs.CONVERTERS
 
 
 def test_builtin_conversions():
-    assert CONVERTERS["STRING_TO_INTEGER"](StringVal("42")) == IntVal(42)
-    assert CONVERTERS["STRING_TO_INTEGER"](StringVal("-7")) == IntVal(-7)
-    assert CONVERTERS["INTEGER_TO_STRING"](IntVal(42)) == StringVal("42")
-    assert CONVERTERS["INTEGER_TO_REAL"](IntVal(3)) == RealVal(3.0)
-    assert CONVERTERS["REAL_TO_INTEGER"](RealVal(-2.7)) == IntVal(-2)  # toward zero
-    assert CONVERTERS["STRING_TO_REAL"](StringVal("2.5")) == RealVal(2.5)
-    assert CONVERTERS["REAL_TO_STRING"](RealVal(2.5)) == StringVal("2.5")
+    # by repr, so that each result is of its target's kind: 3 is not 3.0
+    assert repr(CONVERTERS["STRING_TO_INTEGER"]("42")) == "42"
+    assert repr(CONVERTERS["STRING_TO_INTEGER"]("-7")) == "-7"
+    assert repr(CONVERTERS["INTEGER_TO_STRING"](42)) == "'42'"
+    assert repr(CONVERTERS["INTEGER_TO_REAL"](3)) == "3.0"
+    assert repr(CONVERTERS["REAL_TO_INTEGER"](-2.7)) == "-2"  # toward zero
+    assert repr(CONVERTERS["STRING_TO_REAL"]("2.5")) == "2.5"
+    assert repr(CONVERTERS["REAL_TO_STRING"](2.5)) == "'2.5'"
 
 
 def test_conversion_failures():
     with pytest.raises(ConversionFailure):
-        CONVERTERS["STRING_TO_INTEGER"](StringVal("abc"))
+        CONVERTERS["STRING_TO_INTEGER"]("abc")
     with pytest.raises(ConversionFailure):
-        CONVERTERS["STRING_TO_INTEGER"](IntVal(1))
+        CONVERTERS["STRING_TO_INTEGER"](1)
+    with pytest.raises(ConversionFailure):  # more digits than int() converts
+        CONVERTERS["STRING_TO_INTEGER"]("1" * 5000)
+    assert CONVERTERS["STRING_TO_INTEGER"]("-" + "0" * 5000 + "7") == -7
+    for converter_id, value in [("INTEGER_TO_STRING", True), ("INTEGER_TO_REAL", 1.0),
+                                ("REAL_TO_INTEGER", 1), ("REAL_TO_STRING", None)]:
+        with pytest.raises(ConversionFailure):  # kinds apart: a bool is no integer
+            CONVERTERS[converter_id](value)
     with pytest.raises(ConversionFailure):
-        CONVERTERS["REAL_TO_INTEGER"](RealVal(float("nan")))
+        CONVERTERS["REAL_TO_INTEGER"](float("nan"))
 
 
 def test_string_integer_round_trip_property():
@@ -373,7 +380,7 @@ def test_string_integer_round_trip_property():
     to_string = CONVERTERS["INTEGER_TO_STRING"]
     to_int = CONVERTERS["STRING_TO_INTEGER"]
     for _ in range(500):
-        v = IntVal(rng.randint(-(2**63), 2**63 - 1))
+        v = rng.randint(-(2**63), 2**63 - 1)
         assert to_int(to_string(v)) == v
 
 
