@@ -148,8 +148,7 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
     if args.to_release is not None:
         if not (1 <= args.to_release <= len(repo.releases)):
             raise _Usage(f"release {args.to_release} does not exist")
-        rel = repo.releases[args.to_release - 1]
-        targets = {name: schema.version for name, schema in rel.schemas.items()}
+        targets = dict(repo.releases[args.to_release - 1].versions)
     for entry in args.to:
         name, sep, version = entry.partition("=")
         usage = _Usage(f"--to wants CLASS=V, got {entry!r}")

@@ -12,20 +12,26 @@ The manifest is line-oriented (``release <n>``, ``class <NAME> version <v>``,
 version tag by exactly one when the class actually changed, keeps it
 otherwise, and generates forward transformer stubs for changed classes
 without ever overwriting an existing handler file.
+
+A loaded project parses no file up front: the manifest and the handler file
+names give every class's version tags and every class's transformer pairs,
+and a schema or handler is parsed the first time a command asks for it.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import os
 import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._lex import line_int
 from .errors import (
@@ -50,6 +56,44 @@ def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+class ReleaseSchemas(Mapping[str, ClassSchema]):
+    """Read-only {class: schema} of one release. ``versions`` holds each
+    class's version tag and ``texts`` the text of each file a load read,
+    both known without a parse; a schema read from a file is parsed the
+    first time it is looked up."""
+
+    def __init__(
+        self,
+        schemas: dict[str, ClassSchema],
+        versions: dict[str, int],
+        texts: Mapping[str, str] = MappingProxyType({}),
+        parse: Callable[[str, str, int], ClassSchema] | None = None,
+    ) -> None:
+        self._schemas = schemas  # filled on first lookup for a loaded release
+        self.versions: Mapping[str, int] = MappingProxyType(versions)
+        self.texts = texts
+        self._parse = parse  # (class, text, version) -> schema
+
+    def __getitem__(self, name: str) -> ClassSchema:
+        schema = self._schemas.get(name)
+        if schema is None:
+            text = self.texts[name]  # a KeyError for a class the release lacks
+            schema = self._schemas[name] = self._parse(name, text, self.versions[name])
+        return schema
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.versions
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.versions)
+
+    def __len__(self) -> int:
+        return len(self.versions)
+
+    def __repr__(self) -> str:
+        return f"ReleaseSchemas(versions={dict(self.versions)})"
+
+
 @dataclass(frozen=True)
 class Release:
     number: int
@@ -58,20 +102,42 @@ class Release:
     def __post_init__(self) -> None:
         if self.number < 1:
             raise ValueError(f"release numbers start at 1, got {self.number}")
+        if isinstance(self.schemas, ReleaseSchemas):
+            return
         # A read-only copy, so a Repository's history index cannot go stale.
-        object.__setattr__(self, "schemas", MappingProxyType(dict(self.schemas)))
-        for name, schema in self.schemas.items():
+        schemas = dict(self.schemas)
+        for name, schema in schemas.items():
             if schema.name != name:
                 raise ValueError(f"release entry {name!r} holds schema named {schema.name!r}")
+        versions = {name: schema.version for name, schema in schemas.items()}
+        object.__setattr__(self, "schemas", ReleaseSchemas(schemas, versions))
+
+    @property
+    def versions(self) -> Mapping[str, int]:
+        """{class: version tag}, known without a parse."""
+        return self.schemas.versions
 
 
 @dataclass(frozen=True)
 class RegisteredTransformer:
-    transformer: ObjectTransformer
+    """One handler: its ``.est`` text, the text's digest, and the
+    transformer the text holds, which ``parse`` gives on first use."""
+
     text: str
     digest: str
     dirty: bool = False  # produced this session; safe to write out
     user_modified: bool = False  # on-disk content drifted from the manifest digest
+    parse: Callable[[], ObjectTransformer] = field(kw_only=True, compare=False, repr=False)
+
+    @cached_property
+    def transformer(self) -> ObjectTransformer:
+        return self.parse()
+
+
+def _made(t: ObjectTransformer) -> RegisteredTransformer:
+    """A handler produced in this session, which the next save writes out."""
+    text = render_transformer(t)
+    return RegisteredTransformer(text, content_digest(text), dirty=True, parse=lambda: t)
 
 
 _NO_HISTORY: Mapping[int, ClassSchema] = MappingProxyType({})
@@ -91,38 +157,34 @@ class Repository:
                 raise ValueError(
                     f"release numbers must increase by 1: expected {position}, got {release.number}"
                 )
-        # {class: {version: schema}}, built once: ``releases`` is a tuple, so
-        # the index cannot go stale. Tags only stay or rise by one, so the
-        # last key of a history is the class's latest tag.
-        histories: dict[str, dict[int, ClassSchema]] = {}
-        for release in self.releases:
-            for name, schema in release.schemas.items():
-                history = histories.setdefault(name, {})
-                last = next(reversed(history), None)
-                if last is not None and schema.version not in (last, last + 1):
-                    raise ValueError(
-                        f"version tag of {name} jumps from {last} to {schema.version}"
-                    )
-                history[schema.version] = schema
-        object.__setattr__(
-            self, "_histories", {name: MappingProxyType(h) for name, h in histories.items()}
-        )
-        # Handlers are copied into read-only views, so the transformer index
-        # and the remembered hop paths below cannot go stale: a changed
-        # handler set is a new Repository.
+        # {class: {version: index of the last release tagging it}}, built
+        # once from the version tags alone: ``releases`` is a tuple, so the
+        # index cannot go stale. Tags only stay or rise by one, so the last
+        # key of a class's entry is its latest tag.
+        versions: dict[str, dict[int, int]] = {}
+        for index, release in enumerate(self.releases):
+            for name, version in release.versions.items():
+                where = versions.setdefault(name, {})
+                last = next(reversed(where), None)
+                if last is not None and version not in (last, last + 1):
+                    raise ValueError(f"version tag of {name} jumps from {last} to {version}")
+                where[version] = index
+        object.__setattr__(self, "_versions", versions)
+        # Handlers are copied into read-only views, so the indexes below
+        # cannot go stale: a changed handler set is a new Repository.
         handlers = {name: MappingProxyType(dict(e)) for name, e in self.handlers.items()}
         object.__setattr__(self, "handlers", MappingProxyType(handlers))
         for class_name, entries in handlers.items():
-            history = self.class_history(class_name)
-            for from_version, to_version in entries:
-                for v in (from_version, to_version):
-                    if v not in history:
+            known = versions.get(class_name, {})
+            for pair in entries:
+                for v in pair:
+                    if v not in known:
                         raise UnknownVersion(class_name, v)
-        object.__setattr__(self, "_transformers", {
-            name: MappingProxyType({pair: entry.transformer for pair, entry in entries.items()})
-            for name, entries in handlers.items()
-        })
-        # {(class, start, goal, allow_composition): version path or None}
+        # Filled on first use for a class: {class: read-only {version:
+        # schema}}, {class: read-only {(from, to): transformer}}, and
+        # {(class, start, goal, allow_composition): version path or None}.
+        object.__setattr__(self, "_histories", {})
+        object.__setattr__(self, "_transformers", {})
         object.__setattr__(self, "_paths", {})
 
     def latest_release(self) -> Release | None:
@@ -130,11 +192,25 @@ class Repository:
 
     def class_history(self, class_name: str) -> Mapping[int, ClassSchema]:
         """Read-only {version: schema} of one class; a version tagged in
-        several releases maps to the schema of the latest one."""
-        return self._histories.get(class_name, _NO_HISTORY)
+        several releases maps to the schema of the latest one. The first
+        call for a class parses its schemas."""
+        history = self._histories.get(class_name)
+        if history is None:
+            where = self._versions.get(class_name)
+            if where is None:
+                return _NO_HISTORY
+            history = self._histories[class_name] = MappingProxyType({
+                version: self.releases[index].schemas[class_name]
+                for version, index in where.items()
+            })
+        return history
 
     def latest_version(self, class_name: str) -> int | None:
-        return next(reversed(self.class_history(class_name)), None)
+        return next(reversed(self._versions.get(class_name, ())), None)
+
+    def _schema(self, class_name: str, version: int) -> ClassSchema:
+        """The schema of one known version, parsing none of the others."""
+        return self.releases[self._versions[class_name][version]].schemas[class_name]
 
     def schema_for(self, class_name: str, version: int) -> ClassSchema:
         history = self.class_history(class_name)
@@ -146,8 +222,14 @@ class Repository:
 
     def handlers_for(self, class_name: str) -> Mapping[tuple[int, int], ObjectTransformer] | None:
         """Read-only {(from, to): transformer} of one class, or None when the
-        class has no handler set."""
-        return self._transformers.get(class_name)
+        class has no handler set. The first call for a class parses its
+        handlers."""
+        transformers = self._transformers.get(class_name)
+        if transformers is None and class_name in self.handlers:
+            transformers = self._transformers[class_name] = MappingProxyType({
+                pair: entry.transformer for pair, entry in self.handlers[class_name].items()
+            })
+        return transformers
 
     def hop_path(
         self, class_name: str, start: int, goal: int, allow_composition: bool
@@ -158,7 +240,7 @@ class Repository:
         key = (class_name, start, goal, allow_composition)
         if key not in self._paths:
             path = _shortest_path(
-                self._transformers.get(class_name, {}).keys(), start, goal, allow_composition
+                self.handlers.get(class_name, {}).keys(), start, goal, allow_composition
             )
             self._paths[key] = None if path is None else tuple(path)
         return self._paths[key]
@@ -274,7 +356,7 @@ def release(
             new_schemas[name] = schema
             added.append(name)
             continue
-        last_schema = repo.schema_for(name, last_version)
+        last_schema = repo._schema(name, last_version)
         changed = not schemas_equivalent(last_schema, schema)
         if schema.version == last_version:
             pass
@@ -300,15 +382,9 @@ def release(
         entries = handlers.get(name, {})
         if (old_version, new_version) in entries:
             continue  # never overwrite an existing transformer
-        transformation = diff_schemas(repo.schema_for(name, old_version), new_schemas[name])
+        transformation = diff_schemas(repo._schema(name, old_version), new_schemas[name])
         stub = generate_transformer(transformation)
-        text = render_transformer(stub)
-        handlers[name] = {
-            **entries,
-            (old_version, new_version): RegisteredTransformer(
-                stub, text, content_digest(text), dirty=True
-            ),
-        }
+        handlers[name] = {**entries, (old_version, new_version): _made(stub)}
         stubs.append((name, old_version, new_version))
     new_repo = Repository(
         repo.project_name, repo.releases + (Release(number, new_schemas),), handlers
@@ -328,17 +404,13 @@ def release(
 def register_transformer(
     repo: Repository, t: ObjectTransformer, *, overwrite: bool = False
 ) -> Repository:
-    """Add a transformer (either direction) to its class's handler set."""
-    history = repo.class_history(t.class_name)
-    for v in (t.from_version, t.to_version):
-        if v not in history:
-            raise UnknownVersion(t.class_name, v)
+    """Add a transformer (either direction) to its class's handler set. The
+    new Repository raises UnknownVersion for a version the class lacks."""
     pair = (t.from_version, t.to_version)
     entries = dict(repo.handlers.get(t.class_name, {}))
     if pair in entries and not overwrite:
         raise OverwriteRefused(t.class_name, t.from_version, t.to_version)
-    text = render_transformer(t)
-    entries[pair] = RegisteredTransformer(t, text, content_digest(text), dirty=True)
+    entries[pair] = _made(t)
     return Repository(repo.project_name, repo.releases, {**repo.handlers, t.class_name: entries})
 
 
@@ -359,8 +431,8 @@ def render_manifest(repo: Repository) -> str:
     lines: list[str] = []
     for rel in repo.releases:
         lines.append(f"release {rel.number}")
-        for name in sorted(rel.schemas):
-            lines.append(f"class {name} version {rel.schemas[name].version}")
+        for name in sorted(rel.versions):
+            lines.append(f"class {name} version {rel.versions[name]}")
     for class_name in sorted(repo.handlers):
         for (a, b) in sorted(repo.handlers[class_name]):
             entry = repo.handlers[class_name][(a, b)]
@@ -369,48 +441,38 @@ def render_manifest(repo: Repository) -> str:
 
 
 def load_repository(project_dir: str | Path) -> Repository:
-    """Read a project directory back into memory.
+    """Read a project directory back into memory, parsing no file.
 
     The manifest is authoritative for releases; handler files are picked up
     from disk even when unlisted, so a hand-written ``.est`` dropped into
     ``handlers/<CLASS>/`` is immediately usable. An unlisted handler file
     naming a version the manifest lacks is skipped: it is the stub of a save
-    cut short before its manifest. Each distinct ``.esc`` text is parsed
-    once, and releases holding the same text share its schema. One memo of
-    parsed lines serves every ``.esc`` and ``.est`` parse of the call, so
-    each distinct line is parsed once. A ParseError names its file.
+    cut short before its manifest. The load reads the text of every listed
+    release file and of every handler file, and checks the manifest, the
+    release numbering, the version tags and the handler file names. A schema
+    or handler is parsed the first time a command asks for it (``_Parses``);
+    its ParseError names its file.
     """
     project_dir = Path(project_dir)
+    root = os.fspath(project_dir)  # plain strings below: a load joins hundreds of paths
     manifest_path = project_dir / _MANIFEST
+    parses = _Parses()
     manifest_digests: dict[tuple[str, int, int], str] = {}
-    releases: list[tuple[int, dict[str, ClassSchema]]] = []  # (number, schemas)
-    parsed: dict[str, ClassSchema] = {}  # {.esc text: schema}, for this call only
-    # parsed lines, for this call only: ``.est`` statements keyed by their
-    # text, ``.esc`` lines by (production, text, ...) tuples
-    memo: dict = {}
+    releases: list[tuple[int, dict[str, int], dict[str, str]]] = []  # (number, versions, texts)
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("--"):
             continue
         if m := _RELEASE_RE.match(line):
-            releases.append((line_int(m.group(1), lineno), {}))
+            releases.append((line_int(m.group(1), lineno), {}, {}))
             continue
         if m := _CLASS_RE.match(line):
             if not releases:
                 raise FormatError(lineno, "class line before any release line")
-            name, version = m.group(1), line_int(m.group(2), lineno)
-            number, schemas = releases[-1]
-            path = project_dir / "releases" / str(number) / f"{name}.esc"
-            text = path.read_text(encoding="utf-8")
-            schema = parsed.get(text)
-            if schema is None:
-                with naming(f"releases/{number}/{name}.esc"):
-                    schema = parsed[text] = parse_schema(text, memo)
-            if schema.name != name or schema.version != version:
-                raise FormatError(
-                    lineno, f"{path} does not match manifest entry {name} version {version}"
-                )
-            schemas[name] = schema
+            name = m.group(1)
+            number, versions, texts = releases[-1]
+            versions[name] = line_int(m.group(2), lineno)
+            texts[name] = _read_text(f"{root}/releases/{number}/{name}.esc")
             continue
         if m := _TRANSFORMER_RE.match(line):
             key = (m.group(1), line_int(m.group(2), lineno), line_int(m.group(3), lineno))
@@ -418,41 +480,87 @@ def load_repository(project_dir: str | Path) -> Repository:
             continue
         raise FormatError(lineno, f"unrecognized manifest line {line!r}")
 
-    released = {(name, s.version) for _, schemas in releases for name, s in schemas.items()}
+    released = {(name, v) for _, versions, _ in releases for name, v in versions.items()}
     handlers: dict[str, dict[tuple[int, int], RegisteredTransformer]] = {}
-    handlers_dir = project_dir / "handlers"
-    if handlers_dir.is_dir():
-        for class_dir in sorted(p for p in handlers_dir.iterdir() if p.is_dir()):
+    if os.path.isdir(f"{root}/handlers"):
+        class_names = (  # not a directory a save is building (``_write_directory``)
+            e.name for e in os.scandir(f"{root}/handlers") if e.is_dir() and e.name[0] != "."
+        )
+        for class_name in sorted(class_names):
             entries: dict[tuple[int, int], RegisteredTransformer] = {}
             skipped = False
-            for est in sorted(class_dir.glob("*.est")):
-                m = _HANDLER_FILE_RE.match(est.name)
+            for file_name in sorted(n for n in os.listdir(f"{root}/handlers/{class_name}")
+                                    if n.endswith(".est")):
+                relative = f"handlers/{class_name}/{file_name}"
+                m = _HANDLER_FILE_RE.match(file_name)
                 if m is None:
-                    raise FormatError(0, f"handler file {est} is not named <from>_to_<to>.est")
+                    raise FormatError(
+                        0, f"handler file {project_dir / relative} is not named <from>_to_<to>.est"
+                    )
                 pair = (line_int(m.group(1), 0), line_int(m.group(2), 0))
-                recorded = manifest_digests.get((class_dir.name, *pair))
-                if recorded is None and any((class_dir.name, v) not in released for v in pair):
+                recorded = manifest_digests.get((class_name, *pair))
+                if recorded is None and any((class_name, v) not in released for v in pair):
                     skipped = True
                     continue
-                text = est.read_text(encoding="utf-8")
-                with naming(f"handlers/{class_dir.name}/{est.name}"):
-                    t = parse_transformer(text, memo)
-                if t.class_name != class_dir.name or (t.from_version, t.to_version) != pair:
-                    raise FormatError(0, f"handler file {est} disagrees with its header")
+                text = _read_text(f"{root}/{relative}")
                 digest = content_digest(text)
+                parse = functools.partial(parses.transformer, relative, text, class_name, pair)
                 entries[pair] = RegisteredTransformer(
-                    t, text, digest, user_modified=recorded is not None and recorded != digest
+                    text, digest, user_modified=recorded is not None and recorded != digest,
+                    parse=parse,
                 )
             if entries or not skipped:  # a class whose only files are skipped has no handler set
-                handlers[class_dir.name] = entries
+                handlers[class_name] = entries
     try:
         return Repository(
             project_dir.name,
-            tuple(Release(number, schemas) for number, schemas in releases),
+            tuple(
+                Release(number, ReleaseSchemas(
+                    {}, versions, texts, functools.partial(parses.schema, number)
+                ))
+                for number, versions, texts in releases
+            ),
             handlers,
         )
     except ValueError as err:  # release numbering or version tags
         raise FormatError(0, f"{manifest_path}: {err}") from err
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+class _Parses:
+    """The parses of one load's files, made on first use and kept with its
+    Repository: each distinct ``.esc`` text is parsed once, and one memo of
+    parsed lines serves every ``.esc`` and ``.est`` parse, so each distinct
+    line is parsed once however many of the files a command asks for."""
+
+    def __init__(self) -> None:
+        self.schemas: dict[str, ClassSchema] = {}  # {.esc text: schema}
+        # ``.est`` statements keyed by their text, ``.esc`` lines by
+        # (production, text, ...) tuples
+        self.memo: dict = {}
+
+    def schema(self, number: int, name: str, text: str, version: int) -> ClassSchema:
+        path = f"releases/{number}/{name}.esc"
+        schema = self.schemas.get(text)
+        if schema is None:
+            with naming(path):
+                schema = self.schemas[text] = parse_schema(text, self.memo)
+        if schema.name != name or schema.version != version:
+            raise FormatError(0, f"{path} does not match manifest entry {name} version {version}")
+        return schema
+
+    def transformer(
+        self, path: str, text: str, class_name: str, pair: tuple[int, int]
+    ) -> ObjectTransformer:
+        with naming(path):
+            t = parse_transformer(text, self.memo)
+        if t.class_name != class_name or (t.from_version, t.to_version) != pair:
+            raise FormatError(0, f"handler file {path} disagrees with its header")
+        return t
 
 
 @contextmanager
@@ -465,11 +573,18 @@ def naming(name: str):
         raise
 
 
-def replace_file(path: Path, text: str) -> None:
+def replace_file(path: str | Path, text: str) -> None:
     """Write ``text`` beside ``path``, flush it to disk, rename it over
     ``path`` and flush the directory, so that the rename survives a power
     loss: a reader sees the old file or the whole new one, never a part."""
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    _write(path, text)
+    _sync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def _write(path: str | Path, text: str) -> None:
+    """``replace_file`` short of the directory flush, which the caller owes."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as out:
             out.write(text)
@@ -477,54 +592,111 @@ def replace_file(path: Path, text: str) -> None:
             os.fsync(out.fileno())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
-    directory = os.open(path.parent, os.O_RDONLY)
+
+
+def _sync_directory(path: str) -> None:
+    directory = os.open(path, os.O_RDONLY)
     try:
         os.fsync(directory)
     finally:
         os.close(directory)
 
 
-def save_repository(repo: Repository, project_dir: str | Path) -> None:
-    """Write release schemas, handler files, and then the manifest, each
-    through ``replace_file``.
+def _write_directory(path: str, files: dict[str, str]) -> None:
+    """Create the directory ``path`` holding ``files`` ({name: text}) at
+    once: build it beside ``path``, flush it, and rename it into place."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    os.mkdir(tmp)
+    try:
+        for file_name, text in files.items():
+            _write(f"{tmp}/{file_name}", text)
+        _sync_directory(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        for file_name in os.listdir(tmp):  # ``_write`` removed its own temp file
+            os.unlink(f"{tmp}/{file_name}")
+        os.rmdir(tmp)
+        raise
 
-    A release schema is written only when its file is missing or holds other
-    bytes, so a file the manifest lists is never rewritten with the same
-    content; each distinct schema object is rendered once per call, as
-    releases share the schema of an unchanged class. Handler files produced
-    in this session (``dirty``) are written out; anything else on disk is
-    left untouched unless missing entirely, so user edits survive. The
-    manifest goes last, so a save cut short leaves the old manifest in place
-    instead of one that names files never written.
+
+def _make_directory(path: str, created: list[str]) -> str:
+    """``path`` as a directory, creating it and any missing parent; each one
+    created is appended to ``created``, parents first."""
+    if not os.path.isdir(path):
+        _make_directory(os.path.dirname(path), created)
+        os.mkdir(path)
+        created.append(path)
+    return path
+
+
+def save_repository(repo: Repository, project_dir: str | Path) -> None:
+    """Write release schemas, handler files, and then the manifest.
+
+    A release file is written only when it is missing or holds other bytes
+    than its text: the text a load read for it, so a schema never parsed is
+    never rendered, or else the schema's rendering, made once per distinct
+    schema object as releases share the schema of an unchanged class.
+    Handler files produced in this session (``dirty``) are written out;
+    anything else on disk is left untouched unless missing entirely, so user
+    edits survive.
+
+    Each file is renamed into place once flushed, and a new handler
+    directory is renamed into place whole (``_write_directory``). Then each
+    directory that gained or changed an entry is flushed once: those of the
+    written files, and the parent of each directory the save created or
+    renamed into place. The manifest goes
+    last through ``replace_file``, so a save cut short leaves the old
+    manifest in place instead of one that names files never written or
+    directory entries never flushed.
     """
-    project_dir = Path(project_dir)
-    project_dir.mkdir(parents=True, exist_ok=True)
+    root = os.path.abspath(project_dir)  # plain strings below, as in load_repository
+    created: list[str] = []
+    _make_directory(root, created)
+    changed: dict[str, None] = {}  # directories of written files, in order
     rendered: dict[int, str] = {}  # id of a schema -> its text
     for rel in repo.releases:
-        rel_dir = project_dir / "releases" / str(rel.number)
-        rel_dir.mkdir(parents=True, exist_ok=True)
+        rel_dir = _make_directory(f"{root}/releases/{rel.number}", created)
+        texts = rel.schemas.texts
         for name in sorted(rel.schemas):
-            path = rel_dir / f"{name}.esc"
-            schema = rel.schemas[name]
-            text = rendered.get(id(schema))
+            path = f"{rel_dir}/{name}.esc"
+            text = texts.get(name)
             if text is None:
-                text = rendered[id(schema)] = render_schema(schema)
+                schema = rel.schemas[name]
+                text = rendered.get(id(schema))
+                if text is None:
+                    text = rendered[id(schema)] = render_schema(schema)
             try:
-                unchanged = path.read_bytes() == text.encode("utf-8")
+                with open(path, "rb") as f:
+                    unchanged = f.read() == text.encode("utf-8")
             except FileNotFoundError:
                 unchanged = False
             if not unchanged:
-                replace_file(path, text)
+                _write(path, text)
+                changed[rel_dir] = None
     for class_name in sorted(repo.handlers):
-        class_dir = project_dir / "handlers" / class_name
-        class_dir.mkdir(parents=True, exist_ok=True)
-        for (a, b), entry in sorted(repo.handlers[class_name].items()):
-            path = class_dir / f"{a}_to_{b}.est"
-            if entry.dirty or not path.exists():
-                replace_file(path, entry.text)
-    replace_file(project_dir / _MANIFEST, render_manifest(repo))
+        entries = sorted(repo.handlers[class_name].items())
+        class_dir = f"{root}/handlers/{class_name}"
+        if not os.path.isdir(class_dir):
+            # A new handler directory appears whole: one left empty by a save
+            # cut short would load as an empty handler set.
+            handlers_dir = _make_directory(f"{root}/handlers", created)
+            files = {f"{a}_to_{b}.est": entry.text for (a, b), entry in entries}
+            _write_directory(class_dir, files)
+            changed[handlers_dir] = None
+            continue
+        for (a, b), entry in entries:
+            path = f"{class_dir}/{a}_to_{b}.est"
+            if entry.dirty or not os.path.exists(path):
+                _write(path, entry.text)
+                changed[class_dir] = None
+    for directory in reversed(created):
+        changed[os.path.dirname(directory)] = None
+    for directory in changed:
+        _sync_directory(directory)
+    replace_file(Path(root, _MANIFEST), render_manifest(repo))
 
 
 @contextmanager

@@ -35,6 +35,8 @@ BANK_V1_TEXT = (FIXTURES / "bank_account_v1.esc").read_text(encoding="utf-8")
 BANK_V2_TEXT = (FIXTURES / "bank_account_v2.esc").read_text(encoding="utf-8")
 HAND_FIXED_TEXT = (FIXTURES / "bank_account_1_to_2.est").read_text(encoding="utf-8")
 BANK_OBJECT_TEXT = (FIXTURES / "bank_account_v1.eso").read_text(encoding="utf-8")
+OTHER_V1 = "class OTHER feature\n  x: INTEGER\nend\n"
+OTHER_V2 = "class OTHER feature\n  x: REAL\nend\n"
 
 
 @pytest.fixture
@@ -94,6 +96,22 @@ def bank_project_stub(bank_repo, tmp_path) -> Path:
     """On-disk project with only the generated (input-demanding) stub."""
     project = tmp_path / "bankproj_stub"
     save_repository(bank_repo, project)
+    return project
+
+
+@pytest.fixture
+def two_class_project(tmp_path) -> Path:
+    """BANK_ACCOUNT 1 -> 2 with the hand-fixed handler, and OTHER 1 -> 2
+    with its generated stub, in releases 1 and 2."""
+    repo, _ = release(empty_repository("two"), {
+        "BANK_ACCOUNT": parse_schema(BANK_V1_TEXT), "OTHER": parse_schema(OTHER_V1),
+    })
+    repo, _ = release(repo, {
+        "BANK_ACCOUNT": parse_schema(BANK_V2_TEXT), "OTHER": parse_schema(OTHER_V2),
+    })
+    repo = register_transformer(repo, parse_transformer(HAND_FIXED_TEXT), overwrite=True)
+    project = tmp_path / "two"
+    save_repository(repo, project)
     return project
 
 

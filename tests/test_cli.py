@@ -8,6 +8,7 @@ from conftest import (
     BANK_V1_TEXT,
     BANK_V2_TEXT,
     FIXTURES,
+    OTHER_V2,
     run_cli,
 )
 from escher.objects import deserialize
@@ -518,7 +519,9 @@ def test_a_parse_error_in_a_project_names_its_file(bank_project, relative, old, 
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new), encoding="utf-8")
-    code, out, err = run_cli("per", "--project", str(bank_project))
+    # per needs only version tags and transformer pairs, so it parses no file
+    assert run_cli("per", "--project", str(bank_project))[:2] == (0, "per BANK_ACCOUNT = 0.50\n")
+    code, out, err = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(bank_project))
     assert code == 1
     assert out.splitlines()[0] == first_line
     assert "Traceback" not in out + err
@@ -723,3 +726,62 @@ def test_migrate_real_overflow_is_an_evaluation_error_or_an_invariant_mismatch(t
     code, out, err = _migrate_one(tmp_path, project, "obj 0 C version 2\n  x: REAL = 1.0e300\n")
     assert (code, out) == (1, "TypeMismatchInInvariant big\n")
     assert "Traceback" not in out + err
+
+
+# ---------------------------------------------------------------------------
+# A command parses only the project files it needs
+# ---------------------------------------------------------------------------
+
+GARBLED = {
+    "releases/1/OTHER.esc": "class OTHER feature\n  x:\nend\n",
+    "handlers/OTHER/1_to_2.est": "transform OTHER from 1 to 2\n  Result.x := oldc.x +\nend\n",
+}
+OTHER_OBJECT = "ESCHER-OBJECTS 1\nobj 0 OTHER version 1\n  x: INTEGER = 3\nend\n"
+
+
+@pytest.mark.parametrize("relative", sorted(GARBLED))
+def test_a_garbled_file_fails_only_the_command_that_needs_it(two_class_project, tmp_path, relative):
+    project = two_class_project
+    (project / relative).write_text(GARBLED[relative], encoding="utf-8")
+    code, out, _ = run_cli("per", "--project", str(project))
+    assert (code, out) == (0, "per BANK_ACCOUNT = 0.50\nper OTHER = 0.50\nrelease per = 0.50\n")
+    code, out, _ = run_cli("migrate", OBJ, "--to-release", "2", "--project", str(project))
+    assert code == 0 and "obj 0 BANK_ACCOUNT version 2" in out  # OTHER is not in the file
+    other = tmp_path / "other.eso"
+    other.write_text(OTHER_OBJECT, encoding="utf-8")
+    code, out, err = run_cli("migrate", str(other), "--to-release", "2", "--project", str(project))
+    assert code == 1
+    assert out.splitlines()[0].startswith(f"ParseError {relative} line ")
+    assert "Traceback" not in out + err
+
+    working = tmp_path / "work"
+    working.mkdir()
+    (working / "BANK_ACCOUNT.esc").write_text(BANK_V2_TEXT, encoding="utf-8")
+    (working / "OTHER.esc").write_text("version 2\n" + OTHER_V2.replace("REAL", "STRING"), encoding="utf-8")
+    code, out, _ = run_cli("release", str(working), "--project", str(project))
+    assert (code, out) == (
+        0, "release 3\nclass BANK_ACCOUNT version 2\nclass OTHER version 3\nstub OTHER 2 3\n"
+    )
+    assert (project / relative).read_text(encoding="utf-8") == GARBLED[relative]  # left as read
+
+
+def test_migrate_reports_the_manifest_then_the_object_file_then_project_files(
+    two_class_project, tmp_path
+):
+    """A load reads the manifest, the object file is parsed whole, and a
+    project file is parsed when migration first reaches its class."""
+    project = two_class_project
+    (project / "handlers" / "OTHER" / "1_to_2.est").write_text(
+        GARBLED["handlers/OTHER/1_to_2.est"], encoding="utf-8"
+    )
+    bad = tmp_path / "bad.eso"
+    bad.write_text(OTHER_OBJECT.replace("x: INTEGER = 3", "x INTEGER = 3"), encoding="utf-8")
+    argv = ["migrate", str(bad), "--to-release", "2", "--project", str(project)]
+    code, out, _ = run_cli(*argv)
+    assert code == 1
+    assert out.splitlines()[0].startswith("FormatError 3 ")  # the object file, not the handler
+    manifest = project / "escher.manifest"
+    manifest.write_text(manifest.read_text(encoding="utf-8") + "bogus\n", encoding="utf-8")
+    code, out, _ = run_cli(*argv)
+    assert code == 1
+    assert out.splitlines()[0] == "FormatError 9 unrecognized manifest line 'bogus'"

@@ -132,6 +132,7 @@ ERROR_NAMES = {
 }
 C_V1 = "class C feature\n  x: INTEGER\nend\n"
 C_V2 = "version 2\nclass C feature\n  x: STRING\nend\n"
+C_V1_OBJECT = "ESCHER-OBJECTS 1\nobj 0 C version 1\n  x: INTEGER = 7\nend\n"
 
 
 def assert_documented(code: int, out: str) -> None:
@@ -155,10 +156,13 @@ def test_token_soup_ends_in_a_documented_outcome(text):
         write(root / "soup.esc", text)
         assert_documented(*run_cli("parse", str(root / "soup.esc"))[:2])
 
+        # per reads only version tags and pairs; migrate parses the files
+        write(root / "c.eso", C_V1_OBJECT)
         esc_project = root / "esc_project"
         write(esc_project / "escher.manifest", "release 1\nclass C version 1\n")
         write(esc_project / "releases" / "1" / "C.esc", text)
         assert_documented(*run_cli("per", "--project", str(esc_project))[:2])
+        assert_documented(*run_cli("migrate", str(root / "c.eso"), "--project", str(esc_project))[:2])
 
         est_project = root / "est_project"
         write(est_project / "escher.manifest",
@@ -167,6 +171,8 @@ def test_token_soup_ends_in_a_documented_outcome(text):
         write(est_project / "releases" / "2" / "C.esc", C_V2)
         write(est_project / "handlers" / "C" / "1_to_2.est", text)
         assert_documented(*run_cli("per", "--project", str(est_project))[:2])
+        assert_documented(*run_cli("migrate", str(root / "c.eso"), "--to", "C=2",
+                                   "--project", str(est_project))[:2])
 
 
 ESO_WORDS = [

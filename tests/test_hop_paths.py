@@ -47,7 +47,9 @@ HOPS = {pair: parse_transformer(hop_text(*pair)) for pair in PAIRS}
 
 def repository(edges) -> Repository:
     entries = {
-        pair: RegisteredTransformer(HOPS[pair], hop_text(*pair), content_digest(hop_text(*pair)))
+        pair: RegisteredTransformer(
+            hop_text(*pair), content_digest(hop_text(*pair)), parse=lambda pair=pair: HOPS[pair]
+        )
         for pair in edges
     }
     return Repository("paths", RELEASES, {"C": entries})

@@ -1,0 +1,298 @@
+"""A loaded project parses a schema or handler only when a command asks for
+it, and a save leaves a project that loads as the one before or after it,
+wherever it is cut short."""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import os
+import random
+import shutil
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from conftest import BANK_V2_TEXT, FIXTURES, OTHER_V2, run_cli
+
+from escher import repository
+from escher.errors import FormatError
+from escher.repository import (
+    RegisteredTransformer,
+    Release,
+    Repository,
+    empty_repository,
+    load_repository,
+    release,
+    save_repository,
+)
+from escher.schema import parse_schema
+from escher.transformer import parse_transformer
+from helpers import random_schema_pair
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def random_project(rng: random.Random) -> Repository:
+    """Three releases of two classes built from ``random_schema_pair``: P
+    changes in release 2, Q in release 3, each with its generated stub."""
+    (p1, p2), (q1, q2) = (
+        tuple(replace(s, name=name) for s in random_schema_pair(rng)) for name in ("P", "Q")
+    )
+    repo, _ = release(empty_repository("random"), {"P": p1, "Q": q1})
+    repo, _ = release(repo, {"P": p2.with_version(1), "Q": q1})
+    repo, _ = release(repo, {"P": repo.latest_release().schemas["P"], "Q": q2.with_version(1)})
+    return repo
+
+
+def force_parse(repo: Repository) -> Repository:
+    """``repo`` once every schema and handler it holds is parsed, so that a
+    file that does not parse raises here."""
+    for rel in repo.releases:
+        dict(rel.schemas)
+    for entries in repo.handlers.values():
+        for entry in entries.values():
+            entry.transformer
+    return repo
+
+
+def parsed_one_by_one(project: Path) -> Repository:
+    """The project with every file parsed on its own, apart from the parses
+    a load shares."""
+    manifest = load_repository(project)  # only its versions, texts and pairs are read
+    releases = tuple(
+        Release(rel.number, {
+            name: parse_schema((project / "releases" / str(rel.number) / f"{name}.esc")
+                               .read_text(encoding="utf-8"))
+            for name in rel.versions
+        })
+        for rel in manifest.releases
+    )
+    handlers = {
+        name: {
+            pair: RegisteredTransformer(entry.text, entry.digest, user_modified=entry.user_modified,
+                                        parse=functools.partial(parse_transformer, entry.text))
+            for pair, entry in entries.items()
+        }
+        for name, entries in manifest.handlers.items()
+    }
+    return Repository(manifest.project_name, releases, handlers)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(["P", "Q", "ABSENT"]))
+def test_a_lazy_load_equals_a_project_parsed_file_by_file(tmp_path_factory, seed, order):
+    project = tmp_path_factory.mktemp("lazy") / "random"
+    save_repository(random_project(random.Random(seed)), project)
+    lazy, separate = load_repository(project), parsed_one_by_one(project)
+    for name in order:  # the first use of a class parses it, in any order
+        assert lazy.handlers_for(name) == separate.handlers_for(name)
+        assert lazy.class_history(name) == separate.class_history(name)
+        for version in separate.class_history(name):
+            assert lazy.schema_for(name, version) == separate.schema_for(name, version)
+        for start, goal, flag in itertools.product((1, 2, 3), (1, 2, 3), (True, False)):
+            assert lazy.hop_path(name, start, goal, flag) == separate.hop_path(name, start, goal, flag)
+    assert lazy.releases == separate.releases
+    assert lazy == separate
+
+
+@pytest.fixture
+def parses(monkeypatch) -> list[str]:
+    """The files repository parses, as ``schema <text>`` and ``handler
+    <text>`` entries."""
+    seen: list[str] = []
+    parse_schema_, parse_transformer_ = repository.parse_schema, repository.parse_transformer
+
+    def schema(source, *rest):
+        seen.append(f"schema {source}")
+        return parse_schema_(source, *rest)
+
+    def transformer(source, *rest):
+        seen.append(f"handler {source}")
+        return parse_transformer_(source, *rest)
+
+    monkeypatch.setattr(repository, "parse_schema", schema)
+    monkeypatch.setattr(repository, "parse_transformer", transformer)
+    return seen
+
+
+def files(project: Path, *relatives: str) -> list[str]:
+    return sorted(
+        f"{'schema' if r.endswith('.esc') else 'handler'} "
+        + (project / r).read_text(encoding="utf-8")
+        for r in relatives
+    )
+
+
+def test_a_command_parses_only_the_files_it_needs(two_class_project, tmp_path, parses):
+    project = two_class_project
+    assert run_cli("per", "--project", str(project))[0] == 0
+    assert parses == []
+
+    bank_file = str(FIXTURES / "bank_account_v1.eso")
+    code, out, _ = run_cli("migrate", bank_file, "--to-release", "2", "--project", str(project))
+    assert code == 0
+    assert sorted(parses) == files(
+        project, "releases/1/BANK_ACCOUNT.esc", "releases/2/BANK_ACCOUNT.esc",
+        "handlers/BANK_ACCOUNT/1_to_2.est",
+    )
+    parses.clear()
+
+    working = tmp_path / "work"
+    working.mkdir()
+    (working / "BANK_ACCOUNT.esc").write_text(BANK_V2_TEXT, encoding="utf-8")
+    (working / "OTHER.esc").write_text("version 2\n" + OTHER_V2.replace("REAL", "STRING"),
+                                       encoding="utf-8")
+    expected = files(project, "releases/2/BANK_ACCOUNT.esc", "releases/2/OTHER.esc")
+    code, out, _ = run_cli("release", str(working), "--project", str(project))
+    assert (code, out.splitlines()[-1]) == (0, "stub OTHER 2 3")
+    assert sorted(parses) == expected  # the latest schema of each working-set class
+
+
+def test_a_file_that_disagrees_with_its_name_fails_when_first_parsed(two_class_project):
+    project = two_class_project
+    (project / "releases" / "1" / "OTHER.esc").write_text(
+        "version 2\nclass OTHER feature\n  x: INTEGER\nend\n", encoding="utf-8"
+    )
+    stub = project / "handlers" / "OTHER" / "1_to_2.est"
+    stub.write_text(stub.read_text(encoding="utf-8").replace("from 1 to 2", "from 2 to 1"),
+                    encoding="utf-8")
+    repo = load_repository(project)
+    assert repo.latest_version("OTHER") == 2 and repo.transformer_pairs("OTHER") == {(1, 2)}
+    assert repo.schema_for("BANK_ACCOUNT", 1).version == 1
+    with pytest.raises(FormatError, match="releases/1/OTHER.esc does not match manifest entry "
+                                          "OTHER version 1"):
+        repo.class_history("OTHER")
+    with pytest.raises(FormatError, match="handler file handlers/OTHER/1_to_2.est disagrees "
+                                          "with its header"):
+        repo.handlers_for("OTHER")
+    with pytest.raises(FormatError):  # every time it is asked for
+        repo.schema_for("OTHER", 2)
+
+
+# ---------------------------------------------------------------------------
+# Saving
+# ---------------------------------------------------------------------------
+
+
+class Recorder:
+    """Records ``os.fsync`` and ``os.replace`` calls, and raises OSError at
+    call number ``cut`` when one is given."""
+
+    def __init__(self, monkeypatch, cut: int | None = None):
+        self.events: list[tuple[str, object]] = []
+        self.cut = cut
+        fsync, replace_ = os.fsync, os.replace
+
+        def syncing(fd):
+            self._call(("fsync", os.fstat(fd).st_ino))
+            return fsync(fd)
+
+        def replacing(src, dst):
+            self._call(("replace", Path(dst)))
+            return replace_(src, dst)
+
+        monkeypatch.setattr(os, "fsync", syncing)
+        monkeypatch.setattr(os, "replace", replacing)
+
+    def _call(self, event) -> None:
+        if len(self.events) == self.cut:
+            raise OSError("cut")
+        self.events.append(event)
+
+
+def named(events, project: Path) -> list[tuple[str, str]]:
+    """Events with inodes and paths given as paths relative to ``project``,
+    this process's id as ``PID``."""
+    inodes = {p.stat().st_ino: p for p in [project, *project.rglob("*")]}
+    return [
+        (kind, str((inodes[x] if kind == "fsync" else x).relative_to(project))
+         .replace(str(os.getpid()), "PID"))
+        for kind, x in events
+    ]
+
+
+def test_a_save_syncs_each_directory_once_before_the_manifest(tmp_path, monkeypatch):
+    project = tmp_path / "one"
+    repo, _ = release(empty_repository("one"), {"A": parse_schema("class A feature x: INTEGER end")})
+    save_repository(repo, project)
+    newer, report = release(load_repository(project),
+                            {"A": parse_schema("class A feature x: REAL end")})
+    assert report.stubs == (("A", 1, 2),)
+    recorder = Recorder(monkeypatch)
+    save_repository(newer, project)
+    assert named(recorder.events, project) == [
+        ("fsync", "releases/2/A.esc"), ("replace", "releases/2/A.esc"),
+        # a new handler directory is built beside its place, then renamed there
+        ("fsync", "handlers/A/1_to_2.est"), ("replace", "handlers/.A.PID.tmp/1_to_2.est"),
+        ("fsync", "handlers/A"), ("replace", "handlers/A"),
+        # the directories of the written files, then the parents of new ones
+        ("fsync", "releases/2"), ("fsync", "handlers"), ("fsync", "."), ("fsync", "releases"),
+        ("fsync", "escher.manifest"), ("replace", "escher.manifest"), ("fsync", "."),
+    ]
+    recorder.events.clear()
+    save_repository(load_repository(project), project)  # nothing changed: the manifest alone
+    assert named(recorder.events, project) == [
+        ("fsync", "escher.manifest"), ("replace", "escher.manifest"), ("fsync", "."),
+    ]
+
+
+# Working sets: A and B; then A changes (a stub); then B changes and C
+# arrives (a stub in a new handler directory, and a new class).
+WORKING_SETS = [
+    {"A": "class A feature x: INTEGER end", "B": "class B feature y: REAL end"},
+    {"A": "class A feature x: REAL end", "B": "class B feature y: REAL end"},
+    {"A": "class A feature x: REAL end", "B": "class B feature y: STRING end",
+     "C": "class C feature z: BOOLEAN end"},
+]
+
+
+def cut_release(repo: Repository, texts: dict[str, str]) -> Repository:
+    """``escher release`` of a working set written at each class's latest tag."""
+    working = {
+        name: parse_schema(text).with_version(repo.latest_version(name) or 1)
+        for name, text in texts.items()
+    }
+    repo, report = release(repo, working)
+    assert not report.noop
+    return repo
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["second-release", "third-release"])
+def test_a_save_cut_at_any_write_or_sync_leaves_the_project_before_or_after(
+    tmp_path, monkeypatch, step
+):
+    repo = empty_repository("proj")
+    for texts in WORKING_SETS[:step]:
+        repo = cut_release(repo, texts)
+    base = tmp_path / "before" / "proj"
+    save_repository(repo, base)
+
+    def newer() -> Repository:
+        return cut_release(load_repository(base), WORKING_SETS[step])
+
+    after = tmp_path / "after" / "proj"
+    shutil.copytree(base, after)
+    recorder = Recorder(monkeypatch)
+    save_repository(newer(), after)
+    calls = len(recorder.events)
+    monkeypatch.undo()
+    before_repo, after_repo = (force_parse(load_repository(p)) for p in (base, after))
+    assert before_repo != after_repo
+
+    outcomes = set()
+    for cut in range(calls):
+        project = tmp_path / f"cut{cut}" / "proj"
+        shutil.copytree(base, project)
+        saving = newer()
+        Recorder(monkeypatch, cut)
+        with pytest.raises(OSError, match="cut"):
+            save_repository(saving, project)
+        monkeypatch.undo()
+        left = force_parse(load_repository(project))
+        assert left in (before_repo, after_repo), cut
+        outcomes.add(left == after_repo)
+        assert not list(project.rglob(".*.tmp"))
+    assert outcomes == {False, True}  # only a cut after the manifest's rename keeps the release
