@@ -1,8 +1,16 @@
 """Command-line entry point.
 
-    escher <command> [args] [--project DIR] [--no-assert] [--strict-direct]
+    escher parse FILE
+    escher diff OLD_FILE NEW_FILE
+    escher gen OLD_FILE NEW_FILE OUT_FILE
+    escher release WORKING_DIR [--project DIR]
+    escher migrate OBJECT_FILE [--to-release N | --to CLASS=V ...]
+                   [--inputs CLASS.attr=value ...] [--out FILE]
+                   [--project DIR] [--no-assert] [--strict-direct]
+    escher per [HIST_FILE] [--project DIR]
+    escher check OBJECT_FILE SCHEMA_FILE
 
-Commands: parse, diff, gen, release, migrate, per, check.
+``--project`` defaults to the current directory.
 
 Exit codes: 0 success, 1 domain error (the error name is the first output
 line), 2 usage or IO problems.
@@ -36,48 +44,43 @@ class _Usage(Exception):
     pass
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--project", default=".", metavar="DIR", help="project directory")
-    common.add_argument("--no-assert", action="store_true", dest="no_assert",
-                        help="skip invariant gates and attachment checks (unsafe)")
-    common.add_argument("--strict-direct", action="store_true", dest="strict_direct",
-                        help="refuse composed multi-hop migrations")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    project = argparse.ArgumentParser(add_help=False)
+    project.add_argument("--project", default=".", metavar="DIR", help="project directory")
     parser = argparse.ArgumentParser(prog="escher", description="schema evolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common], help="parse a class file, print canonical form")
+    p = sub.add_parser("parse", help="parse a class file, print canonical form")
     p.add_argument("file")
 
-    p = sub.add_parser("diff", parents=[common], help="report SMOs between two class files")
+    p = sub.add_parser("diff", help="report SMOs between two class files")
     p.add_argument("old_file")
     p.add_argument("new_file")
 
-    p = sub.add_parser("gen", parents=[common], help="generate a transformer template")
+    p = sub.add_parser("gen", help="generate a transformer template")
     p.add_argument("old_file")
     p.add_argument("new_file")
     p.add_argument("out_file")
 
-    p = sub.add_parser("release", parents=[common], help="cut a release from a working set")
+    p = sub.add_parser("release", parents=[project], help="cut a release from a working set")
     p.add_argument("working_dir")
 
-    p = sub.add_parser("migrate", parents=[common], help="retrieve an object file at target versions")
+    p = sub.add_parser("migrate", parents=[project], help="retrieve an object file at target versions")
     p.add_argument("object_file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--to-release", type=int, dest="to_release", metavar="N")
     group.add_argument("--to", action="append", default=[], metavar="CLASS=V")
     p.add_argument("--inputs", action="append", default=[], metavar="CLASS.attr=value")
     p.add_argument("--out", metavar="FILE")
+    p.add_argument("--no-assert", action="store_true", dest="no_assert",
+                   help="skip invariant gates and attachment checks (unsafe)")
+    p.add_argument("--strict-direct", action="store_true", dest="strict_direct",
+                   help="refuse composed multi-hop migrations")
 
-    p = sub.add_parser("per", parents=[common], help="p-evolution-robustness report")
+    p = sub.add_parser("per", parents=[project], help="p-evolution-robustness report")
     p.add_argument("hist_file", nargs="?")
 
-    p = sub.add_parser("check", parents=[common], help="check invariants of an object file")
+    p = sub.add_parser("check", help="check invariants of an object file")
     p.add_argument("object_file")
     p.add_argument("schema_file")
     return parser
@@ -155,14 +158,13 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
         # str.isdigit() alone admits digits such as "²" that int() refuses
         if not name or not sep or not (version.isascii() and version.isdigit()):
             raise usage
-        history = repo.class_history(name)
-        if not history:
+        if repo.latest_version(name) is None:
             raise UnknownClass(name)
         try:
             target = int(version)
         except ValueError:  # more digits than int() converts
             raise usage from None
-        if target not in history:
+        if not any(rel.versions.get(name) == target for rel in repo.releases):
             raise UnknownVersion(name, target)
         targets[name] = target
     return targets

@@ -1,23 +1,34 @@
 """Error taxonomy shared by every module.
 
-Each error exposes ``cli_fields``: the ordered tokens printed (after the class
-name) on the first output line of a failing CLI command. Keeping the fields
-structured lets tests assert on them without parsing messages.
+An error declares its fields once, as annotations in its own class body, and
+is built from exactly those values by position; each is kept as the attribute
+of its name and in ``args``. ``cli_fields``, the tokens printed after the class
+name on the first output line of a failing CLI command, is ``args``. An error
+whose ``args`` or printing differ from its fields keeps its own constructor.
 """
 
 from __future__ import annotations
 
+import inspect
+
 
 class EscherError(Exception):
     """Base class for all domain errors."""
+
+    def __init__(self, *values: object) -> None:
+        names = inspect.get_annotations(type(self))  # this class's own fields, in order
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(values)}")
+        super().__init__(*values)
+        for name, value in zip(names, values):
+            setattr(self, name, value)
 
     @property
     def cli_fields(self) -> tuple[object, ...]:
         return tuple(self.args)
 
     def cli_line(self) -> str:
-        parts = [type(self).__name__] + [str(f) for f in self.cli_fields]
-        return " ".join(parts)
+        return " ".join([type(self).__name__, *map(str, self.cli_fields)])
 
 
 class ParseError(EscherError):
@@ -25,7 +36,7 @@ class ParseError(EscherError):
     names the file when its reader sets it (``repository.naming``)."""
 
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
-        super().__init__(message)
+        Exception.__init__(self, message)
         self.line = line
         self.column = column
         self.expected = expected
@@ -47,64 +58,48 @@ class ParseError(EscherError):
 
 
 class DuplicateAttribute(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class UnknownGenericParam(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class InvariantRefersUnknownAttribute(EscherError):
-    def __init__(self, tag: str, name: str):
-        super().__init__(tag, name)
-        self.tag = tag
-        self.name = name
+    tag: str
+    name: str
 
 
 class PremiseViolated(EscherError):
     """An SMO's inference-rule premise does not hold against the schema."""
 
-    def __init__(self, smo_kind: str, reason: str):
-        super().__init__(smo_kind, reason)
-        self.smo_kind = smo_kind
-        self.reason = reason
-        self.smo_index: int | None = None  # set when raised through apply_transformation
+    smo_kind: str
+    reason: str
+    smo_index = None  # set when raised through apply_transformation
 
 
 class InvariantDanglesAfterRemoval(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-        self.smo_index: int | None = None
+    name: str
+    smo_index = None
 
 
 class MismatchedClassIdentity(EscherError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    reason: str
 
 
 class UnknownConverter(EscherError):
-    def __init__(self, converter_id: str):
-        super().__init__(converter_id)
-        self.converter_id = converter_id
+    converter_id: str
 
 
 class DuplicateTarget(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class FormatError(EscherError):
     """Malformed object file; ``column`` is None when no one token is at fault."""
 
     def __init__(self, line: int, reason: str, column: int | None = None):
-        super().__init__(line, reason)
+        Exception.__init__(self, line, reason)
         self.line = line
         self.reason = reason
         self.column = column
@@ -124,35 +119,27 @@ class FormatError(EscherError):
 
 
 class DanglingReference(EscherError):
-    def __init__(self, ref_id: int):
-        super().__init__(ref_id)
-        self.ref_id = ref_id
+    ref_id: int
 
 
 class TypeMismatchInInvariant(EscherError):
     def __init__(self, clause_tag: str, reason: str = ""):
-        super().__init__(clause_tag)
+        Exception.__init__(self, clause_tag)
         self.clause_tag = clause_tag
         self.reason = reason
 
 
 class MissingAttribute(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class MissingInput(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class ConversionFailure(EscherError):
-    def __init__(self, converter_id: str, value: object):
-        super().__init__(converter_id, value)
-        self.converter_id = converter_id
-        self.value = value
+    converter_id: str
+    value: object
 
     @property
     def cli_fields(self) -> tuple[object, ...]:
@@ -162,73 +149,52 @@ class ConversionFailure(EscherError):
 
 
 class AttachmentViolation(EscherError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+    name: str
 
 
 class EvaluationError(EscherError):
-    def __init__(self, index: int, reason: str):
-        super().__init__(index, reason)
-        self.index = index
-        self.reason = reason
+    index: int
+    reason: str
 
 
 class HandlerMissing(EscherError):
-    def __init__(self, class_name: str):
-        super().__init__(class_name)
-        self.class_name = class_name
+    class_name: str
 
 
 class TransformationMissing(EscherError):
-    def __init__(self, class_name: str, from_version: int, to_version: int):
-        super().__init__(class_name, from_version, to_version)
-        self.class_name = class_name
-        self.from_version = from_version
-        self.to_version = to_version
+    class_name: str
+    from_version: int
+    to_version: int
 
 
 class InvariantViolation(EscherError):
-    def __init__(self, class_name: str, record_id: int, clause_tag: str):
-        super().__init__(class_name, record_id, clause_tag)
-        self.class_name = class_name
-        self.record_id = record_id
-        self.clause_tag = clause_tag
+    class_name: str
+    record_id: int
+    clause_tag: str
 
 
 class VersionTagTamper(EscherError):
-    def __init__(self, class_name: str):
-        super().__init__(class_name)
-        self.class_name = class_name
+    class_name: str
 
 
 class UnknownVersion(EscherError):
-    def __init__(self, class_name: str, version: int):
-        super().__init__(class_name, version)
-        self.class_name = class_name
-        self.version = version
+    class_name: str
+    version: int
 
 
 class OverwriteRefused(EscherError):
-    def __init__(self, class_name: str, from_version: int, to_version: int):
-        super().__init__(class_name, from_version, to_version)
-        self.class_name = class_name
-        self.from_version = from_version
-        self.to_version = to_version
+    class_name: str
+    from_version: int
+    to_version: int
 
 
 class DegenerateHistory(EscherError):
-    def __init__(self, class_name: str):
-        super().__init__(class_name)
-        self.class_name = class_name
+    class_name: str
 
 
 class EmptyRelease(EscherError):
-    def __init__(self) -> None:
-        super().__init__()
+    pass
 
 
 class UnknownClass(EscherError):
-    def __init__(self, class_name: str):
-        super().__init__(class_name)
-        self.class_name = class_name
+    class_name: str

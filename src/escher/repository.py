@@ -255,38 +255,30 @@ def _shortest_path(
     """Version sequence along registered transformers, or None.
 
     Ties between equal-length paths break toward the lexicographically
-    smallest version sequence.
+    smallest version sequence: a breadth-first search that visits successors
+    in ascending order keeps the first parent it finds for each version.
     """
     edge_set = set(edges)
     if (start, goal) in edge_set:
         return [start, goal]
     if not allow_composition:
         return None
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for a, b in edge_set:
-        forward.setdefault(a, []).append(b)
-        backward.setdefault(b, []).append(a)
-    # distance-to-goal by reverse BFS, then greedy smallest-next-version walk
-    dist = {goal: 0}
-    frontier = [goal]
-    while frontier:
-        nxt: list[int] = []
-        for node in frontier:
-            for prev in backward.get(node, []):
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    nxt.append(prev)
-        frontier = nxt
-    if start not in dist:
+    successors: dict[int, list[int]] = {}
+    for a, b in sorted(edge_set):
+        successors.setdefault(a, []).append(b)
+    parent = {start: start}
+    queue = [start]
+    for node in queue:  # the queue grows while it is read, in breadth-first order
+        for succ in successors.get(node, ()):
+            if succ not in parent:
+                parent[succ] = node
+                queue.append(succ)
+    if goal not in parent:
         return None
-    path = [start]
-    node = start
-    while node != goal:
-        candidates = [v for v in forward.get(node, []) if dist.get(v) == dist[node] - 1]
-        node = min(candidates)
-        path.append(node)
-    return path
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def empty_repository(project_name: str) -> Repository:

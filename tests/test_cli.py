@@ -626,6 +626,24 @@ def test_the_format_flag_is_gone():
     assert "unrecognized arguments: --format text" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("check", OBJ, V1), "--no-assert"),
+        (("parse", V1), "--project p"),
+        (("diff", V1, V2), "--strict-direct"),
+        (("release", "ws"), "--no-assert"),
+    ],
+    ids=["check-no-assert", "parse-project", "diff-strict-direct", "release-no-assert"],
+)
+def test_a_command_refuses_an_option_it_does_not_read(argv, option):
+    code, out, err = run_cli(*argv, *option.split(" "))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: escher ")
+    assert err.endswith(f"error: unrecognized arguments: {option}\n")
+    assert "Traceback" not in err
+
+
 def test_migrate_to_a_version_the_class_never_had_is_unknown(bank_project):
     code, out, err = run_cli("migrate", OBJ, "--to", "BANK_ACCOUNT=9", "--project", str(bank_project))
     assert code == 1

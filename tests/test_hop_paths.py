@@ -1,7 +1,8 @@
 """Hop paths found once per Repository (``Repository.hop_path``).
 
 A Repository's handlers are read-only, so a path it remembers can only be
-wrong if it differs from what ``_shortest_path`` finds over the same edges.
+wrong if it differs from what ``_shortest_path`` finds over the same edges,
+and ``_shortest_path`` is checked against an enumeration of every path.
 Each hop below writes its target version into ``x`` (``x := oldc.x * 10 +
 to``), so a migrated record spells out the path ``retrieve`` took.
 """
@@ -66,6 +67,28 @@ def migrate(repo: Repository, start: int, goal: int, allow_composition: bool) ->
     return (start, *map(int, str(out.records[0].fields["x"])))
 
 
+def enumerated_path(edges, start: int, goal: int, allow_composition: bool) -> list[int] | None:
+    """The path ``_shortest_path`` promises, by enumerating every simple path:
+    a registered direct hop, else the shortest path, then the smallest
+    version sequence."""
+    if (start, goal) in edges:
+        return [start, goal]
+    if not allow_composition:
+        return None
+    paths = []
+
+    def extend(path: list[int]) -> None:
+        if path[-1] == goal:
+            paths.append(path)
+            return
+        for a, b in edges:
+            if a == path[-1] and b not in path:
+                extend([*path, b])
+
+    extend([start])
+    return min(paths, key=lambda path: (len(path), path), default=None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.sampled_from(PAIRS), max_size=20))
 def test_remembered_paths_equal_shortest_path_across_calls(edges):
@@ -73,6 +96,7 @@ def test_remembered_paths_equal_shortest_path_across_calls(edges):
     for _ in range(2):  # the second call reads only remembered paths
         for start, goal, flag in itertools.product(VERSIONS, VERSIONS, (True, False)):
             expected = _shortest_path(edges, start, goal, flag)
+            assert expected == enumerated_path(edges, start, goal, flag)
             if start != goal:
                 assert migrate(repo, start, goal, flag) == (expected and tuple(expected))
             assert repo.hop_path("C", start, goal, flag) == (expected and tuple(expected))

@@ -151,6 +151,17 @@ def test_a_command_parses_only_the_files_it_needs(two_class_project, tmp_path, p
     assert sorted(parses) == expected  # the latest schema of each working-set class
 
 
+def test_a_to_target_is_checked_against_version_tags_only(two_class_project, parses):
+    project, bank_file = str(two_class_project), str(FIXTURES / "bank_account_v1.eso")
+    code, _, _ = run_cli("migrate", bank_file, "--to", "BANK_ACCOUNT=2", "--to", "OTHER=2",
+                         "--project", project)
+    assert code == 0
+    assert run_cli("migrate", bank_file, "--to", "OTHER=3", "--project", project)[:2] == (
+        1, "UnknownVersion OTHER 3\n"
+    )
+    assert [p for p in parses if "class OTHER" in p] == []
+
+
 def test_a_file_that_disagrees_with_its_name_fails_when_first_parsed(two_class_project):
     project = two_class_project
     (project / "releases" / "1" / "OTHER.esc").write_text(
