@@ -54,8 +54,14 @@ def unescape_string(text: str, line: int, column: int) -> str:
     return _ESCAPE_RE.sub(decode, body)
 
 
+_ESCAPE_TABLE = str.maketrans(_REVERSE_ESCAPES)
+
+
 def escape_string(value: str) -> str:
-    return '"' + "".join(_REVERSE_ESCAPES.get(ch, ch) for ch in value) + '"'
+    """The double-quoted literal of ``value``, which ``unescape_string`` reads back."""
+    if '"' in value or "\\" in value or "\n" in value:
+        value = value.translate(_ESCAPE_TABLE)
+    return '"' + value + '"'
 
 
 def line_int(digits: str, line: int) -> int:

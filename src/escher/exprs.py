@@ -16,14 +16,20 @@ associate differently, so render/parse is structurally lossless.
 
 ``compile_expr`` evaluates both, as closures built once per tree: each
 transformer and schema compiles its trees on first use and keeps them.
+``SourceWriter`` writes transformer sources as Python statements for the
+function ``objects.generate_hop`` builds per hop. It splices in only its own
+names and ``repr`` of field and input names, and binds every literal value,
+operator and converter in the function's namespace. The statements decide
+no error; the closures and ``OPERATORS`` alone raise them.
 ``CONVERTERS`` is the one, read-only table of the conversions a ``convert``
 may name; a ``Convert`` closure fetches its function when it compiles, and an
 id the table lacks is an ``UnknownConverter`` when a record reaches it.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
 deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
-per tree level and the invariant parser eight frames per parenthesis, so at
-the bound all of them stay inside Python's default limit of 1000 frames.
+per tree level, writing source twice, and the invariant parser eight frames
+per parenthesis, so at the bound all of them stay inside Python's default
+limit of 1000 frames.
 Going deeper is a ``ParseError`` at the token that did it.
 """
 
@@ -580,3 +586,89 @@ CONVERTERS: Mapping[str, Callable[[ObjectValue], ObjectValue]] = MappingProxyTyp
     "STRING_TO_REAL": _string_to_real,
     "REAL_TO_STRING": _real_to_string,
 })
+
+
+class SlowPath(Exception):
+    """Raised by generated code where it leaves a record to the interpreter."""
+
+
+# The Python text of each operator generated code computes inline.
+_INLINE_OPS = {"+": "+", "-": "-", "*": "*"}
+# Per operand class computed inline, the test its result must pass.
+_INLINE_CHECKS = (
+    (int, f"{INT64_MIN} <= {{}} <= {INT64_MAX}"),
+    (float, "isfinite({})"),
+)
+
+
+class SourceWriter:
+    """Python statements that evaluate transformer sources over fields ``f``
+    and inputs ``i``, one local per node, for a generated function.
+
+    Spliced into the text are only the writer's own names (``t<n>`` locals,
+    ``k<n>`` bindings) and ``repr`` of field and input names; every literal
+    value, operator and converter function is bound in ``namespace``. Two
+    ``int`` or two ``float`` operands of ``+ - *`` are computed inline, with
+    the 64-bit or finite check; every other case calls the ``OPERATORS``
+    function. The statements decide no error: where the interpreter would
+    raise, they raise something, and the caller runs the interpreter.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {"SlowPath": SlowPath, "isfinite": math.isfinite}
+        self._count = 0
+
+    def _name(self, prefix: str) -> str:
+        self._count += 1
+        return f"{prefix}{self._count}"
+
+    def bind(self, value: object) -> str:
+        name = self._name("k")
+        self.namespace[name] = value
+        return name
+
+    def expr(self, expr: Expr) -> str:
+        """The name that holds ``expr``'s value once the lines so far run.
+        A converter ``CONVERTERS`` lacks is an ``UnknownConverter`` here."""
+        cls = expr.__class__
+        if cls is Lit:
+            return self.bind(expr.value)
+        local = self._name("t")
+        if cls is OldField:
+            self.lines.append(f"    {local} = f[{expr.name!r}]")
+        elif cls is InputRef:
+            self.lines.append(f"    {local} = i[{expr.key!r}]")
+        elif cls is Convert:
+            fn = CONVERTERS.get(expr.converter_id)
+            if fn is None:
+                raise UnknownConverter(expr.converter_id)
+            arg = self.expr(expr.arg)
+            self.lines.append(f"    {local} = {self.bind(fn)}({arg})")
+        elif cls is BinOp:
+            self._binop(local, expr)
+        else:
+            raise TypeError(f"not a transformer source node: {expr!r}")
+        return local
+
+    def require_attached(self, local: str) -> None:
+        """A line that leaves the record to the interpreter if ``local`` is void."""
+        self.lines.append(f"    if {local} is None: raise SlowPath")
+
+    def _binop(self, local: str, expr: BinOp) -> None:
+        a, b = self.expr(expr.left), self.expr(expr.right)
+        sides = ((a, expr.left), (b, expr.right))
+        literal_classes = {side.value.__class__ for _, side in sides if side.__class__ is Lit}
+        guarded = [name for name, side in sides if side.__class__ is not Lit]
+        keyword = "if"
+        for cls, check in _INLINE_CHECKS if expr.op in _INLINE_OPS else ():
+            if guarded and literal_classes <= {cls}:  # a literal of another class rules it out
+                guard = " and ".join(f"{name}.__class__ is {cls.__name__}" for name in guarded)
+                self.lines += [
+                    f"    {keyword} {guard}:",
+                    f"        {local} = {a} {_INLINE_OPS[expr.op]} {b}",
+                    f"        if not {check.format(local)}: raise SlowPath",
+                ]
+                keyword = "elif"
+        call = f"{local} = {self.bind(OPERATORS[expr.op])}({a}, {b})"
+        self.lines += ["    else:", f"        {call}"] if keyword == "elif" else [f"    {call}"]

@@ -18,7 +18,13 @@ read-only mapping in field order, from parse through migration to render.
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
-Transformer sources and invariant clauses run compiled on first use.
+A hop runs a Python function generated, on the first record to take it, per
+(transformer, the new schema's attribute order, ``check_attached``); see
+``generate_hop``. It holds only the success path and decides no error:
+whatever it raises, the record runs again through the step loop over
+compiled sources, which alone raises errors and writes warnings. A
+transformer that leaves defaults to fill, or that the generator cannot
+write, runs the step loop for every record. Invariant clauses run compiled.
 Migration failures are loud by design: a missing handler, a missing
 transformation, or a violated invariant each raises its own error instead of
 letting a default-initialized object into the system.
@@ -29,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import exprs
 from ._lex import TokenStream, line_int, tokenize, unescape_string
@@ -44,6 +50,7 @@ from .errors import (
     ParseError,
     TransformationMissing,
     TypeMismatchInInvariant,
+    UnknownConverter,
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import Assign, CheckAttached, ObjectTransformer
@@ -400,6 +407,8 @@ def interpret_transformer(
 
     Attributes no instruction assigns (possible only in hand-edited
     transformers) default by declared type, with a warning recorded.
+    The hop's generated function (``generate_hop``) runs first; the steps
+    run when it was not built or raised, and alone raise errors.
     """
     if old.class_name != t.class_name or new_schema.name != t.class_name:
         raise ValueError(
@@ -409,7 +418,19 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    fields: dict[str, object] = dict.fromkeys(new_schema.attribute_names(), _UNASSIGNED)
+    order = new_schema.attribute_names()
+    try:
+        hop = t.hops[order, check_attached]
+    except KeyError:
+        hop = t.hops[order, check_attached] = generate_hop(t, order, check_attached)
+    if hop is not None:
+        try:
+            fields = hop(old.fields, inputs)
+        except Exception:  # whatever it is, the steps below run again and decide
+            pass
+        else:
+            return ObjectRecord(old.id, t.class_name, t.to_version, fields)
+    fields = dict.fromkeys(order, _UNASSIGNED)
     for index, (kind, target, source) in enumerate(t.steps):
         if kind is Assign:
             if target not in fields:
@@ -436,6 +457,36 @@ def interpret_transformer(
                     )
                 fields[attr.name] = type_default(attr.declared_type)
     return ObjectRecord(old.id, t.class_name, t.to_version, fields)
+
+
+def generate_hop(
+    t: ObjectTransformer, order: tuple[str, ...], check_attached: bool
+) -> Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], dict] | None:
+    """``hop(f, i)``: the new fields, in ``order``, that ``t``'s steps give
+    over old fields ``f`` and inputs ``i`` when no step fails, built with
+    ``exprs.SourceWriter``. It raises where a step would fail, and decides
+    no error. None where only the steps may run: an attribute no ``Assign``
+    targets (defaults and warnings), a target outside ``order``, an unknown
+    converter, or a checked ``CheckAttached`` before its target is assigned."""
+    if t.assigned_targets != frozenset(order):
+        return None
+    writer = exprs.SourceWriter()
+    assigned: dict[str, str] = {}
+    for instr in t.instructions:
+        if instr.__class__ is Assign:
+            try:
+                assigned[instr.target_name] = writer.expr(instr.expr)
+            except UnknownConverter:
+                return None
+        elif instr.__class__ is CheckAttached and check_attached:
+            local = assigned.get(instr.target_name)
+            if local is None:
+                return None
+            writer.require_attached(local)
+    result = ", ".join(f"{name!r}: {assigned[name]}" for name in order)
+    source = "\n".join(["def hop(f, i):", *writer.lines, f"    return {{{result}}}", ""])
+    exec(source, writer.namespace)
+    return writer.namespace.pop("hop")  # no cycle: a dropped transformer frees it at once
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,12 @@ class ObjectTransformer:
                       exprs.compile_expr(i.expr) if i.__class__ is Assign else None)
                      for i in self.instructions)
 
+    @cached_property
+    def hops(self) -> dict:
+        """The generated function per (attribute order, ``check_attached``),
+        or None where the steps alone run; filled by ``objects.interpret_transformer``."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # Assignability and generation

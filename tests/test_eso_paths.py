@@ -20,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from escher._lex import escape_string, unescape_string  # noqa: E402
 from escher.exprs import render_real  # noqa: E402
 from escher.objects import (  # noqa: E402
     _deserialize_blocks,
@@ -265,3 +266,12 @@ def test_every_serialized_graph_takes_the_block_path():
         assert read is not None, text
         assert read == graph
         assert outcome(lambda _: read, text) == outcome(_deserialize_lines, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example('a"b\\c\nd')
+def test_a_string_renders_as_the_per_character_escape_and_reads_back(value):
+    rendered = escape_string(value)
+    assert rendered == '"' + "".join({'"': '\\"', "\\": "\\\\", "\n": "\\n"}.get(ch, ch) for ch in value) + '"'
+    assert unescape_string(rendered, 1, 1) == value

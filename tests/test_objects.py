@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from escher import exprs
+from escher import exprs, objects
 from escher.errors import (
     AttachmentViolation,
     ConversionFailure,
@@ -730,7 +730,7 @@ def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
 
 
 # ---------------------------------------------------------------------------
-# compiled sources and invariants: once per object, on first use, unseen
+# generated hops and compiled invariants: once per object, on first use, unseen
 # ---------------------------------------------------------------------------
 
 
@@ -755,6 +755,21 @@ def _count_compiles(monkeypatch) -> list:
     return compiled
 
 
+def _count_builds(monkeypatch) -> list:
+    """``(transformer, attribute order, check_attached, built)`` per hop
+    function generated, ``built`` false where the steps alone run."""
+    builds: list = []
+    original = objects.generate_hop
+
+    def counted(t, order, check_attached):
+        hop = original(t, order, check_attached)
+        builds.append((t, order, check_attached, hop is not None))
+        return hop
+
+    monkeypatch.setattr(objects, "generate_hop", counted)
+    return builds
+
+
 def test_loading_a_project_compiles_nothing(bank_project, bank_graph, monkeypatch):
     compiled = _count_compiles(monkeypatch)
     repo = load_repository(bank_project)
@@ -764,24 +779,27 @@ def test_loading_a_project_compiles_nothing(bank_project, bank_graph, monkeypatc
 
 
 def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, monkeypatch):
-    compiled = _count_compiles(monkeypatch)
+    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
     graph = _mixed_graph(("A", 1, 10), ("A", 1, 11), ("B", 1, 1), ("B", 2, 2), ("C", 1, 0))
     first = retrieve(graph, mixed_repo, {"A": 2, "B": 2})
     assert retrieve(graph, mixed_repo, {"A": 2, "B": 2}) == first
     a_hop = mixed_repo.handlers_for("A")[(1, 2)]
     b_hop = mixed_repo.handlers_for("B")[(1, 2)]
+    # A's hop leaves y to its default, so its steps run; B's hop is generated
+    assert [(id(t), order, flag, built) for t, order, flag, built in builds] == [
+        (id(a_hop), ("x", "y"), True, False),
+        (id(b_hop), ("n", "m"), True, True),
+    ]
     expected = [
         a_hop.instructions[0].expr,  # record 0's hop, then its gate
         mixed_repo.schema_for("A", 2).invariant.clauses[0].body,
-        b_hop.instructions[0].expr,  # record 2's hop; B and C gate no clause
-        b_hop.instructions[1].expr,
-    ]
+    ]  # B and C gate no clause
     assert [id(e) for e in compiled] == [id(e) for e in expected]
 
 
 def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
     repo, _ = make_chain_repo(4)
-    compiled = _count_compiles(monkeypatch)
+    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
     graph = ObjectGraph(tuple(
         ObjectRecord(i, "CHAIN", v, {f"f{k}": k for k in range(1, v + 1)})
         for i, v in enumerate([1, 2, 1, 3])
@@ -789,33 +807,35 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
     inputs = {("CHAIN", f"f{k}"): k for k in (2, 3, 4)}
     for _ in range(2):
         retrieve(graph, repo, {"CHAIN": 4}, inputs)
-    sources = [
-        instr.expr
-        for v in (1, 2, 3)
-        for instr in repo.handlers_for("CHAIN")[(v, v + 1)].instructions
-        if isinstance(instr, Assign)
+    hops = [repo.handlers_for("CHAIN")[(v, v + 1)] for v in (1, 2, 3)]
+    orders = [tuple(f"f{k}" for k in range(1, v + 2)) for v in (1, 2, 3)]
+    assert [(id(t), order, flag, built) for t, order, flag, built in builds] == [
+        (id(t), order, True, True) for t, order in zip(hops, orders)
     ]
-    assert sorted(map(id, compiled)) == sorted(map(id, sources))
+    assert compiled == []  # every hop ran generated; CHAIN gates no clause
 
 
 def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
-    compiled = _count_compiles(monkeypatch)
+    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
     text = "transform A from 1 to 2\n  Result.x := oldc.x - 10\nend\n"
     schema_text = "version 2 class A feature x: INTEGER invariant pos: x >= 0 end"
     t, schema = parse_transformer(text), parse_schema(schema_text)
     seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
     old = ObjectRecord(0, "A", 1, {"x": 15})
     eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema)
-    assert len(compiled) == 2
+    assert (len(builds), len(compiled)) == (1, 1)  # the hop is generated, the invariant compiled
     for obj, text_form, digest in seen:
         assert (repr(obj), hash(obj)) == (text_form, digest)
         assert replace(obj) == obj
     assert (t, schema) == (parse_transformer(text), parse_schema(schema_text))
     again = interpret_transformer(replace(t), old, {}, new_schema=replace(schema))
     eval_invariant(again, replace(schema))
-    assert len(compiled) == 4  # a replaced object compiles afresh
+    assert (len(builds), len(compiled)) == (2, 2)  # a replaced object builds afresh
     interpret_transformer(t, old, {}, new_schema=schema)
-    assert len(compiled) == 4
+    interpret_transformer(t, old, {}, new_schema=replace(schema))  # one attribute order
+    assert (len(builds), len(compiled)) == (2, 2)
+    interpret_transformer(t, old, {}, new_schema=schema, check_attached=False)
+    assert [flag for _, _, flag, _ in builds] == [True, True, False]
 
 
 def test_a_hand_built_literal_outside_64_bits_fails_where_it_is_first_used():
