@@ -12,16 +12,17 @@ from typing import NamedTuple
 
 from .errors import FormatError, ParseError
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier, in every syntax the tool reads
+IDENT_RE = re.compile(IDENT + r"\Z")
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<comment>--[^\n]*)
   | (?P<ws>[ \t\r]+)
   | (?P<nl>\n)
   | (?P<real>\d+\.\d+(?:[eE][+-]?\d+)?)
   | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{IDENT})
   | (?P<string>"(?:\\.|[^"\\\n])*")
   | (?P<op>:=|/=|//|<=|>=|->|[:\[\](),;=<>+\-*.])
     """,

@@ -19,12 +19,13 @@ read-only mapping in field order, from parse through migration to render.
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
 A hop runs a Python function generated, on the first record to take it, per
-(transformer, the new schema's attribute order, ``check_attached``); see
-``generate_hop``. It holds only the success path and decides no error:
-whatever it raises, the record runs again through the step loop over
-compiled sources, which alone raises errors and writes warnings. A
-transformer that leaves defaults to fill, or that the generator cannot
-write, runs the step loop for every record. Invariant clauses run compiled.
+(transformer, the new schema's attribute order and ``attached`` attributes,
+``check_attached``); see ``generate_hop``. It holds only the success path
+and decides no error: whatever it raises, the record runs again through the
+step loop over compiled sources, which alone raises errors and writes
+warnings. A transformer that leaves defaults to fill, or that the generator
+cannot write, runs the step loop for every record. Invariant clauses run
+compiled.
 Migration failures are loud by design: a missing handler, a missing
 transformation, or a violated invariant each raises its own error instead of
 letting a default-initialized object into the system.
@@ -38,7 +39,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import exprs
-from ._lex import TokenStream, line_int, tokenize, unescape_string
+from ._lex import IDENT, TokenStream, line_int, tokenize, unescape_string
 from .errors import (
     AttachmentViolation,
     DanglingReference,
@@ -153,8 +154,7 @@ def serialize(graph: ObjectGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({_NAME})\s+version\s+(\d+)\s*\Z")
+_OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({IDENT})\s+version\s+(\d+)\s*\Z")
 
 
 def deserialize(text: str) -> ObjectGraph:
@@ -167,14 +167,14 @@ def deserialize(text: str) -> ObjectGraph:
 
 # One record exactly as ``serialize`` writes it: the header line, the field
 # lines (each starting with two spaces), then ``end``.
-_BLOCK_RE = re.compile(rf"obj ([0-9]+) ({_NAME}) version ([0-9]+)\n((?:  [^\n]*\n)*)end\n")
+_BLOCK_RE = re.compile(rf"obj ([0-9]+) ({IDENT}) version ([0-9]+)\n((?:  [^\n]*\n)*)end\n")
 # One field line as ``serialize`` writes it, its annotation fused with the
 # shape of the one literal kind it admits; a ``ref``'s class is any other name.
 _BLOCK_FIELD_RE = re.compile(
-    rf"^  ({_NAME}): (?:"
+    rf"^  ({IDENT}): (?:"
     r"INTEGER = (-?[0-9]+)"
     r'|STRING = ("(?:[^"\\\n]|\\["\\n])*")'
-    rf"|(?!(?:{'|'.join(PRIMITIVE_KINDS)}) )({_NAME}) = ref ([0-9]+)"
+    rf"|(?!(?:{'|'.join(PRIMITIVE_KINDS)}) )({IDENT}) = ref ([0-9]+)"
     r"|NONE = (Void)"
     r"|BOOLEAN = (true|false)"
     r"|REAL = (-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
@@ -406,7 +406,9 @@ def interpret_transformer(
     version with exactly ``new_schema``'s attributes.
 
     Attributes no instruction assigns (possible only in hand-edited
-    transformers) default by declared type, with a warning recorded.
+    transformers) default by declared type, with a warning recorded. With
+    ``check_attached``, a void ``attached`` attribute of ``new_schema`` is
+    then an ``AttachmentViolation``, as is a void ``require_attached`` target.
     The hop's generated function (``generate_hop``) runs first; the steps
     run when it was not built or raised, and alone raise errors.
     """
@@ -418,11 +420,11 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    order = new_schema.attribute_names()
+    shape = new_schema.record_shape
     try:
-        hop = t.hops[order, check_attached]
+        hop = t.hops[shape, check_attached]
     except KeyError:
-        hop = t.hops[order, check_attached] = generate_hop(t, order, check_attached)
+        hop = t.hops[shape, check_attached] = generate_hop(t, *shape, check_attached)
     if hop is not None:
         try:
             fields = hop(old.fields, inputs)
@@ -430,6 +432,7 @@ def interpret_transformer(
             pass
         else:
             return ObjectRecord(old.id, t.class_name, t.to_version, fields)
+    order, attached = shape
     fields = dict.fromkeys(order, _UNASSIGNED)
     for index, (kind, target, source) in enumerate(t.steps):
         if kind is Assign:
@@ -456,18 +459,23 @@ def interpret_transformer(
                         f"{t.from_version}->{t.to_version} transformer; default used"
                     )
                 fields[attr.name] = type_default(attr.declared_type)
+    if check_attached:
+        for name in attached:
+            if fields[name] is None:
+                raise AttachmentViolation(name)
     return ObjectRecord(old.id, t.class_name, t.to_version, fields)
 
 
 def generate_hop(
-    t: ObjectTransformer, order: tuple[str, ...], check_attached: bool
+    t: ObjectTransformer, order: tuple[str, ...], attached: tuple[str, ...], check_attached: bool
 ) -> Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], dict] | None:
     """``hop(f, i)``: the new fields, in ``order``, that ``t``'s steps give
     over old fields ``f`` and inputs ``i`` when no step fails, built with
-    ``exprs.SourceWriter``. It raises where a step would fail, and decides
-    no error. None where only the steps may run: an attribute no ``Assign``
-    targets (defaults and warnings), a target outside ``order``, an unknown
-    converter, or a checked ``CheckAttached`` before its target is assigned."""
+    ``exprs.SourceWriter``. It raises where a step would fail, a checked
+    ``attached`` attribute among them, and decides no error. None where only
+    the steps may run: an attribute no ``Assign`` targets (defaults and
+    warnings), a target outside ``order``, an unknown converter, or a
+    checked ``CheckAttached`` before its target is assigned."""
     if t.assigned_targets != frozenset(order):
         return None
     writer = exprs.SourceWriter()
@@ -483,6 +491,8 @@ def generate_hop(
             if local is None:
                 return None
             writer.require_attached(local)
+    for name in attached if check_attached else ():
+        writer.require_attached(assigned[name])
     result = ", ".join(f"{name!r}: {assigned[name]}" for name in order)
     source = "\n".join(["def hop(f, i):", *writer.lines, f"    return {{{result}}}", ""])
     exec(source, writer.namespace)

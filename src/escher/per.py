@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from ._lex import line_int
+from ._lex import IDENT, line_int
 from .errors import DegenerateHistory, EmptyRelease, FormatError, UnknownClass
 from .repository import Repository
 
@@ -96,7 +96,7 @@ def history_from_repository(repo: Repository, class_name: str) -> EvolutionHisto
 # History files and reports
 # ---------------------------------------------------------------------------
 
-_CLASS_RE = re.compile(r"class\s+([A-Za-z_][A-Za-z0-9_]*)\s*\Z")
+_CLASS_RE = re.compile(rf"class\s+({IDENT})\s*\Z")
 _VERSIONS_RE = re.compile(r"versions\s+(\d+)\s*\Z")
 _TF_RE = re.compile(r"tf\s+(\d+)\s+(\d+)\s*\Z")
 

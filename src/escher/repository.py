@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ._lex import line_int
+from ._lex import IDENT, line_int
 from .errors import (
     FormatError,
     OverwriteRefused,
@@ -412,10 +412,8 @@ def register_transformer(
 
 _MANIFEST = "escher.manifest"
 _RELEASE_RE = re.compile(r"release\s+(\d+)\s*\Z")
-_CLASS_RE = re.compile(r"class\s+([A-Za-z_][A-Za-z0-9_]*)\s+version\s+(\d+)\s*\Z")
-_TRANSFORMER_RE = re.compile(
-    r"transformer\s+([A-Za-z_][A-Za-z0-9_]*)\s+(\d+)\s+(\d+)\s+([0-9a-f]+)\s*\Z"
-)
+_CLASS_RE = re.compile(rf"class\s+({IDENT})\s+version\s+(\d+)\s*\Z")
+_TRANSFORMER_RE = re.compile(rf"transformer\s+({IDENT})\s+(\d+)\s+(\d+)\s+([0-9a-f]+)\s*\Z")
 _HANDLER_FILE_RE = re.compile(r"(\d+)_to_(\d+)\.est\Z")
 
 
@@ -433,7 +431,7 @@ def render_manifest(repo: Repository) -> str:
 
 
 def load_repository(project_dir: str | Path) -> Repository:
-    """Read a project directory back into memory, parsing no file.
+    """Read a project directory back, parsing no file.
 
     The manifest is authoritative for releases; handler files are picked up
     from disk even when unlisted, so a hand-written ``.est`` dropped into
@@ -442,13 +440,14 @@ def load_repository(project_dir: str | Path) -> Repository:
     cut short before its manifest. The load reads the text of every listed
     release file and of every handler file, and checks the manifest, the
     release numbering, the version tags and the handler file names. A schema
-    or handler is parsed the first time a command asks for it (``_Parses``);
-    its ParseError names its file.
+    or handler is parsed the first time a command asks for it, and equal
+    ``.esc`` texts share one parse and one schema (``_parsed_schema``); a
+    ParseError names its file.
     """
     project_dir = Path(project_dir)
     root = os.fspath(project_dir)  # plain strings below: a load joins hundreds of paths
     manifest_path = project_dir / _MANIFEST
-    parses = _Parses()
+    schemas: dict[str, ClassSchema] = {}  # {.esc text: schema}
     manifest_digests: dict[tuple[str, int, int], str] = {}
     releases: list[tuple[int, dict[str, int], dict[str, str]]] = []  # (number, versions, texts)
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
@@ -496,7 +495,7 @@ def load_repository(project_dir: str | Path) -> Repository:
                     continue
                 text = _read_text(f"{root}/{relative}")
                 digest = content_digest(text)
-                parse = functools.partial(parses.transformer, relative, text, class_name, pair)
+                parse = functools.partial(_parsed_transformer, relative, text, class_name, pair)
                 entries[pair] = RegisteredTransformer(
                     text, digest, user_modified=recorded is not None and recorded != digest,
                     parse=parse,
@@ -508,7 +507,7 @@ def load_repository(project_dir: str | Path) -> Repository:
             project_dir.name,
             tuple(
                 Release(number, ReleaseSchemas(
-                    {}, versions, texts, functools.partial(parses.schema, number)
+                    {}, versions, texts, functools.partial(_parsed_schema, schemas, number)
                 ))
                 for number, versions, texts in releases
             ),
@@ -523,36 +522,30 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
-class _Parses:
-    """The parses of one load's files, made on first use and kept with its
-    Repository: each distinct ``.esc`` text is parsed once, and one memo of
-    parsed lines serves every ``.esc`` and ``.est`` parse, so each distinct
-    line is parsed once however many of the files a command asks for."""
-
-    def __init__(self) -> None:
-        self.schemas: dict[str, ClassSchema] = {}  # {.esc text: schema}
-        # ``.est`` statements keyed by their text, ``.esc`` lines by
-        # (production, text, ...) tuples
-        self.memo: dict = {}
-
-    def schema(self, number: int, name: str, text: str, version: int) -> ClassSchema:
-        path = f"releases/{number}/{name}.esc"
-        schema = self.schemas.get(text)
-        if schema is None:
-            with naming(path):
-                schema = self.schemas[text] = parse_schema(text, self.memo)
-        if schema.name != name or schema.version != version:
-            raise FormatError(0, f"{path} does not match manifest entry {name} version {version}")
-        return schema
-
-    def transformer(
-        self, path: str, text: str, class_name: str, pair: tuple[int, int]
-    ) -> ObjectTransformer:
+def _parsed_schema(
+    schemas: dict[str, ClassSchema], number: int, name: str, text: str, version: int
+) -> ClassSchema:
+    """The schema of release ``number``'s file of class ``name``. ``schemas``
+    is one load's {text: schema}, so each distinct text is parsed once and
+    the releases holding it share its schema."""
+    path = f"releases/{number}/{name}.esc"
+    schema = schemas.get(text)
+    if schema is None:
         with naming(path):
-            t = parse_transformer(text, self.memo)
-        if t.class_name != class_name or (t.from_version, t.to_version) != pair:
-            raise FormatError(0, f"handler file {path} disagrees with its header")
-        return t
+            schema = schemas[text] = parse_schema(text)
+    if schema.name != name or schema.version != version:
+        raise FormatError(0, f"{path} does not match manifest entry {name} version {version}")
+    return schema
+
+
+def _parsed_transformer(
+    path: str, text: str, class_name: str, pair: tuple[int, int]
+) -> ObjectTransformer:
+    with naming(path):
+        t = parse_transformer(text)
+    if t.class_name != class_name or (t.from_version, t.to_version) != pair:
+        raise FormatError(0, f"handler file {path} disagrees with its header")
+    return t
 
 
 @contextmanager

@@ -234,6 +234,9 @@ class ClassSchema:
         # not fields, so ``==``, ``repr`` and ``replace`` ignore them
         object.__setattr__(self, "attribute_set", frozenset(seen_attrs))
         object.__setattr__(self, "_attribute_names", names)
+        # (attribute order, the ``attached`` ones): what a migrated record must match
+        attached = tuple(a.name for a in self.attributes if isinstance(a.declared_type, Attached))
+        object.__setattr__(self, "record_shape", (names, attached))
         if seen_params & seen_attrs:
             clash = sorted(seen_params & seen_attrs)[0]
             raise ValueError(f"name {clash!r} is both a generic parameter and an attribute")
@@ -274,99 +277,13 @@ class ClassSchema:
 # ---------------------------------------------------------------------------
 
 
-def parse_schema(source: str, memo: dict | None = None) -> ClassSchema:
-    """Parse a ``.esc`` class definition; trailing content is an error.
-
-    ``memo`` serves a caller that parses many texts at once, such as a
-    project load, and passes one dict to every parse: a text laid out as
-    ``render_schema`` writes it then parses only the lines the dict lacks
-    (``_parse_lines``). Any other text goes through the whole-text parser
-    below, which gives the same schema and alone writes errors.
-    """
-    if memo is not None:
-        schema = _parse_lines(source, memo)
-        if schema is not None:
-            return schema
+def parse_schema(source: str) -> ClassSchema:
+    """Parse a ``.esc`` class definition; trailing content is an error."""
     stream = TokenStream(tokenize(source))
-    version = _version(stream) if stream.at_ident("version") else 1
-    name, generic_params = _header(stream)
-    attributes: list[Attribute] = []
-    while stream.at_ident() and stream.peek().text not in ("invariant", "end"):
-        attributes.append(_attribute(stream, generic_params))
-        if stream.at_op(","):
-            stream.next()
-    clauses: list[InvariantClause] = []
-    if stream.at_ident("invariant"):
+    version = 1
+    if stream.at_ident("version"):
         stream.next()
-        while stream.at_ident() and stream.peek().text != "end":
-            clauses.append(_clause(stream))
-            if stream.at_op(";"):
-                stream.next()
-    stream.expect_ident("end")
-    trailing = stream.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(
-            f"unparsed trailing content starting at {trailing.text!r}",
-            trailing.line,
-            trailing.column,
-        )
-    return ClassSchema(
-        name=name,
-        generic_params=generic_params,
-        attributes=tuple(attributes),
-        invariant=InvariantExpr(tuple(clauses)),
-        version=version,
-    )
-
-
-def _parse_lines(source: str, memo: dict) -> ClassSchema | None:
-    """The schema of a text with one production per line: ``version N``,
-    the ``class`` header, one attribute per line, ``invariant``, one clause
-    per line and ``end``. Each line is parsed only when ``memo`` lacks it,
-    and stored only when it parses. None for a text laid out otherwise or
-    with a line that does not parse on its own.
-
-    No token spans a line break, and the first token of each next line ends
-    the production before it, so when every line parses the whole-text
-    parser reads the same productions from the same tokens.
-    """
-    lines = source.split("\n")
-    if lines[-2:] != ["end", ""]:
-        return None
-    body = lines[2:-2]
-    split = body.index("invariant") if "invariant" in body else len(body)
-    try:
-        version = _line(memo, lines[0], _version)
-        name, generic_params = _line(memo, lines[1], _header)
-        attributes = [_line(memo, line, _attribute, generic_params) for line in body[:split]]
-        clauses = [_line(memo, line, _clause) for line in body[split + 1:]]
-    except ParseError:
-        return None
-    invariant = InvariantExpr(tuple(clauses))
-    return ClassSchema(name, generic_params, tuple(attributes), invariant, version)
-
-
-def _line(memo: dict, line: str, production, *args):
-    """``production(stream, *args)`` over the whole of one line, looked up in
-    ``memo`` under the production, the line and ``args``."""
-    key = (production, line, *args)
-    value = memo.get(key)
-    if value is None:
-        stream = TokenStream(tokenize(line))
-        value = production(stream, *args)
-        if stream.peek().kind != "EOF":
-            raise stream.error("more than one production on the line")
-        memo[key] = value
-    return value
-
-
-def _version(stream: TokenStream) -> int:
-    stream.expect_ident("version")
-    return exprs.parse_version(stream)
-
-
-def _header(stream: TokenStream) -> tuple[str, tuple[str, ...]]:
-    """``class NAME [P, ...] feature``: the name and the generic parameters."""
+        version = exprs.parse_version(stream)
     stream.expect_ident("class")
     name = _class_ident(stream)
     generic_params: list[str] = []
@@ -384,24 +301,45 @@ def _header(stream: TokenStream) -> tuple[str, tuple[str, ...]]:
             break
         stream.expect_op("]")
     stream.expect_ident("feature")
-    return name, tuple(generic_params)
-
-
-def _attribute(stream: TokenStream, params: tuple[str, ...]) -> Attribute:
-    tok = stream.peek()
-    name = _class_ident(stream)
-    if name in params:
+    params = tuple(generic_params)
+    attributes: list[Attribute] = []
+    while stream.at_ident() and stream.peek().text not in ("invariant", "end"):
+        tok = stream.peek()
+        attr_name = _class_ident(stream)
+        if attr_name in params:
+            raise ParseError(
+                f"name {attr_name!r} is both a generic parameter and an attribute",
+                tok.line,
+                tok.column,
+            )
+        stream.expect_op(":")
+        attributes.append(Attribute(attr_name, _parse_type(stream, params)))
+        if stream.at_op(","):
+            stream.next()
+    clauses: list[InvariantClause] = []
+    if stream.at_ident("invariant"):
+        stream.next()
+        while stream.at_ident() and stream.peek().text != "end":
+            tag = _class_ident(stream)
+            stream.expect_op(":")
+            clauses.append(InvariantClause(tag, _parse_or(stream)))
+            if stream.at_op(";"):
+                stream.next()
+    stream.expect_ident("end")
+    trailing = stream.peek()
+    if trailing.kind != "EOF":
         raise ParseError(
-            f"name {name!r} is both a generic parameter and an attribute", tok.line, tok.column
+            f"unparsed trailing content starting at {trailing.text!r}",
+            trailing.line,
+            trailing.column,
         )
-    stream.expect_op(":")
-    return Attribute(name, _parse_type(stream, params))
-
-
-def _clause(stream: TokenStream) -> InvariantClause:
-    tag = _class_ident(stream)
-    stream.expect_op(":")
-    return InvariantClause(tag, _parse_or(stream))
+    return ClassSchema(
+        name=name,
+        generic_params=params,
+        attributes=tuple(attributes),
+        invariant=InvariantExpr(tuple(clauses)),
+        version=version,
+    )
 
 
 _TYPE_TOO_DEEP = f"type expression nested deeper than {exprs.MAX_DEPTH} levels"

@@ -353,6 +353,30 @@ def test_migrate_no_assert_emits_corrupt_object(bank_project_stub):
     assert graph.records[0].fields["balance"] == 0  # the corrupt object
 
 
+@pytest.mark.parametrize("handler, inputs", [
+    (None, ["--inputs", "A.p=Void"]),  # the generated stub, fed Void
+    ("transform A from 1 to 2\n  Result.x := oldc.x\nend\n", []),  # p left to its default
+], ids=["stub", "hand-edited"])
+def test_migrate_refuses_a_void_attached_attribute(tmp_path, handler, inputs):
+    project = tmp_path / "proj"
+    project.mkdir()
+    for number, body in [(1, "  x: INTEGER\n"), (2, "  x: INTEGER\n  p: attached A\n")]:
+        working = tmp_path / f"w{number}"
+        working.mkdir()
+        (working / "A.esc").write_text(f"class A feature\n{body}end\n", encoding="utf-8")
+        assert run_cli("release", str(working), "--project", str(project))[0] == 0
+    if handler is not None:
+        (project / "handlers" / "A" / "1_to_2.est").write_text(handler, encoding="utf-8")
+    records = tmp_path / "a.eso"
+    records.write_text("ESCHER-OBJECTS 1\nobj 0 A version 1\n  x: INTEGER = 5\nend\n",
+                       encoding="utf-8")
+    command = ["migrate", str(records), "--to-release", "2", *inputs, "--project", str(project)]
+    assert run_cli(*command)[:2] == (1, "AttachmentViolation p\n")
+    code, out, _ = run_cli(*command, "--no-assert")
+    assert code == 0
+    assert deserialize(out).records[0].fields == {"x": 5, "p": None}
+
+
 def test_migrate_missing_transformer(bank_project):
     handler = bank_project / "handlers" / "BANK_ACCOUNT" / "1_to_2.est"
     handler.unlink()

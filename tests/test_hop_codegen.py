@@ -2,7 +2,7 @@
 
 ``objects.interpret_transformer`` runs a record through the function
 ``objects.generate_hop`` builds for (transformer, attribute order,
-``check_attached``) and, when the function raises or was not built, through
+``attached`` attributes, ``check_attached``) and, when the function raises or was not built, through
 the step loop. Here the same hop also runs with no function at all. Both
 must give the same fields in the same order with the same value classes,
 the same warnings, or the same error class, text and attributes
@@ -50,7 +50,7 @@ def steps_alone(t, old, inputs, schema, check_attached):
 
 
 def was_built(t, schema, check_attached) -> bool:
-    return t.hops[schema.attribute_names(), check_attached] is not None
+    return t.hops[schema.record_shape, check_attached] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,28 @@ def test_a_named_hop_is_built_or_not_and_agrees_with_the_steps(
     else:
         assert result == [(name, value.__class__, value) for name, value in expected]
         assert len(warnings) == (0 if built else 1)
+
+
+@pytest.mark.parametrize("body, check_attached, built, expected", [
+    ("Result.x := oldc.x\n  Result.p := oldc.p\n", True, True, "AttachmentViolation"),
+    ("Result.x := oldc.x\n  Result.p := oldc.p\n", False, True, [("x", 1), ("p", None)]),
+    ("Result.x := oldc.x\n", True, False, "AttachmentViolation"),  # p takes its default, Void
+    ("Result.x := oldc.x\n", False, False, [("x", 1), ("p", None)]),
+], ids=["assigned", "assigned, check_attached off", "unassigned", "unassigned, check_attached off"])
+def test_a_void_attached_attribute_fails_the_hop_while_checks_are_on(
+    body, check_attached, built, expected
+):
+    t = parse_transformer(f"transform C from 1 to 2\n  {body}end\n")
+    schema = parse_schema("version 2 class C feature x: INTEGER p: attached C end")
+    old = ObjectRecord(0, "C", 1, {"x": 1, "p": None})
+    got = outcome(t, old, {}, schema, check_attached)
+    assert got == steps_alone(t, old, {}, schema, check_attached)
+    assert was_built(t, schema, check_attached) is built
+    result, _ = got
+    if isinstance(expected, str):
+        assert (result[0].__name__, result[1]) == (expected, "p")
+    else:
+        assert result == [(name, value.__class__, value) for name, value in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from escher import exprs  # noqa: E402
 from escher.errors import AttachmentViolation, EvaluationError, MissingAttribute  # noqa: E402
 from escher.objects import ObjectRecord, interpret_transformer, type_default  # noqa: E402
+from escher.schema import Attached  # noqa: E402
 from escher.transformer import Assign, CheckAttached, Noop, ObjectTransformer  # noqa: E402
 
 from helpers import random_schema  # noqa: E402
@@ -66,6 +67,9 @@ def oracle(t, old, inputs, *, new_schema, check_attached=True, warnings=None):
                     f"{t.from_version}->{t.to_version} transformer; default used"
                 )
             fields[attr.name] = type_default(attr.declared_type)
+    for attr in new_schema.attributes:
+        if check_attached and isinstance(attr.declared_type, Attached) and fields[attr.name] is None:
+            raise AttachmentViolation(attr.name)
     return ObjectRecord(old.id, t.class_name, t.to_version, fields)
 
 

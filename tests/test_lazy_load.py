@@ -105,13 +105,13 @@ def parses(monkeypatch) -> list[str]:
     seen: list[str] = []
     parse_schema_, parse_transformer_ = repository.parse_schema, repository.parse_transformer
 
-    def schema(source, *rest):
+    def schema(source):
         seen.append(f"schema {source}")
-        return parse_schema_(source, *rest)
+        return parse_schema_(source)
 
-    def transformer(source, *rest):
+    def transformer(source):
         seen.append(f"handler {source}")
-        return parse_transformer_(source, *rest)
+        return parse_transformer_(source)
 
     monkeypatch.setattr(repository, "parse_schema", schema)
     monkeypatch.setattr(repository, "parse_transformer", transformer)

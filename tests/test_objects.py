@@ -761,8 +761,8 @@ def _count_builds(monkeypatch) -> list:
     builds: list = []
     original = objects.generate_hop
 
-    def counted(t, order, check_attached):
-        hop = original(t, order, check_attached)
+    def counted(t, order, attached, check_attached):
+        hop = original(t, order, attached, check_attached)
         builds.append((t, order, check_attached, hop is not None))
         return hop
 

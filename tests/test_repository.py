@@ -240,9 +240,9 @@ def _count_parses(monkeypatch) -> list[str]:
     texts: list[str] = []
     parse = repository.parse_schema
 
-    def counting(source, *rest):
+    def counting(source):
         texts.append(source)
-        return parse(source, *rest)
+        return parse(source)
 
     monkeypatch.setattr(repository, "parse_schema", counting)
     return texts

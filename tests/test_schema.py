@@ -109,6 +109,22 @@ def test_parse_errors(source):
         parse_schema(source)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("class C [G] feature G: INTEGER end\n", 1, 21),
+        ("class C [H, G] feature\n  x: G\n  G: INTEGER\n  G: REAL\nend\n", 3, 3),
+    ],
+)
+def test_a_generic_parameter_named_as_an_attribute_is_a_parse_error(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_schema(text)
+    message = "name 'G' is both a generic parameter and an attribute"
+    assert (exc.value.line, exc.value.column, str(exc.value)) == (
+        line, column, f"line {line}, column {column}: {message}"
+    )
+
+
 def test_oversized_version_header_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_schema("version " + "9" * 5000 + "\nclass C feature end")

@@ -300,6 +300,16 @@ def test_header_versions_are_parse_errors_at_their_token(header, column, message
     assert (exc.value.line, exc.value.column, exc.value.args[0]) == (1, column, message)
 
 
+def test_a_failing_statement_raises_at_its_own_line_in_each_file():
+    bad = "  Result.x := oldc.\n"
+    first = "transform C from 1 to 2\n" + bad + "end\n"
+    second = "transform C from 2 to 3\n  Result.y := oldc.y\n  noop\n" + bad + "end\n"
+    for text, line in [(first, 2), (second, 4), (first, 2)]:
+        with pytest.raises(ParseError) as exc:
+            parse_transformer(text)
+        assert exc.value.line == line
+
+
 def test_negative_literals_round_trip():
     text = "transform C from 1 to 2\n  Result.x := oldc.a - -3\nend\n"
     t = parse_transformer(text)
