@@ -74,14 +74,15 @@ def line_int(digits: str, line: int) -> int:
         raise FormatError(line, f"number too large: {len(digits)} digits") from None
 
 
-def tokenize(source: str, *, start_line: int = 1) -> list[Token]:
-    """Lex ``source`` into tokens, dropping comments and whitespace.
+def tokenize(source: str, *, start_line: int = 1, start_column: int = 1) -> list[Token]:
+    """Lex ``source`` into tokens, dropping comments and whitespace. Its first
+    character is at ``start_line`` and ``start_column``.
 
     A trailing EOF token is always appended so parsers can peek safely.
     """
     tokens: list[Token] = []
     line = start_line
-    line_start = 0
+    line_start = 1 - start_column
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)

@@ -9,8 +9,9 @@ Two sub-languages draw from one node pool:
 
 Both parse arithmetic and literals with ``parse_arith`` and supply only
 their own primaries. A literal is a ``Lit`` holding the runtime value itself.
-``parse_literal`` is the one literal grammar and ``render_value`` the one
-literal renderer, for expressions, ``.eso`` fields and ``--inputs`` alike.
+``parse_literal`` is the one literal grammar and ``RENDERING`` the one
+literal renderer (``render_value`` looks it up), for expressions, ``.eso``
+fields and ``--inputs`` alike.
 Rendering inserts parentheses exactly where reparsing would otherwise
 associate differently, so render/parse is structurally lossless.
 
@@ -310,24 +311,30 @@ def render_real(value: float) -> str:
     return text
 
 
+def _render_finite(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("non-finite reals are not serializable")
+    return render_real(value)
+
+
+#: Per value class, its ``.eso`` annotation and its literal text. A ``ref``'s
+#: annotation is None here: it is the class of the record the ``ref`` names.
+RENDERING: Mapping[type, tuple[str | None, Callable[[ObjectValue], str]]] = MappingProxyType({
+    int: ("INTEGER", str),
+    str: ("STRING", escape_string),
+    RefVal: (None, lambda value: f"ref {value.object_id}"),
+    float: ("REAL", _render_finite),
+    bool: ("BOOLEAN", lambda value: "true" if value else "false"),
+    type(None): ("NONE", lambda value: "Void"),
+})
+
+
 def render_value(value: ObjectValue) -> str:
     """The literal text of ``value``: an ``.eso`` field's value, or a ``Lit``."""
-    cls = value.__class__
-    if cls is int:
-        return str(value)
-    if cls is str:
-        return escape_string(value)
-    if cls is RefVal:
-        return f"ref {value.object_id}"
-    if cls is float:
-        if not math.isfinite(value):
-            raise ValueError("non-finite reals are not serializable")
-        return render_real(value)
-    if cls is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "Void"
-    raise TypeError(f"not an object value: {value!r}")
+    entry = RENDERING.get(value.__class__)
+    if entry is None:
+        raise TypeError(f"not an object value: {value!r}")
+    return entry[1](value)
 
 
 def render_expr(expr: Expr) -> str:

@@ -33,8 +33,11 @@ letting a default-initialized object into the system.
 
 from __future__ import annotations
 
+import gc
+import math
 import re
 from dataclasses import dataclass
+from functools import wraps
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import Assign, CheckAttached, ObjectTransformer
-from .values import PRIMITIVE_KINDS, ObjectValue, RefVal, check_value
+from .values import INT64_MAX, INT64_MIN, PRIMITIVE_KINDS, ObjectValue, RefVal, check_value
 
 if TYPE_CHECKING:
     from .repository import Repository
@@ -109,6 +112,11 @@ _set_id, _set_class_name, _set_version, _set_fields = (
 
 @dataclass(frozen=True, slots=True)
 class ObjectGraph:
+    """Records with dense ids, record 0 the root. The constructor refuses a
+    value no field may hold and a ``ref`` past the last record; ``deserialize``
+    and ``retrieve``, which check each value as they make it, build theirs
+    through ``_checked_graph`` instead."""
+
     records: tuple[ObjectRecord, ...]
 
     def __post_init__(self) -> None:
@@ -126,6 +134,35 @@ class ObjectGraph:
                     raise DanglingReference(value.object_id)
 
 
+_set_records = ObjectGraph.records.__set__
+
+
+def _checked_graph(records: tuple[ObjectRecord, ...]) -> ObjectGraph:
+    """The graph of ``records``, whose ids are dense and whose values were
+    each checked as they were made, without ``__post_init__``'s walk."""
+    graph = object.__new__(ObjectGraph)
+    _set_records(graph, records)
+    return graph
+
+
+def _no_gc(build: Callable) -> Callable:
+    """``build`` with cyclic garbage collection paused while it runs: the
+    records it makes all live on, so a pass over them frees nothing. A
+    collector the caller had disabled stays disabled."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # Canonical text form
 # ---------------------------------------------------------------------------
@@ -133,30 +170,30 @@ class ObjectGraph:
 _HEADER = "ESCHER-OBJECTS 1"
 
 
-# The one value class each annotation admits, and back, as ``serialize``
-# writes them: a name no primitive kind has is the class of a ``ref``'s target.
+# The one value class each annotation admits: a name no primitive kind has
+# is the class of a ``ref``'s target.
 _KIND_CLASS = {name: cls for name, (cls, _) in PRIMITIVE_KINDS.items()}
-_KIND_NAME = {cls: name for name, cls in _KIND_CLASS.items()}
-
-
-def _annotation(value: ObjectValue, graph: ObjectGraph) -> str:
-    return _KIND_NAME.get(value.__class__) or graph.records[value.object_id].class_name
 
 
 def serialize(graph: ObjectGraph) -> str:
     """Byte-exact canonical text; field order is preserved."""
     lines = [_HEADER]
-    for record in graph.records:
-        lines.append(f"obj {record.id} {record.class_name} version {record.version}")
+    append, records, rendering = lines.append, graph.records, exprs.RENDERING
+    for record in records:
+        append(f"obj {record.id} {record.class_name} version {record.version}")
         for name, value in record.fields.items():
-            lines.append(f"  {name}: {_annotation(value, graph)} = {exprs.render_value(value)}")
-        lines.append("end")
+            annotation, render = rendering[value.__class__]
+            if annotation is None:
+                annotation = records[value.object_id].class_name
+            append(f"  {name}: {annotation} = {render(value)}")
+        append("end")
     return "\n".join(lines) + "\n"
 
 
 _OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({IDENT})\s+version\s+(\d+)\s*\Z")
 
 
+@_no_gc
 def deserialize(text: str) -> ObjectGraph:
     """The graph an ``.eso`` text holds. A file exactly as ``serialize``
     writes it is read a record block at a time; any other text goes through
@@ -185,13 +222,14 @@ _BLOCK_FIELD_RE = re.compile(
 
 def _deserialize_blocks(text: str) -> ObjectGraph | None:
     """The graph of a text exactly as ``serialize`` writes it, or None for
-    any deviation, error or not: the line parser alone reports errors."""
+    any deviation, error or not: the line parser alone reports errors. Each
+    value is checked as it is converted, each ``ref`` target once."""
     if not text.startswith(_HEADER + "\n"):
         return None
     records: list[ObjectRecord] = []
-    ref_classes: dict[int, str] = {}  # target id -> the class its refs annotate
+    refs: dict[int, tuple[RefVal, str]] = {}  # target id -> its one RefVal, the class refs annotate
     pos, total = len(_HEADER) + 1, len(text)
-    match_block, field_rows = _BLOCK_RE.match, _BLOCK_FIELD_RE.findall
+    match_block, field_rows, finite = _BLOCK_RE.match, _BLOCK_FIELD_RE.findall, math.isfinite
     try:
         while pos < total:
             block = match_block(text, pos)
@@ -206,29 +244,37 @@ def _deserialize_blocks(text: str) -> ObjectGraph | None:
             for name, integer, string, ref_class, ref, void, boolean, real in rows:
                 if integer:
                     value = int(integer)
+                    if not INT64_MIN <= value <= INT64_MAX:
+                        return None
                 elif string:
                     value = unescape_string(string, 0, 0)
                 elif ref:
-                    value = RefVal(int(ref))
-                    if ref_classes.setdefault(value.object_id, ref_class) != ref_class:
+                    target = int(ref)
+                    interned = refs.get(target)
+                    if interned is None:
+                        interned = refs[target] = (RefVal(target), ref_class)
+                    elif interned[1] != ref_class:
                         return None
+                    value = interned[0]
                 elif void:
                     value = None
                 elif boolean:
                     value = boolean == "true"
                 else:
                     value = float(real)
+                    if not finite(value):
+                        return None
                 fields[name] = value
             if len(fields) != len(rows):  # a duplicate field name
                 return None
             records.append(ObjectRecord(len(records), class_name, int(version), fields))
-        graph = ObjectGraph(tuple(records))
-    except (ValueError, DanglingReference):  # int64 range, finite, version, no records
+    except ValueError:  # more digits than int() converts, version 0
         return None
-    for target, annotation in ref_classes.items():
-        if records[target].class_name != annotation:
+    count = len(records)
+    for target, (_, annotation) in refs.items():
+        if target >= count or records[target].class_name != annotation:
             return None
-    return graph
+    return _checked_graph(tuple(records)) if records else None
 
 
 def _deserialize_lines(text: str) -> ObjectGraph:
@@ -509,6 +555,7 @@ def generate_hop(
 _Plan = tuple[list[tuple[int, ObjectTransformer]], dict[str, ObjectValue]]
 
 
+@_no_gc
 def retrieve(
     graph: ObjectGraph,
     repo: "Repository",
@@ -527,8 +574,13 @@ def retrieve(
     chain of registered transformers is composed, unless ``allow_composition``
     is off; only the final schema's invariant is checked. ``assertions`` off
     reproduces the tolerant retrieval the invariant gate exists to prevent.
+    The graph it returns is not walked again: its stored values were checked
+    with ``graph``, its inputs and ``ref`` literals by ``_plan``, other
+    literals when built, and each computed value by the operator or
+    converter that made it.
     """
     inputs = inputs or {}
+    count = len(graph.records)
     plans: dict[tuple[str, int], _Plan] = {}  # keyed by (class, stored version)
     migrated: list[ObjectRecord] = []
     for record in graph.records:
@@ -540,7 +592,7 @@ def retrieve(
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _plan(
-                    repo, class_name, record.version, target, inputs, allow_composition
+                    repo, class_name, record.version, target, inputs, allow_composition, count
                 )
             hops, class_inputs = plan
             for hop_to, transformer in hops:
@@ -555,7 +607,7 @@ def retrieve(
         if assertions:
             eval_invariant(current, repo.schema_for(class_name, target))
         migrated.append(current)
-    return ObjectGraph(tuple(migrated))
+    return _checked_graph(tuple(migrated))
 
 
 def _plan(
@@ -565,7 +617,10 @@ def _plan(
     goal: int,
     inputs: Mapping[tuple[str, str], ObjectValue],
     allow_composition: bool,
+    count: int,
 ) -> _Plan:
+    """The hops and the class's inputs. No input, read or not, and no ``ref``
+    a hop assigns as a literal may name a record past the graph's ``count``."""
     handlers = repo.handlers_for(class_name)
     if handlers is None:
         raise HandlerMissing(class_name)
@@ -576,5 +631,11 @@ def _plan(
     class_inputs = {attr: value for (cls, attr), value in inputs.items() if cls == class_name}
     for value in class_inputs.values():
         check_value(value)
+        if value.__class__ is RefVal and value.object_id >= count:
+            raise DanglingReference(value.object_id)
+    for _, transformer in hops:
+        for target in transformer.ref_literals:
+            if target >= count:
+                raise DanglingReference(target)
     return hops, class_inputs
 

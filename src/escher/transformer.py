@@ -45,6 +45,7 @@ from .smo import (
     Renamed,
     TypeChanged,
 )
+from .values import RefVal
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,14 @@ class ObjectTransformer:
     def assigned_targets(self) -> frozenset[str]:
         """Every ``Assign`` target; a hop fills defaults only where these fall short."""
         return frozenset(i.target_name for i in self.instructions if i.__class__ is Assign)
+
+    @cached_property
+    def ref_literals(self) -> tuple[int, ...]:
+        """The id each ``Assign`` whose source is a ``ref`` literal writes;
+        only a hand-built transformer holds one."""
+        return tuple(i.expr.value.object_id for i in self.instructions
+                     if i.__class__ is Assign and i.expr.__class__ is exprs.Lit
+                     and i.expr.value.__class__ is RefVal)
 
     @cached_property
     def steps(self) -> tuple[tuple[type, str, exprs.Compiled | None], ...]:
@@ -235,15 +244,16 @@ def parse_transformer(source: str) -> ObjectTransformer:
         line = raw.strip()
         if not line:
             continue
+        column = len(raw) - len(raw.lstrip()) + 1  # of the line's first character
         if line.startswith(_WARNING_PREFIX):
             pending_warning = line[len(_WARNING_PREFIX):].strip()
             continue
         if line.startswith("--"):
             continue
         if ended:
-            raise ParseError(f"unparsed trailing content {line!r}", lineno, 1)
+            raise ParseError(f"unparsed trailing content {line!r}", lineno, column)
         if header is None:
-            header = _parse_header(line, lineno)
+            header = _parse_header(line, lineno, column)
             continue
         if line == "end":
             ended = True
@@ -253,7 +263,7 @@ def parse_transformer(source: str) -> ObjectTransformer:
             pending_warning = None
             continue
         pending_warning = None
-        instructions.append(_parse_statement(line, lineno))
+        instructions.append(_parse_statement(line, lineno, column))
     if header is None:
         raise ParseError("missing transform header", 1, 1)
     if not ended:
@@ -262,8 +272,8 @@ def parse_transformer(source: str) -> ObjectTransformer:
     return ObjectTransformer(name, from_version, to_version, tuple(instructions))
 
 
-def _parse_header(line: str, lineno: int) -> tuple[str, int, int]:
-    stream = TokenStream(tokenize(line, start_line=lineno))
+def _parse_header(line: str, lineno: int, column: int) -> tuple[str, int, int]:
+    stream = TokenStream(tokenize(line, start_line=lineno, start_column=column))
     stream.expect_ident("transform")
     name = stream.expect_ident().text
     stream.expect_ident("from")
@@ -277,8 +287,8 @@ def _parse_header(line: str, lineno: int) -> tuple[str, int, int]:
     return name, from_version, to_version
 
 
-def _parse_statement(line: str, lineno: int) -> TransformerInstr:
-    stream = TokenStream(tokenize(line, start_line=lineno))
+def _parse_statement(line: str, lineno: int, column: int) -> TransformerInstr:
+    stream = TokenStream(tokenize(line, start_line=lineno, start_column=column))
     if stream.at_ident("require_attached"):
         stream.next()
         stream.expect_ident("Result")

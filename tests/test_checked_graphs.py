@@ -1,0 +1,246 @@
+"""Graphs ``deserialize`` and ``retrieve`` build without the public
+constructor's walk, and the collector pause around both.
+
+Both check each value as they make it and build their graph through
+``objects._checked_graph``. Whatever they return must be a graph the public,
+validating ``ObjectGraph(...)`` accepts as it stands. ``retrieve`` refuses a
+``ref`` input past the graph's end whether or not a transformer reads it.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from escher import exprs, objects  # noqa: E402
+from escher.errors import DanglingReference, EscherError, FormatError  # noqa: E402
+from escher.objects import ObjectGraph, ObjectRecord, deserialize, retrieve, serialize  # noqa: E402
+from escher.repository import RegisteredTransformer, Release, Repository, content_digest  # noqa: E402
+from escher.schema import parse_schema  # noqa: E402
+from escher.transformer import Assign, ObjectTransformer  # noqa: E402
+from escher.values import INT64_MAX, INT64_MIN, PRIMITIVE_KINDS, RefVal  # noqa: E402
+from helpers import random_graph  # noqa: E402
+
+CLASSES = ("NODE", "ITEM", "CELL")
+VERSIONS = (1, 2, 3)
+FIELDS = ("f0", "f1", "f2", "f3")
+SCHEMAS = {
+    (name, v): parse_schema(
+        f"version {v} class {name} feature " + " ".join(f"{f}: INTEGER" for f in FIELDS) + " end"
+    )
+    for name in CLASSES
+    for v in VERSIONS
+}
+RELEASES = tuple(Release(v, {name: SCHEMAS[name, v] for name in CLASSES}) for v in VERSIONS)
+
+plain_values = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([True, False, None, "", "12", "-7", "1.5", "1e999", 'a "b"\n']),
+)
+
+
+@st.composite
+def migrations(draw):
+    """A graph of up to six records, each with every field, some of them
+    ``ref``s; one source per (class, field) that every hop of the class
+    assigns; inputs; and target versions."""
+    count = draw(st.integers(1, 6))
+    values = st.one_of(plain_values, st.integers(0, count - 1).map(RefVal))
+    graph = ObjectGraph(tuple(
+        ObjectRecord(i, draw(st.sampled_from(CLASSES)), draw(st.sampled_from(VERSIONS)),
+                     draw(st.fixed_dictionaries({f: values for f in FIELDS})))
+        for i in range(count)
+    ))
+    leaves = st.one_of(
+        st.sampled_from(FIELDS).map(exprs.OldField),
+        st.sampled_from(FIELDS).map(exprs.OldField),
+        st.just(exprs.InputRef("k")),
+        values.map(exprs.Lit),
+    )
+    sources = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(exprs.BinOp, st.sampled_from(exprs.ARITH_OPS), inner, inner),
+            st.builds(exprs.Convert, st.sampled_from(sorted(exprs.CONVERTERS)), inner),
+        ),
+        max_leaves=3,
+    )
+    bodies = {name: draw(st.tuples(*[sources] * len(FIELDS))) for name in CLASSES}
+    inputs = {(name, "k"): draw(values) for name in CLASSES}
+    targets = {name: draw(st.sampled_from(VERSIONS)) for name in CLASSES}
+    return graph, bodies, inputs, targets
+
+
+def repository(bodies) -> Repository:
+    """Every hop between two versions of a class assigns the class's body."""
+    handlers = {}
+    for name, body in bodies.items():
+        entries = {}
+        for a in VERSIONS:
+            for b in VERSIONS:
+                if a != b:
+                    t = ObjectTransformer(name, a, b, tuple(map(Assign, FIELDS, body)))
+                    text = f"{name} {a} {b}"
+                    entries[a, b] = RegisteredTransformer(text, content_digest(text), parse=lambda t=t: t)
+        handlers[name] = entries
+    return Repository("checked", RELEASES, handlers)
+
+
+def assert_accepted_as_it_stands(graph: ObjectGraph) -> None:
+    rebuilt = ObjectGraph(graph.records)  # the public constructor's walk
+    assert rebuilt == graph
+    assert serialize(rebuilt) == serialize(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_graph_deserialize_returns_passes_the_public_constructor(seed):
+    graph = random_graph(random.Random(seed))
+    read = deserialize(serialize(graph))
+    assert_accepted_as_it_stands(read)
+    assert read == graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(migrations(), st.booleans())
+def test_every_graph_retrieve_returns_passes_the_public_constructor(case, assertions):
+    graph, bodies, inputs, targets = case
+    try:
+        out = retrieve(graph, repository(bodies), targets, inputs, assertions=assertions)
+    except EscherError:
+        return
+    assert_accepted_as_it_stands(out)
+    assert [(r.id, r.class_name) for r in out.records] == [(r.id, r.class_name) for r in graph.records]
+
+
+# The outcome the line parser alone gives, graph or error, as the block
+# path must (``_deserialize_blocks`` steps aside for every one of these).
+EIGHT = "ESCHER-OBJECTS 1\n" + "".join(
+    f"obj {i} {'ITEM' if i == 7 else 'NODE'} version 1\n{{{i}}}end\n" for i in range(8)
+)
+
+
+def eight(first: str) -> str:
+    return EIGHT.format(first, *[""] * 7)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  n: INTEGER = 9223372036854775808\nend\n",
+     "FormatError 3 line 3, column 16: integer literal outside the 64-bit range"),
+    ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  n: INTEGER = -9223372036854775809\nend\n",
+     "FormatError 3 line 3, column 16: integer literal outside the 64-bit range"),
+    ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  r: REAL = 1.0e999\nend\n",
+     "FormatError 3 line 3, column 13: real literal out of range"),
+    ("ESCHER-OBJECTS 1\nobj 0 NODE version 1\n  next: NODE = ref 1\nend\n",
+     "DanglingReference 1"),
+    (eight("  a: ITEM = ref 7\n  b: ITEM = ref 07\n"), None),
+    (eight("  a: ITEM = ref 7\n  b: NODE = ref 07\n"),
+     "FormatError 4 field 'b' is annotated NODE, but record 7 is of class ITEM"),
+    (eight("  a: NODE = ref 07\n  b: ITEM = ref 7\n"),
+     "FormatError 3 field 'a' is annotated NODE, but record 7 is of class ITEM"),
+])
+def test_deserialize_gives_the_line_parsers_outcome(text, expected):
+    assert objects._deserialize_blocks(text) is None or expected is None
+    for parse in (deserialize, objects._deserialize_lines):
+        try:
+            graph = parse(text)
+        except EscherError as err:
+            assert err.cli_line() == expected
+        else:
+            assert expected is None
+            assert graph.records[0].fields == {"a": RefVal(7), "b": RefVal(7)}
+
+
+def test_a_read_file_holds_one_ref_value_per_target():
+    graph = deserialize(eight("  a: ITEM = ref 7\n  b: ITEM = ref 7\n"))
+    fields = graph.records[0].fields
+    assert fields["a"] is fields["b"]
+
+
+def test_the_rendering_table_annotates_each_kind_by_its_name():
+    assert {cls: name for cls, (name, _) in exprs.RENDERING.items()} == {
+        **{cls: name for name, (cls, _) in PRIMITIVE_KINDS.items()}, RefVal: None,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Dangling ``ref`` inputs
+# ---------------------------------------------------------------------------
+
+ONE = ObjectGraph((ObjectRecord(0, "NODE", 1, dict.fromkeys(FIELDS, 0)),))
+COPY = tuple(map(exprs.OldField, FIELDS))
+
+
+@pytest.mark.parametrize("body", [COPY, (exprs.InputRef("k"), *COPY[1:])], ids=["unread", "read"])
+def test_a_ref_input_past_the_graph_is_refused_read_or_not(body):
+    repo = repository({"NODE": body})
+    with pytest.raises(DanglingReference) as exc:
+        retrieve(ONE, repo, {"NODE": 2}, {("NODE", "k"): RefVal(1)})
+    assert exc.value.ref_id == 1
+    out = retrieve(ONE, repo, {"NODE": 2}, {("NODE", "k"): RefVal(0)})
+    assert out.records[0].version == 2
+
+
+def test_a_ref_literal_past_the_graph_is_refused():
+    repo = repository({"NODE": (exprs.Lit(RefVal(3)), *COPY[1:])})
+    with pytest.raises(DanglingReference) as exc:
+        retrieve(ONE, repo, {"NODE": 2})
+    assert exc.value.ref_id == 3
+
+
+# ---------------------------------------------------------------------------
+# The collector pause
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["gc enabled", "gc disabled"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+CALLS = {
+    "deserialize returns": lambda: deserialize(serialize(ONE)),
+    "deserialize raises": lambda: deserialize("ESCHER-OBJECTS 1\n"),
+    "retrieve returns": lambda: retrieve(ONE, repository({"NODE": COPY}), {"NODE": 2}),
+    "retrieve raises": lambda: retrieve(ONE, repository({"NODE": COPY}), {"NODE": 2},
+                                        {("NODE", "k"): RefVal(5)}),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_the_callers_collector_state_survives(collector, call):
+    try:
+        CALLS[call]()
+    except (FormatError, DanglingReference):
+        assert call.endswith("raises")
+    else:
+        assert call.endswith("returns")
+    assert gc.isenabled() is collector
+
+
+def test_the_collector_is_paused_while_records_are_built(monkeypatch):
+    seen = []
+    for name in ("_deserialize_blocks", "interpret_transformer"):
+        original = getattr(objects, name)
+
+        def spy(*args, original=original, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(objects, name, spy)
+    gc.enable()
+    retrieve(deserialize(serialize(ONE)), repository({"NODE": COPY}), {"NODE": 2})
+    assert seen == [False, False]
+    assert gc.isenabled()

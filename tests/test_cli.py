@@ -8,6 +8,7 @@ from conftest import (
     BANK_V1_TEXT,
     BANK_V2_TEXT,
     FIXTURES,
+    HAND_FIXED_TEXT,
     OTHER_V2,
     run_cli,
 )
@@ -532,7 +533,7 @@ def test_per_project(bank_project):
         ("releases/2/BANK_ACCOUNT.esc", "balance: INTEGER", "balance INTEGER",
          "ParseError releases/2/BANK_ACCOUNT.esc line 3 column 11: found 'INTEGER'"),
         ("handlers/BANK_ACCOUNT/1_to_2.est", " - oldc.tot_withdrawals", " -",
-         "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 3 column 38: found ''"),
+         "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 3 column 40: found ''"),
         ("releases/2/BANK_ACCOUNT.esc", "BANK_ACCOUNT feature", "BANK_ACCOUNT [info] feature",
          "ParseError releases/2/BANK_ACCOUNT.esc line 4 column 3: "
          "name 'info' is both a generic parameter and an attribute"),
@@ -693,6 +694,26 @@ def test_migrate_bad_inputs_value_names_its_entry(bank_project_stub, literal, re
     assert code == 1
     assert out.splitlines()[0] == f"FormatError 1 --inputs BANK_ACCOUNT.info: {reason}"
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("reads_owner", [True, False], ids=["read", "unread"])
+def test_migrate_refuses_a_ref_input_past_the_file_read_or_not(tmp_path, bank_project, reads_owner):
+    project = bank_project
+    if reads_owner:  # a v2 with an ``owner``, which the handler takes from the input
+        repo, _ = release(empty_repository("owned"), {"BANK_ACCOUNT": parse_schema(BANK_V1_TEXT)})
+        v2 = BANK_V2_TEXT.replace("  info: INTEGER\n", "  info: INTEGER\n  owner: BANK_ACCOUNT\n")
+        repo, _ = release(repo, {"BANK_ACCOUNT": parse_schema(v2)})
+        handler = HAND_FIXED_TEXT.replace("end\n", "  Result.owner := input owner\nend\n")
+        repo = register_transformer(repo, parse_transformer(handler), overwrite=True)
+        project = tmp_path / "owned"
+        save_repository(repo, project)
+    code, out, err = run_cli(
+        "migrate", OBJ, "--to-release", "2",
+        "--inputs", "BANK_ACCOUNT.owner=ref 99",
+        "--project", str(project),
+    )
+    assert (code, out) == (1, "DanglingReference 99\n")
+    assert "Traceback" not in err
 
 
 def test_migrate_duplicate_field_name_is_a_format_error_at_its_line(tmp_path, bank_project):

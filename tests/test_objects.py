@@ -305,6 +305,14 @@ def test_type_mismatch_raises():
     assert exc.value.clause_tag == "c"
 
 
+@pytest.mark.parametrize("body", ["true < false", "Void < Void"])
+def test_ordering_two_booleans_or_two_voids_is_a_type_mismatch(body):
+    schema = f"class C feature a: INTEGER invariant c: {body} end"
+    with pytest.raises(TypeMismatchInInvariant) as exc:
+        eval_clause(schema, a=1)
+    assert exc.value.clause_tag == "c"
+
+
 def test_non_boolean_clause_body_raises():
     schema = "class C feature a: INTEGER invariant c: a + 1 end"
     with pytest.raises(TypeMismatchInInvariant):
@@ -372,6 +380,16 @@ def test_interpret_conversion_failure(bank_v1, bank_v2):
     )
     with pytest.raises(ConversionFailure):
         interpret_transformer(t, record, {"balance": 1}, new_schema=bank_v2)
+
+
+@pytest.mark.parametrize("check_attached", [True, False])
+def test_a_real_past_64_bits_fails_its_conversion_to_an_integer(check_attached):
+    new = parse_schema("version 2 class C feature x: INTEGER end")
+    t = parse_transformer("transform C from 1 to 2\n  Result.x := convert REAL_TO_INTEGER (1.0e19)\nend\n")
+    with pytest.raises(ConversionFailure) as exc:
+        interpret_transformer(t, ObjectRecord(0, "C", 1, {}), {}, new_schema=new,
+                              check_attached=check_attached)
+    assert exc.value.cli_line() == "ConversionFailure REAL_TO_INTEGER 1.0e+19"
 
 
 def test_check_attached_raises_on_void():

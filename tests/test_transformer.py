@@ -300,6 +300,21 @@ def test_header_versions_are_parse_errors_at_their_token(header, column, message
     assert (exc.value.line, exc.value.column, exc.value.args[0]) == (1, column, message)
 
 
+@pytest.mark.parametrize(
+    "source, line, column",
+    [
+        ("transform C from 1 to 2\n    Result.x := oldc.x )\nend\n", 2, 24),
+        ("\t transform C from 1 to 1\nend\n", 1, 25),
+        ("transform C from 1 to 2\nend\n   noop\n", 3, 4),
+    ],
+    ids=["statement", "header", "trailing"],
+)
+def test_a_parse_error_column_counts_from_the_start_of_the_file_line(source, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_transformer(source)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_a_failing_statement_raises_at_its_own_line_in_each_file():
     bad = "  Result.x := oldc.\n"
     first = "transform C from 1 to 2\n" + bad + "end\n"
