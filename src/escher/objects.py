@@ -13,8 +13,11 @@ represents shared substructure and cycles without nesting:
 A field's value is written in the literal grammar of the expression
 languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
 its annotation is a primitive kind's name (``values.PRIMITIVE_KINDS``) or, for
-a ``ref``, the class of the record it names. A record's fields are one
-read-only mapping in field order, from parse through migration to render.
+a ``ref``, the class of the record it names. ``deserialize`` reads a file in
+one loop: a record exactly as ``serialize`` writes it is one regex block, and
+any other goes alone through the tokenizer, which alone reports errors. A
+record's fields are one read-only mapping in field order, from parse through
+migration to render.
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
@@ -25,10 +28,9 @@ and decides no error: whatever it raises, the record runs again through the
 step loop over compiled sources, which alone raises errors and writes
 warnings. A transformer that leaves defaults to fill, or that the generator
 cannot write, runs the step loop for every record. Invariant clauses run
-compiled.
-Migration failures are loud by design: a missing handler, a missing
-transformation, or a violated invariant each raises its own error instead of
-letting a default-initialized object into the system.
+compiled. Migration failures are loud by design: a missing handler, a
+missing transformation, or a violated invariant each raises its own error
+instead of letting a default-initialized object into the system.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from ._lex import IDENT, TokenStream, line_int, tokenize, unescape_string
 from .errors import (
     AttachmentViolation,
     DanglingReference,
+    EscherError,
     EvaluationError,
     FormatError,
     HandlerMissing,
@@ -72,10 +75,10 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, slots=True, eq=False)
 class ObjectRecord:
     """One stored object; ``fields`` is a read-only view, in field order, of
-    the dict it is built from. Field order fixes the ``.eso`` text, but
-    equality ignores it, as dict equality does. Equal records hold values of
-    one kind in each field, so ``1``, ``1.0`` and ``true`` differ. Records
-    are unhashable."""
+    the dict it is built from, until an ``ObjectGraph(...)`` copies it.
+    Field order fixes the ``.eso`` text, but equality ignores it, as dict
+    equality does. Equal records hold values of one kind in each field, so
+    ``1``, ``1.0`` and ``true`` differ. Records are unhashable."""
 
     id: int
     class_name: str
@@ -113,9 +116,10 @@ _set_id, _set_class_name, _set_version, _set_fields = (
 @dataclass(frozen=True, slots=True)
 class ObjectGraph:
     """Records with dense ids, record 0 the root. The constructor refuses a
-    value no field may hold and a ``ref`` past the last record; ``deserialize``
-    and ``retrieve``, which check each value as they make it, build theirs
-    through ``_checked_graph`` instead."""
+    value no field may hold and a ``ref`` past the last record, and gives
+    each record a read-only copy of the fields it checked; ``deserialize``
+    and ``retrieve``, which check each value as they make it in dicts of
+    their own, build theirs through ``_checked_graph`` instead."""
 
     records: tuple[ObjectRecord, ...]
 
@@ -127,11 +131,13 @@ class ObjectGraph:
                 raise ValueError(f"record ids must be dense: expected {position}, got {record.id}")
         count = len(self.records)
         for record in self.records:
-            for value in record.fields.values():
+            fields = dict(record.fields)
+            for value in fields.values():
                 if value.__class__ is not RefVal:
                     check_value(value)
                 elif value.object_id >= count:
                     raise DanglingReference(value.object_id)
+            _set_fields(record, MappingProxyType(fields))  # the caller's dict may change
 
 
 _set_records = ObjectGraph.records.__set__
@@ -170,11 +176,6 @@ def _no_gc(build: Callable) -> Callable:
 _HEADER = "ESCHER-OBJECTS 1"
 
 
-# The one value class each annotation admits: a name no primitive kind has
-# is the class of a ``ref``'s target.
-_KIND_CLASS = {name: cls for name, (cls, _) in PRIMITIVE_KINDS.items()}
-
-
 def serialize(graph: ObjectGraph) -> str:
     """Byte-exact canonical text; field order is preserved."""
     lines = [_HEADER]
@@ -191,17 +192,7 @@ def serialize(graph: ObjectGraph) -> str:
 
 
 _OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({IDENT})\s+version\s+(\d+)\s*\Z")
-
-
-@_no_gc
-def deserialize(text: str) -> ObjectGraph:
-    """The graph an ``.eso`` text holds. A file exactly as ``serialize``
-    writes it is read a record block at a time; any other text goes through
-    the line parser, which gives the same graph and writes every error."""
-    graph = _deserialize_blocks(text)
-    return graph if graph is not None else _deserialize_lines(text)
-
-
+_LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
 # One record exactly as ``serialize`` writes it: the header line, the field
 # lines (each starting with two spaces), then ``end``.
 _BLOCK_RE = re.compile(rf"obj ([0-9]+) ({IDENT}) version ([0-9]+)\n((?:  [^\n]*\n)*)end\n")
@@ -220,117 +211,129 @@ _BLOCK_FIELD_RE = re.compile(
 )
 
 
-def _deserialize_blocks(text: str) -> ObjectGraph | None:
-    """The graph of a text exactly as ``serialize`` writes it, or None for
-    any deviation, error or not: the line parser alone reports errors. Each
-    value is checked as it is converted, each ``ref`` target once."""
-    if not text.startswith(_HEADER + "\n"):
-        return None
+@_no_gc
+def deserialize(text: str) -> ObjectGraph:
+    """The graph an ``.eso`` text holds. A record as ``serialize`` writes it
+    is read as one block, each value checked as it is converted; any other
+    goes alone to the line reader, ``_read_record``, which alone raises
+    errors. Then the first ``ref`` past the last record, else the first not
+    annotated with its target's class, is refused (``_ref_error``)."""
+    header = _LINE_RE.match(text)[0]  # no copy of the rest, as partition() makes
+    if header.strip() != _HEADER:
+        raise FormatError(1, f"missing {_HEADER!r} header")
     records: list[ObjectRecord] = []
-    refs: dict[int, tuple[RefVal, str]] = {}  # target id -> its one RefVal, the class refs annotate
-    pos, total = len(_HEADER) + 1, len(text)
+    refs: dict[int, tuple[RefVal, str | None]] = {}  # target -> its RefVal, refs' annotation
+    pos, lineno, total = len(header) + 1, 1, len(text)
     match_block, field_rows, finite = _BLOCK_RE.match, _BLOCK_FIELD_RE.findall, math.isfinite
-    try:
-        while pos < total:
-            block = match_block(text, pos)
-            if block is None:
-                return None
-            pos = block.end()
+    while pos < total:
+        block = match_block(text, pos)
+        if block is not None:
             object_id, class_name, version, body = block.groups()
             rows = field_rows(body)
-            if int(object_id) != len(records) or len(rows) != body.count("\n"):
-                return None
-            fields: dict[str, ObjectValue] = {}
-            for name, integer, string, ref_class, ref, void, boolean, real in rows:
-                if integer:
-                    value = int(integer)
-                    if not INT64_MIN <= value <= INT64_MAX:
-                        return None
-                elif string:
-                    value = unescape_string(string, 0, 0)
-                elif ref:
-                    target = int(ref)
-                    interned = refs.get(target)
-                    if interned is None:
-                        interned = refs[target] = (RefVal(target), ref_class)
-                    elif interned[1] != ref_class:
-                        return None
-                    value = interned[0]
-                elif void:
-                    value = None
-                elif boolean:
-                    value = boolean == "true"
-                else:
-                    value = float(real)
-                    if not finite(value):
-                        return None
-                fields[name] = value
-            if len(fields) != len(rows):  # a duplicate field name
-                return None
-            records.append(ObjectRecord(len(records), class_name, int(version), fields))
-    except ValueError:  # more digits than int() converts, version 0
-        return None
+            try:
+                if int(object_id) != len(records) or len(rows) != body.count("\n"):
+                    raise ValueError(object_id)  # not dense, or a line no row reads
+                fields: dict[str, ObjectValue] = {}
+                for name, integer, string, ref_class, ref, void, boolean, real in rows:
+                    if integer:
+                        value = int(integer)
+                        if not INT64_MIN <= value <= INT64_MAX:
+                            raise ValueError(integer)
+                    elif string:
+                        value = unescape_string(string, 0, 0)
+                    elif ref:
+                        target = int(ref)
+                        interned = refs.get(target)
+                        if interned is None:
+                            interned = refs[target] = (RefVal(target), ref_class)
+                        elif interned[1] != ref_class:
+                            refs[target] = (interned[0], None)  # refs that disagree
+                        value = interned[0]
+                    elif void:
+                        value = None
+                    elif boolean:
+                        value = boolean == "true"
+                    else:
+                        value = float(real)
+                        if not finite(value):
+                            raise ValueError(real)
+                    fields[name] = value
+                if len(fields) != len(rows):
+                    raise ValueError(name)  # a duplicate field name
+                records.append(ObjectRecord(len(records), class_name, int(version), fields))
+                pos, lineno = block.end(), lineno + len(rows) + 2
+                continue
+            except ValueError:  # as above, more digits than int() converts, version 0
+                pass  # the line reader refuses this record, so no ref it registered counts
+        pos, lineno = _read_record(text, pos, lineno, records, refs)
+    if not records:
+        raise FormatError(text.count("\n") + 1, "object file holds no records")
     count = len(records)
     for target, (_, annotation) in refs.items():
         if target >= count or records[target].class_name != annotation:
-            return None
-    return _checked_graph(tuple(records)) if records else None
+            raise _ref_error(text, records, refs)
+    return _checked_graph(tuple(records))
 
 
-def _deserialize_lines(text: str) -> ObjectGraph:
-    lines = text.split("\n")
-    if not lines or lines[0].strip() != _HEADER:
-        raise FormatError(1, f"missing {_HEADER!r} header")
-    records: list[ObjectRecord] = []
-    refs: list[tuple[int, str, str, int]] = []  # (line, field, annotation, target id)
-    lineno = 1
-    total = len(lines)
-    while lineno < total:
-        line = lines[lineno].strip()
+def _read_record(text: str, pos: int, lineno: int, records: list, refs: dict) -> tuple[int, int]:
+    """Read the record at ``pos``, the start of line ``lineno + 1``, and the
+    blank lines before it, a line at a time through the tokenizer; append it
+    to ``records``, and return the position and line number past its
+    ``end``, or past the text where only blank lines are left."""
+    object_id = None
+    fields: dict[str, ObjectValue] = {}
+    for line in _LINE_RE.finditer(text, pos):
         lineno += 1
-        if not line:
+        word = line[0].strip()
+        if not word:
             continue
-        m = _OBJ_RE.match(line)
-        if m is None:
-            raise FormatError(lineno, f"expected 'obj <id> <CLASS> version <v>', got {line!r}")
-        object_id, class_name = line_int(m.group(1), lineno), m.group(2)
-        version = line_int(m.group(3), lineno)
-        if version < 1:
-            raise FormatError(lineno, f"version must be positive: {version}")
-        if object_id != len(records):
-            raise FormatError(lineno, f"expected object id {len(records)}, got {object_id}")
-        fields: dict[str, ObjectValue] = {}
-        closed = False
-        while lineno < total:
-            field_line = lines[lineno]
-            lineno += 1
-            word = field_line.strip()
-            if not word:
-                continue
-            if word == "end":
-                closed = True
-                break
-            name, annotation, value = _parse_field(field_line, lineno)
+        if object_id is None:
+            m = _OBJ_RE.match(word)
+            if m is None:
+                raise FormatError(lineno, f"expected 'obj <id> <CLASS> version <v>', got {word!r}")
+            object_id, class_name, version = line_int(m[1], lineno), m[2], line_int(m[3], lineno)
+            if version < 1:
+                raise FormatError(lineno, f"version must be positive: {version}")
+            if object_id != len(records):
+                raise FormatError(lineno, f"expected object id {len(records)}, got {object_id}")
+        elif word == "end":
+            records.append(ObjectRecord(object_id, class_name, version, fields))
+            return line.end() + 1, lineno
+        else:
+            name, annotation, value = _parse_field(line[0], lineno)
             if name in fields:
                 raise FormatError(lineno, f"duplicate field name {name!r} in record {object_id}")
             if value.__class__ is RefVal:
-                refs.append((lineno, name, annotation, value.object_id))
+                interned = refs.setdefault(value.object_id, (value, annotation))
+                if interned[1] != annotation:
+                    refs[value.object_id] = (interned[0], None)
+                value = interned[0]
             fields[name] = value
-        if not closed:
-            raise FormatError(lineno, f"record {object_id} is missing its 'end'")
-        records.append(ObjectRecord(object_id, class_name, version, fields))
-    if not records:
-        raise FormatError(lineno, "object file holds no records")
-    graph = ObjectGraph(tuple(records))
-    for ref_line, name, annotation, target in refs:
-        target_class = records[target].class_name
-        if annotation != target_class:
-            raise FormatError(
-                ref_line,
-                f"field {name!r} is annotated {annotation}, "
-                f"but record {target} is of class {target_class}",
-            )
-    return graph
+    if object_id is not None:
+        raise FormatError(lineno, f"record {object_id} is missing its 'end'")
+    return len(text), lineno
+
+
+def _ref_error(text: str, records: list[ObjectRecord], refs: dict) -> EscherError:
+    """The error of a read file with a bad ``ref``: the first past the last
+    record (``refs`` holds targets in file order), else the first annotated
+    with a class its target does not have, at its line."""
+    count = len(records)
+    for target in refs:
+        if target >= count:
+            return DanglingReference(target)
+    # After the header, the non-blank lines are each record's ``obj`` line,
+    # its field lines and its ``end``; annotations are read again only here.
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()][1:]
+    values = [value for record in records for value in (None, *record.fields.values(), None)]
+    for (lineno, line), value in zip(lines, values):
+        if value.__class__ is RefVal:
+            name, annotation, _ = _parse_field(line, lineno)
+            target_class = records[value.object_id].class_name
+            if annotation != target_class:
+                return FormatError(lineno, f"field {name!r} is annotated {annotation}, but "
+                                   f"record {value.object_id} is of class {target_class}")
+    raise AssertionError("no bad ref found")
 
 
 def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
@@ -344,19 +347,15 @@ def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
         value = _parse_whole_value(stream)
     except ParseError as err:
         raise FormatError.at(err) from err
-    _check_annotation(annotation, value, lineno, name)
+    if value.__class__ is not PRIMITIVE_KINDS.get(annotation, (RefVal,))[0]:  # else a ref's class
+        raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
     return name, annotation, value
 
 
-def _check_annotation(annotation: str, value: ObjectValue, lineno: int, name: str) -> None:
-    if value.__class__ is not _KIND_CLASS.get(annotation, RefVal):
-        raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
-
-
-def parse_value(stream: TokenStream) -> ObjectValue:
-    """One object-file value: ``ref N``, or a literal of the expression
-    languages, with their range checks and reasons. Every failure is a
-    ParseError at the token that caused it."""
+def _parse_whole_value(stream: TokenStream) -> ObjectValue:
+    """One object-file value with nothing after it: ``ref N``, or a literal
+    of the expression languages, with their range checks and reasons. Every
+    failure is a ParseError at the token that caused it."""
     tok = stream.peek()
     if tok.kind == "IDENT" and tok.text == "ref":
         stream.next()
@@ -364,21 +363,16 @@ def parse_value(stream: TokenStream) -> ObjectValue:
         if ref_tok.kind != "INT":
             raise ParseError("ref needs a nonnegative integer id", ref_tok.line, ref_tok.column)
         try:
-            object_id = int(ref_tok.text)
+            value = RefVal(int(ref_tok.text))
         except ValueError:  # more digits than int() converts
             raise ParseError(
                 f"number too large: {len(ref_tok.text)} digits", ref_tok.line, ref_tok.column
             ) from None
-        return RefVal(object_id)
-    literal = exprs.parse_literal(stream)
-    if literal is None:
-        raise ParseError(f"not a value literal: {tok.text!r}", tok.line, tok.column)
-    return literal.value
-
-
-def _parse_whole_value(stream: TokenStream) -> ObjectValue:
-    """``parse_value``, where nothing may follow the value."""
-    value = parse_value(stream)
+    else:
+        literal = exprs.parse_literal(stream)
+        if literal is None:
+            raise ParseError(f"not a value literal: {tok.text!r}", tok.line, tok.column)
+        value = literal.value
     trailing = stream.peek()
     if trailing.kind != "EOF":
         raise ParseError(f"trailing content {trailing.text!r}", trailing.line, trailing.column)
@@ -575,9 +569,9 @@ def retrieve(
     is off; only the final schema's invariant is checked. ``assertions`` off
     reproduces the tolerant retrieval the invariant gate exists to prevent.
     The graph it returns is not walked again: its stored values were checked
-    with ``graph``, its inputs and ``ref`` literals by ``_plan``, other
-    literals when built, and each computed value by the operator or
-    converter that made it.
+    with ``graph``, its inputs by ``_plan``, its literals when built (an
+    ``Assign`` holds no ``ref`` one), and each computed value by the
+    operator or converter that made it.
     """
     inputs = inputs or {}
     count = len(graph.records)
@@ -619,8 +613,8 @@ def _plan(
     allow_composition: bool,
     count: int,
 ) -> _Plan:
-    """The hops and the class's inputs. No input, read or not, and no ``ref``
-    a hop assigns as a literal may name a record past the graph's ``count``."""
+    """The hops and the class's inputs. No input, read or not, may name a
+    record past the graph's ``count``."""
     handlers = repo.handlers_for(class_name)
     if handlers is None:
         raise HandlerMissing(class_name)
@@ -633,9 +627,5 @@ def _plan(
         check_value(value)
         if value.__class__ is RefVal and value.object_id >= count:
             raise DanglingReference(value.object_id)
-    for _, transformer in hops:
-        for target in transformer.ref_literals:
-            if target >= count:
-                raise DanglingReference(target)
     return hops, class_inputs
 

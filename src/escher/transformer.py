@@ -56,14 +56,16 @@ from .values import RefVal
 @dataclass(frozen=True)
 class Assign:
     """``Result.<target_name> := <expr>``, the source in the transformer's
-    expression language."""
+    expression language, which has no ``ref`` literal."""
 
     target_name: str
     expr: exprs.Expr
 
     def __post_init__(self) -> None:
         for node in exprs.walk(self.expr):
-            if isinstance(node, exprs.INVARIANT_ONLY):
+            if isinstance(node, exprs.INVARIANT_ONLY) or (
+                node.__class__ is exprs.Lit and node.value.__class__ is RefVal
+            ):
                 raise ValueError(f"a transformer source cannot hold {node!r}")
 
 
@@ -113,14 +115,6 @@ class ObjectTransformer:
     def assigned_targets(self) -> frozenset[str]:
         """Every ``Assign`` target; a hop fills defaults only where these fall short."""
         return frozenset(i.target_name for i in self.instructions if i.__class__ is Assign)
-
-    @cached_property
-    def ref_literals(self) -> tuple[int, ...]:
-        """The id each ``Assign`` whose source is a ``ref`` literal writes;
-        only a hand-built transformer holds one."""
-        return tuple(i.expr.value.object_id for i in self.instructions
-                     if i.__class__ is Assign and i.expr.__class__ is exprs.Lit
-                     and i.expr.value.__class__ is RefVal)
 
     @cached_property
     def steps(self) -> tuple[tuple[type, str, exprs.Compiled | None], ...]:

@@ -2,7 +2,8 @@
 constructor's walk, and the collector pause around both.
 
 Both check each value as they make it and build their graph through
-``objects._checked_graph``. Whatever they return must be a graph the public,
+``objects._checked_graph``; ``deserialize`` reads each record a block or a
+line at a time in one loop. Whatever they return must be a graph the public,
 validating ``ObjectGraph(...)`` accepts as it stands. ``retrieve`` refuses a
 ``ref`` input past the graph's end whether or not a transformer reads it.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 
 import pytest
 
@@ -64,7 +66,7 @@ def migrations(draw):
         st.sampled_from(FIELDS).map(exprs.OldField),
         st.sampled_from(FIELDS).map(exprs.OldField),
         st.just(exprs.InputRef("k")),
-        values.map(exprs.Lit),
+        plain_values.map(exprs.Lit),  # an ``Assign`` refuses a ``ref`` literal
     )
     sources = st.recursive(
         leaves,
@@ -122,8 +124,8 @@ def test_every_graph_retrieve_returns_passes_the_public_constructor(case, assert
     assert [(r.id, r.class_name) for r in out.records] == [(r.id, r.class_name) for r in graph.records]
 
 
-# The outcome the line parser alone gives, graph or error, as the block
-# path must (``_deserialize_blocks`` steps aside for every one of these).
+# The outcome the line reader alone gives, graph or error, as the reading
+# loop must, whichever records it reads as blocks.
 EIGHT = "ESCHER-OBJECTS 1\n" + "".join(
     f"obj {i} {'ITEM' if i == 7 else 'NODE'} version 1\n{{{i}}}end\n" for i in range(8)
 )
@@ -148,11 +150,11 @@ def eight(first: str) -> str:
     (eight("  a: NODE = ref 07\n  b: ITEM = ref 7\n"),
      "FormatError 3 field 'a' is annotated NODE, but record 7 is of class ITEM"),
 ])
-def test_deserialize_gives_the_line_parsers_outcome(text, expected):
-    assert objects._deserialize_blocks(text) is None or expected is None
-    for parse in (deserialize, objects._deserialize_lines):
+def test_deserialize_gives_the_line_readers_outcome(monkeypatch, text, expected):
+    for block_re in (objects._BLOCK_RE, re.compile(r"(?!)")):  # the second matches no block
+        monkeypatch.setattr(objects, "_BLOCK_RE", block_re)
         try:
-            graph = parse(text)
+            graph = deserialize(text)
         except EscherError as err:
             assert err.cli_line() == expected
         else:
@@ -190,11 +192,21 @@ def test_a_ref_input_past_the_graph_is_refused_read_or_not(body):
     assert out.records[0].version == 2
 
 
-def test_a_ref_literal_past_the_graph_is_refused():
-    repo = repository({"NODE": (exprs.Lit(RefVal(3)), *COPY[1:])})
-    with pytest.raises(DanglingReference) as exc:
-        retrieve(ONE, repo, {"NODE": 2})
-    assert exc.value.ref_id == 3
+def test_a_ref_literal_is_refused_when_its_transformer_is_built():
+    # No ``.est`` line holds one: ``parse_transformer`` refuses ``ref``.
+    for source in (exprs.Lit(RefVal(3)), exprs.BinOp("+", exprs.Lit(1), exprs.Lit(RefVal(0)))):
+        with pytest.raises(ValueError, match="a transformer source cannot hold"):
+            Assign("f0", source)
+
+
+def test_a_dict_changed_after_its_graph_was_checked_reaches_no_output():
+    fields = dict.fromkeys(FIELDS, 1)
+    graph = ObjectGraph((ObjectRecord(0, "NODE", 1, fields),))
+    fields["f0"] = 2**70
+    assert graph.records[0].fields["f0"] == 1
+    out = retrieve(graph, repository({"NODE": COPY}), {})
+    assert out == graph
+    assert "  f0: INTEGER = 1\n" in serialize(out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +244,19 @@ def test_the_callers_collector_state_survives(collector, call):
 
 def test_the_collector_is_paused_while_records_are_built(monkeypatch):
     seen = []
-    for name in ("_deserialize_blocks", "interpret_transformer"):
+    for name in ("ObjectRecord", "_read_record", "interpret_transformer"):
         original = getattr(objects, name)
 
-        def spy(*args, original=original, **kwargs):
-            seen.append(gc.isenabled())
+        def spy(*args, original=original, name=name, **kwargs):
+            seen.append((name, gc.isenabled()))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(objects, name, spy)
     gc.enable()
-    retrieve(deserialize(serialize(ONE)), repository({"NODE": COPY}), {"NODE": 2})
-    assert seen == [False, False]
+    two = serialize(ObjectGraph((*ONE.records, ObjectRecord(1, "NODE", 1, ONE.records[0].fields))))
+    # Record 0 is read as a block, record 1 (after a blank line) by lines.
+    graph = deserialize(two.replace("end\n", "end\n\n", 1))
+    retrieve(graph, repository({"NODE": COPY}), {"NODE": 2})
+    assert set(seen) == {("ObjectRecord", False), ("_read_record", False),
+                         ("interpret_transformer", False)}
     assert gc.isenabled()

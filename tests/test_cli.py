@@ -472,8 +472,9 @@ def test_migrate_out_file(bank_project, tmp_path):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n  ", "\n\t")],
-    ids=["crlf", "tab-indent"],
+    [lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n  ", "\n\t"),
+     lambda text: text.replace("\n  info", "\n\n  info")],
+    ids=["crlf", "tab-indent", "blank-line"],
 )
 def test_migrate_reads_a_non_canonical_layout_as_the_original(bank_project, tmp_path, edit):
     original = (FIXTURES / "bank_account_v1.eso").read_text(encoding="utf-8")

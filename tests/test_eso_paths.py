@@ -1,11 +1,13 @@
-"""Differential test of the two ``.eso`` readers.
+"""Differential test of the ``.eso`` reading loop's two record readers.
 
-``deserialize`` reads a file exactly as ``serialize`` writes it a record
-block at a time (``_deserialize_blocks``) and hands any other text to the
-line parser (``_deserialize_lines``), which alone writes errors. Whatever the
-text, ``deserialize`` must give exactly what the line parser gives on its
-own: an equal graph with the same field order and value reprs, or the same
-error class, line and reason.
+``deserialize`` reads each record exactly as ``serialize`` writes it a
+block at a time and hands any other record, alone, to the line reader
+(``objects._read_record``), which alone writes errors; then the block match
+resumes. Whatever the text, ``deserialize`` must give exactly what it gives
+when no block ever matches (``objects._BLOCK_RE`` replaced by a pattern that
+matches nothing), so that every record goes through the line reader: an
+equal graph with the same field order and value reprs, or the same error
+class, line and reason.
 """
 
 from __future__ import annotations
@@ -20,15 +22,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from escher import objects  # noqa: E402
 from escher._lex import escape_string, unescape_string  # noqa: E402
+from escher.errors import DanglingReference, FormatError  # noqa: E402
 from escher.exprs import render_real  # noqa: E402
-from escher.objects import (  # noqa: E402
-    _deserialize_blocks,
-    _deserialize_lines,
-    deserialize,
-    serialize,
-)
+from escher.objects import ObjectGraph, deserialize, serialize  # noqa: E402
 from helpers import random_graph  # noqa: E402
+
+NO_BLOCK = re.compile(r"(?!)")
+
+
+def read_by_lines(text: str) -> ObjectGraph:
+    """``deserialize`` with every record read by the line reader."""
+    block_re, objects._BLOCK_RE = objects._BLOCK_RE, NO_BLOCK
+    try:
+        return deserialize(text)
+    finally:
+        objects._BLOCK_RE = block_re
 
 
 def outcome(parse, text: str):
@@ -43,8 +53,9 @@ def outcome(parse, text: str):
 
 
 def assert_paths_agree(text: str) -> None:
-    event("block path" if _deserialize_blocks(text) is not None else "line path")
-    assert outcome(deserialize, text) == outcome(_deserialize_lines, text)
+    read = outcome(deserialize, text)
+    event(f"{read[0]} {read[1] if read[0] == 'error' else ''}")
+    assert read == outcome(read_by_lines, text)
 
 
 serialized = st.integers(0, 2**32).map(lambda seed: serialize(random_graph(random.Random(seed))))
@@ -221,51 +232,152 @@ CANONICAL = (
 )
 
 
+def handed_records(monkeypatch, text: str):
+    """The outcome of ``deserialize``, and the line at which the line
+    reader was handed each stretch of text it read."""
+    handed = []
+    read_record = objects._read_record
+
+    def spy(text, pos, lineno, records, refs):
+        handed.append(lineno + 1)
+        return read_record(text, pos, lineno, records, refs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(objects, "_read_record", spy)
+        return outcome(deserialize, text), handed
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, handed",
     [
-        ("end\nobj 1", "end\n\nobj 1"),  # a gap between blocks
-        ("obj 1 ITEM", "obj 2 ITEM"),  # a non-dense id
-        ("  b: BOOLEAN = true\n", "  b: BOOLEAN = true\n  b: BOOLEAN = false\n"),  # duplicate
-        ("= -7", "= 9223372036854775808"),  # past int64
-        ("= -7", "= -9223372036854775809"),
-        ("= -0.0", "= 1.0e999"),  # not finite
-        ("next: ITEM = ref 1", "next: NODE = ref 1"),  # annotated with another class
-        ("next: ITEM = ref 1", "next: ITEM = ref 2"),  # dangling
-        ("ref 1", "ref " + "1" * 5000),  # more digits than int() converts
-        ("version 3", "version 0"),
-        ("= -7", "= -٣"),  # a digit int() reads, but not ASCII
-        ("= -7", "= -7\r"),
-        ("= -7", "= -7 -- note"),
-        ("  n: INTEGER", "   n: INTEGER"),
-        ("  n: INTEGER = -7\n", "  end\n"),
-        ("v: NONE = Void", "v: NONE = ref 0"),
-        ("ESCHER-OBJECTS 1\n", " ESCHER-OBJECTS 1\n"),
+        ("end\nobj 1", "end\n\nobj 1", [10]),  # a gap between blocks
+        ("obj 1 ITEM", "obj 2 ITEM", [10]),  # a non-dense id
+        ("  b: BOOLEAN = true\n", "  b: BOOLEAN = true\n  b: BOOLEAN = false\n", [2]),  # duplicate
+        ("= -7", "= 9223372036854775808", [2]),  # past int64
+        ("= -7", "= -9223372036854775809", [2]),
+        ("= -0.0", "= 1.0e999", [2]),  # not finite
+        ("ref 1", "ref " + "1" * 5000, [2]),  # more digits than int() converts
+        ("version 3", "version 0", [10]),
+        ("= -7", "= -٣", [2]),  # a digit int() reads, but not ASCII
+        ("= -7", "= -7\r", [2]),
+        ("= -7", "= -7 -- note", [2]),
+        ("  n: INTEGER", "   n: INTEGER", [2]),
+        ("  n: INTEGER = -7\n", "  end\n", [2, 4]),  # record 0 ends early; line 4 is no record
+        ("v: NONE = Void", "v: NONE = ref 0", [2]),
+        # Read as blocks; the check after the last record refuses the ``ref``.
+        ("next: ITEM = ref 1", "next: NODE = ref 1", []),  # annotated with another class
+        ("next: ITEM = ref 1", "next: ITEM = ref 2", []),  # dangling
+        ("ESCHER-OBJECTS 1\n", " ESCHER-OBJECTS 1\n", []),
     ],
 )
-def test_each_deviation_leaves_the_block_path(old, new):
+def test_only_a_deviating_record_goes_to_the_line_reader(monkeypatch, old, new, handed):
     assert old in CANONICAL
     text = CANONICAL.replace(old, new, 1)
-    assert _deserialize_blocks(text) is None
-    assert outcome(deserialize, text) == outcome(_deserialize_lines, text)
+    read, seen = handed_records(monkeypatch, text)
+    assert seen == handed
+    assert read == outcome(read_by_lines, text)
 
 
-def test_no_records_and_a_missing_end_leave_the_block_path():
+def test_no_records_and_a_missing_end_read_the_same_on_both_paths():
     for text in ["ESCHER-OBJECTS 1\n", "ESCHER-OBJECTS 1\nobj 0 NODE version 1\n", CANONICAL[:-1]]:
-        assert _deserialize_blocks(text) is None
-        assert outcome(deserialize, text) == outcome(_deserialize_lines, text)
+        assert outcome(deserialize, text) == outcome(read_by_lines, text)
 
 
-def test_every_serialized_graph_takes_the_block_path():
-    assert outcome(_deserialize_blocks, CANONICAL) == outcome(_deserialize_lines, CANONICAL)
+def test_every_serialized_graph_is_read_as_blocks(monkeypatch):
+    assert handed_records(monkeypatch, CANONICAL) == (outcome(read_by_lines, CANONICAL), [])
     rng = random.Random(1212)
     for _ in range(300):
         graph = random_graph(rng)
         text = serialize(graph)
-        read = _deserialize_blocks(text)
-        assert read is not None, text
-        assert read == graph
-        assert outcome(lambda _: read, text) == outcome(_deserialize_lines, text)
+        read, handed = handed_records(monkeypatch, text)
+        assert handed == [], text
+        assert deserialize(text) == graph
+        assert read == outcome(read_by_lines, text)
+
+
+def records_text(*bodies: str, classes: str = "NNNNI") -> str:
+    """Records 0, 1, ... of class NODE or ITEM (``classes``), each with the
+    given field lines."""
+    kinds = {"N": "NODE", "I": "ITEM"}
+    return "ESCHER-OBJECTS 1\n" + "".join(
+        f"obj {i} {kinds[classes[i]]} version 1\n{body}end\n" for i, body in enumerate(bodies)
+    )
+
+
+def line_of(text: str, piece: str) -> int:
+    return next(n for n, line in enumerate(text.split("\n"), 1) if piece in line)
+
+
+def test_the_line_reader_reads_a_deviating_record_alone(monkeypatch):
+    bodies = [f"  x: INTEGER = {i}\n  y: STRING = \"{i}\"\n" for i in range(5)]
+    canonical = records_text(*bodies)
+    text = records_text(*bodies[:2], bodies[2].replace("  ", "\t"), *bodies[3:])
+    read_lines = []
+    parse_field = objects._parse_field
+
+    def spy(line, lineno):
+        read_lines.append(lineno)
+        return parse_field(line, lineno)
+
+    monkeypatch.setattr(objects, "_parse_field", spy)
+    assert deserialize(text) == deserialize(canonical)
+    assert read_lines == [line_of(text, "x: INTEGER = 2"), line_of(text, 'y: STRING = "2"')]
+
+
+@pytest.mark.parametrize(
+    "earlier",
+    [lambda text: text, lambda text: text.replace("end\n", "end\n\n", 1),
+     lambda text: text.replace("obj 3 NODE version 1\n", "obj 3 NODE version 1\r\n")],
+    ids=["blocks", "a gap after record 0", "a CRLF in record 3"],
+)
+def test_an_error_after_a_run_of_blocks_names_its_own_line(earlier):
+    bodies = ["  x: INTEGER = 1\n"] * 8 + ["  x: INTEGER = 1\n  y: INTEGER = 9223372036854775808\n"]
+    text = earlier(records_text(*bodies, classes="N" * 9))
+    with pytest.raises(FormatError) as exc:
+        deserialize(text)
+    line = line_of(text, "9223372036854775808")
+    assert exc.value.cli_line() == (
+        f"FormatError {line} line {line}, column 16: integer literal outside the 64-bit range"
+    )
+    assert outcome(deserialize, text) == outcome(read_by_lines, text)
+
+
+@pytest.mark.parametrize("indent", ["  ", "\t"], ids=["record 0 a block", "record 0 by lines"])
+@pytest.mark.parametrize(
+    "first, second, wrong",
+    [("a: ITEM", "b: NODE", "b: NODE"), ("a: NODE", "b: ITEM", "a: NODE"), ("a: ITEM", "b: ITEM", None)],
+)
+def test_refs_to_one_target_read_as_a_block_and_by_lines(indent, first, second, wrong):
+    other = "\t" if indent == "  " else "  "
+    text = records_text(f"{indent}{first} = ref 2\n", f"{other}{second} = ref 2\n", "", classes="NNI")
+    assert outcome(deserialize, text) == outcome(read_by_lines, text)
+    if wrong is None:
+        graph = deserialize(text)
+        assert graph.records[0].fields["a"] is graph.records[1].fields["b"]
+        return
+    with pytest.raises(FormatError) as exc:
+        deserialize(text)
+    name, annotation = wrong.split(": ")
+    assert exc.value.cli_line() == (
+        f"FormatError {line_of(text, wrong)} field '{name}' is annotated {annotation}, "
+        "but record 2 is of class ITEM"
+    )
+
+
+def test_a_format_error_in_the_last_record_beats_bad_refs_in_the_first():
+    first = "  dangling: NODE = ref 9\n  wrong: NODE = ref 2\n"
+    last = "  n: INTEGER = 1.5\n"
+    cases = [
+        (records_text(first, "", last, classes="NNI"), FormatError, 9),
+        (records_text(first, "", "", classes="NNI"), DanglingReference, None),
+        (records_text(first.replace("ref 9", "ref 0"), "", "", classes="NNI"), FormatError, 4),
+    ]
+    for text, error, line in cases:
+        with pytest.raises(error) as exc:
+            deserialize(text)
+        assert getattr(exc.value, "line", None) == line
+        assert outcome(deserialize, text) == outcome(read_by_lines, text)
+    assert str(exc.value) == "line 4: field 'wrong' is annotated NODE, but record 2 is of class ITEM"
 
 
 @settings(max_examples=500, deadline=None)

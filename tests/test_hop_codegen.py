@@ -74,7 +74,7 @@ old_fields = st.one_of(
 )
 leaves = st.one_of(
     st.sampled_from(OLD_NAMES).map(exprs.OldField),
-    values.map(exprs.Lit),
+    values.filter(lambda value: value.__class__ is not RefVal).map(exprs.Lit),  # no ``ref`` literal
     st.sampled_from(["k", "absent"]).map(exprs.InputRef),
 )
 sources = st.recursive(
