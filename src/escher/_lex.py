@@ -20,8 +20,8 @@ _TOKEN_RE = re.compile(
     (?P<comment>--[^\n]*)
   | (?P<ws>[ \t\r]+)
   | (?P<nl>\n)
-  | (?P<real>\d+\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<int>\d+)
+  | (?P<real>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<int>[0-9]+)
   | (?P<ident>{IDENT})
   | (?P<string>"(?:\\.|[^"\\\n])*")
   | (?P<op>:=|/=|//|<=|>=|->|[:\[\](),;=<>+\-*.])
@@ -29,9 +29,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
 _ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
-_REVERSE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
+_REVERSE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 
 
 class Token(NamedTuple):
@@ -60,7 +60,7 @@ _ESCAPE_TABLE = str.maketrans(_REVERSE_ESCAPES)
 
 def escape_string(value: str) -> str:
     """The double-quoted literal of ``value``, which ``unescape_string`` reads back."""
-    if '"' in value or "\\" in value or "\n" in value:
+    if '"' in value or "\\" in value or "\n" in value or "\r" in value:
         value = value.translate(_ESCAPE_TABLE)
     return '"' + value + '"'
 

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .errors import EscherError, FormatError, UnknownClass, UnknownVersion
 from .objects import deserialize, eval_invariant, parse_value_text, retrieve, serialize
-from .per import history_from_repository, parse_history_file, render_per_report
 from .repository import (
     empty_repository,
     load_repository,
@@ -210,6 +209,9 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def cmd_per(args: argparse.Namespace) -> int:
+    # imported here, so that no other command loads per
+    from .per import history_from_repository, parse_history_file, render_per_report
+
     if args.hist_file:
         histories = parse_history_file(_read(args.hist_file))
     else:

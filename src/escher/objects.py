@@ -22,15 +22,15 @@ migration to render.
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
 A hop runs a Python function generated, on the first record to take it, per
-(transformer, the new schema's attribute order and ``attached`` attributes,
-``check_attached``); see ``generate_hop``. It holds only the success path
-and decides no error: whatever it raises, the record runs again through the
-step loop over compiled sources, which alone raises errors and writes
-warnings. A transformer that leaves defaults to fill, or that the generator
-cannot write, runs the step loop for every record. Invariant clauses run
-compiled. Migration failures are loud by design: a missing handler, a
-missing transformation, or a violated invariant each raises its own error
-instead of letting a default-initialized object into the system.
+(transformer, the new schema's attribute order and ``attached`` attributes);
+see ``generate_hop``. It holds only the success path and decides no error:
+whatever it raises, the record runs again through the step loop over
+compiled sources, which alone raises errors, writes warnings and reads
+``check_attached``. A transformer that leaves defaults to fill, or that the
+generator cannot write, runs the step loop for every record. Invariant
+clauses run compiled. Migration failures are loud by design: a missing
+handler, a missing transformation, or a violated invariant each raises its
+own error instead of letting a default-initialized object into the system.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def serialize(graph: ObjectGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OBJ_RE = re.compile(rf"obj\s+(\d+)\s+({IDENT})\s+version\s+(\d+)\s*\Z")
+_OBJ_RE = re.compile(rf"obj\s+([0-9]+)\s+({IDENT})\s+version\s+([0-9]+)\s*\Z")
 _LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
 # One record exactly as ``serialize`` writes it: the header line, the field
 # lines (each starting with two spaces), then ``end``.
@@ -201,7 +201,7 @@ _BLOCK_RE = re.compile(rf"obj ([0-9]+) ({IDENT}) version ([0-9]+)\n((?:  [^\n]*\
 _BLOCK_FIELD_RE = re.compile(
     rf"^  ({IDENT}): (?:"
     r"INTEGER = (-?[0-9]+)"
-    r'|STRING = ("(?:[^"\\\n]|\\["\\n])*")'
+    r'|STRING = ("(?:[^"\\\n]|\\["\\nr])*")'
     rf"|(?!(?:{'|'.join(PRIMITIVE_KINDS)}) )({IDENT}) = ref ([0-9]+)"
     r"|NONE = (Void)"
     r"|BOOLEAN = (true|false)"
@@ -462,9 +462,9 @@ def interpret_transformer(
         )
     shape = new_schema.record_shape
     try:
-        hop = t.hops[shape, check_attached]
+        hop = t.hops[shape]
     except KeyError:
-        hop = t.hops[shape, check_attached] = generate_hop(t, *shape, check_attached)
+        hop = t.hops[shape] = generate_hop(t, *shape)
     if hop is not None:
         try:
             fields = hop(old.fields, inputs)
@@ -507,15 +507,16 @@ def interpret_transformer(
 
 
 def generate_hop(
-    t: ObjectTransformer, order: tuple[str, ...], attached: tuple[str, ...], check_attached: bool
+    t: ObjectTransformer, order: tuple[str, ...], attached: tuple[str, ...]
 ) -> Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], dict] | None:
     """``hop(f, i)``: the new fields, in ``order``, that ``t``'s steps give
     over old fields ``f`` and inputs ``i`` when no step fails, built with
-    ``exprs.SourceWriter``. It raises where a step would fail, a checked
-    ``attached`` attribute among them, and decides no error. None where only
-    the steps may run: an attribute no ``Assign`` targets (defaults and
-    warnings), a target outside ``order``, an unknown converter, or a
-    checked ``CheckAttached`` before its target is assigned."""
+    ``exprs.SourceWriter``. It raises where a step would fail or an
+    ``attached`` check would trip, and decides no error: where checks are
+    off, the steps skip the check that tripped. None where only the steps
+    may run: an attribute no ``Assign`` targets (defaults and warnings), a
+    target outside ``order``, an unknown converter, or a ``CheckAttached``
+    before its target is assigned."""
     if t.assigned_targets != frozenset(order):
         return None
     writer = exprs.SourceWriter()
@@ -526,12 +527,12 @@ def generate_hop(
                 assigned[instr.target_name] = writer.expr(instr.expr)
             except UnknownConverter:
                 return None
-        elif instr.__class__ is CheckAttached and check_attached:
+        elif instr.__class__ is CheckAttached:
             local = assigned.get(instr.target_name)
             if local is None:
                 return None
             writer.require_attached(local)
-    for name in attached if check_attached else ():
+    for name in attached:
         writer.require_attached(assigned[name])
     result = ", ".join(f"{name!r}: {assigned[name]}" for name in order)
     source = "\n".join(["def hop(f, i):", *writer.lines, f"    return {{{result}}}", ""])
@@ -613,13 +614,14 @@ def _plan(
     allow_composition: bool,
     count: int,
 ) -> _Plan:
-    """The hops and the class's inputs. No input, read or not, may name a
-    record past the graph's ``count``."""
+    """The hops and the class's inputs: more than one hop only with
+    ``allow_composition``. No input, read or not, may name a record past the
+    graph's ``count``."""
     handlers = repo.handlers_for(class_name)
     if handlers is None:
         raise HandlerMissing(class_name)
-    path = repo.hop_path(class_name, start, goal, allow_composition)
-    if path is None:
+    path = repo.hop_path(class_name, start, goal)
+    if path is None or (len(path) > 2 and not allow_composition):
         raise TransformationMissing(class_name, start, goal)
     hops = [(hop_to, handlers[(hop_from, hop_to)]) for hop_from, hop_to in zip(path, path[1:])]
     class_inputs = {attr: value for (cls, attr), value in inputs.items() if cls == class_name}

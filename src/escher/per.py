@@ -97,8 +97,8 @@ def history_from_repository(repo: Repository, class_name: str) -> EvolutionHisto
 # ---------------------------------------------------------------------------
 
 _CLASS_RE = re.compile(rf"class\s+({IDENT})\s*\Z")
-_VERSIONS_RE = re.compile(r"versions\s+(\d+)\s*\Z")
-_TF_RE = re.compile(r"tf\s+(\d+)\s+(\d+)\s*\Z")
+_VERSIONS_RE = re.compile(r"versions\s+([0-9]+)\s*\Z")
+_TF_RE = re.compile(r"tf\s+([0-9]+)\s+([0-9]+)\s*\Z")
 
 
 def parse_history_file(text: str) -> list[EvolutionHistory]:

@@ -182,7 +182,7 @@ class Repository:
                         raise UnknownVersion(class_name, v)
         # Filled on first use for a class: {class: read-only {version:
         # schema}}, {class: read-only {(from, to): transformer}}, and
-        # {(class, start, goal, allow_composition): version path or None}.
+        # {(class, start, goal): version path or None}.
         object.__setattr__(self, "_histories", {})
         object.__setattr__(self, "_transformers", {})
         object.__setattr__(self, "_paths", {})
@@ -231,17 +231,13 @@ class Repository:
             })
         return transformers
 
-    def hop_path(
-        self, class_name: str, start: int, goal: int, allow_composition: bool
-    ) -> tuple[int, ...] | None:
+    def hop_path(self, class_name: str, start: int, goal: int) -> tuple[int, ...] | None:
         """Version sequence from ``start`` to ``goal`` along the class's
         transformers (see ``_shortest_path``), or None; each is found once per
         Repository."""
-        key = (class_name, start, goal, allow_composition)
+        key = (class_name, start, goal)
         if key not in self._paths:
-            path = _shortest_path(
-                self.handlers.get(class_name, {}).keys(), start, goal, allow_composition
-            )
+            path = _shortest_path(self.handlers.get(class_name, {}).keys(), start, goal)
             self._paths[key] = None if path is None else tuple(path)
         return self._paths[key]
 
@@ -249,9 +245,7 @@ class Repository:
         return frozenset(self.handlers.get(class_name, {}))
 
 
-def _shortest_path(
-    edges: Iterable[tuple[int, int]], start: int, goal: int, allow_composition: bool
-) -> list[int] | None:
+def _shortest_path(edges: Iterable[tuple[int, int]], start: int, goal: int) -> list[int] | None:
     """Version sequence along registered transformers, or None.
 
     Ties between equal-length paths break toward the lexicographically
@@ -261,8 +255,6 @@ def _shortest_path(
     edge_set = set(edges)
     if (start, goal) in edge_set:
         return [start, goal]
-    if not allow_composition:
-        return None
     successors: dict[int, list[int]] = {}
     for a, b in sorted(edge_set):
         successors.setdefault(a, []).append(b)
@@ -411,10 +403,10 @@ def register_transformer(
 # ---------------------------------------------------------------------------
 
 _MANIFEST = "escher.manifest"
-_RELEASE_RE = re.compile(r"release\s+(\d+)\s*\Z")
-_CLASS_RE = re.compile(rf"class\s+({IDENT})\s+version\s+(\d+)\s*\Z")
-_TRANSFORMER_RE = re.compile(rf"transformer\s+({IDENT})\s+(\d+)\s+(\d+)\s+([0-9a-f]+)\s*\Z")
-_HANDLER_FILE_RE = re.compile(r"(\d+)_to_(\d+)\.est\Z")
+_RELEASE_RE = re.compile(r"release\s+([0-9]+)\s*\Z")
+_CLASS_RE = re.compile(rf"class\s+({IDENT})\s+version\s+([0-9]+)\s*\Z")
+_TRANSFORMER_RE = re.compile(rf"transformer\s+({IDENT})\s+([0-9]+)\s+([0-9]+)\s+([0-9a-f]+)\s*\Z")
+_HANDLER_FILE_RE = re.compile(r"([0-9]+)_to_([0-9]+)\.est\Z")
 
 
 def render_manifest(repo: Repository) -> str:

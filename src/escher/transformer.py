@@ -125,8 +125,8 @@ class ObjectTransformer:
 
     @cached_property
     def hops(self) -> dict:
-        """The generated function per (the new schema's ``record_shape``,
-        ``check_attached``), or None where the steps alone run; filled by
+        """The generated function per the new schema's ``record_shape``, or
+        None where the steps alone run; filled by
         ``objects.interpret_transformer``."""
         return {}
 

@@ -127,7 +127,7 @@ def random_value(rng: random.Random, record_count: int) -> ObjectValue:
     if roll < 0.50:
         return rng.random() < 0.5
     if roll < 0.70:
-        alphabet = 'ab "\\\n xyz_09'
+        alphabet = 'ab "\\\n\r xyz_09'
         return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
     if roll < 0.80:
         return None

@@ -14,7 +14,7 @@ from conftest import (
 )
 from escher.objects import deserialize
 from escher.repository import empty_repository, register_transformer, release, save_repository
-from escher.schema import parse_schema
+from escher.schema import parse_schema, render_schema
 from escher.transformer import parse_transformer
 
 V1 = str(FIXTURES / "bank_account_v1.esc")
@@ -190,6 +190,59 @@ def test_per_oversized_number_in_a_history_file_is_a_format_error(tmp_path, line
     code, out, err = run_cli("per", str(hist))
     assert code == 1
     assert out.splitlines()[0] == "FormatError 3 number too large: 5000 digits"
+    assert "Traceback" not in out + err
+
+
+# (file, text replaced, its replacement with a non-ASCII decimal digit, command,
+# first output line): such a digit is read as no digit, so each file gets
+# the error it gives any other stray character. Where the text replaced is
+# None, the replacement names a copy of the file.
+NON_ASCII_DIGITS = [
+    ("in.esc", "version 1", "version ١", "parse",
+     "ParseError line 1 column 9: unexpected character '١'"),
+    ("project/handlers/BANK_ACCOUNT/1_to_2.est", "from 1", "from १", "migrate",
+     "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 1 column 29: unexpected character '१'"),
+    ("in.eso", "obj 0", "obj ０", "migrate",
+     "FormatError 2 expected 'obj <id> <CLASS> version <v>', got 'obj ０ BANK_ACCOUNT version 1'"),
+    ("in.eso", "INTEGER = 100", "INTEGER = ١٠٠", "migrate",
+     "FormatError 3 line 3, column 27: unexpected character '١'"),
+    ("project/escher.manifest", "release 1", "release ١", "migrate",
+     "FormatError 1 unrecognized manifest line 'release ١'"),
+    ("in.hist", "versions 5", "versions ٥", "per",
+     "FormatError 2 unrecognized history line 'versions ٥'"),
+    ("project/handlers/BANK_ACCOUNT/1_to_2.est", None,
+     "project/handlers/BANK_ACCOUNT/١_to_٢.est", "migrate",
+     "FormatError 0 handler file {project}/handlers/BANK_ACCOUNT/١_to_٢.est "
+     "is not named <from>_to_<to>.est"),
+]
+
+
+@pytest.mark.parametrize(
+    "file, old, new, command, first_line", NON_ASCII_DIGITS,
+    ids=[".esc", ".est", ".eso header", ".eso field", "manifest", ".hist", "handler file name"],
+)
+def test_a_non_ascii_digit_is_no_digit_in_any_file_format(
+    tmp_path, bank_project, file, old, new, command, first_line
+):
+    bank_project.rename(tmp_path / "project")
+    for name, text in [("in.esc", BANK_V1_TEXT), ("in.eso", BANK_OBJECT_TEXT),
+                       ("in.hist", (FIXTURES / "arraylist.hist").read_text(encoding="utf-8"))]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = tmp_path / file
+    text = path.read_text(encoding="utf-8")
+    if old is None:
+        (tmp_path / new).write_text(text, encoding="utf-8")
+    else:
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    argv = {
+        "parse": ["parse", str(tmp_path / "in.esc")],
+        "migrate": ["migrate", str(tmp_path / "in.eso"), "--to-release", "2",
+                    "--project", str(tmp_path / "project")],
+        "per": ["per", str(tmp_path / "in.hist")],
+    }[command]
+    code, out, err = run_cli(*argv)
+    assert (code, out.splitlines()[0]) == (1, first_line.format(project=tmp_path / "project"))
     assert "Traceback" not in out + err
 
 
@@ -432,6 +485,28 @@ def test_migrate_string_input(tmp_path, bank_project_stub):
     assert out.splitlines()[0].startswith("ConversionFailure STRING_TO_INTEGER")
 
 
+def test_a_carriage_return_in_a_string_survives_migrate_then_check(tmp_path):
+    """The CLI reads files with universal newlines, so a raw carriage
+    return in a written STRING would read back as a line break."""
+    v1 = parse_schema("version 1\nclass S feature\n  x: INTEGER\nend\n")
+    v2 = parse_schema("version 2\nclass S feature\n  x: INTEGER\n  t: STRING\nend\n")
+    repo, _ = release(empty_repository("cr"), {"S": v1})
+    repo, _ = release(repo, {"S": v2.with_version(1)})
+    save_repository(repo, tmp_path / "project")
+    (tmp_path / "in.eso").write_text(
+        "ESCHER-OBJECTS 1\nobj 0 S version 1\n  x: INTEGER = 1\nend\n", encoding="utf-8"
+    )
+    (tmp_path / "S.esc").write_text(render_schema(v2), encoding="utf-8")
+    out = tmp_path / "out.eso"
+    code, _, err = run_cli("migrate", str(tmp_path / "in.eso"), "--inputs", 'S.t="a\rb"',
+                           "--to-release", "2", "--project", str(tmp_path / "project"),
+                           "--out", str(out))
+    assert (code, err) == (0, "")
+    assert '  t: STRING = "a\\rb"\n' in out.read_text(encoding="utf-8")
+    assert run_cli("check", str(out), str(tmp_path / "S.esc")) == (0, "ok S 0\n", "")
+    assert deserialize(out.read_text(encoding="utf-8")).records[0].fields["t"] == "a\rb"
+
+
 def test_migrate_multi_hop_and_strict_direct(tmp_path):
     from test_objects import make_chain_repo
     from escher.repository import save_repository
@@ -595,6 +670,23 @@ def test_check_v1_object_against_v1_schema():
     code, out, _ = run_cli("check", OBJ, V1)
     assert code == 0
     assert out == "ok BANK_ACCOUNT 0\n"
+
+
+@pytest.mark.parametrize("newline, indent, line_reads", [("\r\n", "  ", 0), ("\n", "\t", 1)],
+                         ids=["CRLF", "tab-indented"])
+def test_the_cli_reads_a_crlf_object_file_as_blocks(tmp_path, monkeypatch, newline, indent, line_reads):
+    """Universal newlines turn CRLF into LF before ``deserialize`` sees the
+    text, so only a layout that differs in more than line endings reaches
+    the line reader."""
+    from escher import objects
+
+    calls = []
+    read_record = objects._read_record
+    monkeypatch.setattr(objects, "_read_record", lambda *args: calls.append(1) or read_record(*args))
+    obj = tmp_path / "copy.eso"
+    obj.write_bytes(BANK_OBJECT_TEXT.replace("\n  ", "\n" + indent).replace("\n", newline).encode())
+    assert run_cli("check", str(obj), V1) == (0, "ok BANK_ACCOUNT 0\n", "")
+    assert len(calls) == line_reads
 
 
 def test_usage_errors_exit_2(bank_project):

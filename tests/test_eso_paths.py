@@ -382,8 +382,9 @@ def test_a_format_error_in_the_last_record_beats_bad_refs_in_the_first():
 
 @settings(max_examples=500, deadline=None)
 @given(st.text())
-@example('a"b\\c\nd')
+@example('a"b\\c\nd\re')
 def test_a_string_renders_as_the_per_character_escape_and_reads_back(value):
     rendered = escape_string(value)
-    assert rendered == '"' + "".join({'"': '\\"', "\\": "\\\\", "\n": "\\n"}.get(ch, ch) for ch in value) + '"'
+    escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+    assert rendered == '"' + "".join(escapes.get(ch, ch) for ch in value) + '"'
     assert unescape_string(rendered, 1, 1) == value

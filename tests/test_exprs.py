@@ -293,7 +293,7 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
     old = ObjectRecord(0, "C", 1, {"a": 1})
     new = interpret_transformer(t, old, {}, new_schema=schema)
     assert list(new.fields.items()) == [("a", N)]
-    assert t.hops[(("a",), ()), True] is not None  # generated, as is any hop at the bound
+    assert t.hops[("a",), ()] is not None  # generated, as is any hop at the bound
     assert t.steps[0][2](old.fields, {}) == N  # and its compiled step agrees
     parsed = parse_schema(_esc(_chain("a", N - 1) + " > 0"))
     assert parse_schema(render_schema(parsed)) == parsed
@@ -589,6 +589,8 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
         ("1 = true", "equality between incomparable types"),
         ("true + 1", "arithmetic + over non-numeric operands"),
         ("true < 1", "operands of < are not comparable"),
+        ("true < false", "operands of < are not comparable"),
+        ("Void < Void", "operands of < are not comparable"),
         ("1 // 1.0", "integer division needs integer operands"),
         ("1.0e300 * 1.0e300", "real overflow"),
     ],

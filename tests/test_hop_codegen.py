@@ -2,11 +2,11 @@
 
 ``objects.interpret_transformer`` runs a record through the function
 ``objects.generate_hop`` builds for (transformer, attribute order,
-``attached`` attributes, ``check_attached``) and, when the function raises or was not built, through
-the step loop. Here the same hop also runs with no function at all. Both
-must give the same fields in the same order with the same value classes,
-the same warnings, or the same error class, text and attributes
-(``EvaluationError`` carries its index).
+``attached`` attributes) and, when the function raises or was not built,
+through the step loop, which alone reads ``check_attached``. Here the same
+hop also runs with no function at all. Both must give the same fields in
+the same order with the same value classes, the same warnings, or the same
+error class, text and attributes (``EvaluationError`` carries its index).
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from escher import exprs, objects  # noqa: E402
-from escher.objects import ObjectGraph, ObjectRecord, interpret_transformer, serialize  # noqa: E402
+from escher.errors import AttachmentViolation  # noqa: E402
+from escher.objects import ObjectGraph, ObjectRecord, interpret_transformer, retrieve, serialize  # noqa: E402
+from escher.repository import Release, Repository, register_transformer  # noqa: E402
 from escher.schema import parse_schema  # noqa: E402
 from escher.transformer import Assign, CheckAttached, Noop, ObjectTransformer, parse_transformer  # noqa: E402
 from escher.values import INT64_MAX, INT64_MIN, RefVal  # noqa: E402
@@ -49,8 +51,8 @@ def steps_alone(t, old, inputs, schema, check_attached):
         return outcome(replace(t), old, inputs, schema, check_attached)
 
 
-def was_built(t, schema, check_attached) -> bool:
-    return t.hops[schema.record_shape, check_attached] is not None
+def was_built(t, schema) -> bool:
+    return t.hops[schema.record_shape] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def hops(draw):
     return ObjectTransformer("C", 1, 2, tuple(instrs)), schema
 
 
-def expect_built(t: ObjectTransformer, schema, check_attached: bool) -> bool:
+def expect_built(t: ObjectTransformer, schema) -> bool:
     """Whether ``generate_hop`` should build, worked out from the instructions."""
     if t.assigned_targets != schema.attribute_set:
         return False
@@ -119,7 +121,7 @@ def expect_built(t: ObjectTransformer, schema, check_attached: bool) -> bool:
                    for node in exprs.walk(instr.expr)):
                 return False
             assigned.add(instr.target_name)
-        elif instr.__class__ is CheckAttached and check_attached and instr.target_name not in assigned:
+        elif instr.__class__ is CheckAttached and instr.target_name not in assigned:
             return False
     return True
 
@@ -138,8 +140,8 @@ def test_a_generated_hop_gives_what_the_steps_alone_give(hop, records, inputs, c
         got = outcome(t, old, inputs, schema, check_attached)
         assert got == steps_alone(t, old, inputs, schema, check_attached)
         event("error" if isinstance(got[0], tuple) else "fields")
-    built = was_built(t, schema, check_attached)
-    assert built == expect_built(t, schema, check_attached)
+    built = was_built(t, schema)
+    assert built == expect_built(t, schema)
     event(f"built: {built}")
 
 
@@ -186,6 +188,8 @@ CASES = [
     ("target outside the schema", "Result.x := oldc.x\n  Result.nope := 1\n" + REST, GOOD, {}, True,
      False, "EvaluationError"),
     ("check_attached off", "require_attached Result.x\n  Result.x := oldc.x\n" + REST,
+     {**GOOD, "x": None}, {}, False, False, [("x", None), ("w", 1.5), ("s", "a")]),
+    ("tripped check, check_attached off", "Result.x := oldc.x\n  require_attached Result.x\n" + REST,
      {**GOOD, "x": None}, {}, False, True, [("x", None), ("w", 1.5), ("s", "a")]),
 ]
 
@@ -202,13 +206,13 @@ def test_a_named_hop_is_built_or_not_and_agrees_with_the_steps(
     old = ObjectRecord(0, "C", 1, fields)
     got = outcome(t, old, inputs, schema, check_attached)
     assert got == steps_alone(t, old, inputs, schema, check_attached)
-    assert was_built(t, schema, check_attached) is built
+    assert was_built(t, schema) is built
     result, warnings = got
     if isinstance(expected, str):
         assert result[0].__name__ == expected
     else:
         assert result == [(name, value.__class__, value) for name, value in expected]
-        assert len(warnings) == (0 if built else 1)
+        assert len(warnings) == len(schema.attribute_set - t.assigned_targets)
 
 
 @pytest.mark.parametrize("body, check_attached, built, expected", [
@@ -225,7 +229,17 @@ def test_a_void_attached_attribute_fails_the_hop_while_checks_are_on(
     old = ObjectRecord(0, "C", 1, {"x": 1, "p": None})
     got = outcome(t, old, {}, schema, check_attached)
     assert got == steps_alone(t, old, {}, schema, check_attached)
-    assert was_built(t, schema, check_attached) is built
+    assert was_built(t, schema) is built
+    repo = register_transformer(Repository("r", (
+        Release(1, {"C": parse_schema("version 1 class C feature x: INTEGER p: C end")}),
+        Release(2, {"C": schema}),
+    )), t)
+    try:  # retrieve passes ``assertions`` on as ``check_attached``
+        fields = retrieve(ObjectGraph((old,)), repo, {"C": 2}, assertions=check_attached).records[0].fields
+    except AttachmentViolation as err:
+        assert got[0][:2] == (AttachmentViolation, str(err))
+    else:
+        assert got[0] == [(name, value.__class__, value) for name, value in fields.items()]
     result, _ = got
     if isinstance(expected, str):
         assert (result[0].__name__, result[1]) == (expected, "p")
@@ -255,6 +269,6 @@ def test_a_hop_over_hostile_text_migrates_as_the_steps_do(schema_text, body, fie
         return serialize(ObjectGraph((interpret_transformer(transformer, old, inputs, new_schema=schema),)))
 
     generated = migrate(t)
-    assert was_built(t, schema, True)
+    assert was_built(t, schema)
     with mock.patch.object(objects, "generate_hop", lambda *args: None):
         assert generated == migrate(replace(t))

@@ -623,16 +623,18 @@ def test_retrieve_strict_direct_refuses_composition():
     with pytest.raises(TransformationMissing) as exc:
         retrieve(graph, repo, {"CHAIN": 3}, inputs, allow_composition=False)
     assert (exc.value.from_version, exc.value.to_version) == (1, 3)
+    direct = ObjectGraph((ObjectRecord(0, "CHAIN", 2, {"f1": 1, "f2": 2}),))
+    out = retrieve(direct, repo, {"CHAIN": 3}, inputs, allow_composition=False)
+    assert list(out.records[0].fields.items()) == [("f1", 1), ("f2", 2), ("f3", 3)]
 
 
 def test_retrieve_composes_lexicographically_smallest_shortest_path():
     from escher.repository import _shortest_path
 
     edges = {(1, 2), (2, 4), (1, 3), (3, 4)}
-    assert _shortest_path(edges, 1, 4, True) == [1, 2, 4]
-    assert _shortest_path(edges, 1, 4, False) is None
-    assert _shortest_path({(1, 2)}, 1, 2, False) == [1, 2]
-    assert _shortest_path({(2, 1), (1, 3)}, 2, 3, True) == [2, 1, 3]
+    assert _shortest_path(edges, 1, 4) == [1, 2, 4]
+    assert _shortest_path({(1, 2)}, 1, 2) == [1, 2]
+    assert _shortest_path({(2, 1), (1, 3)}, 2, 3) == [2, 1, 3]
 
 
 def _count_calls(monkeypatch, name: str) -> list[tuple]:
@@ -774,14 +776,14 @@ def _count_compiles(monkeypatch) -> list:
 
 
 def _count_builds(monkeypatch) -> list:
-    """``(transformer, attribute order, check_attached, built)`` per hop
-    function generated, ``built`` false where the steps alone run."""
+    """``(transformer, attribute order, built)`` per hop function
+    generated, ``built`` false where the steps alone run."""
     builds: list = []
     original = objects.generate_hop
 
-    def counted(t, order, attached, check_attached):
-        hop = original(t, order, attached, check_attached)
-        builds.append((t, order, check_attached, hop is not None))
+    def counted(t, order, attached):
+        hop = original(t, order, attached)
+        builds.append((t, order, hop is not None))
         return hop
 
     monkeypatch.setattr(objects, "generate_hop", counted)
@@ -804,9 +806,9 @@ def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, mo
     a_hop = mixed_repo.handlers_for("A")[(1, 2)]
     b_hop = mixed_repo.handlers_for("B")[(1, 2)]
     # A's hop leaves y to its default, so its steps run; B's hop is generated
-    assert [(id(t), order, flag, built) for t, order, flag, built in builds] == [
-        (id(a_hop), ("x", "y"), True, False),
-        (id(b_hop), ("n", "m"), True, True),
+    assert [(id(t), order, built) for t, order, built in builds] == [
+        (id(a_hop), ("x", "y"), False),
+        (id(b_hop), ("n", "m"), True),
     ]
     expected = [
         a_hop.instructions[0].expr,  # record 0's hop, then its gate
@@ -827,8 +829,8 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
         retrieve(graph, repo, {"CHAIN": 4}, inputs)
     hops = [repo.handlers_for("CHAIN")[(v, v + 1)] for v in (1, 2, 3)]
     orders = [tuple(f"f{k}" for k in range(1, v + 2)) for v in (1, 2, 3)]
-    assert [(id(t), order, flag, built) for t, order, flag, built in builds] == [
-        (id(t), order, True, True) for t, order in zip(hops, orders)
+    assert [(id(t), order, built) for t, order, built in builds] == [
+        (id(t), order, True) for t, order in zip(hops, orders)
     ]
     assert compiled == []  # every hop ran generated; CHAIN gates no clause
 
@@ -853,7 +855,7 @@ def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
     interpret_transformer(t, old, {}, new_schema=replace(schema))  # one attribute order
     assert (len(builds), len(compiled)) == (2, 2)
     interpret_transformer(t, old, {}, new_schema=schema, check_attached=False)
-    assert [flag for _, _, flag, _ in builds] == [True, True, False]
+    assert (len(builds), len(compiled)) == (2, 2)  # checks on or off, one function
 
 
 def test_a_hand_built_literal_outside_64_bits_fails_where_it_is_first_used():
