@@ -1,4 +1,7 @@
-"""Shared tokenizer for the class, transformer, and object file syntaxes.
+"""Shared tokenizer for the class, transformer, and object file syntaxes,
+and the blank rule of every file format the tool reads: ``BLANKS`` separate
+words, and any other whitespace character is an ``unexpected character``
+here and the usual error of a line format (``line_format``).
 
 Line comments start with ``--`` and run to end of line. Two-hyphen comments
 win over a bare minus, so ``a--b`` lexes as ``a`` followed by a comment
@@ -14,17 +17,27 @@ from .errors import FormatError, ParseError
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier, in every syntax the tool reads
 IDENT_RE = re.compile(IDENT + r"\Z")
+BLANKS = " \t\r"  # what separates words, in every file format the tool reads
 
+
+def line_format(*words: str) -> re.Pattern[str]:
+    """The regex of a line whose ``words``, regex fragments, are separated
+    by blanks; it matches the line stripped of ``BLANKS``."""
+    return re.compile(f"[{BLANKS}]+".join(words) + r"\Z")
+
+
+# Each group is named after the token kind it makes; SKIP and NL make none,
+# and BAD, any other character, is an error.
 _TOKEN_RE = re.compile(
     rf"""
-    (?P<comment>--[^\n]*)
-  | (?P<ws>[ \t\r]+)
-  | (?P<nl>\n)
-  | (?P<real>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-  | (?P<int>[0-9]+)
-  | (?P<ident>{IDENT})
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<op>:=|/=|//|<=|>=|->|[:\[\](),;=<>+\-*.])
+    (?P<SKIP>--[^\n]*|[{BLANKS}]+)
+  | (?P<NL>\n)
+  | (?P<REAL>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<INT>[0-9]+)
+  | (?P<IDENT>{IDENT})
+  | (?P<STRING>"(?:\\.|[^"\\\n])*")
+  | (?P<OP>:=|/=|//|<=|>=|->|[:\[\](),;=<>+\-*.])
+  | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
@@ -83,31 +96,18 @@ def tokenize(source: str, *, start_line: int = 1, start_column: int = 1) -> list
     tokens: list[Token] = []
     line = start_line
     line_start = 1 - start_column
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        if kind == "nl":
+        if kind == "SKIP":
+            continue
+        if kind == "NL":
             line += 1
             line_start = m.end()
-        elif kind in ("ws", "comment"):
-            pass
-        elif kind == "ident":
-            tokens.append(Token("IDENT", text, line, col))
-        elif kind == "int":
-            tokens.append(Token("INT", text, line, col))
-        elif kind == "real":
-            tokens.append(Token("REAL", text, line, col))
-        elif kind == "string":
-            tokens.append(Token("STRING", text, line, col))
-        else:
-            tokens.append(Token("OP", text, line, col))
-        pos = m.end()
+            continue
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append(Token(kind, m.group(), line, col))
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -129,25 +129,24 @@ class TokenStream:
             self._pos += 1
         return tok
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == text
+    def at(self, text: str) -> bool:
+        """Whether the next token is the keyword or operator ``text``; no
+        token of another kind can carry its text."""
+        return self.peek().text == text
 
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and (text is None or tok.text == text)
+    def at_ident(self) -> bool:
+        return self.peek().kind == "IDENT"
 
-    def expect_op(self, text: str) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if not self.at_op(text):
+        if tok.text != text:
             raise ParseError(f"found {tok.text!r}", tok.line, tok.column, expected=repr(text))
         return self.next()
 
-    def expect_ident(self, text: str | None = None) -> Token:
+    def expect_ident(self) -> Token:
         tok = self.peek()
-        if tok.kind != "IDENT" or (text is not None and tok.text != text):
-            what = repr(text) if text else "an identifier"
-            raise ParseError(f"found {tok.text!r}", tok.line, tok.column, expected=what)
+        if tok.kind != "IDENT":
+            raise ParseError(f"found {tok.text!r}", tok.line, tok.column, expected="an identifier")
         return self.next()
 
     def error(self, message: str, expected: str | None = None) -> ParseError:

@@ -7,8 +7,11 @@ Two sub-languages draw from one node pool:
 * transformer assignment sources: arithmetic only, with ``OldField``,
   ``InputRef`` and ``Convert`` atoms.
 
-Both parse arithmetic and literals with ``parse_arith`` and supply only
-their own primaries. A literal is a ``Lit`` holding the runtime value itself.
+Both parse with ``parse_expr``, which reads ``PRECEDENCE``, the one table of
+operator levels that ``render_expr`` reads too: invariant bodies from its
+loosest level, transformer sources from ``ARITH_LEVEL``. Each language
+supplies only its own primaries. A literal is a ``Lit`` holding the runtime
+value itself.
 ``parse_literal`` is the one literal grammar and ``RENDERING`` the one
 literal renderer (``render_value`` looks it up), for expressions, ``.eso``
 fields and ``--inputs`` alike.
@@ -28,9 +31,9 @@ id the table lacks is an ``UnknownConverter`` when a record reaches it.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
 deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
-per tree level, writing source twice, and the invariant parser eight frames
-per parenthesis, so at the bound all of them stay inside Python's default
-limit of 1000 frames.
+per tree level, writing source twice, and the parser nine frames per
+parenthesis in an invariant and five in a transformer source, so at the
+bound all of them stay inside Python's default limit of 1000 frames.
 Going deeper is a ``ParseError`` at the token that did it.
 """
 
@@ -141,17 +144,20 @@ class Compare(_Branch):
 class And(_Branch):
     left: "Expr"
     right: "Expr"
+    op = "and"  # not a field: the keyword, as ``BinOp.op`` is the operator
 
 
 @dataclass(frozen=True)
 class Or(_Branch):
     left: "Expr"
     right: "Expr"
+    op = "or"
 
 
 @dataclass(frozen=True)
 class Not(_Branch):
     operand: "Expr"
+    op = "not"
 
 
 Expr = Union[Lit, AttrRef, OldField, InputRef, Convert, BinOp, Compare, And, Or, Not]
@@ -160,22 +166,12 @@ Expr = Union[Lit, AttrRef, OldField, InputRef, Convert, BinOp, Compare, And, Or,
 INVARIANT_ONLY = (AttrRef, Compare, And, Or, Not)
 TRANSFORMER_ONLY = (OldField, InputRef, Convert)
 
-_ATOM = 10
-_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "//": 6}
-
-
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, Or):
-        return _PREC["or"]
-    if isinstance(expr, And):
-        return _PREC["and"]
-    if isinstance(expr, Not):
-        return _PREC["not"]
-    if isinstance(expr, Compare):
-        return _PREC["cmp"]
-    if isinstance(expr, BinOp):
-        return _PREC[expr.op]
-    return _ATOM
+#: The operators by level, loosest first: the one statement of precedence,
+#: which ``parse_expr`` and ``render_expr`` read. Binary levels associate
+#: left, comparisons do not chain, and ``not`` is a prefix.
+PRECEDENCE = (("or",), ("and",), ("not",), COMPARE_OPS, ("+", "-"), ("*", "//"))
+_LEVEL = {op: level for level, ops in enumerate(PRECEDENCE) for op in ops}
+_NOT, _COMPARE, ARITH_LEVEL = _LEVEL["not"], _LEVEL["="], _LEVEL["+"]
 
 
 def children(expr: Expr) -> tuple[Expr, ...]:
@@ -208,39 +204,47 @@ def build(tok: Token, node: type, *args) -> Expr:
         raise ParseError(str(err), tok.line, tok.column) from None
 
 
-def parse_parenthesized(stream: TokenStream, inner: Callable[[TokenStream], Expr]) -> Expr:
-    """``( <inner> )``; the parenthesis opening past MAX_DEPTH is a ParseError."""
-    tok = stream.expect_op("(")
+def parse_parenthesized(stream: TokenStream, atom: Callable[[TokenStream], Expr], level: int) -> Expr:
+    """``( <expression from level> )``; the parenthesis opening past
+    MAX_DEPTH is a ParseError."""
+    tok = stream.expect("(")
     stream.depth += 1
     if stream.depth > MAX_DEPTH:
         raise ParseError(_TOO_DEEP, tok.line, tok.column)
-    expr = inner(stream)
+    expr = parse_expr(stream, atom, level)
     stream.depth -= 1
-    stream.expect_op(")")
+    stream.expect(")")
     return expr
 
 
-def parse_arith(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
-    """``+ -`` over ``* //``, both left-associative, over literals and the
-    primaries ``atom`` parses (each language passes its own)."""
-    left = _parse_term(stream, atom)
-    while stream.at_op("+") or stream.at_op("-"):
-        op = stream.next()
-        left = build(op, BinOp, op.text, left, _parse_term(stream, atom))
+def parse_expr(stream: TokenStream, atom: Callable[[TokenStream], Expr], level: int = 0) -> Expr:
+    """An expression whose loosest operators are ``PRECEDENCE[level]``, over
+    literals and the primaries ``atom`` parses (each language passes its
+    own): an invariant body from level 0, a transformer source from
+    ``ARITH_LEVEL``. One frame per level, and ``not`` runs are a loop."""
+    if level == len(PRECEDENCE):  # a literal or a primary
+        literal = parse_literal(stream)
+        return atom(stream) if literal is None else literal
+    if level == _NOT:
+        nots = []
+        while stream.at("not"):
+            nots.append(stream.next())
+        expr = parse_expr(stream, atom, level + 1)
+        for tok in reversed(nots):
+            expr = build(tok, Not, expr)
+        return expr
+    ops = PRECEDENCE[level]
+    left = parse_expr(stream, atom, level + 1)
+    while stream.peek().text in ops:
+        tok = stream.next()
+        right = parse_expr(stream, atom, level + 1)
+        if level < _NOT:
+            left = build(tok, Or if tok.text == "or" else And, left, right)
+        else:
+            left = build(tok, Compare if level == _COMPARE else BinOp, tok.text, left, right)
+            if level == _COMPARE:
+                break  # comparisons do not chain
     return left
-
-
-def _parse_term(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
-    left = _parse_operand(stream, atom)
-    while stream.at_op("*") or stream.at_op("//"):
-        op = stream.next()
-        left = build(op, BinOp, op.text, left, _parse_operand(stream, atom))
-    return left
-
-
-def _parse_operand(stream: TokenStream, atom: Callable[[TokenStream], Expr]) -> Expr:
-    literal = parse_literal(stream)
-    return atom(stream) if literal is None else literal
 
 
 def parse_literal(stream: TokenStream) -> Lit | None:
@@ -253,7 +257,7 @@ def parse_literal(stream: TokenStream) -> Lit | None:
     meets a literal that no value can hold.
     """
     start = tok = stream.peek()
-    negative = tok.kind == "OP" and tok.text == "-"
+    negative = stream.at("-")
     if negative:  # a negative literal, not general unary minus
         stream.next()
         tok = stream.peek()
@@ -341,11 +345,9 @@ def render_expr(expr: Expr) -> str:
     return _render(expr, 0)
 
 
-def _wrap(text: str, prec: int, context: int) -> str:
-    return f"({text})" if prec < context else text
-
-
 def _render(expr: Expr, context: int) -> str:
+    """``expr`` inside an operand of ``PRECEDENCE[context]``: parenthesized
+    where its own operator is looser."""
     if isinstance(expr, Lit):
         return render_value(expr.value)
     if isinstance(expr, AttrRef):
@@ -356,25 +358,15 @@ def _render(expr: Expr, context: int) -> str:
         return f"input {expr.key}"
     if isinstance(expr, Convert):
         return f"convert {expr.converter_id} ({_render(expr.arg, 0)})"
+    if not isinstance(expr, (Not, Compare, BinOp, And, Or)):
+        raise TypeError(f"not an expression node: {expr!r}")
+    level = _LEVEL[expr.op]
     if isinstance(expr, Not):
-        p = _prec(expr)
-        return _wrap(f"not {_render(expr.operand, p)}", p, context)
-    if isinstance(expr, Compare):
-        p = _prec(expr)
-        # operands live at arithmetic level; nested comparisons need parens
-        text = f"{_render(expr.left, p + 1)} {expr.op} {_render(expr.right, p + 1)}"
-        return _wrap(text, p, context)
-    if isinstance(expr, (BinOp, And, Or)):
-        if isinstance(expr, And):
-            op, p = "and", _PREC["and"]
-        elif isinstance(expr, Or):
-            op, p = "or", _PREC["or"]
-        else:
-            op, p = expr.op, _PREC[expr.op]
-        # left-associative: equal precedence on the right needs parens
-        text = f"{_render(expr.left, p)} {op} {_render(expr.right, p + 1)}"
-        return _wrap(text, p, context)
-    raise TypeError(f"not an expression node: {expr!r}")
+        text = f"not {_render(expr.operand, level)}"
+    else:  # left-associative, and a comparison's left operand cannot be one
+        left = level + 1 if isinstance(expr, Compare) else level
+        text = f"{_render(expr.left, left)} {expr.op} {_render(expr.right, level + 1)}"
+    return f"({text})" if level < context else text
 
 
 class EvalProblem(Exception):

@@ -44,7 +44,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import exprs
-from ._lex import IDENT, TokenStream, line_int, tokenize, unescape_string
+from ._lex import BLANKS, IDENT, TokenStream, line_format, line_int, tokenize, unescape_string
 from .errors import (
     AttachmentViolation,
     DanglingReference,
@@ -191,7 +191,7 @@ def serialize(graph: ObjectGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OBJ_RE = re.compile(rf"obj\s+([0-9]+)\s+({IDENT})\s+version\s+([0-9]+)\s*\Z")
+_OBJ_RE = line_format("obj", "([0-9]+)", f"({IDENT})", "version", "([0-9]+)")
 _LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
 # One record exactly as ``serialize`` writes it: the header line, the field
 # lines (each starting with two spaces), then ``end``.
@@ -219,7 +219,7 @@ def deserialize(text: str) -> ObjectGraph:
     errors. Then the first ``ref`` past the last record, else the first not
     annotated with its target's class, is refused (``_ref_error``)."""
     header = _LINE_RE.match(text)[0]  # no copy of the rest, as partition() makes
-    if header.strip() != _HEADER:
+    if header.strip(BLANKS) != _HEADER:
         raise FormatError(1, f"missing {_HEADER!r} header")
     records: list[ObjectRecord] = []
     refs: dict[int, tuple[RefVal, str | None]] = {}  # target -> its RefVal, refs' annotation
@@ -284,7 +284,7 @@ def _read_record(text: str, pos: int, lineno: int, records: list, refs: dict) ->
     fields: dict[str, ObjectValue] = {}
     for line in _LINE_RE.finditer(text, pos):
         lineno += 1
-        word = line[0].strip()
+        word = line[0].strip(BLANKS)
         if not word:
             continue
         if object_id is None:
@@ -324,7 +324,7 @@ def _ref_error(text: str, records: list[ObjectRecord], refs: dict) -> EscherErro
             return DanglingReference(target)
     # After the header, the non-blank lines are each record's ``obj`` line,
     # its field lines and its ``end``; annotations are read again only here.
-    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()][1:]
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip(BLANKS)][1:]
     values = [value for record in records for value in (None, *record.fields.values(), None)]
     for (lineno, line), value in zip(lines, values):
         if value.__class__ is RefVal:
@@ -341,9 +341,9 @@ def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
     try:
         stream = TokenStream(tokenize(line, start_line=lineno))
         name = stream.expect_ident().text
-        stream.expect_op(":")
+        stream.expect(":")
         annotation = stream.expect_ident().text
-        stream.expect_op("=")
+        stream.expect("=")
         value = _parse_whole_value(stream)
     except ParseError as err:
         raise FormatError.at(err) from err
@@ -357,7 +357,7 @@ def _parse_whole_value(stream: TokenStream) -> ObjectValue:
     of the expression languages, with their range checks and reasons. Every
     failure is a ParseError at the token that caused it."""
     tok = stream.peek()
-    if tok.kind == "IDENT" and tok.text == "ref":
+    if stream.at("ref"):
         stream.next()
         ref_tok = stream.next()
         if ref_tok.kind != "INT":

@@ -16,12 +16,11 @@ History files (``.hist``) are line-oriented and may hold several classes:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from ._lex import IDENT, line_int
+from ._lex import BLANKS, IDENT, line_format, line_int
 from .errors import DegenerateHistory, EmptyRelease, FormatError, UnknownClass
 from .repository import Repository
 
@@ -96,9 +95,9 @@ def history_from_repository(repo: Repository, class_name: str) -> EvolutionHisto
 # History files and reports
 # ---------------------------------------------------------------------------
 
-_CLASS_RE = re.compile(rf"class\s+({IDENT})\s*\Z")
-_VERSIONS_RE = re.compile(r"versions\s+([0-9]+)\s*\Z")
-_TF_RE = re.compile(r"tf\s+([0-9]+)\s+([0-9]+)\s*\Z")
+_CLASS_RE = line_format("class", f"({IDENT})")
+_VERSIONS_RE = line_format("versions", "([0-9]+)")
+_TF_RE = line_format("tf", "([0-9]+)", "([0-9]+)")
 
 
 def parse_history_file(text: str) -> list[EvolutionHistory]:
@@ -121,7 +120,7 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
 
     lineno = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(BLANKS)
         if not line or line.startswith("--"):
             continue
         if m := _CLASS_RE.match(line):

@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ._lex import IDENT, line_int
+from ._lex import BLANKS, IDENT, line_format, line_int
 from .errors import (
     FormatError,
     OverwriteRefused,
@@ -403,9 +403,9 @@ def register_transformer(
 # ---------------------------------------------------------------------------
 
 _MANIFEST = "escher.manifest"
-_RELEASE_RE = re.compile(r"release\s+([0-9]+)\s*\Z")
-_CLASS_RE = re.compile(rf"class\s+({IDENT})\s+version\s+([0-9]+)\s*\Z")
-_TRANSFORMER_RE = re.compile(rf"transformer\s+({IDENT})\s+([0-9]+)\s+([0-9]+)\s+([0-9a-f]+)\s*\Z")
+_RELEASE_RE = line_format("release", "([0-9]+)")
+_CLASS_RE = line_format("class", f"({IDENT})", "version", "([0-9]+)")
+_TRANSFORMER_RE = line_format("transformer", f"({IDENT})", "([0-9]+)", "([0-9]+)", "([0-9a-f]+)")
 _HANDLER_FILE_RE = re.compile(r"([0-9]+)_to_([0-9]+)\.est\Z")
 
 
@@ -443,7 +443,7 @@ def load_repository(project_dir: str | Path) -> Repository:
     manifest_digests: dict[tuple[str, int, int], str] = {}
     releases: list[tuple[int, dict[str, int], dict[str, str]]] = []  # (number, versions, texts)
     for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(BLANKS)
         if not line or line.startswith("--"):
             continue
         if m := _RELEASE_RE.match(line):

@@ -12,6 +12,9 @@ attributes). The concrete syntax lives in ``.esc`` files:
       valid_account: balance > 0
     end
 
+A clause body is an expression that ``exprs.parse_expr`` reads from the
+loosest level of ``exprs.PRECEDENCE``; this module supplies only its
+primaries, a parenthesized body and an attribute name.
 All values are immutable; operations are pure functions.
 """
 
@@ -281,13 +284,13 @@ def parse_schema(source: str) -> ClassSchema:
     """Parse a ``.esc`` class definition; trailing content is an error."""
     stream = TokenStream(tokenize(source))
     version = 1
-    if stream.at_ident("version"):
+    if stream.at("version"):
         stream.next()
         version = exprs.parse_version(stream)
-    stream.expect_ident("class")
+    stream.expect("class")
     name = _class_ident(stream)
     generic_params: list[str] = []
-    if stream.at_op("["):
+    if stream.at("["):
         stream.next()
         while True:
             tok = stream.peek()
@@ -295,12 +298,12 @@ def parse_schema(source: str) -> ClassSchema:
             if param in generic_params:
                 raise ParseError(f"duplicate generic parameter {param!r}", tok.line, tok.column)
             generic_params.append(param)
-            if stream.at_op(","):
+            if stream.at(","):
                 stream.next()
                 continue
             break
-        stream.expect_op("]")
-    stream.expect_ident("feature")
+        stream.expect("]")
+    stream.expect("feature")
     params = tuple(generic_params)
     attributes: list[Attribute] = []
     while stream.at_ident() and stream.peek().text not in ("invariant", "end"):
@@ -312,20 +315,20 @@ def parse_schema(source: str) -> ClassSchema:
                 tok.line,
                 tok.column,
             )
-        stream.expect_op(":")
+        stream.expect(":")
         attributes.append(Attribute(attr_name, _parse_type(stream, params)))
-        if stream.at_op(","):
+        if stream.at(","):
             stream.next()
     clauses: list[InvariantClause] = []
-    if stream.at_ident("invariant"):
+    if stream.at("invariant"):
         stream.next()
         while stream.at_ident() and stream.peek().text != "end":
             tag = _class_ident(stream)
-            stream.expect_op(":")
-            clauses.append(InvariantClause(tag, _parse_or(stream)))
-            if stream.at_op(";"):
+            stream.expect(":")
+            clauses.append(InvariantClause(tag, exprs.parse_expr(stream, _parse_atom)))
+            if stream.at(";"):
                 stream.next()
-    stream.expect_ident("end")
+    stream.expect("end")
     trailing = stream.peek()
     if trailing.kind != "EOF":
         raise ParseError(
@@ -368,18 +371,15 @@ def _parse_type(stream: TokenStream, params: tuple[str, ...]) -> TypeExpr:
 
 def _parse_derived(stream: TokenStream, params: tuple[str, ...]) -> TypeExpr:
     marker: str | None = None
-    if stream.at_ident("attached") or stream.at_ident("detachable"):
+    if stream.at("attached") or stream.at("detachable"):
         marker = stream.next().text
-        follow = stream.peek()
-        if follow.kind == "IDENT" and follow.text in ("attached", "detachable"):
-            raise ParseError(
-                "at most one attachment marker per type expression", follow.line, follow.column
-            )
+        if stream.at("attached") or stream.at("detachable"):
+            raise stream.error("at most one attachment marker per type expression")
     tok = stream.peek()
     base_name = _class_ident(stream)
     base: TypeExpr
     base = GenericParamRef(base_name) if base_name in params else ClassType(base_name)
-    while stream.at_op("["):
+    while stream.at("["):
         if isinstance(base, GenericParamRef):
             raise ParseError(
                 f"generic parameter {base_name!r} cannot take type arguments", tok.line, tok.column
@@ -390,9 +390,9 @@ def _parse_derived(stream: TokenStream, params: tuple[str, ...]) -> TypeExpr:
             if stream.depth > exprs.MAX_DEPTH:
                 raise ParseError(_TYPE_TOO_DEEP, nest.line, nest.column)
             base = GenericDerivation(base, _parse_derived(stream, params))
-            if not stream.at_op(","):
+            if not stream.at(","):
                 break
-        stream.expect_op("]")
+        stream.expect("]")
     if marker == "attached":
         return Attached(base)
     if marker == "detachable":
@@ -410,49 +410,11 @@ def parse_type(text: str, generic_params: tuple[str, ...] = ()) -> TypeExpr:
     return t
 
 
-# Invariant expression grammar, lowest precedence first:
-#   or -> and -> not -> comparison -> exprs.parse_arith -> atom
-
-
-def _parse_or(stream: TokenStream) -> exprs.Expr:
-    left = _parse_and(stream)
-    while stream.at_ident("or"):
-        left = exprs.build(stream.next(), exprs.Or, left, _parse_and(stream))
-    return left
-
-
-def _parse_and(stream: TokenStream) -> exprs.Expr:
-    left = _parse_not(stream)
-    while stream.at_ident("and"):
-        left = exprs.build(stream.next(), exprs.And, left, _parse_not(stream))
-    return left
-
-
-def _parse_not(stream: TokenStream) -> exprs.Expr:
-    nots = []
-    while stream.at_ident("not"):
-        nots.append(stream.next())
-    expr = _parse_comparison(stream)
-    for tok in reversed(nots):
-        expr = exprs.build(tok, exprs.Not, expr)
-    return expr
-
-
-def _parse_comparison(stream: TokenStream) -> exprs.Expr:
-    left = exprs.parse_arith(stream, _parse_atom)
-    tok = stream.peek()
-    if tok.kind == "OP" and tok.text in exprs.COMPARE_OPS:
-        stream.next()
-        right = exprs.parse_arith(stream, _parse_atom)
-        return exprs.build(tok, exprs.Compare, tok.text, left, right)
-    return left
-
-
 def _parse_atom(stream: TokenStream) -> exprs.Expr:
     """The invariant's own primaries: a parenthesized clause or an attribute."""
     tok = stream.peek()
-    if stream.at_op("("):
-        return exprs.parse_parenthesized(stream, _parse_or)
+    if stream.at("("):
+        return exprs.parse_parenthesized(stream, _parse_atom, 0)
     if tok.kind == "IDENT":
         if tok.text in KEYWORDS:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.column)

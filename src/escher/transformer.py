@@ -13,7 +13,9 @@ new class version from a record of the old one:
 
 Every ``Result.x := <source>`` line is one ``Assign``, its source an
 expression over ``oldc`` fields, ``input`` keys, ``convert`` applications and
-literals (see :mod:`escher.exprs`). The generator emits only three sources,
+literals, which ``exprs.parse_expr`` reads from ``exprs.ARITH_LEVEL``; this
+module supplies only those primaries. A line is stripped of ``_lex.BLANKS``
+alone, as every line format is. The generator emits only three sources,
 ``oldc.<name>``, ``input <target>`` and ``convert <ID> (oldc.<target>)``;
 hand-edited transformers may assign any such expression.
 """
@@ -25,7 +27,7 @@ from functools import cached_property
 from typing import Union
 
 from . import exprs
-from ._lex import TokenStream, tokenize
+from ._lex import BLANKS, TokenStream, tokenize
 from .errors import DuplicateTarget, ParseError
 from .schema import (
     ClassType,
@@ -235,12 +237,12 @@ def parse_transformer(source: str) -> ObjectTransformer:
     pending_warning: str | None = None
     ended = False
     for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(BLANKS)
         if not line:
             continue
-        column = len(raw) - len(raw.lstrip()) + 1  # of the line's first character
+        column = len(raw) - len(raw.lstrip(BLANKS)) + 1  # of the line's first character
         if line.startswith(_WARNING_PREFIX):
-            pending_warning = line[len(_WARNING_PREFIX):].strip()
+            pending_warning = line[len(_WARNING_PREFIX):].strip(BLANKS)
             continue
         if line.startswith("--"):
             continue
@@ -268,11 +270,11 @@ def parse_transformer(source: str) -> ObjectTransformer:
 
 def _parse_header(line: str, lineno: int, column: int) -> tuple[str, int, int]:
     stream = TokenStream(tokenize(line, start_line=lineno, start_column=column))
-    stream.expect_ident("transform")
+    stream.expect("transform")
     name = stream.expect_ident().text
-    stream.expect_ident("from")
+    stream.expect("from")
     from_version = exprs.parse_version(stream)
-    stream.expect_ident("to")
+    stream.expect("to")
     to_tok = stream.peek()
     to_version = exprs.parse_version(stream)
     if to_version == from_version:
@@ -283,18 +285,18 @@ def _parse_header(line: str, lineno: int, column: int) -> tuple[str, int, int]:
 
 def _parse_statement(line: str, lineno: int, column: int) -> TransformerInstr:
     stream = TokenStream(tokenize(line, start_line=lineno, start_column=column))
-    if stream.at_ident("require_attached"):
+    if stream.at("require_attached"):
         stream.next()
-        stream.expect_ident("Result")
-        stream.expect_op(".")
+        stream.expect("Result")
+        stream.expect(".")
         target = stream.expect_ident().text
         _expect_eol(stream)
         return CheckAttached(target)
-    stream.expect_ident("Result")
-    stream.expect_op(".")
+    stream.expect("Result")
+    stream.expect(".")
     target = stream.expect_ident().text
-    stream.expect_op(":=")
-    expr = _parse_source(stream)
+    stream.expect(":=")
+    expr = exprs.parse_expr(stream, _parse_atom, exprs.ARITH_LEVEL)
     _expect_eol(stream)
     return Assign(target, expr)
 
@@ -305,26 +307,22 @@ def _expect_eol(stream: TokenStream) -> None:
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column, expected="end of line")
 
 
-def _parse_source(stream: TokenStream) -> exprs.Expr:
-    return exprs.parse_arith(stream, _parse_atom)
-
-
 def _parse_atom(stream: TokenStream) -> exprs.Expr:
     """The transformer's own primaries: ``(...)``, ``oldc.<name>``,
     ``input <key>`` and ``convert <ID> (...)``."""
     tok = stream.peek()
-    if stream.at_op("("):
-        return exprs.parse_parenthesized(stream, _parse_source)
-    if stream.at_ident("oldc"):
+    if stream.at("("):
+        return exprs.parse_parenthesized(stream, _parse_atom, exprs.ARITH_LEVEL)
+    if stream.at("oldc"):
         stream.next()
-        stream.expect_op(".")
+        stream.expect(".")
         return exprs.OldField(stream.expect_ident().text)
-    if stream.at_ident("input"):
+    if stream.at("input"):
         stream.next()
         return exprs.InputRef(stream.expect_ident().text)
-    if stream.at_ident("convert"):
+    if stream.at("convert"):
         stream.next()
         converter_id = stream.expect_ident().text
-        arg = exprs.parse_parenthesized(stream, _parse_source)
+        arg = exprs.parse_parenthesized(stream, _parse_atom, exprs.ARITH_LEVEL)
         return exprs.build(tok, exprs.Convert, converter_id, arg)
     raise stream.error(f"found {tok.text!r}", expected="an expression")

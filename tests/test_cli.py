@@ -246,6 +246,78 @@ def test_a_non_ascii_digit_is_no_digit_in_any_file_format(
     assert "Traceback" not in out + err
 
 
+# (file, first word of the line edited, where the blank goes, command, first
+# output line when the blank is not one): space, tab and carriage return
+# separate words in every format, and any other whitespace character gets the
+# format's usual error at the line that holds it.
+EST = "project/handlers/BANK_ACCOUNT/1_to_2.est"
+EST_ERROR = ("ParseError handlers/BANK_ACCOUNT/1_to_2.est line {line} column {column}: "
+             "unexpected character {blank}")
+ESO_HEADER_ERROR = "FormatError {line} expected 'obj <id> <CLASS> version <v>', got {stripped}"
+MANIFEST_ERROR = "FormatError {line} unrecognized manifest line {stripped}"
+HIST_ERROR = "FormatError {line} unrecognized history line {stripped}"
+BLANK_LINES = [
+    ("in.eso", "obj", "between", "migrate", ESO_HEADER_ERROR),
+    ("in.eso", "obj", "end", "migrate", ESO_HEADER_ERROR),
+    ("in.eso", "end", "end", "migrate",
+     "FormatError {line} line {line}, column {column}: unexpected character {blank}"),
+    ("project/escher.manifest", "release", "between", "migrate", MANIFEST_ERROR),
+    ("project/escher.manifest", "release", "end", "migrate", MANIFEST_ERROR),
+    ("project/escher.manifest", "class", "between", "migrate", MANIFEST_ERROR),
+    ("project/escher.manifest", "class", "end", "migrate", MANIFEST_ERROR),
+    ("project/escher.manifest", "transformer", "between", "migrate", MANIFEST_ERROR),
+    ("project/escher.manifest", "transformer", "end", "migrate", MANIFEST_ERROR),
+    ("in.hist", "class", "between", "per", "FormatError {line} expected a class line, got {stripped}"),
+    ("in.hist", "class", "end", "per", "FormatError {line} expected a class line, got {stripped}"),
+    ("in.hist", "versions", "between", "per", HIST_ERROR),
+    ("in.hist", "versions", "end", "per", HIST_ERROR),
+    ("in.hist", "tf", "between", "per", HIST_ERROR),
+    ("in.hist", "tf", "end", "per", HIST_ERROR),
+    (EST, "Result.balance", "between", "migrate", EST_ERROR),
+    (EST, "Result.balance", "end", "migrate", EST_ERROR),
+    (EST, "end", "end", "migrate", EST_ERROR),
+]
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\u00a0", "\u3000", "\x0b", "\x0c"],
+                         ids=["space", "tab", "no-break", "ideographic", "vtab", "formfeed"])
+@pytest.mark.parametrize(
+    "file, word, where, command, first_line", BLANK_LINES,
+    ids=[f"{f.rsplit('.', 1)[1]}-{w}-{where}" for f, w, where, _, _ in BLANK_LINES],
+)
+def test_only_space_tab_and_carriage_return_separate_words_in_a_line_format(
+    tmp_path, bank_project, blank, file, word, where, command, first_line
+):
+    bank_project.rename(tmp_path / "project")
+    (tmp_path / "in.eso").write_text(BANK_OBJECT_TEXT, encoding="utf-8")
+    (tmp_path / "in.hist").write_text((FIXTURES / "arraylist.hist").read_text(encoding="utf-8"),
+                                      encoding="utf-8")
+    path = tmp_path / file
+    lines = path.read_text(encoding="utf-8").split("\n")
+    index = next(i for i, line in enumerate(lines) if line.lstrip(" ").startswith(word))
+    indent = len(lines[index]) - len(lines[index].lstrip(" "))
+    if where == "between":
+        lines[index] = lines[index][:indent] + lines[index][indent:].replace(" ", blank, 1)
+    else:
+        lines[index] += blank
+    path.write_text("\n".join(lines), encoding="utf-8")
+    argv = {
+        "migrate": ["migrate", str(tmp_path / "in.eso"), "--to-release", "2",
+                    "--project", str(tmp_path / "project")],
+        "per": ["per", str(tmp_path / "in.hist")],
+    }[command]
+    code, out, err = run_cli(*argv)
+    assert "Traceback" not in out + err
+    if blank in " \t":
+        assert code == 0, out
+        return
+    expected = first_line.format(
+        line=index + 1, column=lines[index].index(blank, indent) + 1, blank=repr(blank),
+        stripped=repr(lines[index].strip(" ")),
+    )
+    assert (code, out.splitlines()[0]) == (1, expected)
+
+
 def test_a_repeated_double_dash_is_a_usage_error():
     code, out, err = run_cli("gen", "--", "a.esc", "b.esc", "--")
     assert (code, out) == (2, "")

@@ -1,5 +1,5 @@
-"""The arithmetic and literal grammar ``.esc`` invariants and ``.est``
-transformer sources share (``exprs.parse_arith``/``exprs.parse_literal``),
+"""The expression and literal grammar ``.esc`` invariants and ``.est``
+transformer sources share (``exprs.parse_expr``/``exprs.parse_literal``),
 whose literals ``.eso`` fields and ``--inputs`` values read too.
 
 Random trees over each language's node pool must come back from their
@@ -11,6 +11,9 @@ evaluate as a plain tree walk does, value for value and error for error.
 """
 
 from __future__ import annotations
+
+import inspect
+import sys
 
 import pytest
 
@@ -271,6 +274,39 @@ def test_other_nesting_is_refused_as_a_parse_error(parse, text, token):
     assert exc.value.args[0] == TOO_DEEP
     line = text.split("\n")[exc.value.line - 1]
     assert line[exc.value.column - 1:].startswith(token)
+
+
+@pytest.mark.parametrize(
+    "parse,wrap,link,atom",
+    [(parse_schema, _esc, "a or b and not c = d + e * (", "a"),
+     (parse_transformer, _est, "oldc.x + oldc.y * (", "oldc.a")],
+    ids=["esc", "est"],
+)
+def test_parentheses_under_every_level_at_the_bound_stay_inside_the_stack(parse, wrap, link, atom):
+    """Each parenthesis opens below every operator level, where the parser
+    is deepest; the tree built on the way back is past the bound."""
+    with pytest.raises(ParseError) as exc:
+        parse(wrap(link * N + atom + ")" * N))
+    assert exc.value.args[0] == TOO_DEEP
+
+
+@pytest.mark.parametrize(
+    "parse,wrap,atom,frames",
+    [(parse_schema, _esc, "a", 9), (parse_transformer, _est, "oldc.a", 5)],
+    ids=["esc", "est"],
+)
+def test_a_parenthesis_costs_the_frames_the_exprs_docstring_states(parse, wrap, atom, frames):
+    module = sys.modules[parse.__module__]  # its ``_parse_atom`` opens each parenthesis
+    depths = []
+    real = module._parse_atom
+
+    def spy(stream):
+        depths.append(len(inspect.stack(0)))
+        return real(stream)
+
+    with mock.patch.object(module, "_parse_atom", spy):
+        parse(wrap(_parens(atom, 10)))
+    assert {b - a for a, b in zip(depths, depths[1:])} == {frames + 1}  # and the spy's own
 
 
 def test_a_tree_over_the_bound_cannot_be_built():

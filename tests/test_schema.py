@@ -70,6 +70,16 @@ def test_render_generic_box_canonical():
     assert parse_schema(text) == parse_schema("class BOX [G] feature item: G end")
 
 
+def test_a_backslash_before_a_newline_ends_no_string():
+    """A backslash escapes no newline, so the quote opens no string: it is
+    the error, at its own line and column."""
+    with pytest.raises(ParseError) as exc:
+        parse_schema('class C feature s: STRING\ninvariant t: s = "a\\\nb" end')
+    assert (exc.value.line, exc.value.column, exc.value.args[0]) == (
+        2, 18, "unexpected character '\"'"
+    )
+
+
 def test_comments_are_skipped():
     schema = parse_schema("-- header comment\nclass C feature\n  x: INTEGER -- trailing\nend")
     assert schema.attribute_names() == ("x",)
