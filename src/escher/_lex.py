@@ -94,6 +94,7 @@ def tokenize(source: str, *, start_line: int = 1, start_column: int = 1) -> list
     A trailing EOF token is always appended so parsers can peek safely.
     """
     tokens: list[Token] = []
+    new = tuple.__new__  # a Token without the NamedTuple constructor's call
     line = start_line
     line_start = 1 - start_column
     for m in _TOKEN_RE.finditer(source):
@@ -107,7 +108,7 @@ def tokenize(source: str, *, start_line: int = 1, start_column: int = 1) -> list
         col = m.start() - line_start + 1
         if kind == "BAD":
             raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        tokens.append(Token(kind, m.group(), line, col))
+        tokens.append(new(Token, (kind, m.group(), line, col)))
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -123,8 +124,10 @@ class TokenStream:
     def peek(self) -> Token:
         return self._tokens[self._pos]
 
+    # The methods below index the list themselves rather than call ``peek``:
+    # a parse makes several of these calls per token.
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != "EOF":
             self._pos += 1
         return tok
@@ -132,16 +135,18 @@ class TokenStream:
     def at(self, text: str) -> bool:
         """Whether the next token is the keyword or operator ``text``; no
         token of another kind can carry its text."""
-        return self.peek().text == text
+        return self._tokens[self._pos].text == text
 
     def at_ident(self) -> bool:
-        return self.peek().kind == "IDENT"
+        return self._tokens[self._pos].kind == "IDENT"
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.text != text:
             raise ParseError(f"found {tok.text!r}", tok.line, tok.column, expected=repr(text))
-        return self.next()
+        if tok.kind != "EOF":
+            self._pos += 1
+        return tok
 
     def expect_ident(self) -> Token:
         tok = self.peek()

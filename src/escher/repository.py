@@ -58,9 +58,9 @@ def content_digest(text: str) -> str:
 
 class ReleaseSchemas(Mapping[str, ClassSchema]):
     """Read-only {class: schema} of one release. ``versions`` holds each
-    class's version tag and ``texts`` the text of each file a load read,
-    both known without a parse; a schema read from a file is parsed the
-    first time it is looked up."""
+    class's version tag and ``texts`` the file text a load read or a
+    release kept, both known without a parse; a schema read from a file is
+    parsed the first time it is looked up."""
 
     def __init__(
         self,
@@ -208,9 +208,13 @@ class Repository:
     def latest_version(self, class_name: str) -> int | None:
         return next(reversed(self._versions.get(class_name, ())), None)
 
+    def _stored(self, class_name: str, version: int) -> ReleaseSchemas:
+        """The schemas of the last release tagging one known version."""
+        return self.releases[self._versions[class_name][version]].schemas
+
     def _schema(self, class_name: str, version: int) -> ClassSchema:
         """The schema of one known version, parsing none of the others."""
-        return self.releases[self._versions[class_name][version]].schemas[class_name]
+        return self._stored(class_name, version)[class_name]
 
     def schema_for(self, class_name: str, version: int) -> ClassSchema:
         history = self.class_history(class_name)
@@ -324,9 +328,15 @@ def release(
     (previous -> new version) unless one is already registered; unchanged
     classes keep their tag; new classes enter at tag 1. An unchanged working
     set is a no-op.
+
+    A class whose tag is its latest one and whose rendering is the text a
+    load read for that version's file is unchanged without a parse, since
+    ``parse_schema(render_schema(s)) == s``; the new release keeps that text
+    for the save. Every other class is compared with its parsed latest schema.
     """
     previous = repo.latest_release()
     new_schemas: dict[str, ClassSchema] = {}
+    texts: dict[str, str] = {}  # {class: stored text} of the classes matched by text
     bumped: list[tuple[str, int, int]] = []
     added: list[str] = []
     for name in sorted(working_set):
@@ -340,7 +350,13 @@ def release(
             new_schemas[name] = schema
             added.append(name)
             continue
-        last_schema = repo._schema(name, last_version)
+        stored = repo._stored(name, last_version)
+        text = stored.texts.get(name)
+        if schema.version == last_version and text is not None and render_schema(schema) == text:
+            new_schemas[name] = schema
+            texts[name] = text
+            continue
+        last_schema = stored[name]
         changed = not schemas_equivalent(last_schema, schema)
         if schema.version == last_version:
             pass
@@ -370,9 +386,9 @@ def release(
         stub = generate_transformer(transformation)
         handlers[name] = {**entries, (old_version, new_version): _made(stub)}
         stubs.append((name, old_version, new_version))
-    new_repo = Repository(
-        repo.project_name, repo.releases + (Release(number, new_schemas),), handlers
-    )
+    versions = {name: schema.version for name, schema in new_schemas.items()}
+    new_release = Release(number, ReleaseSchemas(new_schemas, versions, texts))
+    new_repo = Repository(repo.project_name, repo.releases + (new_release,), handlers)
     report = ReleaseReport(
         noop=False,
         number=number,
@@ -509,9 +525,29 @@ def load_repository(project_dir: str | Path) -> Repository:
         raise FormatError(0, f"{manifest_path}: {err}") from err
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``. ``os.read`` is called until it
+    returns nothing, since a signal may cut one read short."""
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as err:  # such as reading a directory, which names no file
+        err.filename = path
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    """The file at ``path`` as text-mode ``open()`` reads it: decoded as
+    UTF-8, with each ``\\r\\n`` and then each lone ``\\r`` read as ``\\n``."""
+    text = _read_bytes(path).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _parsed_schema(
@@ -613,8 +649,8 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
     """Write release schemas, handler files, and then the manifest.
 
     A release file is written only when it is missing or holds other bytes
-    than its text: the text a load read for it, so a schema never parsed is
-    never rendered, or else the schema's rendering, made once per distinct
+    than its text: the text a load read or a release kept for it, so a
+    schema never parsed is never rendered, or else the schema's rendering, made once per distinct
     schema object as releases share the schema of an unchanged class.
     Handler files produced in this session (``dirty``) are written out;
     anything else on disk is left untouched unless missing entirely, so user
@@ -646,8 +682,7 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
                 if text is None:
                     text = rendered[id(schema)] = render_schema(schema)
             try:
-                with open(path, "rb") as f:
-                    unchanged = f.read() == text.encode("utf-8")
+                unchanged = _read_bytes(path) == text.encode("utf-8")
             except FileNotFoundError:
                 unchanged = False
             if not unchanged:

@@ -8,6 +8,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -16,19 +17,29 @@ import pytest
 from conftest import BANK_V2_TEXT, FIXTURES, OTHER_V2, run_cli
 
 from escher import repository
-from escher.errors import FormatError
+from escher.errors import EscherError, FormatError, ParseError
 from escher.repository import (
     RegisteredTransformer,
     Release,
+    ReleaseSchemas,
     Repository,
     empty_repository,
     load_repository,
     release,
     save_repository,
 )
-from escher.schema import parse_schema
+from escher.schema import (
+    Attribute,
+    ClassSchema,
+    ClassType,
+    Detachable,
+    GenericDerivation,
+    InvariantExpr,
+    parse_schema,
+    render_schema,
+)
 from escher.transformer import parse_transformer
-from helpers import random_schema_pair
+from helpers import random_schema, random_schema_pair
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -145,10 +156,154 @@ def test_a_command_parses_only_the_files_it_needs(two_class_project, tmp_path, p
     (working / "BANK_ACCOUNT.esc").write_text(BANK_V2_TEXT, encoding="utf-8")
     (working / "OTHER.esc").write_text("version 2\n" + OTHER_V2.replace("REAL", "STRING"),
                                        encoding="utf-8")
-    expected = files(project, "releases/2/BANK_ACCOUNT.esc", "releases/2/OTHER.esc")
+    expected = files(project, "releases/2/OTHER.esc")
     code, out, _ = run_cli("release", str(working), "--project", str(project))
     assert (code, out.splitlines()[-1]) == (0, "stub OTHER 2 3")
-    assert sorted(parses) == expected  # the latest schema of each working-set class
+    assert sorted(parses) == expected  # BANK_ACCOUNT renders as its stored text
+
+
+def test_an_unchanged_working_set_parses_no_stored_schema(two_class_project, tmp_path, parses):
+    project, working = two_class_project, tmp_path / "work"
+    shutil.copytree(project / "releases" / "2", working)
+    assert run_cli("release", str(working), "--project", str(project))[:2] == (0, "no-op\n")
+    assert parses == []
+
+
+def test_a_save_renders_only_the_schemas_a_release_changed(two_class_project, monkeypatch):
+    repo = load_repository(two_class_project)
+    working_set = dict(repo.latest_release().schemas)
+    working_set["OTHER"] = parse_schema("version 2\n" + OTHER_V2.replace("REAL", "STRING"))
+    repo, _ = release(repo, working_set)
+    rendered: list[str] = []
+
+    def counting(schema):
+        rendered.append(schema.name)
+        return render_schema(schema)
+
+    monkeypatch.setattr(repository, "render_schema", counting)
+    save_repository(repo, two_class_project)
+    assert rendered == ["OTHER"]  # BANK_ACCOUNT's release 3 file is its stored text
+
+
+def toggle_markers(schema: ClassSchema) -> ClassSchema:
+    """``schema`` with each unmarked class-typed attribute made explicitly
+    ``detachable`` and each explicitly ``detachable`` one unmarked: an
+    equivalent schema that renders differently."""
+    def toggled(attr: Attribute) -> Attribute:
+        t = attr.declared_type
+        if isinstance(t, (ClassType, GenericDerivation)):
+            return Attribute(attr.name, Detachable(t))
+        if isinstance(t, Detachable):
+            return Attribute(attr.name, t.inner)
+        return attr
+    return schema.with_attributes(tuple(toggled(a) for a in schema.attributes))
+
+
+# Ways a stored ``.esc`` file may differ from ``render_schema``'s text. A load
+# turns CRLF into LF, so that file reads as rendered.
+STORED_FORMS = {
+    "rendered": lambda text: text,
+    "commented": lambda text: "-- kept by hand\n" + text,
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "extra blanks": lambda text: text.replace(": ", " :  ").replace("\n", " \n"),
+    "explicit detachable": lambda text: render_schema(toggle_markers(parse_schema(text))),
+    "garbled": lambda text: text.replace("end\n", "ned\n"),
+    "retagged": lambda text: re.sub("[0-9]+", lambda m: str(int(m.group()) + 1), text, count=1),
+}
+
+
+def edited(rng: random.Random, name: str, latest: ClassSchema | None, edit: str):
+    """The working-set entry of class ``name`` under ``edit``, or None."""
+    if edit == "absent":
+        return None
+    if latest is None:
+        return replace(random_schema(rng), name=name, version=1 + (edit == "bumped"))
+    if edit == "changed":  # one attribute dropped or added; the tag kept or raised by one
+        kept = list(latest.attributes)
+        if kept and rng.random() < 0.5:
+            del kept[rng.randrange(len(kept))]
+        else:
+            kept.insert(rng.randint(0, len(kept)), Attribute("added", ClassType("INTEGER")))
+        changed = replace(latest, attributes=tuple(kept), invariant=InvariantExpr())
+        return changed.with_version(latest.version + rng.randint(0, 1))
+    if edit == "bumped":  # unchanged, so a tag tamper
+        return latest.with_version(latest.version + 1)
+    return toggle_markers(latest) if edit == "toggled" else latest
+
+
+class Untexted(ReleaseSchemas):
+    """A loaded release that shows no file text, so that ``release``
+    compares each of its classes by parsed schema."""
+
+    def __init__(self, loaded: ReleaseSchemas) -> None:
+        super().__init__({}, dict(loaded.versions))
+        self._loaded = loaded
+
+    def __getitem__(self, name: str) -> ClassSchema:
+        return self._loaded[name]
+
+
+def parsed_without_texts(project: Path) -> Repository:
+    """The project with every schema that parses already parsed, and no
+    file text; a file that does not parse raises when it is looked up."""
+    loaded = load_repository(project)
+    for rel in loaded.releases:
+        for name in rel.versions:
+            try:
+                rel.schemas[name]
+            except (ParseError, FormatError):
+                pass
+    releases = tuple(Release(rel.number, Untexted(rel.schemas)) for rel in loaded.releases)
+    return Repository(loaded.project_name, releases, loaded.handlers)
+
+
+def released(repo: Repository, working_set: dict[str, ClassSchema]):
+    try:
+        return release(repo, working_set)
+    except EscherError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    forms=st.lists(st.sampled_from(sorted(STORED_FORMS)), min_size=6, max_size=6),
+    # "same" twice, so that more examples cut a release instead of failing on a tag
+    edits=st.lists(st.sampled_from(["same", "same", "toggled", "changed", "bumped", "absent"]),
+                   min_size=3, max_size=3),
+)
+def test_a_release_by_stored_text_equals_a_release_by_parsed_schema(
+    tmp_path_factory, seed, forms, edits
+):
+    rng = random.Random(seed)
+    built = random_project(rng)
+    project = tmp_path_factory.mktemp("texts") / "random"
+    save_repository(built, project)
+    stored = sorted((project / "releases").glob("*/*.esc"))
+    for path, form in zip(stored, forms):
+        path.write_bytes(STORED_FORMS[form](path.read_text(encoding="utf-8")).encode("utf-8"))
+    latest = built.latest_release().schemas
+    working_set = {}
+    for name, edit in zip(("P", "Q", "R"), edits):
+        schema = edited(rng, name, latest.get(name), edit)
+        if schema is not None:
+            working_set[name] = schema
+
+    got = released(load_repository(project), working_set)
+    expected = released(parsed_without_texts(project), working_set)
+    if isinstance(expected[0], type):  # the same error
+        assert got == expected
+        return
+    (got_repo, got_report), (expected_repo, expected_report) = got, expected
+    assert got_report == expected_report
+    assert got_repo.handlers == expected_repo.handlers
+    assert got_repo.releases[-1] == expected_repo.releases[-1]
+    if not {"garbled", "retagged"} & set(forms):  # equality parses every release
+        assert got_repo == expected_repo
+    if not got_report.noop:  # the new release's texts: what the save writes, as at a parse
+        kept = got_repo.releases[-1].schemas
+        for name, text in kept.texts.items():
+            assert text == render_schema(kept[name])
 
 
 def test_a_to_target_is_checked_against_version_tags_only(two_class_project, parses):

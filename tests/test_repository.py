@@ -34,6 +34,7 @@ from escher.repository import (
 )
 from escher.schema import parse_schema, render_schema
 from escher.transformer import parse_transformer, render_transformer
+from conftest import run_cli
 from helpers import random_repository
 
 
@@ -336,6 +337,61 @@ def test_save_rewrites_a_listed_release_file_that_differs_or_is_gone(tmp_path):
         assert after[key][1] != 10**18
     untouched = [p for p in project.rglob("*.es[ct]") if p not in (altered, garbled, deleted)]
     assert untouched and all(p.stat().st_mtime_ns == 10**18 for p in untouched)
+
+
+def _text_mode(path: Path) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("ends", [["\r\n"], ["\r"], ["\r\n", "\r", "\n", "\r\r\n"]],
+                         ids=["CRLF", "lone CR", "mixed"])
+def test_a_load_reads_newlines_as_text_mode_open_does(bank_project, ends):
+    paths = [bank_project / "releases" / "2" / "BANK_ACCOUNT.esc",
+             bank_project / "handlers" / "BANK_ACCOUNT" / "1_to_2.est"]
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_bytes("".join(
+            line + ends[i % len(ends)] for i, line in enumerate(lines)
+        ).encode("utf-8"))
+    esc, est = (_text_mode(path) for path in paths)
+    repo = load_repository(bank_project)
+    assert repo.releases[1].schemas.texts["BANK_ACCOUNT"] == esc
+    entry = repo.handlers["BANK_ACCOUNT"][(1, 2)]
+    assert (entry.text, entry.digest) == (est, content_digest(est))
+    assert repo.schema_for("BANK_ACCOUNT", 2) == parse_schema(esc)
+
+
+def test_a_release_file_not_in_utf8_is_an_io_error(bank_project):
+    (bank_project / "releases" / "1" / "BANK_ACCOUNT.esc").write_bytes(b"version 1\xff\n")
+    code, out, err = run_cli("per", "--project", str(bank_project))
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: input is not UTF-8 text")
+
+
+def test_a_listed_directory_fails_as_text_mode_open_does(bank_project):
+    path = bank_project / "releases" / "1" / "BANK_ACCOUNT.esc"
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as by_open:
+        _text_mode(path)
+    with pytest.raises(IsADirectoryError) as by_load:
+        load_repository(bank_project)
+    assert str(by_load.value) == str(by_open.value)
+
+
+def test_load_and_save_read_whole_files_through_short_reads(bank_project, monkeypatch):
+    whole = load_repository(bank_project)
+    read, replace_, written = os.read, os.replace, []
+    monkeypatch.setattr(os, "read", lambda fd, size: read(fd, 1))
+    cut = load_repository(bank_project)
+    assert [rel.schemas.texts for rel in cut.releases] == [
+        rel.schemas.texts for rel in whole.releases
+    ]
+    assert cut == whole
+    monkeypatch.setattr(os, "replace", lambda src, dst: written.append(dst) or replace_(src, dst))
+    save_repository(cut, bank_project)  # every file reads as its text, so none is written
+    assert [Path(p).name for p in written] == ["escher.manifest"]
 
 
 def test_release_schemas_are_a_read_only_copy(bank_v1, bank_v2):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from escher import exprs
+from escher._lex import Token, tokenize
 from escher.errors import (
     DuplicateAttribute,
     InvariantRefersUnknownAttribute,
@@ -29,6 +30,17 @@ from escher.schema import (
     weakens_attachment,
 )
 from helpers import random_schema, random_type
+
+
+def test_tokens_are_named_tuples_in_field_order():
+    tokens = tokenize('version 2 -- note\n  x: "a\\n" 1.5e3\n')
+    assert tokens == [
+        Token("IDENT", "version", 1, 1), Token("INT", "2", 1, 9),
+        Token("IDENT", "x", 2, 3), Token("OP", ":", 2, 4), Token("STRING", '"a\\n"', 2, 6),
+        Token("REAL", "1.5e3", 2, 12), Token("EOF", "", 3, 1),
+    ]
+    assert all(type(tok) is Token for tok in tokens)
+    assert (tokens[2].kind, tokens[2].text, tokens[2].line, tokens[2].column) == ("IDENT", "x", 2, 3)
 
 
 def test_parse_bank_account_v1(bank_v1):
