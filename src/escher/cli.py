@@ -163,7 +163,7 @@ def _parse_targets(args: argparse.Namespace, repo) -> dict[str, int]:
             target = int(version)
         except ValueError:  # more digits than int() converts
             raise usage from None
-        if not any(rel.versions.get(name) == target for rel in repo.releases):
+        if target not in repo.class_versions(name):
             raise UnknownVersion(name, target)
         targets[name] = target
     return targets

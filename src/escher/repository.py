@@ -4,7 +4,7 @@ Project layout:
 
     project/
       escher.manifest
-      releases/<n>/<CLASS>.esc
+      releases/<n>/<CLASS>.esc           one per class version, in the release that first tagged it
       handlers/<CLASS>/<from>_to_<to>.est
 
 The manifest is line-oriented (``release <n>``, ``class <NAME> version <v>``,
@@ -13,9 +13,12 @@ version tag by exactly one when the class actually changed, keeps it
 otherwise, and generates forward transformer stubs for changed classes
 without ever overwriting an existing handler file.
 
-A loaded project parses no file up front: the manifest and the handler file
-names give every class's version tags and every class's transformer pairs,
-and a schema or handler is parsed the first time a command asks for it.
+A released class version never changes, so a Repository holds one
+``StoredSchema`` per (class, version), and a release is its version tags
+over that table. A loaded project parses no file up front: the manifest and
+the handler file names give every class's version tags and every class's
+transformer pairs, and a schema or handler is parsed the first time a
+command asks for it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from ._lex import BLANKS, IDENT, line_format, line_int
 from .errors import (
@@ -56,30 +59,37 @@ def content_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class StoredSchema:
+    """One class version: its ``.esc`` text and the schema the text holds,
+    which ``parse`` gives on first use."""
+
+    text: str
+    dirty: bool = False  # made this session; the next save writes it out
+    parse: Callable[[], ClassSchema] = field(kw_only=True, compare=False, repr=False)
+
+    @cached_property
+    def schema(self) -> ClassSchema:
+        return self.parse()
+
+
+def _made_schema(schema: ClassSchema) -> StoredSchema:
+    """A class version made in this session, which the next save writes out."""
+    return StoredSchema(render_schema(schema), dirty=True, parse=lambda: schema)
+
+
 class ReleaseSchemas(Mapping[str, ClassSchema]):
-    """Read-only {class: schema} of one release. ``versions`` holds each
-    class's version tag and ``texts`` the file text a load read or a
-    release kept, both known without a parse; a schema read from a file is
-    parsed the first time it is looked up."""
+    """Read-only {class: schema} of one release: its version tags, known
+    without a parse, over a {(class, version): StoredSchema} table."""
 
     def __init__(
-        self,
-        schemas: dict[str, ClassSchema],
-        versions: dict[str, int],
-        texts: Mapping[str, str] = MappingProxyType({}),
-        parse: Callable[[str, str, int], ClassSchema] | None = None,
+        self, versions: dict[str, int], table: Mapping[tuple[str, int], StoredSchema]
     ) -> None:
-        self._schemas = schemas  # filled on first lookup for a loaded release
         self.versions: Mapping[str, int] = MappingProxyType(versions)
-        self.texts = texts
-        self._parse = parse  # (class, text, version) -> schema
+        self._table = table
 
     def __getitem__(self, name: str) -> ClassSchema:
-        schema = self._schemas.get(name)
-        if schema is None:
-            text = self.texts[name]  # a KeyError for a class the release lacks
-            schema = self._schemas[name] = self._parse(name, text, self.versions[name])
-        return schema
+        return self._table[name, self.versions[name]].schema  # a KeyError for a class it lacks
 
     def __contains__(self, name: object) -> bool:
         return name in self.versions
@@ -110,7 +120,8 @@ class Release:
             if schema.name != name:
                 raise ValueError(f"release entry {name!r} holds schema named {schema.name!r}")
         versions = {name: schema.version for name, schema in schemas.items()}
-        object.__setattr__(self, "schemas", ReleaseSchemas(schemas, versions))
+        table = {(name, schema.version): _made_schema(schema) for name, schema in schemas.items()}
+        object.__setattr__(self, "schemas", ReleaseSchemas(versions, table))
 
     @property
     def versions(self) -> Mapping[str, int]:
@@ -157,19 +168,29 @@ class Repository:
                 raise ValueError(
                     f"release numbers must increase by 1: expected {position}, got {release.number}"
                 )
-        # {class: {version: index of the last release tagging it}}, built
-        # once from the version tags alone: ``releases`` is a tuple, so the
-        # index cannot go stale. Tags only stay or rise by one, so the last
-        # key of a class's entry is its latest tag.
+        # {class: {version: number of the release that first tagged it}} and
+        # the one {(class, version): StoredSchema} table, built once from the
+        # releases: ``releases`` is a tuple, so neither can go stale. Tags
+        # only stay or rise by one, so the last key of a class's entry is its
+        # latest tag. Releases that share a table share its entries, so only
+        # the entries of separately built releases are compared.
         versions: dict[str, dict[int, int]] = {}
-        for index, release in enumerate(self.releases):
+        table: dict[tuple[str, int], StoredSchema] = {}
+        for release in self.releases:
             for name, version in release.versions.items():
                 where = versions.setdefault(name, {})
                 last = next(reversed(where), None)
                 if last is not None and version not in (last, last + 1):
                     raise ValueError(f"version tag of {name} jumps from {last} to {version}")
-                where[version] = index
+                entry = release.schemas._table[name, version]
+                first = table.setdefault((name, version), entry)
+                where.setdefault(version, release.number)
+                if first is not entry and first.schema != entry.schema:
+                    raise ValueError(
+                        f"release {release.number} holds another schema of {name} version {version}"
+                    )
         object.__setattr__(self, "_versions", versions)
+        object.__setattr__(self, "_table", table)
         # Handlers are copied into read-only views, so the indexes below
         # cannot go stale: a changed handler set is a new Repository.
         handlers = {name: MappingProxyType(dict(e)) for name, e in self.handlers.items()}
@@ -191,30 +212,24 @@ class Repository:
         return self.releases[-1] if self.releases else None
 
     def class_history(self, class_name: str) -> Mapping[int, ClassSchema]:
-        """Read-only {version: schema} of one class; a version tagged in
-        several releases maps to the schema of the latest one. The first
-        call for a class parses its schemas."""
+        """Read-only {version: schema} of one class. The first call for a
+        class parses its schemas."""
         history = self._histories.get(class_name)
         if history is None:
-            where = self._versions.get(class_name)
-            if where is None:
+            versions = self._versions.get(class_name)
+            if versions is None:
                 return _NO_HISTORY
             history = self._histories[class_name] = MappingProxyType({
-                version: self.releases[index].schemas[class_name]
-                for version, index in where.items()
+                version: self._table[class_name, version].schema for version in versions
             })
         return history
 
+    def class_versions(self, class_name: str) -> Collection[int]:
+        """The version tags of one class, oldest first, known without a parse."""
+        return self._versions.get(class_name, {}).keys()
+
     def latest_version(self, class_name: str) -> int | None:
-        return next(reversed(self._versions.get(class_name, ())), None)
-
-    def _stored(self, class_name: str, version: int) -> ReleaseSchemas:
-        """The schemas of the last release tagging one known version."""
-        return self.releases[self._versions[class_name][version]].schemas
-
-    def _schema(self, class_name: str, version: int) -> ClassSchema:
-        """The schema of one known version, parsing none of the others."""
-        return self._stored(class_name, version)[class_name]
+        return next(reversed(self.class_versions(class_name)), None)
 
     def schema_for(self, class_name: str, version: int) -> ClassSchema:
         history = self.class_history(class_name)
@@ -329,14 +344,15 @@ def release(
     classes keep their tag; new classes enter at tag 1. An unchanged working
     set is a no-op.
 
-    A class whose tag is its latest one and whose rendering is the text a
-    load read for that version's file is unchanged without a parse, since
-    ``parse_schema(render_schema(s)) == s``; the new release keeps that text
-    for the save. Every other class is compared with its parsed latest schema.
+    A class whose tag is its latest one and whose rendering is the text
+    stored for that version is unchanged without a parse, since
+    ``parse_schema(render_schema(s)) == s``. Every other class is compared
+    with its parsed latest schema. An unchanged class keeps its tag, so only
+    a new version adds a schema to the table.
     """
     previous = repo.latest_release()
-    new_schemas: dict[str, ClassSchema] = {}
-    texts: dict[str, str] = {}  # {class: stored text} of the classes matched by text
+    versions: dict[str, int] = {}  # the new release's tags
+    made: dict[tuple[str, int], StoredSchema] = {}  # its new versions
     bumped: list[tuple[str, int, int]] = []
     added: list[str] = []
     for name in sorted(working_set):
@@ -347,52 +363,45 @@ def release(
         if last_version is None:
             if schema.version != 1:
                 raise VersionTagTamper(name)
-            new_schemas[name] = schema
+            versions[name] = 1
+            made[name, 1] = _made_schema(schema)
             added.append(name)
             continue
-        stored = repo._stored(name, last_version)
-        text = stored.texts.get(name)
-        if schema.version == last_version and text is not None and render_schema(schema) == text:
-            new_schemas[name] = schema
-            texts[name] = text
+        stored = repo._table[name, last_version]
+        versions[name] = last_version
+        if schema.version == last_version and render_schema(schema) == stored.text:
             continue
-        last_schema = stored[name]
-        changed = not schemas_equivalent(last_schema, schema)
-        if schema.version == last_version:
-            pass
-        elif schema.version == last_version + 1 and changed:
-            pass
-        else:
+        changed = not schemas_equivalent(stored.schema, schema)
+        if schema.version != last_version and not (schema.version == last_version + 1 and changed):
             raise VersionTagTamper(name)
         if changed:
-            new_schemas[name] = schema.with_version(last_version + 1)
+            versions[name] = last_version + 1
+            made[name, last_version + 1] = _made_schema(schema.with_version(last_version + 1))
             bumped.append((name, last_version, last_version + 1))
-        else:
-            new_schemas[name] = last_schema
     removed = tuple(
-        sorted(name for name in (previous.schemas if previous else {}) if name not in working_set)
+        sorted(name for name in (previous.versions if previous else {}) if name not in working_set)
     )
     if not bumped and not added and not removed:
         return repo, ReleaseReport(noop=True, number=previous.number if previous else 0)
 
     number = (previous.number if previous else 0) + 1
+    table = {**repo._table, **made}
     handlers = {**repo.handlers}  # the Repository constructor copies each entry
     stubs: list[tuple[str, int, int]] = []
     for name, old_version, new_version in bumped:
         entries = handlers.get(name, {})
         if (old_version, new_version) in entries:
             continue  # never overwrite an existing transformer
-        transformation = diff_schemas(repo._schema(name, old_version), new_schemas[name])
+        transformation = diff_schemas(table[name, old_version].schema, table[name, new_version].schema)
         stub = generate_transformer(transformation)
         handlers[name] = {**entries, (old_version, new_version): _made(stub)}
         stubs.append((name, old_version, new_version))
-    versions = {name: schema.version for name, schema in new_schemas.items()}
-    new_release = Release(number, ReleaseSchemas(new_schemas, versions, texts))
+    new_release = Release(number, ReleaseSchemas(versions, table))
     new_repo = Repository(repo.project_name, repo.releases + (new_release,), handlers)
     report = ReleaseReport(
         noop=False,
         number=number,
-        classes=tuple((name, new_schemas[name].version) for name in sorted(new_schemas)),
+        classes=tuple(sorted(versions.items())),
         bumped=tuple(bumped),
         added=tuple(added),
         removed=removed,
@@ -445,33 +454,37 @@ def load_repository(project_dir: str | Path) -> Repository:
     from disk even when unlisted, so a hand-written ``.est`` dropped into
     ``handlers/<CLASS>/`` is immediately usable. An unlisted handler file
     naming a version the manifest lacks is skipped: it is the stub of a save
-    cut short before its manifest. The load reads the text of every listed
-    release file and of every handler file, and checks the manifest, the
-    release numbering, the version tags and the handler file names. A schema
-    or handler is parsed the first time a command asks for it, and equal
-    ``.esc`` texts share one parse and one schema (``_parsed_schema``); a
-    ParseError names its file.
+    cut short before its manifest. The load reads the manifest, every
+    handler file, and each class version's file once, from the release that
+    first tagged the version; a copy in a later release is never read. It
+    checks the manifest, the release numbering, the version tags and the
+    handler file names. A schema or handler is parsed the first time a
+    command asks for it; a ParseError names its file.
     """
     project_dir = Path(project_dir)
     root = os.fspath(project_dir)  # plain strings below: a load joins hundreds of paths
     manifest_path = project_dir / _MANIFEST
-    schemas: dict[str, ClassSchema] = {}  # {.esc text: schema}
+    table: dict[tuple[str, int], StoredSchema] = {}
     manifest_digests: dict[tuple[str, int, int], str] = {}
-    releases: list[tuple[int, dict[str, int], dict[str, str]]] = []  # (number, versions, texts)
-    for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").split("\n"), start=1):
+    releases: list[tuple[int, dict[str, int]]] = []  # (number, versions)
+    for lineno, raw in enumerate(_read_text(os.fspath(manifest_path)).split("\n"), start=1):
         line = raw.strip(BLANKS)
         if not line or line.startswith("--"):
             continue
         if m := _RELEASE_RE.match(line):
-            releases.append((line_int(m.group(1), lineno), {}, {}))
+            releases.append((line_int(m.group(1), lineno), {}))
             continue
         if m := _CLASS_RE.match(line):
             if not releases:
                 raise FormatError(lineno, "class line before any release line")
-            name = m.group(1)
-            number, versions, texts = releases[-1]
-            versions[name] = line_int(m.group(2), lineno)
-            texts[name] = _read_text(f"{root}/releases/{number}/{name}.esc")
+            name, version = m.group(1), line_int(m.group(2), lineno)
+            number, versions = releases[-1]
+            versions[name] = version
+            if (name, version) not in table:
+                path = f"releases/{number}/{name}.esc"
+                text = _read_text(f"{root}/{path}")
+                parse = functools.partial(_parsed_schema, path, text, name, version)
+                table[name, version] = StoredSchema(text, parse=parse)
             continue
         if m := _TRANSFORMER_RE.match(line):
             key = (m.group(1), line_int(m.group(2), lineno), line_int(m.group(3), lineno))
@@ -479,7 +492,6 @@ def load_repository(project_dir: str | Path) -> Repository:
             continue
         raise FormatError(lineno, f"unrecognized manifest line {line!r}")
 
-    released = {(name, v) for _, versions, _ in releases for name, v in versions.items()}
     handlers: dict[str, dict[tuple[int, int], RegisteredTransformer]] = {}
     if os.path.isdir(f"{root}/handlers"):
         class_names = (  # not a directory a save is building (``_write_directory``)
@@ -498,7 +510,7 @@ def load_repository(project_dir: str | Path) -> Repository:
                     )
                 pair = (line_int(m.group(1), 0), line_int(m.group(2), 0))
                 recorded = manifest_digests.get((class_name, *pair))
-                if recorded is None and any((class_name, v) not in released for v in pair):
+                if recorded is None and any((class_name, v) not in table for v in pair):
                     skipped = True
                     continue
                 text = _read_text(f"{root}/{relative}")
@@ -513,12 +525,7 @@ def load_repository(project_dir: str | Path) -> Repository:
     try:
         return Repository(
             project_dir.name,
-            tuple(
-                Release(number, ReleaseSchemas(
-                    {}, versions, texts, functools.partial(_parsed_schema, schemas, number)
-                ))
-                for number, versions, texts in releases
-            ),
+            tuple(Release(number, ReleaseSchemas(versions, table)) for number, versions in releases),
             handlers,
         )
     except ValueError as err:  # release numbering or version tags
@@ -550,17 +557,9 @@ def _read_text(path: str) -> str:
     return text
 
 
-def _parsed_schema(
-    schemas: dict[str, ClassSchema], number: int, name: str, text: str, version: int
-) -> ClassSchema:
-    """The schema of release ``number``'s file of class ``name``. ``schemas``
-    is one load's {text: schema}, so each distinct text is parsed once and
-    the releases holding it share its schema."""
-    path = f"releases/{number}/{name}.esc"
-    schema = schemas.get(text)
-    if schema is None:
-        with naming(path):
-            schema = schemas[text] = parse_schema(text)
+def _parsed_schema(path: str, text: str, name: str, version: int) -> ClassSchema:
+    with naming(path):
+        schema = parse_schema(text)
     if schema.name != name or schema.version != version:
         raise FormatError(0, f"{path} does not match manifest entry {name} version {version}")
     return schema
@@ -646,15 +645,13 @@ def _make_directory(path: str, created: list[str]) -> str:
 
 
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
-    """Write release schemas, handler files, and then the manifest.
+    """Write class version files, handler files, and then the manifest.
 
-    A release file is written only when it is missing or holds other bytes
-    than its text: the text a load read or a release kept for it, so a
-    schema never parsed is never rendered, or else the schema's rendering, made once per distinct
-    schema object as releases share the schema of an unchanged class.
-    Handler files produced in this session (``dirty``) are written out;
-    anything else on disk is left untouched unless missing entirely, so user
-    edits survive.
+    Each class version has one file, in the release that first tagged it.
+    One rule serves version and handler files alike: a file made in this
+    session (``dirty``) is written, and any other is written only when it is
+    missing, from the text the load read; a file on disk is never read
+    back, so user edits survive.
 
     Each file is renamed into place once flushed, and a new handler
     directory is renamed into place whole (``_write_directory``). Then each
@@ -669,24 +666,16 @@ def save_repository(repo: Repository, project_dir: str | Path) -> None:
     created: list[str] = []
     _make_directory(root, created)
     changed: dict[str, None] = {}  # directories of written files, in order
-    rendered: dict[int, str] = {}  # id of a schema -> its text
     for rel in repo.releases:
-        rel_dir = _make_directory(f"{root}/releases/{rel.number}", created)
-        texts = rel.schemas.texts
-        for name in sorted(rel.schemas):
-            path = f"{rel_dir}/{name}.esc"
-            text = texts.get(name)
-            if text is None:
-                schema = rel.schemas[name]
-                text = rendered.get(id(schema))
-                if text is None:
-                    text = rendered[id(schema)] = render_schema(schema)
-            try:
-                unchanged = _read_bytes(path) == text.encode("utf-8")
-            except FileNotFoundError:
-                unchanged = False
-            if not unchanged:
-                _write(path, text)
+        for name in sorted(rel.versions):
+            version = rel.versions[name]
+            if repo._versions[name][version] != rel.number:
+                continue  # stored in the release that first tagged it
+            entry = repo._table[name, version]
+            path = f"{root}/releases/{rel.number}/{name}.esc"
+            if entry.dirty or not os.path.exists(path):
+                rel_dir = _make_directory(os.path.dirname(path), created)
+                _write(path, entry.text)
                 changed[rel_dir] = None
     for class_name in sorted(repo.handlers):
         entries = sorted(repo.handlers[class_name].items())

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 from escher.objects import ObjectGraph, ObjectRecord
-from escher.repository import Release, Repository
+from escher.repository import Release, Repository, render_manifest
 from escher.schema import (
     Attached,
     Attribute,
@@ -21,6 +22,7 @@ from escher.schema import (
     InvariantClause,
     InvariantExpr,
     TypeExpr,
+    render_schema,
 )
 from escher import exprs
 from escher.values import ObjectValue, RefVal
@@ -148,8 +150,8 @@ def random_graph(rng: random.Random, max_records: int = 6) -> ObjectGraph:
 
 def random_repository(rng: random.Random, max_releases: int = 8) -> Repository:
     """Releases of up to three classes: each release drops a class, keeps its
-    tag (usually with the same schema, sometimes a different one), or bumps
-    it by one; a dropped class may come back at its last tag."""
+    tag together with its schema, or bumps it by one with a new schema; a
+    dropped class may come back at its last tag."""
     last: dict[str, ClassSchema] = {}
     releases = []
     for number in range(1, rng.randint(1, max_releases) + 1):
@@ -161,12 +163,26 @@ def random_repository(rng: random.Random, max_releases: int = 8) -> Repository:
                 continue
             if previous is None:
                 schema = random_schema(rng, name, max_attributes=3, version=rng.randint(1, 3))
-            elif roll < 0.5:
-                schema = previous
             elif roll < 0.6:
-                schema = random_schema(rng, name, max_attributes=3, version=previous.version)
+                schema = previous
             else:
                 schema = random_schema(rng, name, max_attributes=3, version=previous.version + 1)
             schemas[name] = last[name] = schema
         releases.append(Release(number, schemas))
     return Repository("random", tuple(releases))
+
+
+def write_old_layout(repo: Repository, project: Path) -> None:
+    """Write ``repo`` as older saves did: every release directory holds a
+    file of each class the release tags."""
+    files = {"escher.manifest": render_manifest(repo)}
+    for rel in repo.releases:
+        for name in rel.versions:
+            files[f"releases/{rel.number}/{name}.esc"] = render_schema(rel.schemas[name])
+    for name, entries in repo.handlers.items():
+        for (a, b), entry in entries.items():
+            files[f"handlers/{name}/{a}_to_{b}.est"] = entry.text
+    for relative, text in files.items():
+        path = project / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")

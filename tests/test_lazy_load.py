@@ -17,12 +17,13 @@ import pytest
 from conftest import BANK_V2_TEXT, FIXTURES, OTHER_V2, run_cli
 
 from escher import repository
-from escher.errors import EscherError, FormatError, ParseError
+from escher.errors import EscherError, FormatError
 from escher.repository import (
     RegisteredTransformer,
     Release,
     ReleaseSchemas,
     Repository,
+    StoredSchema,
     empty_repository,
     load_repository,
     release,
@@ -39,7 +40,7 @@ from escher.schema import (
     render_schema,
 )
 from escher.transformer import parse_transformer
-from helpers import random_schema, random_schema_pair
+from helpers import random_schema, random_schema_pair, write_old_layout
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -71,16 +72,18 @@ def force_parse(repo: Repository) -> Repository:
 
 def parsed_one_by_one(project: Path) -> Repository:
     """The project with every file parsed on its own, apart from the parses
-    a load shares."""
+    a load shares: each version's file from the release that first tagged it."""
     manifest = load_repository(project)  # only its versions, texts and pairs are read
-    releases = tuple(
-        Release(rel.number, {
-            name: parse_schema((project / "releases" / str(rel.number) / f"{name}.esc")
-                               .read_text(encoding="utf-8"))
-            for name in rel.versions
-        })
-        for rel in manifest.releases
-    )
+    first: dict[tuple[str, int], ClassSchema] = {}
+    releases = []
+    for rel in manifest.releases:
+        for name, version in rel.versions.items():
+            if (name, version) not in first:
+                path = project / "releases" / str(rel.number) / f"{name}.esc"
+                first[name, version] = parse_schema(path.read_text(encoding="utf-8"))
+        releases.append(Release(rel.number, {
+            name: first[name, version] for name, version in rel.versions.items()
+        }))
     handlers = {
         name: {
             pair: RegisteredTransformer(entry.text, entry.digest, user_modified=entry.user_modified,
@@ -89,7 +92,7 @@ def parsed_one_by_one(project: Path) -> Repository:
         }
         for name, entries in manifest.handlers.items()
     }
-    return Repository(manifest.project_name, releases, handlers)
+    return Repository(manifest.project_name, tuple(releases), handlers)
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,6 +110,46 @@ def test_a_lazy_load_equals_a_project_parsed_file_by_file(tmp_path_factory, seed
             assert lazy.hop_path(name, start, goal) == separate.hop_path(name, start, goal)
     assert lazy.releases == separate.releases
     assert lazy == separate
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_old_and_new_layouts_load_and_run_alike(tmp_path_factory, seed):
+    """A project saved in the layout older saves wrote, with every class in
+    every release, and the same project saved now, with one file per class
+    version, load equal and give the same command outputs."""
+    repo = random_project(random.Random(seed))
+    base = tmp_path_factory.mktemp("layouts")
+    old, new = base / "old" / "random", base / "new" / "random"
+    write_old_layout(repo, old)
+    save_repository(repo, new)
+    first: dict[tuple[str, int], str] = {}  # the release that first tagged each version
+    for rel in repo.releases:
+        for name, version in rel.versions.items():
+            first.setdefault((name, version), f"releases/{rel.number}/{name}.esc")
+    assert sorted(str(p.relative_to(new)) for p in new.glob("releases/*/*.esc")) == sorted(
+        first.values())
+    assert load_repository(old) == load_repository(new)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        written, replace_ = [], os.replace
+        monkeypatch.setattr(os, "replace",
+                            lambda src, dst: written.append(Path(dst)) or replace_(src, dst))
+        save_repository(load_repository(old), old)
+    assert written == [old / "escher.manifest"]
+
+    objects = base / "objects.eso"
+    objects.write_text("ESCHER-OBJECTS 1\nobj 0 P version 1\nend\nobj 1 Q version 1\nend\n",
+                       encoding="utf-8")
+    working = base / "work"
+    working.mkdir()
+    latest = repo.latest_release().schemas
+    changed = latest["P"].with_attributes(
+        latest["P"].attributes + (Attribute("added", ClassType("INTEGER")),))
+    for schema in (changed, latest["Q"]):
+        (working / f"{schema.name}.esc").write_text(render_schema(schema), encoding="utf-8")
+    for args in (("per",), ("migrate", str(objects), "--to-release", "3"), ("release", str(working))):
+        assert run_cli(*args, "--project", str(old)) == run_cli(*args, "--project", str(new)), args
+    assert load_repository(old) == load_repository(new)
 
 
 @pytest.fixture
@@ -169,20 +212,32 @@ def test_an_unchanged_working_set_parses_no_stored_schema(two_class_project, tmp
     assert parses == []
 
 
-def test_a_save_renders_only_the_schemas_a_release_changed(two_class_project, monkeypatch):
-    repo = load_repository(two_class_project)
+def test_a_save_after_a_release_reads_no_file_and_writes_only_what_it_made(
+    two_class_project, monkeypatch
+):
+    project = two_class_project
+    repo = load_repository(project)
     working_set = dict(repo.latest_release().schemas)
     working_set["OTHER"] = parse_schema("version 2\n" + OTHER_V2.replace("REAL", "STRING"))
     repo, _ = release(repo, working_set)
-    rendered: list[str] = []
+    events: list[str] = []
+    read, replace_ = repository._read_bytes, os.replace
 
     def counting(schema):
-        rendered.append(schema.name)
+        events.append(f"render {schema.name}")
         return render_schema(schema)
 
     monkeypatch.setattr(repository, "render_schema", counting)
-    save_repository(repo, two_class_project)
-    assert rendered == ["OTHER"]  # BANK_ACCOUNT's release 3 file is its stored text
+    monkeypatch.setattr(repository, "_read_bytes", lambda path: events.append(path) or read(path))
+    monkeypatch.setattr(os, "replace", lambda src, dst: events.append(
+        f"write {os.path.relpath(dst, project)}") or replace_(src, dst))
+    save_repository(repo, project)
+    assert events == [
+        "write releases/3/OTHER.esc",  # BANK_ACCOUNT keeps its tag, so it has no file there
+        "write handlers/OTHER/2_to_3.est",
+        "write escher.manifest",
+    ]
+    assert not (project / "releases" / "3" / "BANK_ACCOUNT.esc").exists()
 
 
 def toggle_markers(schema: ClassSchema) -> ClassSchema:
@@ -231,29 +286,18 @@ def edited(rng: random.Random, name: str, latest: ClassSchema | None, edit: str)
     return toggle_markers(latest) if edit == "toggled" else latest
 
 
-class Untexted(ReleaseSchemas):
-    """A loaded release that shows no file text, so that ``release``
-    compares each of its classes by parsed schema."""
-
-    def __init__(self, loaded: ReleaseSchemas) -> None:
-        super().__init__({}, dict(loaded.versions))
-        self._loaded = loaded
-
-    def __getitem__(self, name: str) -> ClassSchema:
-        return self._loaded[name]
-
-
 def parsed_without_texts(project: Path) -> Repository:
-    """The project with every schema that parses already parsed, and no
-    file text; a file that does not parse raises when it is looked up."""
+    """The project with a stored text that no rendering equals, so that
+    ``release`` compares each class by parsed schema; a file that does not
+    parse raises when it is looked up, as in the loaded project."""
     loaded = load_repository(project)
-    for rel in loaded.releases:
-        for name in rel.versions:
-            try:
-                rel.schemas[name]
-            except (ParseError, FormatError):
-                pass
-    releases = tuple(Release(rel.number, Untexted(rel.schemas)) for rel in loaded.releases)
+    table = {
+        key: StoredSchema("", parse=lambda entry=entry: entry.schema)
+        for key, entry in loaded._table.items()
+    }
+    releases = tuple(
+        Release(rel.number, ReleaseSchemas(dict(rel.versions), table)) for rel in loaded.releases
+    )
     return Repository(loaded.project_name, releases, loaded.handlers)
 
 
@@ -267,7 +311,7 @@ def released(repo: Repository, working_set: dict[str, ClassSchema]):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    forms=st.lists(st.sampled_from(sorted(STORED_FORMS)), min_size=6, max_size=6),
+    forms=st.lists(st.sampled_from(sorted(STORED_FORMS)), min_size=4, max_size=4),
     # "same" twice, so that more examples cut a release instead of failing on a tag
     edits=st.lists(st.sampled_from(["same", "same", "toggled", "changed", "bumped", "absent"]),
                    min_size=3, max_size=3),
@@ -300,10 +344,11 @@ def test_a_release_by_stored_text_equals_a_release_by_parsed_schema(
     assert got_repo.releases[-1] == expected_repo.releases[-1]
     if not {"garbled", "retagged"} & set(forms):  # equality parses every release
         assert got_repo == expected_repo
-    if not got_report.noop:  # the new release's texts: what the save writes, as at a parse
-        kept = got_repo.releases[-1].schemas
-        for name, text in kept.texts.items():
-            assert text == render_schema(kept[name])
+    if not got_report.noop:  # only the new versions are for the save to write
+        made = {key for key, entry in got_repo._table.items() if entry.dirty}
+        assert made == {(name, b) for name, _, b in got_report.bumped} | {
+            (name, 1) for name in got_report.added
+        }
 
 
 def test_a_to_target_is_checked_against_version_tags_only(two_class_project, parses):

@@ -35,7 +35,7 @@ from escher.repository import (
 from escher.schema import parse_schema, render_schema
 from escher.transformer import parse_transformer, render_transformer
 from conftest import run_cli
-from helpers import random_repository
+from helpers import random_repository, write_old_layout
 
 
 def test_first_release_assigns_tag_one(bank_v1):
@@ -217,7 +217,8 @@ def test_a_save_cut_short_keeps_the_old_manifest(bank_repo, bank_v2, tmp_path, m
 
 
 def _four_release_repo() -> Repository:
-    """A and B each change once, C arrives last: 9 release files, 5 texts."""
+    """A and B each change once, C arrives last: 9 version tags, 5 versions,
+    so 5 release files."""
     a1 = parse_schema("class A feature\n  x: INTEGER\nend\n")
     a2 = parse_schema("class A feature\n  x: INTEGER\n  y: REAL\nend\n")
     b1 = parse_schema("class B feature\n  n: REAL\nend\n")
@@ -255,17 +256,18 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
     save_repository(repo, project)
     files = sorted((project / "releases").rglob("*.esc"))
     texts = {f.read_text(encoding="utf-8") for f in files}
-    assert (len(files), len(texts)) == (9, 5)
+    assert (len(files), len(texts)) == (5, 5)
     parsed = _count_parses(monkeypatch)
     loaded = load_repository(project)
     assert parsed == []  # a load parses no file
     # the same Repository as one whose every file is parsed on its own
+    first = {
+        (name, version): parse_schema((project / "releases" / str(number) / f"{name}.esc")
+                                      .read_text(encoding="utf-8"))
+        for number, name, version in [(1, "A", 1), (1, "B", 1), (2, "A", 2), (3, "B", 2), (4, "C", 1)]
+    }
     separately = tuple(
-        Release(rel.number, {
-            name: parse_schema((project / "releases" / str(rel.number) / f"{name}.esc")
-                               .read_text(encoding="utf-8"))
-            for name in rel.schemas
-        })
+        Release(rel.number, {name: first[name, v] for name, v in rel.versions.items()})
         for rel in loaded.releases
     )
     assert loaded == Repository(loaded.project_name, separately, loaded.handlers)
@@ -276,21 +278,49 @@ def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
     assert loaded.releases[1].schemas["A"] is loaded.releases[3].schemas["A"]
 
 
-def test_load_keeps_different_texts_of_one_version_apart(tmp_path, monkeypatch):
+def _count_reads(monkeypatch, project: Path) -> list[str]:
+    """The files repository reads, relative to ``project``."""
+    reads: list[str] = []
+    read = repository._read_bytes
+
+    def counting(path):
+        reads.append(os.path.relpath(path, project))
+        return read(path)
+
+    monkeypatch.setattr(repository, "_read_bytes", counting)
+    return reads
+
+
+def test_a_load_reads_the_manifest_the_handlers_and_one_file_per_version(tmp_path, monkeypatch):
+    project = tmp_path / "four"
+    write_old_layout(_four_release_repo(), project)  # 9 release files
+    reads = _count_reads(monkeypatch, project)
+    load_repository(project)
+    assert reads == [
+        "escher.manifest",
+        "releases/1/A.esc", "releases/1/B.esc", "releases/2/A.esc", "releases/3/B.esc",
+        "releases/4/C.esc",
+        "handlers/A/1_to_2.est", "handlers/B/1_to_2.est",
+    ]
+
+
+@pytest.mark.parametrize("later", [b"class C feature\n  x: INTEGER\n  y: REAL\nend\n",
+                                   b"class C feature\xff\nend\n"], ids=["edited", "not UTF-8"])
+def test_load_reads_a_version_from_the_release_that_first_tagged_it(tmp_path, monkeypatch, later):
     first = "class C feature\n  x: INTEGER\nend\n"
-    edited = "class C feature\n  x: INTEGER\n  y: REAL\nend\n"
     _write_project(
         tmp_path,
         "release 1\nclass C version 1\nrelease 2\nclass C version 1\n",
-        {"1/C.esc": first, "2/C.esc": edited},
+        {"1/C.esc": first},
     )
-    parsed = _count_parses(monkeypatch)
+    (tmp_path / "releases" / "2").mkdir()
+    (tmp_path / "releases" / "2" / "C.esc").write_bytes(later)  # never read
+    reads, parsed = _count_reads(monkeypatch, tmp_path), _count_parses(monkeypatch)
     loaded = load_repository(tmp_path)
-    assert parsed == []
-    assert loaded.releases[0].schemas["C"] == parse_schema(first)
-    assert loaded.releases[1].schemas["C"] == parse_schema(edited)
-    assert loaded.class_history("C")[1] == parse_schema(edited)
-    assert parsed == [first, edited]
+    assert (reads, parsed) == (["escher.manifest", "releases/1/C.esc"], [])
+    assert loaded.class_history("C") == {1: parse_schema(first)}
+    assert loaded.releases[1].schemas["C"] is loaded.releases[0].schemas["C"]
+    assert parsed == [first]
 
 
 def test_saving_an_unchanged_project_writes_no_file(tmp_path, monkeypatch):
@@ -317,26 +347,26 @@ def test_saving_an_unchanged_project_writes_no_file(tmp_path, monkeypatch):
     assert after == before
 
 
-def test_save_rewrites_a_listed_release_file_that_differs_or_is_gone(tmp_path):
+def test_save_writes_a_missing_version_file_and_keeps_an_edited_one(tmp_path):
     project = tmp_path / "four"
     save_repository(_four_release_repo(), project)
-    repo = load_repository(project)  # its handlers are not dirty, so not rewritten
+    repo = load_repository(project)  # nothing in it is dirty, so nothing is rewritten
     expected = _snapshot(project)
     releases = project / "releases"
-    altered, garbled, deleted = releases / "1" / "A.esc", releases / "2" / "B.esc", releases / "4" / "C.esc"
-    altered.write_text(altered.read_text(encoding="utf-8") + "-- edited\n", encoding="utf-8")
-    garbled.write_bytes(b"\xff\xfe not UTF-8")
+    altered, deleted = releases / "1" / "A.esc", releases / "4" / "C.esc"
+    edit = altered.read_text(encoding="utf-8") + "-- edited\n"
+    altered.write_text(edit, encoding="utf-8")  # after the load, as a handler edit may be
     deleted.unlink()
     for path in project.rglob("*.es[ct]"):
         os.utime(path, ns=(10**18, 10**18))
     save_repository(repo, project)
     after = _snapshot(project)
-    for path in (altered, garbled, deleted):
-        key = str(path.relative_to(project))
-        assert after[key][0] == expected[key][0]
-        assert after[key][1] != 10**18
-    untouched = [p for p in project.rglob("*.es[ct]") if p not in (altered, garbled, deleted)]
-    assert untouched and all(p.stat().st_mtime_ns == 10**18 for p in untouched)
+    key = str(deleted.relative_to(project))
+    assert after[key][0] == expected[key][0]  # the text the load read
+    assert after[key][1] != 10**18
+    assert altered.read_text(encoding="utf-8") == edit
+    untouched = [p for p in project.rglob("*.es[ct]") if p != deleted]
+    assert len(untouched) == 6 and all(p.stat().st_mtime_ns == 10**18 for p in untouched)
 
 
 def _text_mode(path: Path) -> str:
@@ -356,7 +386,7 @@ def test_a_load_reads_newlines_as_text_mode_open_does(bank_project, ends):
         ).encode("utf-8"))
     esc, est = (_text_mode(path) for path in paths)
     repo = load_repository(bank_project)
-    assert repo.releases[1].schemas.texts["BANK_ACCOUNT"] == esc
+    assert repo._table["BANK_ACCOUNT", 2].text == esc
     entry = repo.handlers["BANK_ACCOUNT"][(1, 2)]
     assert (entry.text, entry.digest) == (est, content_digest(est))
     assert repo.schema_for("BANK_ACCOUNT", 2) == parse_schema(esc)
@@ -385,12 +415,12 @@ def test_load_and_save_read_whole_files_through_short_reads(bank_project, monkey
     read, replace_, written = os.read, os.replace, []
     monkeypatch.setattr(os, "read", lambda fd, size: read(fd, 1))
     cut = load_repository(bank_project)
-    assert [rel.schemas.texts for rel in cut.releases] == [
-        rel.schemas.texts for rel in whole.releases
-    ]
+    assert {key: e.text for key, e in cut._table.items()} == {
+        key: e.text for key, e in whole._table.items()
+    }
     assert cut == whole
     monkeypatch.setattr(os, "replace", lambda src, dst: written.append(dst) or replace_(src, dst))
-    save_repository(cut, bank_project)  # every file reads as its text, so none is written
+    save_repository(cut, bank_project)  # every file is there, so none is written
     assert [Path(p).name for p in written] == ["escher.manifest"]
 
 
@@ -509,6 +539,12 @@ def test_repository_invariants():
             "p",
             (Release(1, {"C": good}), Release(2, {"C": good.with_version(3)})),
         )  # tag jumps by 2
+    other = parse_schema("class C feature x: REAL end")
+    with pytest.raises(ValueError, match="release 2 holds another schema of C version 1"):
+        Repository("p", (Release(1, {"C": good}), Release(2, {"C": other})))
+    same = parse_schema("class C feature x: INTEGER end")  # equal, not the same object
+    assert Repository("p", (Release(1, {"C": good}), Release(2, {"C": same}))).class_history(
+        "C") == {1: good}
 
 
 def test_class_history_matches_a_scan_of_the_releases():
@@ -516,9 +552,9 @@ def test_class_history_matches_a_scan_of_the_releases():
         repo = random_repository(random.Random(seed))
         for name in ("NODE", "ITEM", "CELL", "ABSENT"):
             scanned = {}
-            for rel in repo.releases:
+            for rel in repo.releases:  # the first release tagging a version holds it
                 if name in rel.schemas:
-                    scanned[rel.schemas[name].version] = rel.schemas[name]
+                    scanned.setdefault(rel.schemas[name].version, rel.schemas[name])
             history = repo.class_history(name)
             assert dict(history) == scanned, (seed, name)
             assert repo.latest_version(name) == (max(scanned) if scanned else None)
@@ -689,11 +725,8 @@ def test_processes_that_meet_a_stale_lock_never_both_hold_it(tmp_path):
         assert not (tmp_path / "escher.lock").exists()
 
 
-def test_save_renders_each_distinct_schema_once(tmp_path, monkeypatch):
+def test_a_save_writes_one_file_per_version_and_renders_none(tmp_path, monkeypatch):
     repo = _four_release_repo()
-    schemas = [schema for rel in repo.releases for schema in rel.schemas.values()]
-    distinct = {id(schema) for schema in schemas}
-    assert (len(schemas), len(distinct)) == (9, 5)
     rendered: list[object] = []
 
     def counting(schema):
@@ -701,25 +734,29 @@ def test_save_renders_each_distinct_schema_once(tmp_path, monkeypatch):
         return render_schema(schema)
 
     monkeypatch.setattr(repository, "render_schema", counting)
-    save_repository(repo, tmp_path / "four")
-    assert sorted(id(schema) for schema in rendered) == sorted(distinct)
-    rendered.clear()
-    save_repository(load_repository(tmp_path / "four"), tmp_path / "four")
-    assert rendered == []  # a loaded file is compared against the text read, not a rendering
+    project = tmp_path / "four"
+    save_repository(repo, project)
+    assert rendered == []  # a release renders each version it makes
+    files = {str(p.relative_to(project)): p.read_text(encoding="utf-8")
+             for p in project.rglob("*.esc")}
+    assert files == {
+        f"releases/{number}/{name}.esc": render_schema(repo.schema_for(name, version))
+        for number, name, version in [(1, "A", 1), (1, "B", 1), (2, "A", 2), (3, "B", 2), (4, "C", 1)]
+    }
 
 
 def test_a_failing_write_of_a_listed_release_file_keeps_its_old_bytes(tmp_path, monkeypatch):
     project = tmp_path / "four"
-    repo = _four_release_repo()
+    repo = _four_release_repo()  # made in this session, so each save writes its files
     save_repository(repo, project)
-    listed = project / "releases" / "2" / "B.esc"
+    listed = project / "releases" / "1" / "A.esc"
     old = listed.read_text(encoding="utf-8") + "-- edited\n"
-    listed.write_text(old, encoding="utf-8")  # differs, so the save writes it again
+    listed.write_text(old, encoding="utf-8")
 
     def failing(fd):  # its temp file is written, but not yet renamed over it
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "fsync", failing)  # the first write of the save is B.esc
+    monkeypatch.setattr(os, "fsync", failing)  # the first write of the save is A.esc
     with pytest.raises(OSError, match="disk full"):
         save_repository(repo, project)
     monkeypatch.undo()
