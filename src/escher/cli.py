@@ -29,6 +29,7 @@ from .repository import (
     load_repository,
     naming,
     project_lock,
+    read_text,
     release,
     replace_file,
     save_repository,
@@ -85,20 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_schema(path: str) -> ClassSchema:
     """The schema of the ``.esc`` file ``path``; a ParseError names the file."""
-    text = _read(path)
+    text = read_text(path)
     with naming(path):
         return parse_schema(text)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    schema = parse_schema(_read(args.file))
-    print(render_schema(schema), end="")
+    print(render_schema(_read_schema(args.file)), end="")
     return 0
 
 
@@ -185,7 +181,7 @@ def _parse_inputs(entries: list[str]) -> dict[tuple[str, str], ObjectValue]:
 
 def cmd_migrate(args: argparse.Namespace) -> int:
     repo = load_repository(args.project)
-    graph = deserialize(_read(args.object_file))
+    graph = deserialize(read_text(args.object_file))
     targets = _parse_targets(args, repo)
     inputs = _parse_inputs(args.inputs)
     warnings: list[str] = []
@@ -213,7 +209,7 @@ def cmd_per(args: argparse.Namespace) -> int:
     from .per import history_from_repository, parse_history_file, render_per_report
 
     if args.hist_file:
-        histories = parse_history_file(_read(args.hist_file))
+        histories = parse_history_file(read_text(args.hist_file))
     else:
         repo = load_repository(args.project)
         latest = repo.latest_release()
@@ -226,8 +222,8 @@ def cmd_per(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    schema = parse_schema(_read(args.schema_file))
-    graph = deserialize(_read(args.object_file))
+    schema = _read_schema(args.schema_file)
+    graph = deserialize(read_text(args.object_file))
     checked = [record for record in graph.records if record.class_name == schema.name]
     for record in checked:  # every record first, so an error is the first line
         eval_invariant(record, schema)

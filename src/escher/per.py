@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._lex import BLANKS, IDENT, line_format, line_int
 from .errors import DegenerateHistory, EmptyRelease, FormatError, UnknownClass
-from .repository import Repository
+from .repository import Repository, breadth_first
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,15 @@ class EvolutionHistory:
 
 
 def transitive_closure(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Directed reachability over one or more edges; self-pairs excluded."""
-    successors: dict[int, list[int]] = {}
-    for a, b in edges:
-        successors.setdefault(a, []).append(b)
-    closure: set[tuple[int, int]] = set()
-    for source in successors:
-        reached: set[int] = set()
-        pending = [source]
-        while pending:
-            node = pending.pop()
-            for nxt in successors.get(node, ()):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    pending.append(nxt)
-        closure.update((source, target) for target in reached if target != source)
-    return frozenset(closure)
+    """Directed reachability over one or more edges; self-pairs excluded.
+    It is read off the walk that finds hop paths (``breadth_first``), so a
+    pair counts here exactly when a migration finds a path for it."""
+    return frozenset(
+        (source, target)
+        for source, reached in breadth_first(edges).items()
+        for target in reached
+        if target != source
+    )
 
 
 def per_class(history: EvolutionHistory) -> Fraction:

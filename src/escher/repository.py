@@ -13,12 +13,15 @@ version tag by exactly one when the class actually changed, keeps it
 otherwise, and generates forward transformer stubs for changed classes
 without ever overwriting an existing handler file.
 
-A released class version never changes, so a Repository holds one
-``StoredSchema`` per (class, version), and a release is its version tags
-over that table. A loaded project parses no file up front: the manifest and
-the handler file names give every class's version tags and every class's
-transformer pairs, and a schema or handler is parsed the first time a
-command asks for it.
+Every project file is a ``StoredFile``: its text, whether this session
+made it, the digest the manifest records for it, and the schema or
+transformer it holds. A released class version never changes, so a
+Repository holds one ``StoredFile`` per (class, version), and a release is
+its version tags over that table. A loaded project parses and hashes no file
+up front: the manifest and the handler file names give every class's version
+tags and every class's transformer pairs, a file is parsed the first time a
+command asks for its schema or transformer, and its digest is computed only
+when a save renders the manifest or ``user_modified`` is asked.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from ._lex import BLANKS, IDENT, line_format, line_int
 from .errors import (
@@ -60,36 +63,50 @@ def content_digest(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class StoredSchema:
-    """One class version: its ``.esc`` text and the schema the text holds,
-    which ``parse`` gives on first use."""
+class StoredFile:
+    """One project file: a class version's ``.esc`` text or a handler's
+    ``.est`` text, and the schema or transformer the text holds, which
+    ``parse`` gives on first use."""
 
     text: str
     dirty: bool = False  # made this session; the next save writes it out
-    parse: Callable[[], ClassSchema] = field(kw_only=True, compare=False, repr=False)
+    recorded: str | None = None  # the manifest's digest of the file, where it lists one
+    parse: Callable[[], ClassSchema | ObjectTransformer] = field(
+        kw_only=True, compare=False, repr=False
+    )
 
     @cached_property
-    def schema(self) -> ClassSchema:
+    def value(self) -> ClassSchema | ObjectTransformer:
         return self.parse()
 
+    @cached_property
+    def digest(self) -> str:
+        return content_digest(self.text)
 
-def _made_schema(schema: ClassSchema) -> StoredSchema:
-    """A class version made in this session, which the next save writes out."""
-    return StoredSchema(render_schema(schema), dirty=True, parse=lambda: schema)
+    @property
+    def user_modified(self) -> bool:
+        """The file differs from the one the manifest recorded."""
+        return self.recorded is not None and self.recorded != self.digest
+
+
+def _made(value: ClassSchema | ObjectTransformer, render: Callable[[Any], str]) -> StoredFile:
+    """A class version or handler made in this session, which the next save
+    writes out."""
+    return StoredFile(render(value), dirty=True, parse=lambda: value)
 
 
 class ReleaseSchemas(Mapping[str, ClassSchema]):
     """Read-only {class: schema} of one release: its version tags, known
-    without a parse, over a {(class, version): StoredSchema} table."""
+    without a parse, over a {(class, version): StoredFile} table."""
 
     def __init__(
-        self, versions: dict[str, int], table: Mapping[tuple[str, int], StoredSchema]
+        self, versions: dict[str, int], table: Mapping[tuple[str, int], StoredFile]
     ) -> None:
         self.versions: Mapping[str, int] = MappingProxyType(versions)
         self._table = table
 
     def __getitem__(self, name: str) -> ClassSchema:
-        return self._table[name, self.versions[name]].schema  # a KeyError for a class it lacks
+        return self._table[name, self.versions[name]].value  # a KeyError for a class it lacks
 
     def __contains__(self, name: object) -> bool:
         return name in self.versions
@@ -120,35 +137,13 @@ class Release:
             if schema.name != name:
                 raise ValueError(f"release entry {name!r} holds schema named {schema.name!r}")
         versions = {name: schema.version for name, schema in schemas.items()}
-        table = {(name, schema.version): _made_schema(schema) for name, schema in schemas.items()}
+        table = {(name, s.version): _made(s, render_schema) for name, s in schemas.items()}
         object.__setattr__(self, "schemas", ReleaseSchemas(versions, table))
 
     @property
     def versions(self) -> Mapping[str, int]:
         """{class: version tag}, known without a parse."""
         return self.schemas.versions
-
-
-@dataclass(frozen=True)
-class RegisteredTransformer:
-    """One handler: its ``.est`` text, the text's digest, and the
-    transformer the text holds, which ``parse`` gives on first use."""
-
-    text: str
-    digest: str
-    dirty: bool = False  # produced this session; safe to write out
-    user_modified: bool = False  # on-disk content drifted from the manifest digest
-    parse: Callable[[], ObjectTransformer] = field(kw_only=True, compare=False, repr=False)
-
-    @cached_property
-    def transformer(self) -> ObjectTransformer:
-        return self.parse()
-
-
-def _made(t: ObjectTransformer) -> RegisteredTransformer:
-    """A handler produced in this session, which the next save writes out."""
-    text = render_transformer(t)
-    return RegisteredTransformer(text, content_digest(text), dirty=True, parse=lambda: t)
 
 
 _NO_HISTORY: Mapping[int, ClassSchema] = MappingProxyType({})
@@ -158,7 +153,7 @@ _NO_HISTORY: Mapping[int, ClassSchema] = MappingProxyType({})
 class Repository:
     project_name: str
     releases: tuple[Release, ...] = ()
-    handlers: Mapping[str, Mapping[tuple[int, int], RegisteredTransformer]] = field(
+    handlers: Mapping[str, Mapping[tuple[int, int], StoredFile]] = field(
         default_factory=dict
     )
 
@@ -169,13 +164,13 @@ class Repository:
                     f"release numbers must increase by 1: expected {position}, got {release.number}"
                 )
         # {class: {version: number of the release that first tagged it}} and
-        # the one {(class, version): StoredSchema} table, built once from the
+        # the one {(class, version): StoredFile} table, built once from the
         # releases: ``releases`` is a tuple, so neither can go stale. Tags
         # only stay or rise by one, so the last key of a class's entry is its
         # latest tag. Releases that share a table share its entries, so only
         # the entries of separately built releases are compared.
         versions: dict[str, dict[int, int]] = {}
-        table: dict[tuple[str, int], StoredSchema] = {}
+        table: dict[tuple[str, int], StoredFile] = {}
         for release in self.releases:
             for name, version in release.versions.items():
                 where = versions.setdefault(name, {})
@@ -185,7 +180,7 @@ class Repository:
                 entry = release.schemas._table[name, version]
                 first = table.setdefault((name, version), entry)
                 where.setdefault(version, release.number)
-                if first is not entry and first.schema != entry.schema:
+                if first is not entry and first.value != entry.value:
                     raise ValueError(
                         f"release {release.number} holds another schema of {name} version {version}"
                     )
@@ -220,7 +215,7 @@ class Repository:
             if versions is None:
                 return _NO_HISTORY
             history = self._histories[class_name] = MappingProxyType({
-                version: self._table[class_name, version].schema for version in versions
+                version: self._table[class_name, version].value for version in versions
             })
         return history
 
@@ -246,7 +241,7 @@ class Repository:
         transformers = self._transformers.get(class_name)
         if transformers is None and class_name in self.handlers:
             transformers = self._transformers[class_name] = MappingProxyType({
-                pair: entry.transformer for pair, entry in self.handlers[class_name].items()
+                pair: entry.value for pair, entry in self.handlers[class_name].items()
             })
         return transformers
 
@@ -264,26 +259,39 @@ class Repository:
         return frozenset(self.handlers.get(class_name, {}))
 
 
+def breadth_first(
+    edges: Iterable[tuple[int, int]], starts: Iterable[int] | None = None
+) -> dict[int, dict[int, int]]:
+    """{start: {version: parent}}: each version reachable over ``edges``
+    from a start in ``starts`` (by default each version with an edge out),
+    the start its own parent. The walk visits successors in ascending order
+    and keeps the first parent it finds. Hop paths and PER's closure are both
+    read off it, so PER counts exactly the pairs a migration can cross."""
+    successors: dict[int, list[int]] = {}
+    for a, b in sorted(set(edges)):
+        successors.setdefault(a, []).append(b)
+    walks: dict[int, dict[int, int]] = {}
+    for start in successors if starts is None else starts:
+        parent = walks[start] = {start: start}
+        queue = [start]
+        for node in queue:  # the queue grows while it is read, in breadth-first order
+            for succ in successors.get(node, ()):
+                if succ not in parent:
+                    parent[succ] = node
+                    queue.append(succ)
+    return walks
+
+
 def _shortest_path(edges: Iterable[tuple[int, int]], start: int, goal: int) -> list[int] | None:
     """Version sequence along registered transformers, or None.
 
     Ties between equal-length paths break toward the lexicographically
-    smallest version sequence: a breadth-first search that visits successors
-    in ascending order keeps the first parent it finds for each version.
+    smallest version sequence, the path ``breadth_first`` walks.
     """
     edge_set = set(edges)
     if (start, goal) in edge_set:
         return [start, goal]
-    successors: dict[int, list[int]] = {}
-    for a, b in sorted(edge_set):
-        successors.setdefault(a, []).append(b)
-    parent = {start: start}
-    queue = [start]
-    for node in queue:  # the queue grows while it is read, in breadth-first order
-        for succ in successors.get(node, ()):
-            if succ not in parent:
-                parent[succ] = node
-                queue.append(succ)
+    parent = breadth_first(edge_set, (start,))[start]
     if goal not in parent:
         return None
     path = [goal]
@@ -352,7 +360,7 @@ def release(
     """
     previous = repo.latest_release()
     versions: dict[str, int] = {}  # the new release's tags
-    made: dict[tuple[str, int], StoredSchema] = {}  # its new versions
+    made: dict[tuple[str, int], StoredFile] = {}  # its new versions
     bumped: list[tuple[str, int, int]] = []
     added: list[str] = []
     for name in sorted(working_set):
@@ -364,20 +372,20 @@ def release(
             if schema.version != 1:
                 raise VersionTagTamper(name)
             versions[name] = 1
-            made[name, 1] = _made_schema(schema)
+            made[name, 1] = _made(schema, render_schema)
             added.append(name)
             continue
         stored = repo._table[name, last_version]
         versions[name] = last_version
         if schema.version == last_version and render_schema(schema) == stored.text:
             continue
-        changed = not schemas_equivalent(stored.schema, schema)
+        changed = not schemas_equivalent(stored.value, schema)
         if schema.version != last_version and not (schema.version == last_version + 1 and changed):
             raise VersionTagTamper(name)
         if changed:
-            versions[name] = last_version + 1
-            made[name, last_version + 1] = _made_schema(schema.with_version(last_version + 1))
-            bumped.append((name, last_version, last_version + 1))
+            versions[name] = new = last_version + 1
+            made[name, new] = _made(schema.with_version(new), render_schema)
+            bumped.append((name, last_version, new))
     removed = tuple(
         sorted(name for name in (previous.versions if previous else {}) if name not in working_set)
     )
@@ -392,9 +400,9 @@ def release(
         entries = handlers.get(name, {})
         if (old_version, new_version) in entries:
             continue  # never overwrite an existing transformer
-        transformation = diff_schemas(table[name, old_version].schema, table[name, new_version].schema)
+        transformation = diff_schemas(table[name, old_version].value, table[name, new_version].value)
         stub = generate_transformer(transformation)
-        handlers[name] = {**entries, (old_version, new_version): _made(stub)}
+        handlers[name] = {**entries, (old_version, new_version): _made(stub, render_transformer)}
         stubs.append((name, old_version, new_version))
     new_release = Release(number, ReleaseSchemas(versions, table))
     new_repo = Repository(repo.project_name, repo.releases + (new_release,), handlers)
@@ -419,7 +427,7 @@ def register_transformer(
     entries = dict(repo.handlers.get(t.class_name, {}))
     if pair in entries and not overwrite:
         raise OverwriteRefused(t.class_name, t.from_version, t.to_version)
-    entries[pair] = _made(t)
+    entries[pair] = _made(t, render_transformer)
     return Repository(repo.project_name, repo.releases, {**repo.handlers, t.class_name: entries})
 
 
@@ -448,7 +456,7 @@ def render_manifest(repo: Repository) -> str:
 
 
 def load_repository(project_dir: str | Path) -> Repository:
-    """Read a project directory back, parsing no file.
+    """Read a project directory back, parsing and hashing no file.
 
     The manifest is authoritative for releases; handler files are picked up
     from disk even when unlisted, so a hand-written ``.est`` dropped into
@@ -459,15 +467,17 @@ def load_repository(project_dir: str | Path) -> Repository:
     first tagged the version; a copy in a later release is never read. It
     checks the manifest, the release numbering, the version tags and the
     handler file names. A schema or handler is parsed the first time a
-    command asks for it; a ParseError names its file.
+    command asks for it, and a ParseError names its file. A handler keeps the
+    digest its manifest line records, and is hashed only when a save or
+    ``user_modified`` asks for its own digest.
     """
     project_dir = Path(project_dir)
     root = os.fspath(project_dir)  # plain strings below: a load joins hundreds of paths
     manifest_path = project_dir / _MANIFEST
-    table: dict[tuple[str, int], StoredSchema] = {}
+    table: dict[tuple[str, int], StoredFile] = {}
     manifest_digests: dict[tuple[str, int, int], str] = {}
     releases: list[tuple[int, dict[str, int]]] = []  # (number, versions)
-    for lineno, raw in enumerate(_read_text(os.fspath(manifest_path)).split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(os.fspath(manifest_path)).split("\n"), start=1):
         line = raw.strip(BLANKS)
         if not line or line.startswith("--"):
             continue
@@ -482,9 +492,9 @@ def load_repository(project_dir: str | Path) -> Repository:
             versions[name] = version
             if (name, version) not in table:
                 path = f"releases/{number}/{name}.esc"
-                text = _read_text(f"{root}/{path}")
+                text = read_text(f"{root}/{path}")
                 parse = functools.partial(_parsed_schema, path, text, name, version)
-                table[name, version] = StoredSchema(text, parse=parse)
+                table[name, version] = StoredFile(text, parse=parse)
             continue
         if m := _TRANSFORMER_RE.match(line):
             key = (m.group(1), line_int(m.group(2), lineno), line_int(m.group(3), lineno))
@@ -492,13 +502,13 @@ def load_repository(project_dir: str | Path) -> Repository:
             continue
         raise FormatError(lineno, f"unrecognized manifest line {line!r}")
 
-    handlers: dict[str, dict[tuple[int, int], RegisteredTransformer]] = {}
+    handlers: dict[str, dict[tuple[int, int], StoredFile]] = {}
     if os.path.isdir(f"{root}/handlers"):
         class_names = (  # not a directory a save is building (``_write_directory``)
             e.name for e in os.scandir(f"{root}/handlers") if e.is_dir() and e.name[0] != "."
         )
         for class_name in sorted(class_names):
-            entries: dict[tuple[int, int], RegisteredTransformer] = {}
+            entries: dict[tuple[int, int], StoredFile] = {}
             skipped = False
             for file_name in sorted(n for n in os.listdir(f"{root}/handlers/{class_name}")
                                     if n.endswith(".est")):
@@ -513,13 +523,9 @@ def load_repository(project_dir: str | Path) -> Repository:
                 if recorded is None and any((class_name, v) not in table for v in pair):
                     skipped = True
                     continue
-                text = _read_text(f"{root}/{relative}")
-                digest = content_digest(text)
+                text = read_text(f"{root}/{relative}")
                 parse = functools.partial(_parsed_transformer, relative, text, class_name, pair)
-                entries[pair] = RegisteredTransformer(
-                    text, digest, user_modified=recorded is not None and recorded != digest,
-                    parse=parse,
-                )
+                entries[pair] = StoredFile(text, recorded=recorded, parse=parse)
             if entries or not skipped:  # a class whose only files are skipped has no handler set
                 handlers[class_name] = entries
     try:
@@ -548,9 +554,11 @@ def _read_bytes(path: str) -> bytes:
     return b"".join(chunks)
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     """The file at ``path`` as text-mode ``open()`` reads it: decoded as
-    UTF-8, with each ``\\r\\n`` and then each lone ``\\r`` read as ``\\n``."""
+    UTF-8, with each ``\\r\\n`` and then each lone ``\\r`` read as ``\\n``.
+    Every file escher reads goes through it: the project's files and the
+    CLI's ``.esc``, ``.eso`` and ``.hist`` inputs."""
     text = _read_bytes(path).decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -647,52 +655,48 @@ def _make_directory(path: str, created: list[str]) -> str:
 def save_repository(repo: Repository, project_dir: str | Path) -> None:
     """Write class version files, handler files, and then the manifest.
 
-    Each class version has one file, in the release that first tagged it.
-    One rule serves version and handler files alike: a file made in this
-    session (``dirty``) is written, and any other is written only when it is
-    missing, from the text the load read; a file on disk is never read
-    back, so user edits survive.
+    Each class version has one file, in ``releases/<n>`` of the release that
+    first tagged it, and each handler is a file in ``handlers/<CLASS>``. One
+    rule serves every such directory: one the project lacks is built beside
+    its place and renamed there whole (``_write_directory``), so a save cut
+    short never leaves a part of one; in one the project has, a file is
+    written only when it was made in this session (``dirty``) or is missing,
+    from the text the load read. A file on disk is never read back, so user
+    edits survive.
 
-    Each file is renamed into place once flushed, and a new handler
-    directory is renamed into place whole (``_write_directory``). Then each
-    directory that gained or changed an entry is flushed once: those of the
-    written files, and the parent of each directory the save created or
-    renamed into place. The manifest goes
-    last through ``replace_file``, so a save cut short leaves the old
-    manifest in place instead of one that names files never written or
-    directory entries never flushed.
+    Each file is renamed into place once flushed. Then each directory that
+    gained or changed an entry is flushed once: those of the written files,
+    and the parent of each directory the save created or renamed into place.
+    The manifest goes last through ``replace_file``, so a save cut short
+    leaves the old manifest in place instead of one that names files never
+    written or directory entries never flushed.
     """
     root = os.path.abspath(project_dir)  # plain strings below, as in load_repository
+    directories: dict[str, dict[str, StoredFile]] = {}  # {directory: {file name: file}}
+    for rel in repo.releases:
+        for name, version in sorted(rel.versions.items()):
+            if repo._versions[name][version] == rel.number:  # the release that first tagged it
+                files = directories.setdefault(f"releases/{rel.number}", {})
+                files[f"{name}.esc"] = repo._table[name, version]
+    for class_name in sorted(repo.handlers):
+        directories[f"handlers/{class_name}"] = {
+            f"{a}_to_{b}.est": entry for (a, b), entry in sorted(repo.handlers[class_name].items())
+        }
     created: list[str] = []
     _make_directory(root, created)
-    changed: dict[str, None] = {}  # directories of written files, in order
-    for rel in repo.releases:
-        for name in sorted(rel.versions):
-            version = rel.versions[name]
-            if repo._versions[name][version] != rel.number:
-                continue  # stored in the release that first tagged it
-            entry = repo._table[name, version]
-            path = f"{root}/releases/{rel.number}/{name}.esc"
-            if entry.dirty or not os.path.exists(path):
-                rel_dir = _make_directory(os.path.dirname(path), created)
-                _write(path, entry.text)
-                changed[rel_dir] = None
-    for class_name in sorted(repo.handlers):
-        entries = sorted(repo.handlers[class_name].items())
-        class_dir = f"{root}/handlers/{class_name}"
-        if not os.path.isdir(class_dir):
-            # A new handler directory appears whole: one left empty by a save
-            # cut short would load as an empty handler set.
-            handlers_dir = _make_directory(f"{root}/handlers", created)
-            files = {f"{a}_to_{b}.est": entry.text for (a, b), entry in entries}
-            _write_directory(class_dir, files)
-            changed[handlers_dir] = None
+    changed: dict[str, None] = {}  # directories that gained or changed an entry, in order
+    for relative, files in directories.items():
+        directory = f"{root}/{relative}"
+        if not os.path.isdir(directory):
+            parent = _make_directory(os.path.dirname(directory), created)
+            _write_directory(directory, {name: entry.text for name, entry in files.items()})
+            changed[parent] = None
             continue
-        for (a, b), entry in entries:
-            path = f"{class_dir}/{a}_to_{b}.est"
+        for name, entry in files.items():
+            path = f"{directory}/{name}"
             if entry.dirty or not os.path.exists(path):
                 _write(path, entry.text)
-                changed[class_dir] = None
+                changed[directory] = None
     for directory in reversed(created):
         changed[os.path.dirname(directory)] = None
     for directory in changed:

@@ -234,23 +234,6 @@ def apply_transformation(
 # ---------------------------------------------------------------------------
 
 
-def attribute_sets_match(applied: ClassSchema, target: ClassSchema) -> bool:
-    """Order-insensitive (name, type) set equality, modulo attachment weakening.
-
-    An applied attribute may stay ``attached`` where the target weakened it to
-    detachable: the stored value satisfies the weaker type, and the diff
-    deliberately records such changes as no_change.
-    """
-    applied_types = {a.name: a.declared_type for a in applied.attributes}
-    target_types = {a.name: a.declared_type for a in target.attributes}
-    if applied_types.keys() != target_types.keys():
-        return False
-    return all(
-        type_equal(got, target_types[name]) or weakens_attachment(got, target_types[name])
-        for name, got in applied_types.items()
-    )
-
-
 @dataclass(frozen=True)
 class ClassTransformation:
     """An ordered SMO list mapping ``source`` onto ``target``'s attribute set."""
@@ -259,11 +242,6 @@ class ClassTransformation:
     target: ClassSchema
     smos: tuple[SMO, ...]
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        applied = apply_transformation(self.source, self.smos, drop_dangling_clauses=True)
-        if not attribute_sets_match(applied, self.target):
-            raise ValueError("SMO list does not reproduce the target attribute set")
 
 
 def _check_identity(old: ClassSchema, new: ClassSchema) -> None:

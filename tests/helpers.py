@@ -23,9 +23,28 @@ from escher.schema import (
     InvariantExpr,
     TypeExpr,
     render_schema,
+    type_equal,
+    weakens_attachment,
 )
 from escher import exprs
 from escher.values import ObjectValue, RefVal
+
+
+def attribute_sets_match(applied: ClassSchema, target: ClassSchema) -> bool:
+    """Order-insensitive (name, type) set equality, modulo attachment weakening.
+
+    An applied attribute may stay ``attached`` where the target weakened it to
+    detachable: the stored value satisfies the weaker type, and the diff
+    deliberately records such changes as no_change.
+    """
+    applied_types = {a.name: a.declared_type for a in applied.attributes}
+    target_types = {a.name: a.declared_type for a in target.attributes}
+    if applied_types.keys() != target_types.keys():
+        return False
+    return all(
+        type_equal(got, target_types[name]) or weakens_attachment(got, target_types[name])
+        for name, got in applied_types.items()
+    )
 
 
 def without_handler(repo: Repository, class_name: str, pair: tuple[int, int] | None = None) -> Repository:

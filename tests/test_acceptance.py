@@ -34,7 +34,6 @@ from escher.smo import (
     Removed,
     TypeChanged,
     apply_transformation,
-    attribute_sets_match,
     completeness_witness,
     diff_schemas,
 )
@@ -44,7 +43,13 @@ from escher.transformer import (
     parse_transformer,
     render_transformer,
 )
-from helpers import random_graph, random_schema, random_schema_pair, without_handler
+from helpers import (
+    attribute_sets_match,
+    random_graph,
+    random_schema,
+    random_schema_pair,
+    without_handler,
+)
 
 from test_per import JAVA_UTIL_PER, closure_oracle
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from escher import exprs, objects  # noqa: E402
 from escher.errors import DanglingReference, EscherError, FormatError  # noqa: E402
 from escher.objects import ObjectGraph, ObjectRecord, deserialize, retrieve, serialize  # noqa: E402
-from escher.repository import RegisteredTransformer, Release, Repository, content_digest  # noqa: E402
+from escher.repository import Release, Repository, StoredFile  # noqa: E402
 from escher.schema import parse_schema  # noqa: E402
 from escher.transformer import Assign, ObjectTransformer  # noqa: E402
 from escher.values import INT64_MAX, INT64_MIN, PRIMITIVE_KINDS, RefVal  # noqa: E402
@@ -91,8 +91,7 @@ def repository(bodies) -> Repository:
             for b in VERSIONS:
                 if a != b:
                     t = ObjectTransformer(name, a, b, tuple(map(Assign, FIELDS, body)))
-                    text = f"{name} {a} {b}"
-                    entries[a, b] = RegisteredTransformer(text, content_digest(text), parse=lambda t=t: t)
+                    entries[a, b] = StoredFile(f"{name} {a} {b}", parse=lambda t=t: t)
         handlers[name] = entries
     return Repository("checked", RELEASES, handlers)
 

@@ -49,7 +49,7 @@ def test_parse_a_generic_parameter_named_as_an_attribute(tmp_path):
     code, out, err = run_cli("parse", str(bad))
     assert code == 1
     assert out.splitlines()[0] == (
-        "ParseError line 2 column 3: name 'G' is both a generic parameter and an attribute"
+        f"ParseError {bad} line 2 column 3: name 'G' is both a generic parameter and an attribute"
     )
     assert "Traceback" not in out + err
 
@@ -62,7 +62,7 @@ def test_parse_oversized_literal_is_a_parse_error(tmp_path):
     code, out, err = run_cli("parse", str(big))
     assert code == 1
     assert out.splitlines()[0] == (
-        "ParseError line 1 column 47: integer literal outside the 64-bit range"
+        f"ParseError {big} line 1 column 47: integer literal outside the 64-bit range"
     )
     assert "Traceback" not in out + err
 
@@ -72,7 +72,7 @@ def test_parse_oversized_version_header_is_a_parse_error(tmp_path):
     big.write_text("version " + "9" * 5000 + "\nclass C feature end", encoding="utf-8")
     code, out, err = run_cli("parse", str(big))
     assert code == 1
-    assert out.splitlines()[0] == "ParseError line 1 column 9: version tag too large"
+    assert out.splitlines()[0] == f"ParseError {big} line 1 column 9: version tag too large"
     assert "Traceback" not in out + err
 
 
@@ -87,7 +87,7 @@ def test_parse_too_deep_an_invariant_is_a_parse_error(tmp_path, body, column):
     code, out, err = run_cli("parse", str(deep))
     assert code == 1
     assert out.splitlines()[0] == (
-        f"ParseError line 1 column {column}: expression nested deeper than 100 levels"
+        f"ParseError {deep} line 1 column {column}: expression nested deeper than 100 levels"
     )
     assert "Traceback" not in out + err
 
@@ -199,7 +199,7 @@ def test_per_oversized_number_in_a_history_file_is_a_format_error(tmp_path, line
 # None, the replacement names a copy of the file.
 NON_ASCII_DIGITS = [
     ("in.esc", "version 1", "version ١", "parse",
-     "ParseError line 1 column 9: unexpected character '١'"),
+     "ParseError {tmp}/in.esc line 1 column 9: unexpected character '١'"),
     ("project/handlers/BANK_ACCOUNT/1_to_2.est", "from 1", "from १", "migrate",
      "ParseError handlers/BANK_ACCOUNT/1_to_2.est line 1 column 29: unexpected character '१'"),
     ("in.eso", "obj 0", "obj ０", "migrate",
@@ -242,7 +242,8 @@ def test_a_non_ascii_digit_is_no_digit_in_any_file_format(
         "per": ["per", str(tmp_path / "in.hist")],
     }[command]
     code, out, err = run_cli(*argv)
-    assert (code, out.splitlines()[0]) == (1, first_line.format(project=tmp_path / "project"))
+    expected = first_line.format(tmp=tmp_path, project=tmp_path / "project")
+    assert (code, out.splitlines()[0]) == (1, expected)
     assert "Traceback" not in out + err
 
 
@@ -392,6 +393,15 @@ def test_diff_and_gen_name_the_class_file_of_a_parse_error(tmp_path, monkeypatch
     assert out.splitlines()[0] == f"ParseError B.esc {BROKEN_LINE}"
     assert "Traceback" not in out + err
     assert not (tmp_path / "out.est").exists()
+
+
+def test_check_names_the_class_file_of_a_parse_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B.esc").write_text(BROKEN_ESC, encoding="utf-8")
+    code, out, err = run_cli("check", OBJ, "B.esc")
+    assert code == 1
+    assert out.splitlines()[0] == f"ParseError B.esc {BROKEN_LINE}"
+    assert "Traceback" not in out + err
 
 
 def test_release_names_the_class_file_of_a_parse_error(tmp_path, monkeypatch):
@@ -804,7 +814,7 @@ def test_parse_too_deep_a_type_is_a_parse_error(tmp_path):
     assert code == 1
     # the 101st "[" opens at column 23 + 5 * 100 + 4
     assert out.splitlines()[0] == (
-        "ParseError line 1 column 527: type expression nested deeper than 100 levels"
+        f"ParseError {deep} line 1 column 527: type expression nested deeper than 100 levels"
     )
     assert "Traceback" not in out + err
 

@@ -22,12 +22,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from escher.errors import TransformationMissing  # noqa: E402
 from escher.objects import ObjectGraph, ObjectRecord, retrieve  # noqa: E402
+from escher.per import transitive_closure  # noqa: E402
 from escher.repository import (  # noqa: E402
-    RegisteredTransformer,
     Release,
     Repository,
+    StoredFile,
     _shortest_path,
-    content_digest,
     register_transformer,
 )
 from escher.schema import parse_schema  # noqa: E402
@@ -50,10 +50,7 @@ HOPS = {pair: parse_transformer(hop_text(*pair)) for pair in PAIRS}
 
 def repository(edges) -> Repository:
     entries = {
-        pair: RegisteredTransformer(
-            hop_text(*pair), content_digest(hop_text(*pair)), parse=lambda pair=pair: HOPS[pair]
-        )
-        for pair in edges
+        pair: StoredFile(hop_text(*pair), parse=lambda pair=pair: HOPS[pair]) for pair in edges
     }
     return Repository("paths", RELEASES, {"C": entries})
 
@@ -104,6 +101,16 @@ def test_remembered_paths_equal_shortest_path_across_calls(edges):
                 for flag in (True, False):
                     taken = enumerated_path(edges, start, goal, flag)
                     assert migrate(repo, start, goal, flag) == (taken and tuple(taken))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(PAIRS), max_size=20))
+def test_per_counts_exactly_the_pairs_a_migration_finds_a_path_for(edges):
+    """PER's closure and ``TransformationMissing`` agree: a pair is reachable
+    exactly when a hop path exists for it."""
+    closure = transitive_closure(frozenset(edges))
+    for start, goal in PAIRS:
+        assert ((start, goal) in closure) == (_shortest_path(edges, start, goal) is not None)
 
 
 def test_a_registered_shortcut_is_used_by_the_new_repository_only():

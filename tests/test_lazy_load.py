@@ -19,11 +19,10 @@ from conftest import BANK_V2_TEXT, FIXTURES, OTHER_V2, run_cli
 from escher import repository
 from escher.errors import EscherError, FormatError
 from escher.repository import (
-    RegisteredTransformer,
     Release,
     ReleaseSchemas,
     Repository,
-    StoredSchema,
+    StoredFile,
     empty_repository,
     load_repository,
     release,
@@ -66,7 +65,7 @@ def force_parse(repo: Repository) -> Repository:
         dict(rel.schemas)
     for entries in repo.handlers.values():
         for entry in entries.values():
-            entry.transformer
+            entry.value
     return repo
 
 
@@ -86,8 +85,8 @@ def parsed_one_by_one(project: Path) -> Repository:
         }))
     handlers = {
         name: {
-            pair: RegisteredTransformer(entry.text, entry.digest, user_modified=entry.user_modified,
-                                        parse=functools.partial(parse_transformer, entry.text))
+            pair: StoredFile(entry.text, recorded=entry.recorded,
+                             parse=functools.partial(parse_transformer, entry.text))
             for pair, entry in entries.items()
         }
         for name, entries in manifest.handlers.items()
@@ -205,6 +204,20 @@ def test_a_command_parses_only_the_files_it_needs(two_class_project, tmp_path, p
     assert sorted(parses) == expected  # BANK_ACCOUNT renders as its stored text
 
 
+def test_migrate_and_per_hash_no_project_file(two_class_project, monkeypatch):
+    """A load keeps the digests its manifest records, and neither command
+    asks whether a handler was edited."""
+    hashed: list[str] = []
+    digest = repository.content_digest
+    monkeypatch.setattr(repository, "content_digest", lambda text: hashed.append(text) or digest(text))
+    project, bank_file = str(two_class_project), str(FIXTURES / "bank_account_v1.eso")
+    assert run_cli("per", "--project", project)[0] == 0
+    assert run_cli("migrate", bank_file, "--to-release", "2", "--project", project)[0] == 0
+    assert hashed == []
+    entry = load_repository(project).handlers["BANK_ACCOUNT"][1, 2]
+    assert not entry.user_modified and len(hashed) == 1  # hashed when asked
+
+
 def test_an_unchanged_working_set_parses_no_stored_schema(two_class_project, tmp_path, parses):
     project, working = two_class_project, tmp_path / "work"
     shutil.copytree(project / "releases" / "2", working)
@@ -230,10 +243,13 @@ def test_a_save_after_a_release_reads_no_file_and_writes_only_what_it_made(
     monkeypatch.setattr(repository, "render_schema", counting)
     monkeypatch.setattr(repository, "_read_bytes", lambda path: events.append(path) or read(path))
     monkeypatch.setattr(os, "replace", lambda src, dst: events.append(
-        f"write {os.path.relpath(dst, project)}") or replace_(src, dst))
+        f"write {os.path.relpath(dst, project)}".replace(str(os.getpid()), "PID"))
+        or replace_(src, dst))
     save_repository(repo, project)
     assert events == [
-        "write releases/3/OTHER.esc",  # BANK_ACCOUNT keeps its tag, so it has no file there
+        # a new release directory is built beside its place, then renamed there;
+        # BANK_ACCOUNT keeps its tag, so it has no file there
+        "write releases/.3.PID.tmp/OTHER.esc", "write releases/3",
         "write handlers/OTHER/2_to_3.est",
         "write escher.manifest",
     ]
@@ -292,7 +308,7 @@ def parsed_without_texts(project: Path) -> Repository:
     parse raises when it is looked up, as in the loaded project."""
     loaded = load_repository(project)
     table = {
-        key: StoredSchema("", parse=lambda entry=entry: entry.schema)
+        key: StoredFile("", parse=lambda entry=entry: entry.value)
         for key, entry in loaded._table.items()
     }
     releases = tuple(
@@ -435,12 +451,13 @@ def test_a_save_syncs_each_directory_once_before_the_manifest(tmp_path, monkeypa
     recorder = Recorder(monkeypatch)
     save_repository(newer, project)
     assert named(recorder.events, project) == [
-        ("fsync", "releases/2/A.esc"), ("replace", "releases/2/A.esc"),
-        # a new handler directory is built beside its place, then renamed there
+        # a new release or handler directory is built beside its place, then renamed there
+        ("fsync", "releases/2/A.esc"), ("replace", "releases/.2.PID.tmp/A.esc"),
+        ("fsync", "releases/2"), ("replace", "releases/2"),
         ("fsync", "handlers/A/1_to_2.est"), ("replace", "handlers/.A.PID.tmp/1_to_2.est"),
         ("fsync", "handlers/A"), ("replace", "handlers/A"),
-        # the directories of the written files, then the parents of new ones
-        ("fsync", "releases/2"), ("fsync", "handlers"), ("fsync", "."), ("fsync", "releases"),
+        # the parents of the directories renamed into place, then of those created
+        ("fsync", "releases"), ("fsync", "handlers"), ("fsync", "."),
         ("fsync", "escher.manifest"), ("replace", "escher.manifest"), ("fsync", "."),
     ]
     recorder.events.clear()

@@ -52,7 +52,7 @@ def test_changed_class_bumps_and_generates_stub(bank_v1, bank_v2):
     assert report.number == 2
     assert report.bumped == (("BANK_ACCOUNT", 1, 2),)
     assert report.stubs == (("BANK_ACCOUNT", 1, 2),)
-    stub = repo.handlers["BANK_ACCOUNT"][(1, 2)].transformer
+    stub = repo.handlers["BANK_ACCOUNT"][(1, 2)].value
     assert stub.required_inputs == {"balance"}
     assert repo.latest_version("BANK_ACCOUNT") == 2
 
@@ -151,7 +151,7 @@ def test_register_refuses_silent_overwrite(bank_repo, hand_fixed_transformer):
     with pytest.raises(OverwriteRefused):
         register_transformer(bank_repo, hand_fixed_transformer)
     repo = register_transformer(bank_repo, hand_fixed_transformer, overwrite=True)
-    assert repo.handlers["BANK_ACCOUNT"][(1, 2)].transformer == hand_fixed_transformer
+    assert repo.handlers["BANK_ACCOUNT"][(1, 2)].value == hand_fixed_transformer
 
 
 def test_register_unknown_version(bank_repo):
@@ -184,8 +184,8 @@ def test_save_load_round_trip(bank_repo_hand_fixed, tmp_path):
     assert loaded.releases == bank_repo_hand_fixed.releases
     assert loaded.transformer_pairs("BANK_ACCOUNT") == {(1, 2)}
     assert (
-        loaded.handlers["BANK_ACCOUNT"][(1, 2)].transformer
-        == bank_repo_hand_fixed.handlers["BANK_ACCOUNT"][(1, 2)].transformer
+        loaded.handlers["BANK_ACCOUNT"][(1, 2)].value
+        == bank_repo_hand_fixed.handlers["BANK_ACCOUNT"][(1, 2)].value
     )
 
 
@@ -482,6 +482,14 @@ def test_user_modified_handler_detected_and_preserved(bank_project_stub):
     assert handler.read_text(encoding="utf-8") == hand_written
 
 
+def test_a_handler_the_manifest_does_not_list_is_not_user_modified(bank_project_stub):
+    handlers = bank_project_stub / "handlers" / "BANK_ACCOUNT"
+    (handlers / "2_to_1.est").write_text("transform BANK_ACCOUNT from 2 to 1\nend\n", encoding="utf-8")
+    entries = load_repository(bank_project_stub).handlers["BANK_ACCOUNT"]
+    assert (entries[2, 1].recorded, entries[2, 1].user_modified) == (None, False)
+    assert not entries[1, 2].user_modified
+
+
 def test_a_save_cut_at_the_manifest_loads_as_the_project_before(
     bank_repo, bank_v2, tmp_path, monkeypatch
 ):
@@ -584,7 +592,7 @@ def test_handlers_are_read_only(bank_repo, hand_fixed_transformer):
     given["BANK_ACCOUNT"].clear()
     given.clear()
     assert repo.handlers == bank_repo.handlers
-    assert repo.handlers_for("BANK_ACCOUNT") == {(1, 2): entries[(1, 2)].transformer}
+    assert repo.handlers_for("BANK_ACCOUNT") == {(1, 2): entries[(1, 2)].value}
     assert "_paths" not in repr(repo) and "_transformers" not in repr(repo)
 
 
