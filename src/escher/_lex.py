@@ -1,7 +1,10 @@
 """Shared tokenizer for the class, transformer, and object file syntaxes,
 and the blank rule of every file format the tool reads: ``BLANKS`` separate
 words, and any other whitespace character is an ``unexpected character``
-here and the usual error of a line format (``line_format``).
+here and the usual error of a line format (``line_format``). The literal
+shapes ``INT``, ``REAL`` and ``STRING`` and the escape set ``_ESCAPES`` are
+stated here once, for the tokenizer, the ``.eso`` block reader and the
+string conversions alike.
 
 Line comments start with ``--`` and run to end of line. Two-hyphen comments
 win over a bare minus, so ``a--b`` lexes as ``a`` followed by a comment
@@ -18,6 +21,13 @@ from .errors import FormatError, ParseError
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier, in every syntax the tool reads
 IDENT_RE = re.compile(IDENT + r"\Z")
 BLANKS = " \t\r"  # what separates words, in every file format the tool reads
+# The literal shapes, which every reader of a number or a string builds on.
+INT = "[0-9]+"  # a digit is an ASCII 0-9
+EXPONENT = f"[eE][+-]?{INT}"
+REAL = rf"{INT}\.{INT}(?:{EXPONENT})?"  # the dot tells a real from an integer
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}  # the escape set
+_REVERSE_ESCAPES = {char: "\\" + code for code, char in _ESCAPES.items()}
+STRING = rf'"(?:[^"\\\n]|\\[{re.escape("".join(_ESCAPES))}])*"'  # as escape_string writes it
 
 
 def line_format(*words: str) -> re.Pattern[str]:
@@ -32,19 +42,17 @@ _TOKEN_RE = re.compile(
     rf"""
     (?P<SKIP>--[^\n]*|[{BLANKS}]+)
   | (?P<NL>\n)
-  | (?P<REAL>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-  | (?P<INT>[0-9]+)
+  | (?P<REAL>{REAL})
+  | (?P<INT>{INT})
   | (?P<IDENT>{IDENT})
-  | (?P<STRING>"(?:\\.|[^"\\\n])*")
+  | (?P<STRING>"(?:\\.|[^"\\\n])*")  # any escape, so that unescape_string names a bad one
   | (?P<OP>:=|/=|//|<=|>=|->|[:\[\](),;=<>+\-*.])
   | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
 _ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
-_REVERSE_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 
 
 class Token(NamedTuple):

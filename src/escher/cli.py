@@ -224,7 +224,8 @@ def cmd_per(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     schema = _read_schema(args.schema_file)
     graph = deserialize(read_text(args.object_file))
-    checked = [record for record in graph.records if record.class_name == schema.name]
+    checked = [record for record in graph.records  # of the schema's class and version only
+               if record.class_name == schema.name and record.version == schema.version]
     for record in checked:  # every record first, so an error is the first line
         eval_invariant(record, schema)
     for record in checked:

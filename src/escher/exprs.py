@@ -12,9 +12,9 @@ operator levels that ``render_expr`` reads too: invariant bodies from its
 loosest level, transformer sources from ``ARITH_LEVEL``. Each language
 supplies only its own primaries. A literal is a ``Lit`` holding the runtime
 value itself.
-``parse_literal`` is the one literal grammar and ``RENDERING`` the one
-literal renderer (``render_value`` looks it up), for expressions, ``.eso``
-fields and ``--inputs`` alike.
+``parse_literal`` is the one literal grammar, over ``_lex``'s shapes, and
+``render_value`` the one renderer, by ``values.KINDS``, for expressions,
+``.eso`` fields and ``--inputs`` alike.
 Rendering inserts parentheses exactly where reparsing would otherwise
 associate differently, so render/parse is structurally lossless.
 
@@ -27,7 +27,8 @@ operator and converter in the function's namespace. The statements decide
 no error; the closures and ``OPERATORS`` alone raise them.
 ``CONVERTERS`` is the one, read-only table of the conversions a ``convert``
 may name; a ``Convert`` closure fetches its function when it compiles, and an
-id the table lacks is an ``UnknownConverter`` when a record reaches it.
+id the table lacks is an ``UnknownConverter`` when a record reaches it. An
+entry states only how it converts; ``_converter`` raises every failure.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
 deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
-from ._lex import Token, TokenStream, escape_string, unescape_string
+from ._lex import EXPONENT, INT, REAL, Token, TokenStream, unescape_string
 from .errors import ConversionFailure, MissingAttribute, MissingInput, ParseError, UnknownConverter
-from .values import INT64_MAX, INT64_MIN, ObjectValue, RefVal, check_value
+from .values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, ObjectValue, check_value, render_real
 
 ARITH_OPS = ("+", "-", "*", "//")
 COMPARE_OPS = ("=", "/=", "<", "<=", ">", ">=")
@@ -191,7 +192,7 @@ def walk(expr: Expr):
         yield from walk(child)
 
 
-_WORDS = {"Void": None, "true": True, "false": False}
+_WORDS = {KINDS[value.__class__][2](value): value for value in (None, True, False)}
 
 
 def build(tok: Token, node: type, *args) -> Expr:
@@ -302,43 +303,12 @@ def parse_version(stream: TokenStream) -> int:
     return version
 
 
-def render_real(value: float) -> str:
-    """Shortest round-tripping decimal form with a mandatory dot."""
-    text = repr(value)
-    if "e" in text or "E" in text:
-        mantissa, _, exponent = text.partition("e")
-        if "." not in mantissa:
-            mantissa += ".0"
-        return f"{mantissa}e{exponent}"
-    if "." not in text:
-        text += ".0"
-    return text
-
-
-def _render_finite(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError("non-finite reals are not serializable")
-    return render_real(value)
-
-
-#: Per value class, its ``.eso`` annotation and its literal text. A ``ref``'s
-#: annotation is None here: it is the class of the record the ``ref`` names.
-RENDERING: Mapping[type, tuple[str | None, Callable[[ObjectValue], str]]] = MappingProxyType({
-    int: ("INTEGER", str),
-    str: ("STRING", escape_string),
-    RefVal: (None, lambda value: f"ref {value.object_id}"),
-    float: ("REAL", _render_finite),
-    bool: ("BOOLEAN", lambda value: "true" if value else "false"),
-    type(None): ("NONE", lambda value: "Void"),
-})
-
-
 def render_value(value: ObjectValue) -> str:
     """The literal text of ``value``: an ``.eso`` field's value, or a ``Lit``."""
-    entry = RENDERING.get(value.__class__)
-    if entry is None:
+    kind = KINDS.get(value.__class__)
+    if kind is None:
         raise TypeError(f"not an object value: {value!r}")
-    return entry[1](value)
+    return kind[2](value)
 
 
 def render_expr(expr: Expr) -> str:
@@ -523,67 +493,42 @@ def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
         raise MissingInput(key) from None
 
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_REAL_RE = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?\Z")
+def _converter(converter_id: str, convert: Callable, shape: str | None = None) -> Callable:
+    """``convert`` over a value of the kind ``converter_id``'s source names,
+    and, given a ``shape``, a string of that shape; it must give a value
+    (``check_value``). Whatever else comes in or out is a ConversionFailure."""
+    source = CLASS_NAMED[converter_id.partition("_TO_")[0]]
+    fits = re.compile(shape).fullmatch if shape else None
+
+    def apply(value: ObjectValue) -> ObjectValue:
+        if value.__class__ is source and (fits is None or fits(value)):
+            try:
+                result = convert(value)
+                check_value(result)
+                return result
+            except (ValueError, OverflowError):  # also int() of a NaN or an infinity
+                pass
+        raise ConversionFailure(converter_id, value)
+
+    return apply
 
 
-def _string_to_integer(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not str or not _INT_RE.match(value):
-        raise ConversionFailure("STRING_TO_INTEGER", value)
-    digits = value.lstrip("-").lstrip("0") or "0"
-    if len(digits) >= 20:  # int() refuses over 4300 digits; no 64-bit integer needs 20
-        raise ConversionFailure("STRING_TO_INTEGER", value)
-    number = -int(digits) if value[0] == "-" else int(digits)
-    if not (INT64_MIN <= number <= INT64_MAX):
-        raise ConversionFailure("STRING_TO_INTEGER", value)
-    return number
-
-
-def _integer_to_string(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not int:
-        raise ConversionFailure("INTEGER_TO_STRING", value)
-    return str(value)
-
-
-def _integer_to_real(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not int:
-        raise ConversionFailure("INTEGER_TO_REAL", value)
-    return float(value)
-
-
-def _real_to_integer(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not float or not math.isfinite(value):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    truncated = int(value)  # toward zero
-    if not (INT64_MIN <= truncated <= INT64_MAX):
-        raise ConversionFailure("REAL_TO_INTEGER", value)
-    return truncated
-
-
-def _string_to_real(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not str or not _REAL_RE.match(value):
-        raise ConversionFailure("STRING_TO_REAL", value)
-    real = float(value)
-    if not math.isfinite(real):  # an exponent past the float range
-        raise ConversionFailure("STRING_TO_REAL", value)
-    return real
-
-
-def _real_to_string(value: ObjectValue) -> ObjectValue:
-    if value.__class__ is not float:
-        raise ConversionFailure("REAL_TO_STRING", value)
-    return render_real(value)
+def _string_to_integer(text: str) -> int:
+    digits = text.lstrip("-").lstrip("0") or "0"  # zeros count toward int()'s 4300-digit limit
+    return -int(digits) if text[0] == "-" else int(digits)
 
 
 #: Every conversion a ``convert`` may name. An id reads ``<SOURCE>_TO_<TARGET>``,
 #: the primitive types it converts between; generation relies on that.
 CONVERTERS: Mapping[str, Callable[[ObjectValue], ObjectValue]] = MappingProxyType({
-    "STRING_TO_INTEGER": _string_to_integer,
-    "INTEGER_TO_STRING": _integer_to_string,
-    "INTEGER_TO_REAL": _integer_to_real,
-    "REAL_TO_INTEGER": _real_to_integer,
-    "STRING_TO_REAL": _string_to_real,
-    "REAL_TO_STRING": _real_to_string,
+    converter_id: _converter(converter_id, *how) for converter_id, how in {
+        "STRING_TO_INTEGER": (_string_to_integer, f"-?{INT}"),
+        "INTEGER_TO_STRING": (str,),
+        "INTEGER_TO_REAL": (float,),
+        "REAL_TO_INTEGER": (int,),  # toward zero
+        "STRING_TO_REAL": (float, f"-?(?:{REAL}|{INT}(?:{EXPONENT})?)"),  # "12" and "1e5" too
+        "REAL_TO_STRING": (render_real,),
+    }.items()
 })
 
 

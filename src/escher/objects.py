@@ -12,11 +12,11 @@ represents shared substructure and cycles without nesting:
 
 A field's value is written in the literal grammar of the expression
 languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
-its annotation is a primitive kind's name (``values.PRIMITIVE_KINDS``) or, for
-a ``ref``, the class of the record it names. ``deserialize`` reads a file in
-one loop: a record exactly as ``serialize`` writes it is one regex block, and
-any other goes alone through the tokenizer, which alone reports errors. A
-record's fields are one read-only mapping in field order, from parse through
+its annotation is its kind's name (``values.KINDS``) or, for a ``ref``, the
+class of the record it names. ``deserialize`` reads a file in one loop: a
+record exactly as ``serialize`` writes it is one regex block, and any other
+goes alone through the tokenizer, which alone reports errors. A record's
+fields are one read-only mapping in field order, from parse through
 migration to render.
 
 Retrieval migrates every record whose stored version differs from its
@@ -44,7 +44,9 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from . import exprs
-from ._lex import BLANKS, IDENT, TokenStream, line_format, line_int, tokenize, unescape_string
+from ._lex import (
+    BLANKS, IDENT, INT, REAL, STRING, TokenStream, line_format, line_int, tokenize, unescape_string,
+)
 from .errors import (
     AttachmentViolation,
     DanglingReference,
@@ -61,7 +63,7 @@ from .errors import (
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import Assign, CheckAttached, ObjectTransformer
-from .values import INT64_MAX, INT64_MIN, PRIMITIVE_KINDS, ObjectValue, RefVal, check_value
+from .values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, ObjectValue, RefVal, check_value
 
 if TYPE_CHECKING:
     from .repository import Repository
@@ -179,11 +181,11 @@ _HEADER = "ESCHER-OBJECTS 1"
 def serialize(graph: ObjectGraph) -> str:
     """Byte-exact canonical text; field order is preserved."""
     lines = [_HEADER]
-    append, records, rendering = lines.append, graph.records, exprs.RENDERING
+    append, records, kinds = lines.append, graph.records, KINDS
     for record in records:
         append(f"obj {record.id} {record.class_name} version {record.version}")
         for name, value in record.fields.items():
-            annotation, render = rendering[value.__class__]
+            annotation, _, render = kinds[value.__class__]
             if annotation is None:
                 annotation = records[value.object_id].class_name
             append(f"  {name}: {annotation} = {render(value)}")
@@ -191,21 +193,21 @@ def serialize(graph: ObjectGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OBJ_RE = line_format("obj", "([0-9]+)", f"({IDENT})", "version", "([0-9]+)")
+_OBJ_RE = line_format("obj", f"({INT})", f"({IDENT})", "version", f"({INT})")
 _LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
 # One record exactly as ``serialize`` writes it: the header line, the field
 # lines (each starting with two spaces), then ``end``.
-_BLOCK_RE = re.compile(rf"obj ([0-9]+) ({IDENT}) version ([0-9]+)\n((?:  [^\n]*\n)*)end\n")
+_BLOCK_RE = re.compile(rf"obj ({INT}) ({IDENT}) version ({INT})\n((?:  [^\n]*\n)*)end\n")
 # One field line as ``serialize`` writes it, its annotation fused with the
 # shape of the one literal kind it admits; a ``ref``'s class is any other name.
 _BLOCK_FIELD_RE = re.compile(
     rf"^  ({IDENT}): (?:"
-    r"INTEGER = (-?[0-9]+)"
-    r'|STRING = ("(?:[^"\\\n]|\\["\\nr])*")'
-    rf"|(?!(?:{'|'.join(PRIMITIVE_KINDS)}) )({IDENT}) = ref ([0-9]+)"
+    rf"INTEGER = (-?{INT})"
+    rf"|STRING = ({STRING})"
+    rf"|(?!(?:{'|'.join(CLASS_NAMED)}) )({IDENT}) = ref ({INT})"
     r"|NONE = (Void)"
     r"|BOOLEAN = (true|false)"
-    r"|REAL = (-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    rf"|REAL = (-?{REAL})"
     r")$",
     re.M,
 )
@@ -347,7 +349,7 @@ def _parse_field(line: str, lineno: int) -> tuple[str, str, ObjectValue]:
         value = _parse_whole_value(stream)
     except ParseError as err:
         raise FormatError.at(err) from err
-    if value.__class__ is not PRIMITIVE_KINDS.get(annotation, (RefVal,))[0]:  # else a ref's class
+    if value.__class__ is not CLASS_NAMED.get(annotation, RefVal):  # else a ref's class
         raise FormatError(lineno, f"value of field {name!r} does not fit annotation {annotation}")
     return name, annotation, value
 
@@ -424,8 +426,8 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
 
 def type_default(declared: TypeExpr) -> ObjectValue:
     base = strip_marker(declared)
-    if isinstance(base, ClassType) and base.name in PRIMITIVE_KINDS:
-        return PRIMITIVE_KINDS[base.name][1]
+    if isinstance(base, ClassType):
+        return KINDS[CLASS_NAMED.get(base.name, RefVal)][1]  # a class's is void
     return None
 
 

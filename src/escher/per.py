@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from ._lex import BLANKS, IDENT, line_format, line_int
+from ._lex import BLANKS, IDENT, INT, line_format, line_int
 from .errors import DegenerateHistory, EmptyRelease, FormatError, UnknownClass
 from .repository import Repository, breadth_first
 
@@ -89,12 +89,12 @@ def history_from_repository(repo: Repository, class_name: str) -> EvolutionHisto
 # ---------------------------------------------------------------------------
 
 _CLASS_RE = line_format("class", f"({IDENT})")
-_VERSIONS_RE = line_format("versions", "([0-9]+)")
-_TF_RE = line_format("tf", "([0-9]+)", "([0-9]+)")
+_VERSIONS_RE = line_format("versions", f"({INT})")
+_TF_RE = line_format("tf", f"({INT})", f"({INT})")
 
 
 def parse_history_file(text: str) -> list[EvolutionHistory]:
-    histories: list[EvolutionHistory] = []
+    histories: dict[str, EvolutionHistory] = {}
     name: str | None = None
     count: int | None = None
     edges: set[tuple[int, int]] = set()
@@ -106,7 +106,7 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
         if count is None:
             raise FormatError(lineno, f"class {name} has no 'versions' line")
         try:
-            histories.append(EvolutionHistory(name, count, frozenset(edges)))
+            histories[name] = EvolutionHistory(name, count, frozenset(edges))
         except ValueError as err:
             raise FormatError(lineno, str(err)) from err
         name, count, edges = None, None, set()
@@ -119,6 +119,8 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
         if m := _CLASS_RE.match(line):
             flush(lineno)
             name = m.group(1)
+            if name in histories:
+                raise FormatError(lineno, f"class {name} named twice in the history file")
             continue
         if name is None:
             raise FormatError(lineno, f"expected a class line, got {line!r}")
@@ -132,7 +134,7 @@ def parse_history_file(text: str) -> list[EvolutionHistory]:
     flush(lineno)
     if not histories:
         raise FormatError(lineno, "history file holds no classes")
-    return histories
+    return list(histories.values())
 
 
 def format_ratio(x: Fraction) -> str:

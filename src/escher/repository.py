@@ -39,7 +39,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
-from ._lex import BLANKS, IDENT, line_format, line_int
+from ._lex import BLANKS, IDENT, INT, line_format, line_int
 from .errors import (
     FormatError,
     OverwriteRefused,
@@ -288,10 +288,7 @@ def _shortest_path(edges: Iterable[tuple[int, int]], start: int, goal: int) -> l
     Ties between equal-length paths break toward the lexicographically
     smallest version sequence, the path ``breadth_first`` walks.
     """
-    edge_set = set(edges)
-    if (start, goal) in edge_set:
-        return [start, goal]
-    parent = breadth_first(edge_set, (start,))[start]
+    parent = breadth_first(edges, (start,))[start]
     if goal not in parent:
         return None
     path = [goal]
@@ -436,10 +433,10 @@ def register_transformer(
 # ---------------------------------------------------------------------------
 
 _MANIFEST = "escher.manifest"
-_RELEASE_RE = line_format("release", "([0-9]+)")
-_CLASS_RE = line_format("class", f"({IDENT})", "version", "([0-9]+)")
-_TRANSFORMER_RE = line_format("transformer", f"({IDENT})", "([0-9]+)", "([0-9]+)", "([0-9a-f]+)")
-_HANDLER_FILE_RE = re.compile(r"([0-9]+)_to_([0-9]+)\.est\Z")
+_RELEASE_RE = line_format("release", f"({INT})")
+_CLASS_RE = line_format("class", f"({IDENT})", "version", f"({INT})")
+_TRANSFORMER_RE = line_format("transformer", f"({IDENT})", f"({INT})", f"({INT})", "([0-9a-f]+)")
+_HANDLER_FILE_RE = re.compile(rf"({INT})_to_({INT})\.est\Z")
 
 
 def render_manifest(repo: Repository) -> str:

@@ -27,7 +27,7 @@ from escher.objects import ObjectGraph, ObjectRecord, deserialize, retrieve, ser
 from escher.repository import Release, Repository, StoredFile  # noqa: E402
 from escher.schema import parse_schema  # noqa: E402
 from escher.transformer import Assign, ObjectTransformer  # noqa: E402
-from escher.values import INT64_MAX, INT64_MIN, PRIMITIVE_KINDS, RefVal  # noqa: E402
+from escher.values import INT64_MAX, INT64_MIN, KINDS, RefVal  # noqa: E402
 from helpers import random_graph  # noqa: E402
 
 CLASSES = ("NODE", "ITEM", "CELL")
@@ -167,10 +167,16 @@ def test_a_read_file_holds_one_ref_value_per_target():
     assert fields["a"] is fields["b"]
 
 
-def test_the_rendering_table_annotates_each_kind_by_its_name():
-    assert {cls: name for cls, (name, _) in exprs.RENDERING.items()} == {
-        **{cls: name for name, (cls, _) in PRIMITIVE_KINDS.items()}, RefVal: None,
-    }
+def test_the_block_reader_reads_a_field_of_every_kind_as_serialize_writes_it():
+    # ``serialize`` writes each field from ``KINDS``; the block regex spells
+    # each kind's annotation and literal shape, and must read every line it writes
+    assert all(default.__class__ is cls for cls, (name, default, _) in KINDS.items() if name)
+    fields = {f"f{i}": default for i, (name, default, _) in enumerate(KINDS.values()) if name}
+    fields |= {"s": 'a "b"\\\n\r', "n": -7, "x": -1.5e-300, "t": True, "r": RefVal(0)}
+    text = serialize(ObjectGraph((ObjectRecord(0, "NODE", 1, fields),)))
+    body = objects._BLOCK_RE.match(text, len("ESCHER-OBJECTS 1\n"))[4]
+    assert len(objects._BLOCK_FIELD_RE.findall(body)) == len(fields)
+    assert deserialize(text).records[0].fields == fields
 
 
 # ---------------------------------------------------------------------------

@@ -567,6 +567,13 @@ def test_migrate_string_input(tmp_path, bank_project_stub):
     assert out.splitlines()[0].startswith("ConversionFailure STRING_TO_INTEGER")
 
 
+def test_migrate_of_a_string_with_a_non_ascii_digit_is_a_conversion_failure(tmp_path, bank_project):
+    obj = tmp_path / "in.eso"
+    obj.write_text(BANK_OBJECT_TEXT.replace('"42"', '"٣٤"'), encoding="utf-8")
+    code, out, err = run_cli("migrate", str(obj), "--to-release", "2", "--project", str(bank_project))
+    assert (code, out, err) == (1, 'ConversionFailure STRING_TO_INTEGER "٣٤"\n', "")
+
+
 def test_a_carriage_return_in_a_string_survives_migrate_then_check(tmp_path):
     """The CLI reads files with universal newlines, so a raw carriage
     return in a written STRING would read back as a line break."""
@@ -752,6 +759,15 @@ def test_check_v1_object_against_v1_schema():
     code, out, _ = run_cli("check", OBJ, V1)
     assert code == 0
     assert out == "ok BANK_ACCOUNT 0\n"
+
+
+def test_check_skips_a_record_stored_at_another_version_of_the_class(tmp_path):
+    # the record would pass v2's invariant, the v1 file would miss its attribute
+    obj = tmp_path / "v1.eso"
+    obj.write_text("ESCHER-OBJECTS 1\nobj 0 BANK_ACCOUNT version 1\n  balance: INTEGER = 5\nend\n",
+                   encoding="utf-8")
+    assert run_cli("check", str(obj), V2) == (0, "", "")
+    assert run_cli("check", OBJ, V2) == (0, "", "")
 
 
 @pytest.mark.parametrize("newline, indent, line_reads", [("\r\n", "  ", 0), ("\n", "\t", 1)],

@@ -25,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 from escher import objects  # noqa: E402
 from escher._lex import escape_string, unescape_string  # noqa: E402
 from escher.errors import DanglingReference, FormatError  # noqa: E402
-from escher.exprs import render_real  # noqa: E402
+from escher.values import render_real  # noqa: E402
 from escher.objects import ObjectGraph, deserialize, serialize  # noqa: E402
 from helpers import random_graph  # noqa: E402
 

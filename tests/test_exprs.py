@@ -7,7 +7,9 @@ rendered text unchanged, as must every value from ``exprs.render_value``. A
 literal no value can hold must be refused at parse time with one reason in
 all four inputs, and a tree or parenthesis nested deeper than
 ``exprs.MAX_DEPTH`` must be a ``ParseError``. Compiled, the same trees must
-evaluate as a plain tree walk does, value for value and error for error.
+evaluate as a plain tree walk does, value for value and error for error. A
+conversion reads only a value of its source kind, and a string only with
+ASCII digits, as every literal does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from escher import exprs  # noqa: E402
-from escher.errors import FormatError, MissingAttribute, ParseError, UnknownConverter  # noqa: E402
+from escher.errors import (  # noqa: E402
+    ConversionFailure,
+    FormatError,
+    MissingAttribute,
+    ParseError,
+    UnknownConverter,
+)
 from escher.objects import (  # noqa: E402
     ObjectRecord,
     deserialize,
@@ -48,7 +56,7 @@ from escher.transformer import (  # noqa: E402
     parse_transformer,
     render_transformer,
 )
-from escher.values import INT64_MAX, INT64_MIN, RefVal  # noqa: E402
+from escher.values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, RefVal  # noqa: E402
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
@@ -638,3 +646,54 @@ def test_operators_keep_kinds_apart(text, outcome):
     except exprs.EvalProblem as err:
         result = str(err)
     assert result == outcome
+
+
+# ---------------------------------------------------------------------------
+# conversions
+# ---------------------------------------------------------------------------
+
+# A value of each kind, which every converter but those of its source refuses.
+SAMPLES = {int: 7, float: 2.5, bool: True, str: "7", type(None): None, RefVal: RefVal(0)}
+
+
+def test_every_converter_refuses_a_value_of_every_kind_but_its_source():
+    assert SAMPLES.keys() == KINDS.keys()
+    for converter_id, convert in exprs.CONVERTERS.items():
+        source = CLASS_NAMED[converter_id.partition("_TO_")[0]]
+        for cls, value in SAMPLES.items():
+            if cls is source:
+                convert(value)
+                continue
+            with pytest.raises(ConversionFailure) as err:
+                convert(value)
+            assert (err.value.converter_id, err.value.value) == (converter_id, value)
+
+
+ASCII_DIGITS = "0123456789"
+non_ascii_digits = st.characters(categories=("Nd",), exclude_characters=ASCII_DIGITS)
+number_chars = st.text(st.sampled_from(ASCII_DIGITS + "-.eE+"), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(number_chars, non_ascii_digits, number_chars).map("".join))
+def test_a_string_conversion_refuses_a_non_ascii_digit(text):
+    for converter_id in ("STRING_TO_INTEGER", "STRING_TO_REAL"):
+        with pytest.raises(ConversionFailure) as err:
+            exprs.CONVERTERS[converter_id](text)
+        assert (err.value.converter_id, err.value.value) == (converter_id, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"-?[0-9]+", fullmatch=True), st.from_regex(
+    r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?", fullmatch=True))
+def test_a_string_conversion_of_an_ascii_string_of_its_shape_agrees_with_python(integer, real):
+    for text, converter_id, convert, in_range in [
+        (integer, "STRING_TO_INTEGER", int, lambda n: INT64_MIN <= n <= INT64_MAX),
+        (real, "STRING_TO_REAL", float, lambda x: x not in (float("inf"), float("-inf"))),
+    ]:
+        value = convert(text)
+        if in_range(value):
+            assert repr(exprs.CONVERTERS[converter_id](text)) == repr(value)
+        else:
+            with pytest.raises(ConversionFailure):
+                exprs.CONVERTERS[converter_id](text)

@@ -203,6 +203,12 @@ def test_history_format_errors(text):
         parse_history_file(text)
 
 
+def test_a_class_named_twice_is_a_format_error_at_its_second_class_line():
+    with pytest.raises(FormatError) as err:
+        parse_history_file("class A\nversions 2\nclass B\nversions 2\nclass A\nversions 3\n")
+    assert err.value.cli_line() == "FormatError 5 class A named twice in the history file"
+
+
 def test_history_from_repository(bank_repo):
     h = history_from_repository(bank_repo, "BANK_ACCOUNT")
     assert h.version_count == 2
