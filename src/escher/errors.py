@@ -143,9 +143,13 @@ class ConversionFailure(EscherError):
 
     @property
     def cli_fields(self) -> tuple[object, ...]:
+        """The value as a literal, or by ``repr`` where it is none (a NaN)."""
         from .exprs import render_value  # exprs raises this error, so it loads first
 
-        return (self.converter_id, render_value(self.value))
+        try:
+            return (self.converter_id, render_value(self.value))
+        except (TypeError, ValueError):
+            return (self.converter_id, repr(self.value))
 
 
 class AttachmentViolation(EscherError):

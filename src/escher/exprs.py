@@ -18,23 +18,24 @@ value itself.
 Rendering inserts parentheses exactly where reparsing would otherwise
 associate differently, so render/parse is structurally lossless.
 
-``compile_expr`` evaluates both, as closures built once per tree: each
-transformer and schema compiles its trees on first use and keeps them.
+``compile_expr`` compiles invariant bodies into closures, once per tree:
+each schema compiles its clauses on first use and keeps them.
 ``SourceWriter`` writes transformer sources as Python statements for the
-function ``objects.generate_hop`` builds per hop. It splices in only its own
-names and ``repr`` of field and input names, and binds every literal value,
-operator and converter in the function's namespace. The statements decide
-no error; the closures and ``OPERATORS`` alone raise them.
+one function ``objects.generate_hop`` builds per hop. It splices in only its
+own names and ``repr`` of field and input names, and binds every literal
+value, operator, converter and converter id in the function's namespace.
+Both apply each operator through its function in ``OPERATORS``.
 ``CONVERTERS`` is the one, read-only table of the conversions a ``convert``
-may name; a ``Convert`` closure fetches its function when it compiles, and an
-id the table lacks is an ``UnknownConverter`` when a record reaches it. An
-entry states only how it converts; ``_converter`` raises every failure.
+may name; an id it lacks is an ``UnknownConverter`` when a record reaches
+it. An entry states only how it converts; ``_converter`` raises every
+failure.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
 deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
 per tree level, writing source twice, and the parser nine frames per
 parenthesis in an invariant and five in a transformer source, so at the
-bound all of them stay inside Python's default limit of 1000 frames.
+bound all of them stay inside Python's default limit of 1000 frames; the
+written statements indent one level at most, whatever the tree's depth.
 Going deeper is a ``ParseError`` at the token that did it.
 """
 
@@ -343,58 +344,45 @@ class EvalProblem(Exception):
     """An operator cannot apply to its operands; callers re-wrap."""
 
 
-Compiled = Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], ObjectValue]
+Compiled = Callable[[Mapping[str, ObjectValue]], ObjectValue]
 
 
 def compile_expr(expr: Expr) -> Compiled:
-    """Closures, one per node, that evaluate ``expr`` over fields ``f`` and
-    inputs ``i``; an operator's closure calls the function ``OPERATORS``
-    holds for it, looked up here."""
+    """Closures, one per node, that evaluate the invariant body ``expr``
+    over fields ``f``; an operator's closure calls the function
+    ``OPERATORS`` holds for it, looked up here."""
     cls = expr.__class__
     if cls is Lit:
         value = expr.value
-        return lambda f, i: value
-    if cls is AttrRef or cls is OldField:
+        return lambda f: value
+    if cls is AttrRef:
         name = expr.name
 
-        def field(f, i):
+        def field(f):
             try:
                 return f[name]
             except KeyError:
                 raise MissingAttribute(name) from None
 
         return field
-    if cls is InputRef:
-        return lambda f, i: _input_value(i, expr.key)
-    if cls is Convert:
-        converter_id, arg = expr.converter_id, compile_expr(expr.arg)
-        fn = CONVERTERS.get(converter_id)
-        if fn is None:
-
-            def unknown(f, i):
-                arg(f, i)  # the argument's own failure comes first
-                raise UnknownConverter(converter_id)
-
-            return unknown
-        return lambda f, i: fn(arg(f, i))
     if cls is Not:
         operand = compile_expr(expr.operand)
-        return lambda f, i: not _truth(operand(f, i))
+        return lambda f: not _truth(operand(f))
     if cls is BinOp or cls is Compare:
         op, left, right = OPERATORS[expr.op], compile_expr(expr.left), compile_expr(expr.right)
-        return lambda f, i: op(left(f, i), right(f, i))
+        return lambda f: op(left(f), right(f))
     if cls is And or cls is Or:
         left, right = compile_expr(expr.left), compile_expr(expr.right)
         stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
 
-        def connective(f, i):
-            value = _truth(left(f, i))
+        def connective(f):
+            value = _truth(left(f))
             if value is stop:
                 return value
-            return _truth(right(f, i))
+            return _truth(right(f))
 
         return connective
-    raise TypeError(f"not an expression node: {expr!r}")
+    raise TypeError(f"not an invariant body node: {expr!r}")
 
 
 # The operators dispatch on ``__class__``: ``bool`` is an ``int`` subclass but
@@ -486,23 +474,18 @@ OPERATORS: Mapping[str, Callable[[ObjectValue, ObjectValue], ObjectValue]] = Map
 })
 
 
-def _input_value(inputs: Mapping[str, ObjectValue], key: str) -> ObjectValue:
-    try:
-        return inputs[key]
-    except KeyError:
-        raise MissingInput(key) from None
-
-
 def _converter(converter_id: str, convert: Callable, shape: str | None = None) -> Callable:
-    """``convert`` over a value of the kind ``converter_id``'s source names,
-    and, given a ``shape``, a string of that shape; it must give a value
-    (``check_value``). Whatever else comes in or out is a ConversionFailure."""
+    """``convert`` over a value (``check_value``) of the kind
+    ``converter_id``'s source names, and, given a ``shape``, a string of that
+    shape; it must give a value. Whatever else comes in or out is a
+    ConversionFailure."""
     source = CLASS_NAMED[converter_id.partition("_TO_")[0]]
     fits = re.compile(shape).fullmatch if shape else None
 
     def apply(value: ObjectValue) -> ObjectValue:
         if value.__class__ is source and (fits is None or fits(value)):
             try:
+                check_value(value)  # a NaN or an infinity is no value to convert
                 result = convert(value)
                 check_value(result)
                 return result
@@ -532,10 +515,6 @@ CONVERTERS: Mapping[str, Callable[[ObjectValue], ObjectValue]] = MappingProxyTyp
 })
 
 
-class SlowPath(Exception):
-    """Raised by generated code where it leaves a record to the interpreter."""
-
-
 # The Python text of each operator generated code computes inline.
 _INLINE_OPS = {"+": "+", "-": "-", "*": "*"}
 # Per operand class computed inline, the test its result must pass.
@@ -547,20 +526,27 @@ _INLINE_CHECKS = (
 
 class SourceWriter:
     """Python statements that evaluate transformer sources over fields ``f``
-    and inputs ``i``, one local per node, for a generated function.
+    and inputs ``i``, one local per node, for a generated function; each
+    line is indented relative to the block that holds them all.
 
     Spliced into the text are only the writer's own names (``t<n>`` locals,
     ``k<n>`` bindings) and ``repr`` of field and input names; every literal
-    value, operator and converter function is bound in ``namespace``. Two
-    ``int`` or two ``float`` operands of ``+ - *`` are computed inline, with
-    the 64-bit or finite check; every other case calls the ``OPERATORS``
-    function. The statements decide no error: where the interpreter would
-    raise, they raise something, and the caller runs the interpreter.
+    value, operator, converter function and converter id is bound in
+    ``namespace``. Two ``int`` or two ``float`` operands of ``+ - *`` are
+    computed inline, and a result that fails the 64-bit or finite check is
+    computed again by the ``OPERATORS`` function, which raises its
+    ``EvalProblem``; every other case calls that function at once. A
+    missing field is a ``KeyError`` of its name, for the function to turn
+    into its own error; a missing input is a ``MissingInput``, and a
+    converter ``CONVERTERS`` lacks is an ``UnknownConverter`` once its
+    argument is evaluated.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.namespace: dict[str, object] = {"SlowPath": SlowPath, "isfinite": math.isfinite}
+        self.namespace: dict[str, object] = {
+            "isfinite": math.isfinite, "MissingInput": MissingInput, "UnknownConverter": UnknownConverter,
+        }
         self._count = 0
 
     def _name(self, prefix: str) -> str:
@@ -573,34 +559,32 @@ class SourceWriter:
         return name
 
     def expr(self, expr: Expr) -> str:
-        """The name that holds ``expr``'s value once the lines so far run.
-        A converter ``CONVERTERS`` lacks is an ``UnknownConverter`` here."""
+        """The name that holds ``expr``'s value once the lines so far run."""
         cls = expr.__class__
         if cls is Lit:
             return self.bind(expr.value)
         local = self._name("t")
         if cls is OldField:
-            self.lines.append(f"    {local} = f[{expr.name!r}]")
+            self.lines.append(f"{local} = f[{expr.name!r}]")
         elif cls is InputRef:
-            self.lines.append(f"    {local} = i[{expr.key!r}]")
+            key = repr(expr.key)
+            self.lines += [f"if {key} not in i: raise MissingInput({key})", f"{local} = i[{key}]"]
         elif cls is Convert:
+            arg = self.expr(expr.arg)
             fn = CONVERTERS.get(expr.converter_id)
             if fn is None:
-                raise UnknownConverter(expr.converter_id)
-            arg = self.expr(expr.arg)
-            self.lines.append(f"    {local} = {self.bind(fn)}({arg})")
+                self.lines.append(f"raise UnknownConverter({self.bind(expr.converter_id)})")
+            else:
+                self.lines.append(f"{local} = {self.bind(fn)}({arg})")
         elif cls is BinOp:
             self._binop(local, expr)
         else:
             raise TypeError(f"not a transformer source node: {expr!r}")
         return local
 
-    def require_attached(self, local: str) -> None:
-        """A line that leaves the record to the interpreter if ``local`` is void."""
-        self.lines.append(f"    if {local} is None: raise SlowPath")
-
     def _binop(self, local: str, expr: BinOp) -> None:
         a, b = self.expr(expr.left), self.expr(expr.right)
+        call = f"{self.bind(OPERATORS[expr.op])}({a}, {b})"
         sides = ((a, expr.left), (b, expr.right))
         literal_classes = {side.value.__class__ for _, side in sides if side.__class__ is Lit}
         guarded = [name for name, side in sides if side.__class__ is not Lit]
@@ -609,10 +593,9 @@ class SourceWriter:
             if guarded and literal_classes <= {cls}:  # a literal of another class rules it out
                 guard = " and ".join(f"{name}.__class__ is {cls.__name__}" for name in guarded)
                 self.lines += [
-                    f"    {keyword} {guard}:",
-                    f"        {local} = {a} {_INLINE_OPS[expr.op]} {b}",
-                    f"        if not {check.format(local)}: raise SlowPath",
+                    f"{keyword} {guard}:",
+                    f"    {local} = {a} {_INLINE_OPS[expr.op]} {b}",
+                    f"    if not {check.format(local)}: {call}",  # raises the EvalProblem
                 ]
                 keyword = "elif"
-        call = f"{local} = {self.bind(OPERATORS[expr.op])}({a}, {b})"
-        self.lines += ["    else:", f"        {call}"] if keyword == "elif" else [f"    {call}"]
+        self.lines += ["else:", f"    {local} = {call}"] if keyword == "elif" else [f"{local} = {call}"]

@@ -14,23 +14,20 @@ A field's value is written in the literal grammar of the expression
 languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
 its annotation is its kind's name (``values.KINDS``) or, for a ``ref``, the
 class of the record it names. ``deserialize`` reads a file in one loop: a
-record exactly as ``serialize`` writes it is one regex block, and any other
-goes alone through the tokenizer, which alone reports errors. A record's
-fields are one read-only mapping in field order, from parse through
-migration to render.
+record as ``serialize`` writes it, its field lines indented and ended by any
+blanks, is one regex block, and any other goes alone through the tokenizer,
+which alone reports errors. A record's fields are one read-only mapping in
+field order, from parse through migration to render.
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
-A hop runs a Python function generated, on the first record to take it, per
-(transformer, the new schema's attribute order and ``attached`` attributes);
-see ``generate_hop``. It holds only the success path and decides no error:
-whatever it raises, the record runs again through the step loop over
-compiled sources, which alone raises errors, writes warnings and reads
-``check_attached``. A transformer that leaves defaults to fill, or that the
-generator cannot write, runs the step loop for every record. Invariant
-clauses run compiled. Migration failures are loud by design: a missing
-handler, a missing transformation, or a violated invariant each raises its
-own error instead of letting a default-initialized object into the system.
+A hop runs one Python function, generated on the first record to take it,
+per (transformer, the new schema's ``record_shape``); see ``generate_hop``.
+That function is the hop's one evaluator: it raises every error, writes
+every warning and reads ``check_attached``. Invariant clauses run compiled.
+Migration failures are loud by design: a missing handler, a missing
+transformation, or a violated invariant each raises its own error instead of
+letting a default-initialized object into the system.
 """
 
 from __future__ import annotations
@@ -55,11 +52,9 @@ from .errors import (
     FormatError,
     HandlerMissing,
     InvariantViolation,
-    MissingAttribute,
     ParseError,
     TransformationMissing,
     TypeMismatchInInvariant,
-    UnknownConverter,
 )
 from .schema import ClassSchema, ClassType, TypeExpr, strip_marker
 from .transformer import Assign, CheckAttached, ObjectTransformer
@@ -195,31 +190,33 @@ def serialize(graph: ObjectGraph) -> str:
 
 _OBJ_RE = line_format("obj", f"({INT})", f"({IDENT})", "version", f"({INT})")
 _LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
-# One record exactly as ``serialize`` writes it: the header line, the field
-# lines (each starting with two spaces), then ``end``.
-_BLOCK_RE = re.compile(rf"obj ({INT}) ({IDENT}) version ({INT})\n((?:  [^\n]*\n)*)end\n")
-# One field line as ``serialize`` writes it, its annotation fused with the
-# shape of the one literal kind it admits; a ``ref``'s class is any other name.
+# One record as ``serialize`` writes it: the header line, the field lines
+# (each starting with a blank, any of them), then ``end``.
+_BLOCK_RE = re.compile(rf"obj ({INT}) ({IDENT}) version ({INT})\n((?:[{BLANKS}][^\n]*\n)*)end\n")
+# One field line as ``serialize`` writes it, but for its indent and trailing
+# blanks, its annotation fused with the shape of the one literal kind it
+# admits; a ``ref``'s class is any other name.
 _BLOCK_FIELD_RE = re.compile(
-    rf"^  ({IDENT}): (?:"
+    rf"^[{BLANKS}]+({IDENT}): (?:"
     rf"INTEGER = (-?{INT})"
     rf"|STRING = ({STRING})"
     rf"|(?!(?:{'|'.join(CLASS_NAMED)}) )({IDENT}) = ref ({INT})"
     r"|NONE = (Void)"
     r"|BOOLEAN = (true|false)"
     rf"|REAL = (-?{REAL})"
-    r")$",
+    rf")[{BLANKS}]*$",
     re.M,
 )
 
 
 @_no_gc
 def deserialize(text: str) -> ObjectGraph:
-    """The graph an ``.eso`` text holds. A record as ``serialize`` writes it
-    is read as one block, each value checked as it is converted; any other
-    goes alone to the line reader, ``_read_record``, which alone raises
-    errors. Then the first ``ref`` past the last record, else the first not
-    annotated with its target's class, is refused (``_ref_error``)."""
+    """The graph an ``.eso`` text holds. A record as ``serialize`` writes it,
+    but for the blanks that indent and end its field lines, is read as one
+    block, each value checked as it is converted; any other goes alone to
+    the line reader, ``_read_record``, which alone raises errors. Then the
+    first ``ref`` past the last record, else the first not annotated with
+    its target's class, is refused (``_ref_error``)."""
     header = _LINE_RE.match(text)[0]  # no copy of the rest, as partition() makes
     if header.strip(BLANKS) != _HEADER:
         raise FormatError(1, f"missing {_HEADER!r} header")
@@ -393,9 +390,6 @@ def parse_value_text(text: str) -> ObjectValue:
 # ---------------------------------------------------------------------------
 
 
-_NO_INPUTS: Mapping[str, ObjectValue] = {}
-
-
 def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
     """Evaluate clauses in order; the first false one is an
     ``InvariantViolation`` naming the record and the clause's tag.
@@ -410,7 +404,7 @@ def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
         )
     for tag, clause in schema.invariant_steps:
         try:
-            outcome = clause(record.fields, _NO_INPUTS)
+            outcome = clause(record.fields)
         except exprs.EvalProblem as err:
             raise TypeMismatchInInvariant(tag, str(err)) from err
         if outcome.__class__ is not bool:
@@ -431,10 +425,6 @@ def type_default(declared: TypeExpr) -> ObjectValue:
     return None
 
 
-# Holds the place of an attribute no instruction has assigned yet.
-_UNASSIGNED = object()
-
-
 def interpret_transformer(
     t: ObjectTransformer,
     old: ObjectRecord,
@@ -451,8 +441,7 @@ def interpret_transformer(
     transformers) default by declared type, with a warning recorded. With
     ``check_attached``, a void ``attached`` attribute of ``new_schema`` is
     then an ``AttachmentViolation``, as is a void ``require_attached`` target.
-    The hop's generated function (``generate_hop``) runs first; the steps
-    run when it was not built or raised, and alone raise errors.
+    The hop's generated function (``generate_hop``) does all of it.
     """
     if old.class_name != t.class_name or new_schema.name != t.class_name:
         raise ValueError(
@@ -462,82 +451,70 @@ def interpret_transformer(
         raise ValueError(
             f"record stores version {old.version}, transformer starts at {t.from_version}"
         )
-    shape = new_schema.record_shape
-    try:
-        hop = t.hops[shape]
-    except KeyError:
-        hop = t.hops[shape] = generate_hop(t, *shape)
-    if hop is not None:
-        try:
-            fields = hop(old.fields, inputs)
-        except Exception:  # whatever it is, the steps below run again and decide
-            pass
-        else:
-            return ObjectRecord(old.id, t.class_name, t.to_version, fields)
-    order, attached = shape
-    fields = dict.fromkeys(order, _UNASSIGNED)
-    for index, (kind, target, source) in enumerate(t.steps):
-        if kind is Assign:
-            if target not in fields:
-                raise EvaluationError(
-                    index, f"target {target!r} is not an attribute of {new_schema.name}"
-                )
-            try:
-                fields[target] = source(old.fields, inputs)
-            except exprs.EvalProblem as err:
-                raise EvaluationError(index, str(err)) from err
-            except MissingAttribute as err:
-                raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
-        elif kind is CheckAttached and check_attached:
-            value = fields.get(target, _UNASSIGNED)
-            if value is None or value is _UNASSIGNED:
-                raise AttachmentViolation(target)
-    if not new_schema.attribute_set <= t.assigned_targets:
-        for attr in new_schema.attributes:
-            if fields[attr.name] is _UNASSIGNED:
-                if warnings is not None:
-                    warnings.append(
-                        f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
-                        f"{t.from_version}->{t.to_version} transformer; default used"
-                    )
-                fields[attr.name] = type_default(attr.declared_type)
-    if check_attached:
-        for name in attached:
-            if fields[name] is None:
-                raise AttachmentViolation(name)
+    key = new_schema.shape_key
+    hop = t.hops.get(key)
+    if hop is None:
+        hop = t.hops[key] = generate_hop(t, *new_schema.record_shape)
+    fields = hop(old.fields, inputs, check_attached, warnings, new_schema)
     return ObjectRecord(old.id, t.class_name, t.to_version, fields)
 
 
-def generate_hop(
-    t: ObjectTransformer, order: tuple[str, ...], attached: tuple[str, ...]
-) -> Callable[[Mapping[str, ObjectValue], Mapping[str, ObjectValue]], dict] | None:
-    """``hop(f, i)``: the new fields, in ``order``, that ``t``'s steps give
-    over old fields ``f`` and inputs ``i`` when no step fails, built with
-    ``exprs.SourceWriter``. It raises where a step would fail or an
-    ``attached`` check would trip, and decides no error: where checks are
-    off, the steps skip the check that tripped. None where only the steps
-    may run: an attribute no ``Assign`` targets (defaults and warnings), a
-    target outside ``order``, an unknown converter, or a ``CheckAttached``
-    before its target is assigned."""
-    if t.assigned_targets != frozenset(order):
-        return None
+def generate_hop(t: ObjectTransformer, order: tuple[str, ...], attached: tuple[str, ...]) -> Callable[
+    [Mapping[str, ObjectValue], Mapping[str, ObjectValue], bool, list | None, ClassSchema], dict
+]:
+    """``hop(f, i, c, w, s)``: the new fields, in ``order``, that ``t``
+    gives over old fields ``f`` and inputs ``i``, with checks on where ``c``
+    holds and warnings appended to ``w`` unless it is None, for a new schema
+    ``s`` of ``record_shape`` (``order``, ``attached``); built with
+    ``exprs.SourceWriter``. It raises each error at the instruction that
+    causes it: a failed source as an ``EvaluationError`` with its index, a
+    target outside ``order`` when it is reached, a ``require_attached`` on a
+    void or not yet assigned target while checks are on. One ``try`` holds
+    the body, and its handler finds a failed source's index by the line the
+    error left, so a record that succeeds pays nothing for it. An attribute
+    no ``Assign`` targets takes the ``type_default`` of its type in ``s``,
+    with a warning in ``order``, before the ``attached`` checks."""
     writer = exprs.SourceWriter()
-    assigned: dict[str, str] = {}
-    for instr in t.instructions:
+    lines, bind = writer.lines, writer.bind
+    assigned: dict[str, str | None] = dict.fromkeys(order)  # each attribute's local, once assigned
+    owner = [None] * 3  # per line number of the source, the instruction its line is written for
+    for index, instr in enumerate(t.instructions):
         if instr.__class__ is Assign:
-            try:
+            if instr.target_name in assigned:
                 assigned[instr.target_name] = writer.expr(instr.expr)
-            except UnknownConverter:
-                return None
+            else:
+                reason = f"target {instr.target_name!r} is not an attribute of {t.class_name}"
+                lines.append(f"raise EvaluationError({index}, {bind(reason)})")
         elif instr.__class__ is CheckAttached:
             local = assigned.get(instr.target_name)
-            if local is None:
-                return None
-            writer.require_attached(local)
+            fail = f"raise AttachmentViolation({bind(instr.target_name)})"
+            lines.append(f"if c and {local} is None: {fail}" if local else f"if c: {fail}")
+        owner += [index] * (len(lines) + 3 - len(owner))  # the body starts at line 3
+    for position, name in enumerate(order):
+        if assigned[name] is None:
+            warning = (f"attribute {name!r} of {t.class_name} not assigned by the "
+                       f"{t.from_version}->{t.to_version} transformer; default used")
+            lines.append(f"if w is not None: w.append({bind(warning)})")
+            assigned[name] = f"d{position}"
+            lines.append(f"d{position} = type_default(s.attributes[{position}].declared_type)")
     for name in attached:
-        writer.require_attached(assigned[name])
+        lines.append(f"if c and {assigned[name]} is None: raise AttachmentViolation({bind(name)})")
     result = ", ".join(f"{name!r}: {assigned[name]}" for name in order)
-    source = "\n".join(["def hop(f, i):", *writer.lines, f"    return {{{result}}}", ""])
+    source = "\n".join([
+        "def hop(f, i, c, w, s):",
+        "    try:",
+        *[f"        {line}" for line in lines or ["pass"]],
+        "    except EvalProblem as err:",
+        "        raise EvaluationError(OWNER[err.__traceback__.tb_lineno], str(err)) from err",
+        "    except KeyError as err:  # only an old field's read raises it",
+        "        raise EvaluationError(OWNER[err.__traceback__.tb_lineno],"
+        " NO_FIELD.format(err.args[0])) from None",
+        f"    return {{{result}}}",
+        "",
+    ])
+    writer.namespace.update(EvalProblem=exprs.EvalProblem, EvaluationError=EvaluationError,
+                            AttachmentViolation=AttachmentViolation, type_default=type_default,
+                            OWNER=owner, NO_FIELD="old record has no attribute {!r}")
     exec(source, writer.namespace)
     return writer.namespace.pop("hop")  # no cycle: a dropped transformer frees it at once
 

@@ -235,11 +235,14 @@ class ClassSchema:
                 raise DuplicateAttribute(name)
             seen_attrs.add(name)
         # not fields, so ``==``, ``repr`` and ``replace`` ignore them
-        object.__setattr__(self, "attribute_set", frozenset(seen_attrs))
         object.__setattr__(self, "_attribute_names", names)
-        # (attribute order, the ``attached`` ones): what a migrated record must match
+        # (attribute order, the ``attached`` ones): what a migrated record must
+        # match, and all a hop's generated function builds in of its schema.
+        # Hops cache that function by ``shape_key``, the same in one string,
+        # whose hash Python computes once, where a tuple's on every lookup.
         attached = tuple(a.name for a in self.attributes if isinstance(a.declared_type, Attached))
         object.__setattr__(self, "record_shape", (names, attached))
+        object.__setattr__(self, "shape_key", f"{' '.join(names)} / {' '.join(attached)}")
         if seen_params & seen_attrs:
             clash = sorted(seen_params & seen_attrs)[0]
             raise ValueError(f"name {clash!r} is both a generic parameter and an attribute")

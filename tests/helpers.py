@@ -9,7 +9,10 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
-from escher.objects import ObjectGraph, ObjectRecord
+from escher.errors import (
+    AttachmentViolation, EvaluationError, MissingAttribute, MissingInput, UnknownConverter,
+)
+from escher.objects import ObjectGraph, ObjectRecord, type_default
 from escher.repository import Release, Repository, render_manifest
 from escher.schema import (
     Attached,
@@ -27,6 +30,7 @@ from escher.schema import (
     weakens_attachment,
 )
 from escher import exprs
+from escher.transformer import Assign, CheckAttached, ObjectTransformer
 from escher.values import ObjectValue, RefVal
 
 
@@ -205,3 +209,90 @@ def write_old_layout(repo: Repository, project: Path) -> None:
         path = project / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the one reference evaluator: a tree walk, and the step loop over it
+# ---------------------------------------------------------------------------
+
+
+def walk_eval(expr: exprs.Expr, fields, inputs) -> ObjectValue:
+    """Reference semantics of both expression languages, node by node over
+    old fields (or a record's, for ``AttrRef``) and inputs: what compiled
+    invariants and generated hops must give, value for value and error for
+    error."""
+    cls = expr.__class__
+    if cls is exprs.AttrRef or cls is exprs.OldField:
+        if expr.name not in fields:
+            raise MissingAttribute(expr.name)
+        return fields[expr.name]
+    if cls is exprs.Lit:
+        return expr.value
+    if cls is exprs.BinOp or cls is exprs.Compare:
+        left = walk_eval(expr.left, fields, inputs)
+        return exprs.OPERATORS[expr.op](left, walk_eval(expr.right, fields, inputs))
+    if cls is exprs.And or cls is exprs.Or:
+        left = exprs._truth(walk_eval(expr.left, fields, inputs))
+        if left == (cls is exprs.Or):
+            return left
+        return exprs._truth(walk_eval(expr.right, fields, inputs))
+    if cls is exprs.Not:
+        return not exprs._truth(walk_eval(expr.operand, fields, inputs))
+    if cls is exprs.InputRef:
+        if expr.key not in inputs:
+            raise MissingInput(expr.key)
+        return inputs[expr.key]
+    if cls is exprs.Convert:
+        arg = walk_eval(expr.arg, fields, inputs)
+        if expr.converter_id not in exprs.CONVERTERS:
+            raise UnknownConverter(expr.converter_id)
+        return exprs.CONVERTERS[expr.converter_id](arg)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+_UNASSIGNED = object()
+
+
+def step_loop(t: ObjectTransformer, old: ObjectRecord, inputs, *, new_schema: ClassSchema,
+              check_attached: bool = True, warnings: list[str] | None = None) -> ObjectRecord:
+    """Reference semantics of ``objects.interpret_transformer``: the
+    instructions one at a time over ``walk_eval``, then defaults with their
+    warnings in schema order, then the ``attached`` checks."""
+    if old.class_name != t.class_name or new_schema.name != t.class_name:
+        raise ValueError(
+            f"transformer for {t.class_name} applied to {old.class_name}/{new_schema.name}"
+        )
+    if old.version != t.from_version:
+        raise ValueError(
+            f"record stores version {old.version}, transformer starts at {t.from_version}"
+        )
+    fields = dict.fromkeys(new_schema.attribute_names(), _UNASSIGNED)
+    for index, instr in enumerate(t.instructions):
+        if instr.__class__ is Assign:
+            if instr.target_name not in fields:
+                raise EvaluationError(
+                    index, f"target {instr.target_name!r} is not an attribute of {new_schema.name}"
+                )
+            try:
+                fields[instr.target_name] = walk_eval(instr.expr, old.fields, inputs)
+            except exprs.EvalProblem as err:
+                raise EvaluationError(index, str(err)) from err
+            except MissingAttribute as err:
+                raise EvaluationError(index, f"old record has no attribute {err.name!r}") from err
+        elif instr.__class__ is CheckAttached and check_attached:
+            value = fields.get(instr.target_name, _UNASSIGNED)
+            if value is None or value is _UNASSIGNED:
+                raise AttachmentViolation(instr.target_name)
+    for attr in new_schema.attributes:
+        if fields[attr.name] is _UNASSIGNED:
+            if warnings is not None:
+                warnings.append(
+                    f"attribute {attr.name!r} of {new_schema.name} not assigned by the "
+                    f"{t.from_version}->{t.to_version} transformer; default used"
+                )
+            fields[attr.name] = type_default(attr.declared_type)
+    if check_attached:
+        for attr in new_schema.attributes:
+            if isinstance(attr.declared_type, Attached) and fields[attr.name] is None:
+                raise AttachmentViolation(attr.name)
+    return ObjectRecord(old.id, t.class_name, t.to_version, fields)

@@ -259,9 +259,11 @@ def handed_records(monkeypatch, text: str):
         ("ref 1", "ref " + "1" * 5000, [2]),  # more digits than int() converts
         ("version 3", "version 0", [10]),
         ("= -7", "= -٣", [2]),  # a digit int() reads, but not ASCII
-        ("= -7", "= -7\r", [2]),
+        ("= -7", "= -7\r", []),  # trailing blanks, read as a block
         ("= -7", "= -7 -- note", [2]),
-        ("  n: INTEGER", "   n: INTEGER", [2]),
+        ("  n: INTEGER", "   n: INTEGER", []),  # any blank indent, read as a block
+        ("  n: INTEGER", "\t n: INTEGER", []),
+        ("  n: INTEGER = -7", "  n : INTEGER = -7", [2]),
         ("  n: INTEGER = -7\n", "  end\n", [2, 4]),  # record 0 ends early; line 4 is no record
         ("v: NONE = Void", "v: NONE = ref 0", [2]),
         # Read as blocks; the check after the last record refuses the ``ref``.
@@ -311,7 +313,7 @@ def line_of(text: str, piece: str) -> int:
 def test_the_line_reader_reads_a_deviating_record_alone(monkeypatch):
     bodies = [f"  x: INTEGER = {i}\n  y: STRING = \"{i}\"\n" for i in range(5)]
     canonical = records_text(*bodies)
-    text = records_text(*bodies[:2], bodies[2].replace("  ", "\t"), *bodies[3:])
+    text = records_text(*bodies[:2], bodies[2].replace(": ", " : "), *bodies[3:])
     read_lines = []
     parse_field = objects._parse_field
 
@@ -321,7 +323,7 @@ def test_the_line_reader_reads_a_deviating_record_alone(monkeypatch):
 
     monkeypatch.setattr(objects, "_parse_field", spy)
     assert deserialize(text) == deserialize(canonical)
-    assert read_lines == [line_of(text, "x: INTEGER = 2"), line_of(text, 'y: STRING = "2"')]
+    assert read_lines == [line_of(text, "x : INTEGER = 2"), line_of(text, 'y : STRING = "2"')]
 
 
 @pytest.mark.parametrize(

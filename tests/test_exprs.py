@@ -6,10 +6,11 @@ Random trees over each language's node pool must come back from their
 rendered text unchanged, as must every value from ``exprs.render_value``. A
 literal no value can hold must be refused at parse time with one reason in
 all four inputs, and a tree or parenthesis nested deeper than
-``exprs.MAX_DEPTH`` must be a ``ParseError``. Compiled, the same trees must
-evaluate as a plain tree walk does, value for value and error for error. A
-conversion reads only a value of its source kind, and a string only with
-ASCII digits, as every literal does.
+``exprs.MAX_DEPTH`` must be a ``ParseError``. Compiled as invariants, or
+generated into a hop as transformer sources, the same trees must evaluate as
+the tree walk ``helpers.walk_eval`` does, value for value and error for
+error. A conversion reads only a value of its source kind, and a string only
+with ASCII digits, as every literal does.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from hypothesis import strategies as st  # noqa: E402
 from escher import exprs  # noqa: E402
 from escher.errors import (  # noqa: E402
     ConversionFailure,
+    EvaluationError,
     FormatError,
-    MissingAttribute,
     ParseError,
-    UnknownConverter,
 )
 from escher.objects import (  # noqa: E402
     ObjectRecord,
@@ -57,6 +57,8 @@ from escher.transformer import (  # noqa: E402
     render_transformer,
 )
 from escher.values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, RefVal  # noqa: E402
+
+from helpers import step_loop, walk_eval  # noqa: E402
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
@@ -337,8 +339,11 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
     old = ObjectRecord(0, "C", 1, {"a": 1})
     new = interpret_transformer(t, old, {}, new_schema=schema)
     assert list(new.fields.items()) == [("a", N)]
-    assert t.hops[("a",), ()] is not None  # generated, as is any hop at the bound
-    assert t.steps[0][2](old.fields, {}) == N  # and its compiled step agrees
+    assert list(t.hops) == [schema.shape_key]  # generated, as is any hop at the bound
+    assert walk_eval(t.instructions[0].expr, old.fields, {}) == N  # and the walk agrees
+    with pytest.raises(EvaluationError, match="integer overflow") as caught:  # so do its errors
+        interpret_transformer(t, ObjectRecord(0, "C", 1, {"a": INT64_MAX}), {}, new_schema=schema)
+    assert caught.value.index == 0
     parsed = parse_schema(_esc(_chain("a", N - 1) + " > 0"))
     assert parse_schema(render_schema(parsed)) == parsed
     eval_invariant(ObjectRecord(0, "C", 1, {"a": 1}), parsed)
@@ -349,37 +354,8 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
 # ---------------------------------------------------------------------------
 
 
-def _walk_eval(expr, fields, inputs):
-    """Reference semantics: the tree-walking evaluator the compiler replaced."""
-    cls = expr.__class__
-    if cls is exprs.AttrRef or cls is exprs.OldField:
-        if expr.name not in fields:
-            raise MissingAttribute(expr.name)
-        return fields[expr.name]
-    if cls is exprs.Lit:
-        return expr.value
-    if cls is exprs.BinOp or cls is exprs.Compare:
-        left = _walk_eval(expr.left, fields, inputs)
-        return exprs.OPERATORS[expr.op](left, _walk_eval(expr.right, fields, inputs))
-    if cls is exprs.And or cls is exprs.Or:
-        left = exprs._truth(_walk_eval(expr.left, fields, inputs))
-        if left == (cls is exprs.Or):
-            return left
-        return exprs._truth(_walk_eval(expr.right, fields, inputs))
-    if cls is exprs.Not:
-        return not exprs._truth(_walk_eval(expr.operand, fields, inputs))
-    if cls is exprs.InputRef:
-        return exprs._input_value(inputs, expr.key)
-    if cls is exprs.Convert:
-        arg = _walk_eval(expr.arg, fields, inputs)
-        if expr.converter_id not in exprs.CONVERTERS:
-            raise UnknownConverter(expr.converter_id)
-        return exprs.CONVERTERS[expr.converter_id](arg)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def _walking(expr):
-    return lambda f, i: _walk_eval(expr, f, i)
+    return lambda f: walk_eval(expr, f, {})
 
 
 def _outcome(call):
@@ -391,12 +367,26 @@ def _outcome(call):
         return type(err), str(err), repr(vars(err))
 
 
-def _each_subtree_agrees(expr, fields, inputs):
-    """Every subtree, compiled alone, against the walk: a difference inside
-    a tree shows even where an error elsewhere hides it from the whole."""
+def _each_subtree_agrees(expr, fields):
+    """Every subtree of an invariant body, compiled alone, against the walk:
+    a difference inside a tree shows even where an error elsewhere hides it
+    from the whole."""
     for node in exprs.walk(expr):
-        compiled = _outcome(lambda: exprs.compile_expr(node)(fields, inputs))
-        assert compiled == _outcome(lambda: _walk_eval(node, fields, inputs))
+        compiled = _outcome(lambda: exprs.compile_expr(node)(fields))
+        assert compiled == _outcome(lambda: walk_eval(node, fields, {}))
+
+
+SOURCE_SCHEMA = ClassSchema("C", attributes=(Attribute("t", ClassType("INTEGER")),), version=2)
+
+
+def _each_source_subtree_agrees(expr, fields, inputs):
+    """Every subtree of a transformer source, generated alone into a hop,
+    against the step loop over the walk."""
+    old = ObjectRecord(0, "C", 1, dict(fields))
+    for node in exprs.walk(expr):
+        t = ObjectTransformer("C", 1, 2, (Assign("t", node),))
+        hop = _outcome(lambda: interpret_transformer(t, old, inputs, new_schema=SOURCE_SCHEMA))
+        assert hop == _outcome(lambda: step_loop(t, old, inputs, new_schema=SOURCE_SCHEMA))
 
 
 def _compiled_and_walked(build, run):
@@ -492,7 +482,7 @@ def test_compiled_invariants_evaluate_as_the_tree_walk_does(bodies, fields):
     compiled, walked = _compiled_and_walked(schema, lambda s: eval_invariant(record, s))
     assert compiled == walked
     for body in bodies:
-        _each_subtree_agrees(body, fields, {})
+        _each_subtree_agrees(body, fields)
 
 
 SOURCE_NAMES = ["x", "tot_deposits", "input", "Void", "oldc"]
@@ -504,24 +494,32 @@ SOURCE_NAMES = ["x", "tot_deposits", "input", "Void", "oldc"]
     _field_map(SOURCE_NAMES),
     _field_map(SOURCE_NAMES),
 )
-def test_compiled_sources_evaluate_as_the_tree_walk_does(bodies, fields, inputs):
-    def transformer():
-        return ObjectTransformer(
-            "C", 1, 2, tuple(Assign(f"t{i}", body) for i, body in enumerate(bodies))
-        )
-
+def test_generated_sources_evaluate_as_the_tree_walk_does(bodies, fields, inputs):
+    t = ObjectTransformer("C", 1, 2, tuple(Assign(f"t{i}", body) for i, body in enumerate(bodies)))
     new_schema = ClassSchema(
         "C", attributes=tuple(Attribute(f"t{i}", ClassType("INTEGER")) for i in range(3)),
         version=2,
     )
     old = ObjectRecord(0, "C", 1, dict(fields))
-    compiled, walked = _compiled_and_walked(
-        transformer,
-        lambda t: interpret_transformer(t, old, inputs, new_schema=new_schema),
-    )
-    assert compiled == walked
+    hop = _outcome(lambda: interpret_transformer(t, old, inputs, new_schema=new_schema))
+    assert hop == _outcome(lambda: step_loop(t, old, inputs, new_schema=new_schema))
     for body in bodies:
-        _each_subtree_agrees(body, fields, inputs)
+        _each_source_subtree_agrees(body, fields, inputs)
+
+
+@pytest.mark.parametrize("node, fields, inputs", [
+    (exprs.OldField("a"), {"a": 7}, {}),
+    (exprs.OldField("a"), {}, {}),
+    (exprs.InputRef("k"), {}, {"k": 7}),
+    (exprs.InputRef("k"), {}, {}),
+    (exprs.Convert("STRING_TO_INTEGER", exprs.OldField("a")), {"a": "-7"}, {}),
+    (exprs.Convert("STRING_TO_INTEGER", exprs.OldField("a")), {"a": "x"}, {}),
+    (exprs.Convert("NO_SUCH", exprs.OldField("a")), {"a": 7}, {}),
+    (exprs.Convert("NO_SUCH", exprs.OldField("a")), {}, {}),
+], ids=["field", "missing field", "input", "missing input", "conversion", "failed conversion",
+        "unknown converter", "unknown converter over a missing field"])
+def test_each_transformer_node_kind_evaluates_in_a_hop_as_the_tree_walk_does(node, fields, inputs):
+    _each_source_subtree_agrees(node, fields, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +600,27 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
     """Each operand shape (two fields, a literal on the right, a literal on
     the left) gives what ``_reference`` gives, value or error, of the same
     kind: an integer operand beside a real, a void, a boolean or a string,
-    and integer results at the edges of 64 bits."""
+    and integer results at the edges of 64 bits. Arithmetic runs in a
+    generated hop, where ``+ - *`` over two integers is inline, and its
+    error is the hop's ``EvaluationError`` at index 0; a comparison runs
+    compiled, as an invariant."""
     op, a, b = case
-    node = exprs.BinOp if op in exprs.ARITH_OPS else exprs.Compare
+    arithmetic = op in exprs.ARITH_OPS
+    field = exprs.OldField if arithmetic else exprs.AttrRef
     expected = _outcome(lambda: _reference(op, a, b))
     fields = {"a": a, "b": b}
-    for left, right in [
-        (exprs.AttrRef("a"), exprs.AttrRef("b")),
-        (exprs.AttrRef("a"), exprs.Lit(b)),
-        (exprs.Lit(a), exprs.AttrRef("b")),
-    ]:
-        compiled = exprs.compile_expr(node(op, left, right))
-        assert _outcome(lambda: compiled(fields, {})) == expected, (left, right)
+    for left, right in [(field("a"), field("b")), (field("a"), exprs.Lit(b)), (exprs.Lit(a), field("b"))]:
+        if arithmetic:
+            t = ObjectTransformer("C", 1, 2, (Assign("t", exprs.BinOp(op, left, right)),))
+            try:
+                new = interpret_transformer(t, ObjectRecord(0, "C", 1, fields), {}, new_schema=SOURCE_SCHEMA)
+                got = repr(new.fields["t"])
+            except EvaluationError as err:
+                assert err.index == 0
+                got = exprs.EvalProblem, err.reason, "{}"  # as ``_outcome`` shows the operator's error
+        else:
+            got = _outcome(lambda: exprs.compile_expr(exprs.Compare(op, left, right))(fields))
+        assert got == expected, (left, right)
 
 
 @pytest.mark.parametrize(
@@ -642,7 +649,7 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
 def test_operators_keep_kinds_apart(text, outcome):
     expr = parse_schema(_esc(text)).invariant.clauses[0].body
     try:
-        result = repr(exprs.compile_expr(expr)({}, {}))
+        result = repr(exprs.compile_expr(expr)({}))
     except exprs.EvalProblem as err:
         result = str(err)
     assert result == outcome
@@ -667,6 +674,22 @@ def test_every_converter_refuses_a_value_of_every_kind_but_its_source():
             with pytest.raises(ConversionFailure) as err:
                 convert(value)
             assert (err.value.converter_id, err.value.value) == (converter_id, value)
+
+
+@pytest.mark.parametrize("converter_id, value, shown", [
+    ("REAL_TO_INTEGER", float("nan"), "nan"),
+    ("REAL_TO_INTEGER", float("-inf"), "-inf"),
+    ("REAL_TO_STRING", float("nan"), "nan"),
+    ("REAL_TO_STRING", float("inf"), "inf"),
+])
+def test_a_converter_refuses_a_real_that_is_no_value_and_its_error_line_names_it(
+    converter_id, value, shown
+):
+    """Only a library call can pass a NaN or an infinity: stored fields,
+    inputs and operator results are all checked first."""
+    with pytest.raises(ConversionFailure) as err:
+        exprs.CONVERTERS[converter_id](value)
+    assert err.value.cli_line() == f"ConversionFailure {converter_id} {shown}"
 
 
 ASCII_DIGITS = "0123456789"

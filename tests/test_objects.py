@@ -755,8 +755,8 @@ def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
 
 
 def _count_compiles(monkeypatch) -> list:
-    """The trees the compiler is called on from outside: transformer sources
-    and invariant bodies, not their subtrees."""
+    """The trees the compiler is called on from outside, invariant bodies
+    (transformer sources are generated into hops), not their subtrees."""
     compiled: list = []
     original = exprs.compile_expr
     nesting = 0
@@ -776,15 +776,13 @@ def _count_compiles(monkeypatch) -> list:
 
 
 def _count_builds(monkeypatch) -> list:
-    """``(transformer, attribute order, built)`` per hop function
-    generated, ``built`` false where the steps alone run."""
+    """``(transformer, attribute order)`` per hop function generated."""
     builds: list = []
     original = objects.generate_hop
 
     def counted(t, order, attached):
-        hop = original(t, order, attached)
-        builds.append((t, order, hop is not None))
-        return hop
+        builds.append((t, order))
+        return original(t, order, attached)
 
     monkeypatch.setattr(objects, "generate_hop", counted)
     return builds
@@ -805,16 +803,11 @@ def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, mo
     assert retrieve(graph, mixed_repo, {"A": 2, "B": 2}) == first
     a_hop = mixed_repo.handlers_for("A")[(1, 2)]
     b_hop = mixed_repo.handlers_for("B")[(1, 2)]
-    # A's hop leaves y to its default, so its steps run; B's hop is generated
-    assert [(id(t), order, built) for t, order, built in builds] == [
-        (id(a_hop), ("x", "y"), False),
-        (id(b_hop), ("n", "m"), True),
-    ]
-    expected = [
-        a_hop.instructions[0].expr,  # record 0's hop, then its gate
-        mixed_repo.schema_for("A", 2).invariant.clauses[0].body,
-    ]  # B and C gate no clause
-    assert [id(e) for e in compiled] == [id(e) for e in expected]
+    # one function per hop, A's with y's default built in
+    assert [(id(t), order) for t, order in builds] == [(id(a_hop), ("x", "y")), (id(b_hop), ("n", "m"))]
+    assert [len(t.hops) for t in (a_hop, b_hop)] == [1, 1]
+    # the one tree compiled is A's gate; B and C gate no clause
+    assert [id(e) for e in compiled] == [id(mixed_repo.schema_for("A", 2).invariant.clauses[0].body)]
 
 
 def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
@@ -829,10 +822,8 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
         retrieve(graph, repo, {"CHAIN": 4}, inputs)
     hops = [repo.handlers_for("CHAIN")[(v, v + 1)] for v in (1, 2, 3)]
     orders = [tuple(f"f{k}" for k in range(1, v + 2)) for v in (1, 2, 3)]
-    assert [(id(t), order, built) for t, order, built in builds] == [
-        (id(t), order, True) for t, order in zip(hops, orders)
-    ]
-    assert compiled == []  # every hop ran generated; CHAIN gates no clause
+    assert [(id(t), order) for t, order in builds] == [(id(t), order) for t, order in zip(hops, orders)]
+    assert compiled == []  # CHAIN gates no clause
 
 
 def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):

@@ -574,9 +574,10 @@ def test_history_index_is_not_a_field(bank_repo):
     assert replace(bank_repo) == bank_repo
     assert "_histories" not in repr(bank_repo)
     schema = bank_repo.schema_for("BANK_ACCOUNT", 2)
-    assert schema.attribute_set == frozenset(schema.attribute_names())
+    assert schema.record_shape[0] == schema.attribute_names()
+    assert replace(schema).shape_key == schema.shape_key
     assert replace(schema) == schema
-    assert "attribute_set" not in repr(schema)
+    assert "record_shape" not in repr(schema) and "shape_key" not in repr(schema)
 
 
 def test_handlers_are_read_only(bank_repo, hand_fixed_transformer):

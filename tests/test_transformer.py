@@ -8,10 +8,11 @@ from escher import exprs
 from escher.errors import (
     ConversionFailure,
     DuplicateTarget,
-    MissingAttribute,
+    EvaluationError,
     ParseError,
     UnknownConverter,
 )
+from escher.objects import ObjectRecord, interpret_transformer
 from escher.repository import content_digest
 from escher.schema import parse_schema, parse_type
 from escher.smo import diff_schemas
@@ -260,13 +261,13 @@ def test_duplicate_target_rejected():
 
 def test_unknown_converter_parses_and_fails_when_evaluated():
     text = "transform C from 1 to 2\n  Result.x := convert NO_SUCH (oldc.x)\nend\n"
-    (instr,) = parse_transformer(text).instructions
-    source = exprs.compile_expr(instr.expr)
+    t = parse_transformer(text)
+    schema = parse_schema("version 2 class C feature x: INTEGER end")
     with pytest.raises(UnknownConverter) as caught:
-        source({"x": 1}, {})
+        interpret_transformer(t, ObjectRecord(0, "C", 1, {"x": 1}), {}, new_schema=schema)
     assert caught.value.converter_id == "NO_SUCH"
-    with pytest.raises(MissingAttribute):  # the argument is evaluated first
-        source({}, {})
+    with pytest.raises(EvaluationError, match="old record has no attribute 'x'"):  # the argument first
+        interpret_transformer(t, ObjectRecord(0, "C", 1, {}), {}, new_schema=schema)
 
 
 @pytest.mark.parametrize(
