@@ -2,8 +2,8 @@
 
 The pieces, bottom up:
 
-* :mod:`escher.exprs` — expression trees, their compiled evaluation, and
-  the one table of conversions;
+* :mod:`escher.exprs` — expression trees, the one evaluator that writes
+  them as Python, and the one table of conversions;
 * :mod:`escher.schema` — the versioned class DSL (``.esc``) and type model;
 * :mod:`escher.smo` — atomic schema modification operators and the AST diff;
 * :mod:`escher.transformer` — object-transformer generation and the ``.est``

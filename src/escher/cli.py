@@ -22,7 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EscherError, FormatError, UnknownClass, UnknownVersion
+from .errors import EscherError, FormatError, NoRecordChecked, UnknownClass, UnknownVersion
 from .objects import deserialize, eval_invariant, parse_value_text, retrieve, serialize
 from .repository import (
     empty_repository,
@@ -226,6 +226,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     graph = deserialize(read_text(args.object_file))
     checked = [record for record in graph.records  # of the schema's class and version only
                if record.class_name == schema.name and record.version == schema.version]
+    if not checked:
+        raise NoRecordChecked(schema.name, schema.version)
     for record in checked:  # every record first, so an error is the first line
         eval_invariant(record, schema)
     for record in checked:

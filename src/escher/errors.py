@@ -202,3 +202,8 @@ class EmptyRelease(EscherError):
 
 class UnknownClass(EscherError):
     class_name: str
+
+
+class NoRecordChecked(EscherError):
+    class_name: str
+    version: int

@@ -18,24 +18,20 @@ value itself.
 Rendering inserts parentheses exactly where reparsing would otherwise
 associate differently, so render/parse is structurally lossless.
 
-``compile_expr`` compiles invariant bodies into closures, once per tree:
-each schema compiles its clauses on first use and keeps them.
-``SourceWriter`` writes transformer sources as Python statements for the
-one function ``objects.generate_hop`` builds per hop. It splices in only its
-own names and ``repr`` of field and input names, and binds every literal
-value, operator, converter and converter id in the function's namespace.
-Both apply each operator through its function in ``OPERATORS``.
-``CONVERTERS`` is the one, read-only table of the conversions a ``convert``
-may name; an id it lacks is an ``UnknownConverter`` when a record reaches
-it. An entry states only how it converts; ``_converter`` raises every
-failure.
+``SourceWriter`` is the one evaluator: it writes invariant clauses and
+transformer sources as Python statements, applying each operator through
+its function in ``OPERATORS``, for the one function ``objects.generate_gate``
+builds per schema and ``objects.generate_hop`` per hop. ``CONVERTERS`` is
+the one, read-only table of the conversions a ``convert`` may name; an id it
+lacks is an ``UnknownConverter`` when a record reaches it. An entry states
+only how it converts; ``_converter`` raises every failure.
 
 No tree is deeper than ``MAX_DEPTH``, and neither parser nests parentheses
-deeper than that. Compiling, evaluating, rendering and ``walk`` recurse once
-per tree level, writing source twice, and the parser nine frames per
-parenthesis in an invariant and five in a transformer source, so at the
-bound all of them stay inside Python's default limit of 1000 frames; the
-written statements indent one level at most, whatever the tree's depth.
+deeper than that. Rendering and ``walk`` recurse once per tree level,
+writing source twice, and the parser nine frames per parenthesis in an
+invariant and five in a transformer source, so at the bound all stay inside
+Python's default limit of 1000 frames. Written statements indent two levels
+at most, whatever the depth: an inline operator's, under one ``if`` guard.
 Going deeper is a ``ParseError`` at the token that did it.
 """
 
@@ -49,7 +45,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from ._lex import EXPONENT, INT, REAL, Token, TokenStream, unescape_string
-from .errors import ConversionFailure, MissingAttribute, MissingInput, ParseError, UnknownConverter
+from .errors import ConversionFailure, MissingInput, ParseError, UnknownConverter
 from .values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, ObjectValue, check_value, render_real
 
 ARITH_OPS = ("+", "-", "*", "//")
@@ -344,47 +340,6 @@ class EvalProblem(Exception):
     """An operator cannot apply to its operands; callers re-wrap."""
 
 
-Compiled = Callable[[Mapping[str, ObjectValue]], ObjectValue]
-
-
-def compile_expr(expr: Expr) -> Compiled:
-    """Closures, one per node, that evaluate the invariant body ``expr``
-    over fields ``f``; an operator's closure calls the function
-    ``OPERATORS`` holds for it, looked up here."""
-    cls = expr.__class__
-    if cls is Lit:
-        value = expr.value
-        return lambda f: value
-    if cls is AttrRef:
-        name = expr.name
-
-        def field(f):
-            try:
-                return f[name]
-            except KeyError:
-                raise MissingAttribute(name) from None
-
-        return field
-    if cls is Not:
-        operand = compile_expr(expr.operand)
-        return lambda f: not _truth(operand(f))
-    if cls is BinOp or cls is Compare:
-        op, left, right = OPERATORS[expr.op], compile_expr(expr.left), compile_expr(expr.right)
-        return lambda f: op(left(f), right(f))
-    if cls is And or cls is Or:
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
-        stop = cls is Or  # short-circuit: ``and`` stops at false, ``or`` at true
-
-        def connective(f):
-            value = _truth(left(f))
-            if value is stop:
-                return value
-            return _truth(right(f))
-
-        return connective
-    raise TypeError(f"not an invariant body node: {expr!r}")
-
-
 # The operators dispatch on ``__class__``: ``bool`` is an ``int`` subclass but
 # no number. Integer results must fit 64 bits and real results be finite.
 _NUMBERS = (int, float)
@@ -515,9 +470,7 @@ CONVERTERS: Mapping[str, Callable[[ObjectValue], ObjectValue]] = MappingProxyTyp
 })
 
 
-# The Python text of each operator generated code computes inline.
-_INLINE_OPS = {"+": "+", "-": "-", "*": "*"}
-# Per operand class computed inline, the test its result must pass.
+# Per operand class that ``+ - *`` compute inline, the test a result must pass.
 _INLINE_CHECKS = (
     (int, f"{INT64_MIN} <= {{}} <= {INT64_MAX}"),
     (float, "isfinite({})"),
@@ -525,29 +478,36 @@ _INLINE_CHECKS = (
 
 
 class SourceWriter:
-    """Python statements that evaluate transformer sources over fields ``f``
-    and inputs ``i``, one local per node, for a generated function; each
-    line is indented relative to the block that holds them all.
+    """Python statements that evaluate expressions over fields ``f`` and
+    inputs ``i``, one local per node, for a generated function; each line is
+    indented relative to the block that holds them all.
 
     Spliced into the text are only the writer's own names (``t<n>`` locals,
-    ``k<n>`` bindings) and ``repr`` of field and input names; every literal
-    value, operator, converter function and converter id is bound in
-    ``namespace``. Two ``int`` or two ``float`` operands of ``+ - *`` are
-    computed inline, and a result that fails the 64-bit or finite check is
-    computed again by the ``OPERATORS`` function, which raises its
-    ``EvalProblem``; every other case calls that function at once. A
+    ``g<n>`` guards, ``k<n>`` bindings) and ``repr`` of field and input
+    names; every literal value, operator, converter function and converter
+    id is bound in ``namespace``. Two ``int`` or two ``float`` operands of
+    ``+ - *`` are computed inline, and a result that fails the 64-bit or
+    finite check is computed again by the ``OPERATORS`` function, which
+    raises its ``EvalProblem``; every other case calls that function at
+    once, and a connective's operand that is no boolean calls ``_truth``. A
     missing field is a ``KeyError`` of its name, for the function to turn
     into its own error; a missing input is a ``MissingInput``, and a
     converter ``CONVERTERS`` lacks is an ``UnknownConverter`` once its
-    argument is evaluated.
+    argument is evaluated. ``and`` and ``or`` short-circuit through one
+    guard local each: ``g<n> = <outer guard> and [not] <left>`` runs
+    unguarded, and each statement of the right operand under ``if g<n>:``
+    alone, which its own guards imply.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self.owners: list[object] = []  # per line, the label ``own`` gave it
         self.namespace: dict[str, object] = {
-            "isfinite": math.isfinite, "MissingInput": MissingInput, "UnknownConverter": UnknownConverter,
+            "isfinite": math.isfinite, "truth": _truth,
+            "MissingInput": MissingInput, "UnknownConverter": UnknownConverter,
         }
         self._count = 0
+        self._guard: str | None = None  # the local that lines written now run under
 
     def _name(self, prefix: str) -> str:
         self._count += 1
@@ -558,44 +518,71 @@ class SourceWriter:
         self.namespace[name] = value
         return name
 
+    def own(self, label: object) -> None:
+        """Give ``label`` to each line written since the last call."""
+        self.owners += [label] * (len(self.lines) - len(self.owners))
+
+    def _write(self, *lines: str) -> None:
+        """``lines``, one statement, to run where the current guard holds."""
+        guard = self._guard
+        self.lines += lines if guard is None else [f"if {guard}:", *[f"    {line}" for line in lines]]
+
     def expr(self, expr: Expr) -> str:
         """The name that holds ``expr``'s value once the lines so far run."""
         cls = expr.__class__
         if cls is Lit:
             return self.bind(expr.value)
         local = self._name("t")
-        if cls is OldField:
-            self.lines.append(f"{local} = f[{expr.name!r}]")
+        if cls is OldField or cls is AttrRef:
+            self._write(f"{local} = f[{expr.name!r}]")
         elif cls is InputRef:
             key = repr(expr.key)
-            self.lines += [f"if {key} not in i: raise MissingInput({key})", f"{local} = i[{key}]"]
+            self._write(f"if {key} not in i: raise MissingInput({key})", f"{local} = i[{key}]")
         elif cls is Convert:
             arg = self.expr(expr.arg)
             fn = CONVERTERS.get(expr.converter_id)
             if fn is None:
-                self.lines.append(f"raise UnknownConverter({self.bind(expr.converter_id)})")
+                self._write(f"raise UnknownConverter({self.bind(expr.converter_id)})")
             else:
-                self.lines.append(f"{local} = {self.bind(fn)}({arg})")
-        elif cls is BinOp:
+                self._write(f"{local} = {self.bind(fn)}({arg})")
+        elif cls is BinOp or cls is Compare:
             self._binop(local, expr)
+        elif cls is Not:
+            self._write(f"{local} = not {self._boolean(expr.operand)}")
+        elif cls is And or cls is Or:
+            outer = self._guard
+            left = self._boolean(expr.left)
+            test = left if cls is And else f"not {left}"
+            self._guard = guard = self._name("g")
+            self.lines.append(f"{guard} = {test}" if outer is None else f"{guard} = {outer} and {test}")
+            right = self._boolean(expr.right)  # read below only where the guard held
+            self._guard = outer
+            self._write(f"{local} = {left} {expr.op} {right}")
         else:
-            raise TypeError(f"not a transformer source node: {expr!r}")
+            raise TypeError(f"not an expression node: {expr!r}")
         return local
 
-    def _binop(self, local: str, expr: BinOp) -> None:
+    def _boolean(self, expr: Expr) -> str:
+        """``expr``'s name, its value checked to be a boolean unless it must be."""
+        name = self.expr(expr)
+        if expr.__class__ not in (Compare, And, Or, Not):
+            self._write(f"if {name}.__class__ is not bool: truth({name})")
+        return name
+
+    def _binop(self, local: str, expr: BinOp | Compare) -> None:
         a, b = self.expr(expr.left), self.expr(expr.right)
         call = f"{self.bind(OPERATORS[expr.op])}({a}, {b})"
         sides = ((a, expr.left), (b, expr.right))
         literal_classes = {side.value.__class__ for _, side in sides if side.__class__ is Lit}
         guarded = [name for name, side in sides if side.__class__ is not Lit]
-        keyword = "if"
-        for cls, check in _INLINE_CHECKS if expr.op in _INLINE_OPS else ():
+        lines: list[str] = []
+        for cls, check in _INLINE_CHECKS if expr.op in ("+", "-", "*") else ():
             if guarded and literal_classes <= {cls}:  # a literal of another class rules it out
                 guard = " and ".join(f"{name}.__class__ is {cls.__name__}" for name in guarded)
-                self.lines += [
-                    f"{keyword} {guard}:",
-                    f"    {local} = {a} {_INLINE_OPS[expr.op]} {b}",
+                lines += [
+                    f"{'elif' if lines else 'if'} {guard}:",
+                    f"    {local} = {a} {expr.op} {b}",
                     f"    if not {check.format(local)}: {call}",  # raises the EvalProblem
                 ]
-                keyword = "elif"
-        self.lines += ["else:", f"    {local} = {call}"] if keyword == "elif" else [f"{local} = {call}"]
+        lines += ["else:", f"    {local} = {call}"] if lines else [f"{local} = {call}"]
+        self._write(*lines)

@@ -14,17 +14,17 @@ A field's value is written in the literal grammar of the expression
 languages (``exprs.parse_literal``/``exprs.render_value``), plus ``ref N``;
 its annotation is its kind's name (``values.KINDS``) or, for a ``ref``, the
 class of the record it names. ``deserialize`` reads a file in one loop: a
-record as ``serialize`` writes it, its field lines indented and ended by any
-blanks, is one regex block, and any other goes alone through the tokenizer,
-which alone reports errors. A record's fields are one read-only mapping in
-field order, from parse through migration to render.
+record as ``serialize`` writes it, its field lines indented and any line
+ended by any blanks, is one regex block, and any other goes alone through
+the tokenizer, which alone reports errors. A record's fields are one
+read-only mapping in field order, from parse through migration to render.
 
 Retrieval migrates every record whose stored version differs from its
 class's target version, then enforces the target schema's class invariant.
-A hop runs one Python function, generated on the first record to take it,
-per (transformer, the new schema's ``record_shape``); see ``generate_hop``.
-That function is the hop's one evaluator: it raises every error, writes
-every warning and reads ``check_attached``. Invariant clauses run compiled.
+Both run generated Python, built on first use, which raises every error
+itself: one function per (transformer, the new schema's ``record_shape``),
+which also writes every warning and reads ``check_attached``
+(``generate_hop``), and one gate per schema (``generate_gate``).
 Migration failures are loud by design: a missing handler, a missing
 transformation, or a violated invariant each raises its own error instead of
 letting a default-initialized object into the system.
@@ -52,6 +52,7 @@ from .errors import (
     FormatError,
     HandlerMissing,
     InvariantViolation,
+    MissingAttribute,
     ParseError,
     TransformationMissing,
     TypeMismatchInInvariant,
@@ -191,8 +192,10 @@ def serialize(graph: ObjectGraph) -> str:
 _OBJ_RE = line_format("obj", f"({INT})", f"({IDENT})", "version", f"({INT})")
 _LINE_RE = re.compile(r"^.*$", re.M)  # each line, without its newline
 # One record as ``serialize`` writes it: the header line, the field lines
-# (each starting with a blank, any of them), then ``end``.
-_BLOCK_RE = re.compile(rf"obj ({INT}) ({IDENT}) version ({INT})\n((?:[{BLANKS}][^\n]*\n)*)end\n")
+# (each starting with a blank, any of them), then ``end``, each line ending
+# in any blanks, so a CRLF text reads as blocks too.
+_BLOCK_RE = re.compile(rf"obj ({INT}) ({IDENT}) version ({INT})[{BLANKS}]*\n"
+                       rf"((?:[{BLANKS}].*\n)*)end[{BLANKS}]*\n")
 # One field line as ``serialize`` writes it, but for its indent and trailing
 # blanks, its annotation fused with the shape of the one literal kind it
 # admits; a ``ref``'s class is any other name.
@@ -212,7 +215,7 @@ _BLOCK_FIELD_RE = re.compile(
 @_no_gc
 def deserialize(text: str) -> ObjectGraph:
     """The graph an ``.eso`` text holds. A record as ``serialize`` writes it,
-    but for the blanks that indent and end its field lines, is read as one
+    but for the blanks that indent its field lines and end its lines, is one
     block, each value checked as it is converted; any other goes alone to
     the line reader, ``_read_record``, which alone raises errors. Then the
     first ``ref`` past the last record, else the first not annotated with
@@ -391,26 +394,49 @@ def parse_value_text(text: str) -> ObjectValue:
 
 
 def eval_invariant(record: ObjectRecord, schema: ClassSchema) -> None:
-    """Evaluate clauses in order; the first false one is an
-    ``InvariantViolation`` naming the record and the clause's tag.
-
-    Integer/integer comparisons are exact; a real operand promotes both
-    sides; strings compare lexicographically by code point; ``x /= Void``
-    is true iff x is not void.
-    """
+    """Run ``schema.gate`` over the record: the first false clause is an
+    ``InvariantViolation`` naming the record and the clause's tag."""
     if record.class_name != schema.name:
-        raise ValueError(
-            f"record of class {record.class_name} checked against schema {schema.name}"
-        )
-    for tag, clause in schema.invariant_steps:
-        try:
-            outcome = clause(record.fields)
-        except exprs.EvalProblem as err:
-            raise TypeMismatchInInvariant(tag, str(err)) from err
-        if outcome.__class__ is not bool:
-            raise TypeMismatchInInvariant(tag, "clause body is not boolean")
-        if not outcome:
-            raise InvariantViolation(record.class_name, record.id, tag)
+        raise ValueError(f"record of class {record.class_name} checked against schema {schema.name}")
+    tag = schema.gate(record.fields)
+    if tag is not None:
+        raise InvariantViolation(record.class_name, record.id, tag)
+
+
+def generate_gate(schema: ClassSchema) -> Callable[[Mapping[str, ObjectValue]], str | None]:
+    """``gate(f)``: the tag of ``schema``'s first invariant clause false over
+    fields ``f``, or None; a failed operator or a clause that is no boolean
+    is a ``TypeMismatchInInvariant`` with its tag, a missing field a ``MissingAttribute``."""
+    writer = exprs.SourceWriter()
+    reason = writer.bind("clause body is not boolean")
+    for clause in schema.invariant.clauses:
+        v = writer.expr(clause.body)
+        writer.lines += [f"if {v} is not True:", f"    if {v} is not False: raise EvalProblem({reason})",
+                         f"    return {writer.bind(clause.tag)}"]
+        writer.own(clause.tag)
+    return _define("gate(f)", writer, "None", TypeMismatchInInvariant,
+                   lambda _, name: MissingAttribute(name))
+
+
+def _define(head: str, writer: exprs.SourceWriter, result: str, problem: Callable, missing: Callable):
+    """``def <head>``, ``writer``'s lines in one ``try`` and then ``return
+    <result>``: the one place generated code runs. Its handler raises
+    ``problem(label, reason)`` for an ``EvalProblem`` and ``missing(label,
+    name)`` for a missing field, ``label`` being the failed line's ``own``."""
+    source = "\n".join([
+        f"def {head}:",
+        "    try:",
+        *[f"        {line}" for line in writer.lines or ["pass"]],
+        "    except EvalProblem as err:",
+        "        raise PROBLEM(OWNER[err.__traceback__.tb_lineno - 3], str(err)) from err",
+        "    except KeyError as err:  # only a field's read raises it",
+        "        raise MISSING(OWNER[err.__traceback__.tb_lineno - 3], err.args[0]) from None",
+        f"    return {result}",
+    ])
+    namespace = writer.namespace
+    namespace.update(EvalProblem=exprs.EvalProblem, OWNER=writer.owners, PROBLEM=problem, MISSING=missing)
+    exec(source, namespace)
+    return namespace.pop(head.partition("(")[0])  # no cycle: its owner's drop frees it at once
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +460,9 @@ def interpret_transformer(
     check_attached: bool = True,
     warnings: list[str] | None = None,
 ) -> ObjectRecord:
-    """Run the instruction list over ``old``, producing a record of the new
-    version with exactly ``new_schema``'s attributes.
-
-    Attributes no instruction assigns (possible only in hand-edited
-    transformers) default by declared type, with a warning recorded. With
-    ``check_attached``, a void ``attached`` attribute of ``new_schema`` is
-    then an ``AttachmentViolation``, as is a void ``require_attached`` target.
-    The hop's generated function (``generate_hop``) does all of it.
-    """
+    """The record of the new version, with exactly ``new_schema``'s
+    attributes, that the hop's generated function (``generate_hop``, one per
+    ``new_schema.shape_key``) makes of ``old``."""
     if old.class_name != t.class_name or new_schema.name != t.class_name:
         raise ValueError(
             f"transformer for {t.class_name} applied to {old.class_name}/{new_schema.name}"
@@ -469,15 +489,13 @@ def generate_hop(t: ObjectTransformer, order: tuple[str, ...], attached: tuple[s
     ``exprs.SourceWriter``. It raises each error at the instruction that
     causes it: a failed source as an ``EvaluationError`` with its index, a
     target outside ``order`` when it is reached, a ``require_attached`` on a
-    void or not yet assigned target while checks are on. One ``try`` holds
-    the body, and its handler finds a failed source's index by the line the
-    error left, so a record that succeeds pays nothing for it. An attribute
-    no ``Assign`` targets takes the ``type_default`` of its type in ``s``,
-    with a warning in ``order``, before the ``attached`` checks."""
+    void or not yet assigned target while checks are on. An attribute no
+    ``Assign`` targets (possible only in a hand-edited transformer) takes the
+    ``type_default`` of its type in ``s``, with a warning in ``order``,
+    before the ``attached`` checks."""
     writer = exprs.SourceWriter()
     lines, bind = writer.lines, writer.bind
     assigned: dict[str, str | None] = dict.fromkeys(order)  # each attribute's local, once assigned
-    owner = [None] * 3  # per line number of the source, the instruction its line is written for
     for index, instr in enumerate(t.instructions):
         if instr.__class__ is Assign:
             if instr.target_name in assigned:
@@ -489,7 +507,7 @@ def generate_hop(t: ObjectTransformer, order: tuple[str, ...], attached: tuple[s
             local = assigned.get(instr.target_name)
             fail = f"raise AttachmentViolation({bind(instr.target_name)})"
             lines.append(f"if c and {local} is None: {fail}" if local else f"if c: {fail}")
-        owner += [index] * (len(lines) + 3 - len(owner))  # the body starts at line 3
+        writer.own(index)
     for position, name in enumerate(order):
         if assigned[name] is None:
             warning = (f"attribute {name!r} of {t.class_name} not assigned by the "
@@ -499,24 +517,11 @@ def generate_hop(t: ObjectTransformer, order: tuple[str, ...], attached: tuple[s
             lines.append(f"d{position} = type_default(s.attributes[{position}].declared_type)")
     for name in attached:
         lines.append(f"if c and {assigned[name]} is None: raise AttachmentViolation({bind(name)})")
+    writer.namespace.update(EvaluationError=EvaluationError, AttachmentViolation=AttachmentViolation,
+                            type_default=type_default)
     result = ", ".join(f"{name!r}: {assigned[name]}" for name in order)
-    source = "\n".join([
-        "def hop(f, i, c, w, s):",
-        "    try:",
-        *[f"        {line}" for line in lines or ["pass"]],
-        "    except EvalProblem as err:",
-        "        raise EvaluationError(OWNER[err.__traceback__.tb_lineno], str(err)) from err",
-        "    except KeyError as err:  # only an old field's read raises it",
-        "        raise EvaluationError(OWNER[err.__traceback__.tb_lineno],"
-        " NO_FIELD.format(err.args[0])) from None",
-        f"    return {{{result}}}",
-        "",
-    ])
-    writer.namespace.update(EvalProblem=exprs.EvalProblem, EvaluationError=EvaluationError,
-                            AttachmentViolation=AttachmentViolation, type_default=type_default,
-                            OWNER=owner, NO_FIELD="old record has no attribute {!r}")
-    exec(source, writer.namespace)
-    return writer.namespace.pop("hop")  # no cycle: a dropped transformer frees it at once
+    return _define("hop(f, i, c, w, s)", writer, f"{{{result}}}", EvaluationError,
+                   lambda index, name: EvaluationError(index, f"old record has no attribute {name!r}"))
 
 
 # ---------------------------------------------------------------------------

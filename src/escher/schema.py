@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from . import exprs
 from ._lex import IDENT_RE, TokenStream, tokenize
@@ -258,9 +258,10 @@ class ClassSchema:
                     raise ValueError(f"invariant {clause.tag!r} holds a transformer-only {node!r}")
 
     @cached_property
-    def invariant_steps(self) -> tuple[tuple[str, exprs.Compiled], ...]:
-        """``(tag, closure)`` per invariant clause, compiled on first use."""
-        return tuple((c.tag, exprs.compile_expr(c.body)) for c in self.invariant.clauses)
+    def gate(self) -> Callable[[Mapping[str, exprs.ObjectValue]], str | None]:
+        """``objects.generate_gate(self)``, built on first use."""
+        from .objects import generate_gate  # objects imports this module
+        return generate_gate(self)
 
     def attribute_names(self) -> tuple[str, ...]:
         return self._attribute_names

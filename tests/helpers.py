@@ -10,7 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from escher.errors import (
-    AttachmentViolation, EvaluationError, MissingAttribute, MissingInput, UnknownConverter,
+    AttachmentViolation, EvaluationError, InvariantViolation, MissingAttribute, MissingInput,
+    TypeMismatchInInvariant, UnknownConverter,
 )
 from escher.objects import ObjectGraph, ObjectRecord, type_default
 from escher.repository import Release, Repository, render_manifest
@@ -212,15 +213,14 @@ def write_old_layout(repo: Repository, project: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the one reference evaluator: a tree walk, and the step loop over it
+# the one reference evaluator: a tree walk, and the clause and step loops over it
 # ---------------------------------------------------------------------------
 
 
 def walk_eval(expr: exprs.Expr, fields, inputs) -> ObjectValue:
     """Reference semantics of both expression languages, node by node over
-    old fields (or a record's, for ``AttrRef``) and inputs: what compiled
-    invariants and generated hops must give, value for value and error for
-    error."""
+    old fields (or a record's, for ``AttrRef``) and inputs: what generated
+    gates and hops must give, value for value and error for error."""
     cls = expr.__class__
     if cls is exprs.AttrRef or cls is exprs.OldField:
         if expr.name not in fields:
@@ -248,6 +248,20 @@ def walk_eval(expr: exprs.Expr, fields, inputs) -> ObjectValue:
             raise UnknownConverter(expr.converter_id)
         return exprs.CONVERTERS[expr.converter_id](arg)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def clause_loop(record: ObjectRecord, schema: ClassSchema) -> None:
+    """Reference semantics of ``objects.eval_invariant``: the clauses in
+    order over ``walk_eval``, the first false one an ``InvariantViolation``."""
+    for clause in schema.invariant.clauses:
+        try:
+            outcome = walk_eval(clause.body, record.fields, {})
+        except exprs.EvalProblem as err:
+            raise TypeMismatchInInvariant(clause.tag, str(err)) from err
+        if outcome.__class__ is not bool:
+            raise TypeMismatchInInvariant(clause.tag, "clause body is not boolean")
+        if not outcome:
+            raise InvariantViolation(record.class_name, record.id, clause.tag)
 
 
 _UNASSIGNED = object()

@@ -12,6 +12,7 @@ from conftest import (
     OTHER_V2,
     run_cli,
 )
+from escher.errors import FormatError
 from escher.objects import deserialize
 from escher.repository import empty_repository, register_transformer, release, save_repository
 from escher.schema import parse_schema, render_schema
@@ -764,10 +765,14 @@ def test_check_v1_object_against_v1_schema():
 def test_check_skips_a_record_stored_at_another_version_of_the_class(tmp_path):
     # the record would pass v2's invariant, the v1 file would miss its attribute
     obj = tmp_path / "v1.eso"
-    obj.write_text("ESCHER-OBJECTS 1\nobj 0 BANK_ACCOUNT version 1\n  balance: INTEGER = 5\nend\n",
-                   encoding="utf-8")
-    assert run_cli("check", str(obj), V2) == (0, "", "")
-    assert run_cli("check", OBJ, V2) == (0, "", "")
+    v1_record = "obj 0 BANK_ACCOUNT version 1\n  balance: INTEGER = 5\nend\n"
+    obj.write_text(f"ESCHER-OBJECTS 1\n{v1_record}", encoding="utf-8")
+    nothing = (1, "NoRecordChecked BANK_ACCOUNT 2\n", "")  # when no record is checked, it says so
+    assert run_cli("check", str(obj), V2) == nothing
+    assert run_cli("check", OBJ, V2) == nothing
+    v2_record = "obj 1 BANK_ACCOUNT version 2\n  balance: INTEGER = 5\n  info: INTEGER = 1\nend\n"
+    obj.write_text(f"ESCHER-OBJECTS 1\n{v1_record}{v2_record}", encoding="utf-8")
+    assert run_cli("check", str(obj), V2) == (0, "ok BANK_ACCOUNT 1\n", "")
 
 
 @pytest.mark.parametrize("newline, indent, line_reads", [("\r\n", "  ", 0), ("\n", "\t", 0)],
@@ -785,6 +790,26 @@ def test_the_cli_reads_a_crlf_object_file_as_blocks(tmp_path, monkeypatch, newli
     obj.write_bytes(BANK_OBJECT_TEXT.replace("\n  ", "\n" + indent).replace("\n", newline).encode())
     assert run_cli("check", str(obj), V1) == (0, "ok BANK_ACCOUNT 0\n", "")
     assert len(calls) == line_reads
+
+
+def test_a_library_read_of_a_crlf_text_takes_it_as_blocks(monkeypatch):
+    """``deserialize`` takes blanks before the newline that ends a block's
+    ``obj`` line and its ``end``, so a CRLF text passed by a library call
+    reads as the LF text does, and a later error names the same line."""
+    from escher import objects
+
+    calls = []
+    read_record = objects._read_record
+    monkeypatch.setattr(objects, "_read_record", lambda *args: calls.append(1) or read_record(*args))
+    crlf = BANK_OBJECT_TEXT.replace("\n", "\r\n")
+    assert deserialize(crlf) == deserialize(BANK_OBJECT_TEXT)
+    assert calls == []
+    lines = []
+    for text in (BANK_OBJECT_TEXT, crlf):
+        with pytest.raises(FormatError) as err:
+            deserialize(text + text.partition("\n")[2].replace("obj 0", "obj 7"))
+        lines.append(err.value.line)
+    assert lines == [7, 7]  # the second obj line
 
 
 def test_usage_errors_exit_2(bank_project):

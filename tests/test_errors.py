@@ -39,6 +39,7 @@ FIELDS = {
     "DegenerateHistory": ("class_name",),
     "EmptyRelease": (),
     "UnknownClass": ("class_name",),
+    "NoRecordChecked": ("class_name", "version"),
 }
 
 # Their CLI lines are not their name and fields; tests of the CLI pin them.

@@ -6,16 +6,17 @@ Random trees over each language's node pool must come back from their
 rendered text unchanged, as must every value from ``exprs.render_value``. A
 literal no value can hold must be refused at parse time with one reason in
 all four inputs, and a tree or parenthesis nested deeper than
-``exprs.MAX_DEPTH`` must be a ``ParseError``. Compiled as invariants, or
-generated into a hop as transformer sources, the same trees must evaluate as
-the tree walk ``helpers.walk_eval`` does, value for value and error for
-error. A conversion reads only a value of its source kind, and a string only
-with ASCII digits, as every literal does.
+``exprs.MAX_DEPTH`` must be a ``ParseError``. Generated into a gate as
+invariant clauses, or into a hop as transformer sources, the same trees must
+evaluate as the tree walk ``helpers.walk_eval`` does, value for value and
+error for error. A conversion reads only a value of its source kind, and a
+string only with ASCII digits, as every literal does.
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 import sys
 
 import pytest
@@ -27,11 +28,12 @@ from unittest import mock  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from escher import exprs  # noqa: E402
+from escher import exprs, objects  # noqa: E402
 from escher.errors import (  # noqa: E402
     ConversionFailure,
     EvaluationError,
     FormatError,
+    MissingAttribute,
     ParseError,
 )
 from escher.objects import (  # noqa: E402
@@ -58,7 +60,7 @@ from escher.transformer import (  # noqa: E402
 )
 from escher.values import CLASS_NAMED, INT64_MAX, INT64_MIN, KINDS, RefVal  # noqa: E402
 
-from helpers import step_loop, walk_eval  # noqa: E402
+from helpers import clause_loop, step_loop, walk_eval  # noqa: E402
 
 ATTRIBUTES = ("a", "b", "tot_deposits")
 
@@ -350,12 +352,19 @@ def test_trees_at_the_bound_render_walk_and_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# the compiler against a tree walk
+# generated code against a tree walk
 # ---------------------------------------------------------------------------
 
 
-def _walking(expr):
-    return lambda f: walk_eval(expr, f, {})
+def _generated(expr):
+    """``expr`` alone, written as a gate writes a clause, into one generated
+    function of fields ``f`` that returns its value, and raises as
+    ``walk_eval`` does."""
+    writer = exprs.SourceWriter()
+    value = writer.expr(expr)
+    writer.own(None)
+    return objects._define("value(f)", writer, value, lambda _, reason: exprs.EvalProblem(reason),
+                           lambda _, name: MissingAttribute(name))
 
 
 def _outcome(call):
@@ -368,12 +377,12 @@ def _outcome(call):
 
 
 def _each_subtree_agrees(expr, fields):
-    """Every subtree of an invariant body, compiled alone, against the walk:
-    a difference inside a tree shows even where an error elsewhere hides it
-    from the whole."""
+    """Every subtree of an invariant body, generated alone, against the
+    walk: a difference inside a tree shows even where an error elsewhere
+    hides it from the whole."""
     for node in exprs.walk(expr):
-        compiled = _outcome(lambda: exprs.compile_expr(node)(fields))
-        assert compiled == _outcome(lambda: walk_eval(node, fields, {}))
+        generated = _outcome(lambda: _generated(node)(fields))
+        assert generated == _outcome(lambda: walk_eval(node, fields, {}))
 
 
 SOURCE_SCHEMA = ClassSchema("C", attributes=(Attribute("t", ClassType("INTEGER")),), version=2)
@@ -387,15 +396,6 @@ def _each_source_subtree_agrees(expr, fields, inputs):
         t = ObjectTransformer("C", 1, 2, (Assign("t", node),))
         hop = _outcome(lambda: interpret_transformer(t, old, inputs, new_schema=SOURCE_SCHEMA))
         assert hop == _outcome(lambda: step_loop(t, old, inputs, new_schema=SOURCE_SCHEMA))
-
-
-def _compiled_and_walked(build, run):
-    """``run`` over an object ``build`` makes, once compiled and once with
-    every tree walked instead; each object compiles on its first use."""
-    compiled = _outcome(lambda: run(build()))
-    with mock.patch.object(exprs, "compile_expr", _walking):
-        walked = _outcome(lambda: run(build()))
-    return compiled, walked
 
 
 edge_ints = st.one_of(
@@ -468,21 +468,76 @@ def connectives():
     st.lists(st.one_of(clauses(), connectives()), min_size=1, max_size=3),
     _field_map(ATTRIBUTES),
 )
-def test_compiled_invariants_evaluate_as_the_tree_walk_does(bodies, fields):
-    def schema():
-        return ClassSchema(
-            "C",
-            attributes=tuple(Attribute(name, ClassType("INTEGER")) for name in ATTRIBUTES),
-            invariant=InvariantExpr(
-                tuple(InvariantClause(f"c{i}", body) for i, body in enumerate(bodies))
-            ),
-        )
-
+def test_generated_invariants_evaluate_as_the_tree_walk_does(bodies, fields):
+    schema = _schema(*bodies)
     record = ObjectRecord(0, "C", 1, dict(fields))
-    compiled, walked = _compiled_and_walked(schema, lambda s: eval_invariant(record, s))
-    assert compiled == walked
+    assert _outcome(lambda: eval_invariant(record, schema)) == _outcome(lambda: clause_loop(record, schema))
     for body in bodies:
         _each_subtree_agrees(body, fields)
+
+
+def _schema(*bodies):
+    return ClassSchema(
+        "C",
+        attributes=tuple(Attribute(name, ClassType("INTEGER")) for name in ATTRIBUTES),
+        invariant=InvariantExpr(tuple(InvariantClause(f"c{i}", body) for i, body in enumerate(bodies))),
+    )
+
+
+def _right_nested(node, leaves):
+    """``leaves[0] <node> (leaves[1] <node> (...))``."""
+    tree = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        tree = node(leaf, tree)
+    return tree
+
+
+def _not_run(count):
+    tree = exprs.Compare(">", exprs.AttrRef("a"), exprs.Lit(0))
+    for _ in range(count):
+        tree = exprs.Not(tree)
+    return tree
+
+
+A = exprs.AttrRef("a")
+# Per shape, a tree whose connectives nest about as deep as the number it is
+# built from, a record it holds for and one it fails for; at ``N - 1`` the
+# tree is ``N`` deep, and one record or the other runs its deepest clause.
+DEEP = {
+    "and chain": (lambda n: _right_nested(exprs.And, [exprs.Compare(">", A, exprs.Lit(k)) for k in range(n)]),
+                  {"a": N}, {"a": N // 2}),
+    "or chain": (lambda n: _right_nested(exprs.Or, [exprs.Compare("=", A, exprs.Lit(k)) for k in range(n)]),
+                 {"a": N - 3}, {"a": -1}),
+    "not run": (lambda n: _not_run(2 * (n // 2)), {"a": 1}, {"a": 0}),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_a_connective_at_the_bound_is_generated_flat_and_evaluates_as_the_walk_does(shape, monkeypatch):
+    """A tree whose connectives nest ``exprs.MAX_DEPTH`` deep builds one
+    gate whose source grows by the same lines per node, every guarded line
+    tests one guard local, and no line sits deeper than one ``if``."""
+    build, passing, failing = DEEP[shape]
+    written = []
+    define = objects._define
+    monkeypatch.setattr(objects, "_define", lambda *args: written.append(args[1].lines) or define(*args))
+    sizes = {}
+    for count in (N // 4, N // 2, N - 1):
+        tree = build(count)
+        objects.generate_gate(_schema(tree))
+        sizes[sum(1 for _ in exprs.walk(tree))] = len(written[-1])
+    assert tree.depth == N
+    (n0, l0), (n1, l1), (n2, l2) = sizes.items()
+    assert (l1 - l0) * (n2 - n1) == (l2 - l1) * (n1 - n0)  # linear in the node count
+    lines = written[-1]
+    assert all(re.fullmatch(r"if g[0-9]+:", line) for line in lines if line.startswith("if g"))
+    assert max(len(line) - len(line.lstrip()) for line in lines) <= 4
+    schema = _schema(tree)
+    for fields, held in ((passing, True), (failing, False)):
+        record = ObjectRecord(0, "C", 1, fields)
+        outcome = _outcome(lambda: eval_invariant(record, schema))
+        assert outcome == _outcome(lambda: clause_loop(record, schema))
+        assert (outcome == "None") is held
 
 
 SOURCE_NAMES = ["x", "tot_deposits", "input", "Void", "oldc"]
@@ -602,8 +657,8 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
     kind: an integer operand beside a real, a void, a boolean or a string,
     and integer results at the edges of 64 bits. Arithmetic runs in a
     generated hop, where ``+ - *`` over two integers is inline, and its
-    error is the hop's ``EvaluationError`` at index 0; a comparison runs
-    compiled, as an invariant."""
+    error is the hop's ``EvaluationError`` at index 0; a comparison is
+    generated as a gate writes it, and agrees with the walk too."""
     op, a, b = case
     arithmetic = op in exprs.ARITH_OPS
     field = exprs.OldField if arithmetic else exprs.AttrRef
@@ -619,7 +674,9 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
                 assert err.index == 0
                 got = exprs.EvalProblem, err.reason, "{}"  # as ``_outcome`` shows the operator's error
         else:
-            got = _outcome(lambda: exprs.compile_expr(exprs.Compare(op, left, right))(fields))
+            node = exprs.Compare(op, left, right)
+            got = _outcome(lambda: _generated(node)(fields))
+            assert got == _outcome(lambda: walk_eval(node, fields, {})), (left, right)
         assert got == expected, (left, right)
 
 
@@ -648,11 +705,12 @@ def test_the_inline_integer_path_agrees_with_arith_and_compare(case):
 )
 def test_operators_keep_kinds_apart(text, outcome):
     expr = parse_schema(_esc(text)).invariant.clauses[0].body
-    try:
-        result = repr(exprs.compile_expr(expr)({}))
-    except exprs.EvalProblem as err:
-        result = str(err)
-    assert result == outcome
+    for evaluate in (_generated(expr), lambda f: walk_eval(expr, f, {})):
+        try:
+            result = repr(evaluate({}))
+        except exprs.EvalProblem as err:
+            result = str(err)
+        assert result == outcome
 
 
 # ---------------------------------------------------------------------------

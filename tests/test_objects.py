@@ -750,29 +750,21 @@ def test_integer_quotient_outside_64_bits_is_an_evaluation_error():
 
 
 # ---------------------------------------------------------------------------
-# generated hops and compiled invariants: once per object, on first use, unseen
+# generated hops and gates: once per object, on first use, unseen
 # ---------------------------------------------------------------------------
 
 
-def _count_compiles(monkeypatch) -> list:
-    """The trees the compiler is called on from outside, invariant bodies
-    (transformer sources are generated into hops), not their subtrees."""
-    compiled: list = []
-    original = exprs.compile_expr
-    nesting = 0
+def _count_gates(monkeypatch) -> list:
+    """The schema of each gate generated."""
+    gated: list = []
+    original = objects.generate_gate
 
-    def counted(expr):
-        nonlocal nesting
-        if nesting == 0:
-            compiled.append(expr)
-        nesting += 1
-        try:
-            return original(expr)
-        finally:
-            nesting -= 1
+    def counted(schema):
+        gated.append(schema)
+        return original(schema)
 
-    monkeypatch.setattr(exprs, "compile_expr", counted)
-    return compiled
+    monkeypatch.setattr(objects, "generate_gate", counted)
+    return gated
 
 
 def _count_builds(monkeypatch) -> list:
@@ -788,16 +780,16 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-def test_loading_a_project_compiles_nothing(bank_project, bank_graph, monkeypatch):
-    compiled = _count_compiles(monkeypatch)
+def test_loading_a_project_builds_no_gate(bank_project, bank_graph, monkeypatch):
+    gated = _count_gates(monkeypatch)
     repo = load_repository(bank_project)
-    assert compiled == []
+    assert gated == []
     retrieve(bank_graph, repo, {"BANK_ACCOUNT": 2})
-    assert compiled
+    assert gated == [repo.schema_for("BANK_ACCOUNT", 2)]
 
 
-def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, monkeypatch):
-    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
+def test_retrieve_builds_each_transformer_hop_and_gate_once(mixed_repo, monkeypatch):
+    gated, builds = _count_gates(monkeypatch), _count_builds(monkeypatch)
     graph = _mixed_graph(("A", 1, 10), ("A", 1, 11), ("B", 1, 1), ("B", 2, 2), ("C", 1, 0))
     first = retrieve(graph, mixed_repo, {"A": 2, "B": 2})
     assert retrieve(graph, mixed_repo, {"A": 2, "B": 2}) == first
@@ -806,13 +798,14 @@ def test_retrieve_compiles_each_transformer_and_gated_schema_once(mixed_repo, mo
     # one function per hop, A's with y's default built in
     assert [(id(t), order) for t, order in builds] == [(id(a_hop), ("x", "y")), (id(b_hop), ("n", "m"))]
     assert [len(t.hops) for t in (a_hop, b_hop)] == [1, 1]
-    # the one tree compiled is A's gate; B and C gate no clause
-    assert [id(e) for e in compiled] == [id(mixed_repo.schema_for("A", 2).invariant.clauses[0].body)]
+    # one gate per schema a record is checked against, on its first record
+    schemas = [mixed_repo.schema_for(*key) for key in (("A", 2), ("B", 2), ("C", 1))]
+    assert [id(s) for s in gated] == [id(s) for s in schemas]
 
 
-def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
+def test_retrieve_builds_each_hop_of_a_composed_path_once(monkeypatch):
     repo, _ = make_chain_repo(4)
-    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
+    gated, builds = _count_gates(monkeypatch), _count_builds(monkeypatch)
     graph = ObjectGraph(tuple(
         ObjectRecord(i, "CHAIN", v, {f"f{k}": k for k in range(1, v + 1)})
         for i, v in enumerate([1, 2, 1, 3])
@@ -823,30 +816,31 @@ def test_retrieve_compiles_each_hop_of_a_composed_path_once(monkeypatch):
     hops = [repo.handlers_for("CHAIN")[(v, v + 1)] for v in (1, 2, 3)]
     orders = [tuple(f"f{k}" for k in range(1, v + 2)) for v in (1, 2, 3)]
     assert [(id(t), order) for t, order in builds] == [(id(t), order) for t, order in zip(hops, orders)]
-    assert compiled == []  # CHAIN gates no clause
+    assert [id(s) for s in gated] == [id(repo.schema_for("CHAIN", 4))]  # the last hop's only
 
 
-def test_a_compiled_form_is_not_part_of_the_value(monkeypatch):
-    compiled, builds = _count_compiles(monkeypatch), _count_builds(monkeypatch)
+def test_a_generated_function_is_not_part_of_the_value(monkeypatch):
+    gated, builds = _count_gates(monkeypatch), _count_builds(monkeypatch)
     text = "transform A from 1 to 2\n  Result.x := oldc.x - 10\nend\n"
     schema_text = "version 2 class A feature x: INTEGER invariant pos: x >= 0 end"
     t, schema = parse_transformer(text), parse_schema(schema_text)
     seen = [(obj, repr(obj), hash(obj)) for obj in (t, schema)]
     old = ObjectRecord(0, "A", 1, {"x": 15})
     eval_invariant(interpret_transformer(t, old, {}, new_schema=schema), schema)
-    assert (len(builds), len(compiled)) == (1, 1)  # the hop is generated, the invariant compiled
+    assert (len(builds), len(gated)) == (1, 1)  # the hop and the gate are generated
     for obj, text_form, digest in seen:
         assert (repr(obj), hash(obj)) == (text_form, digest)
         assert replace(obj) == obj
     assert (t, schema) == (parse_transformer(text), parse_schema(schema_text))
     again = interpret_transformer(replace(t), old, {}, new_schema=replace(schema))
     eval_invariant(again, replace(schema))
-    assert (len(builds), len(compiled)) == (2, 2)  # a replaced object builds afresh
+    assert (len(builds), len(gated)) == (2, 2)  # a replaced object builds afresh
     interpret_transformer(t, old, {}, new_schema=schema)
     interpret_transformer(t, old, {}, new_schema=replace(schema))  # one attribute order
-    assert (len(builds), len(compiled)) == (2, 2)
+    eval_invariant(again, schema)
+    assert (len(builds), len(gated)) == (2, 2)
     interpret_transformer(t, old, {}, new_schema=schema, check_attached=False)
-    assert (len(builds), len(compiled)) == (2, 2)  # checks on or off, one function
+    assert (len(builds), len(gated)) == (2, 2)  # checks on or off, one function
 
 
 def test_a_hand_built_literal_outside_64_bits_fails_where_it_is_first_used():
